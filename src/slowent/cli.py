@@ -1,16 +1,15 @@
 """Command-line interface.
 
 Exit codes: 0 when every asserted invariant passed, 1 when a verdict
-failed, 2 on usage errors. All randomness flows from --seed; --threads is
-accepted for interface compatibility and does not change any output.
+failed, 2 on usage errors. All randomness flows from --seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import covernum, cutstack, expcli, recurrence
@@ -22,7 +21,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=2024)
     parser.add_argument("--out", type=Path, default=Path("out"))
     parser.add_argument("--format", choices=("csv", "json"), default="json")
-    parser.add_argument("--threads", type=int, default=1, help="accepted for compatibility; outputs do not depend on it")
 
 
 def _schedule_args(parser: argparse.ArgumentParser) -> None:
@@ -33,10 +31,14 @@ def _schedule_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--schedule-file", type=Path)
 
 
-def _schedule_from_args(args: argparse.Namespace) -> cutstack.Schedule:
+def _schedule_spec(args: argparse.Namespace) -> dict:
     if getattr(args, "schedule_file", None):
-        return cutstack.schedule_from_text(args.schedule_file.read_text())
-    return cutstack.build_schedule(args.stages, Fraction(args.theta), Fraction(args.c), args.r1)
+        return {"file": str(args.schedule_file)}
+    return {"stages": args.stages, "theta": args.theta, "c": args.c, "r1": args.r1}
+
+
+def _schedule_from_args(args: argparse.Namespace) -> cutstack.Schedule:
+    return expcli.schedule_from_spec(_schedule_spec(args))
 
 
 def _load_config(args: argparse.Namespace, kind: str) -> expcli.ExperimentConfig:
@@ -47,13 +49,10 @@ def _load_config(args: argparse.Namespace, kind: str) -> expcli.ExperimentConfig
         if config.kind != kind:
             raise UsageError(f"config kind {config.kind!r} does not match subcommand {kind!r}")
         return config
-    spec = {"stages": args.stages, "theta": args.theta, "c": args.c, "r1": args.r1}
-    if getattr(args, "schedule_file", None):
-        spec = {"file": str(args.schedule_file)}
     return expcli.ExperimentConfig(
         kind=kind,
         seed=args.seed,
-        schedule_spec=spec,
+        schedule_spec=_schedule_spec(args),
         sample_size=getattr(args, "sample_size", 50),
     )
 
@@ -181,8 +180,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         for line in args.input.read_text().splitlines()[1:]:
             if not line.strip():
                 continue
-            n, value = line.split(",")[:2]
-            samples.append((int(n), float(value)))
+            try:
+                n, value = line.split(",")[:2]
+                samples.append((int(n), float(value)))
+            except ValueError:
+                raise UsageError(f"bad fit row {line!r}: expected n,value") from None
         fit = covernum.growth_fit(samples, args.scale)
         args.out.mkdir(parents=True, exist_ok=True)
         expcli.write_csv(expcli.fit_rows(fit), args.out / "fit.csv")
@@ -191,23 +193,9 @@ def _dispatch(args: argparse.Namespace) -> int:
     kind = _KIND_BY_COMMAND[args.command]
     config = _load_config(args, kind)
     if getattr(args, "sample_size", None):
-        config = expcli.ExperimentConfig(
-            kind=config.kind,
-            seed=config.seed,
-            schedule_spec=config.schedule_spec,
-            sample_size=args.sample_size,
-            scales=config.scales,
-            eps_list=config.eps_list,
-        )
+        config = dataclasses.replace(config, sample_size=args.sample_size)
     elif not args.config:
-        config = expcli.ExperimentConfig(
-            kind=config.kind,
-            seed=config.seed,
-            schedule_spec=config.schedule_spec,
-            sample_size=_DEFAULT_SIZES[kind],
-            scales=config.scales,
-            eps_list=config.eps_list,
-        )
+        config = dataclasses.replace(config, sample_size=_DEFAULT_SIZES[kind])
     report = expcli.run_experiment(config)
     return _emit(report, args)
 

@@ -6,9 +6,10 @@ Stage i >= 2 holds an arrangement of cells over Q_{r(i)}; the 1-colored
 (core) cells sit exactly at the sumset Gamma*_{i-1} = Gamma_1 + ... +
 Gamma_{i-1} where Gamma_j = Q_{s(j)} intersect m(j)Z^2. Because m(j) >
 2 r(j), every core site has a unique representation as a sum of per-level
-offsets, and all window statistics factor per coordinate. The counting
-helpers below exploit that factorization; nothing enumerates sites when an
-interval computation suffices.
+offsets, and all window statistics factor per coordinate. Every peel,
+count and traversal below runs on the per-coordinate kernel
+lattice.AxisSumset; nothing enumerates sites when an interval computation
+suffices.
 
 Points are addresses (gamma_1, ..., gamma_{i-1}): the interval structure of
 the underlying arrangement is quotiented away since every computable
@@ -19,13 +20,12 @@ explicit cells for small worked examples and non-uniform colorings.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import rng
-from .lattice import Box, Pattern, Site, UsageError, site_add, sup_norm
+from .lattice import AxisSumset, Box, GridSet, Pattern, Site, UsageError, site_add, sup_norm
 
 
 class StageCapError(RuntimeError):
@@ -51,6 +51,8 @@ class Schedule:
     radii: tuple[int, ...]
     theta: Fraction
     c: Fraction
+    _levels: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    _sumsets: tuple[AxisSumset, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.radii) < 1 or self.radii[0] < 1:
@@ -67,6 +69,7 @@ class Schedule:
             if r <= prev:
                 raise UsageError(f"radii must be strictly increasing, r({i}) = {r}")
             prev = r
+        levels = []
         for i in range(1, len(self.radii)):
             s = self.radii[i] - self.radii[i - 1]
             m = _int_root(s, inv)
@@ -76,6 +79,9 @@ class Schedule:
                 raise UsageError(f"m({i}) = {m} violates m > c*r = {self.c * self.radii[i - 1]}")
             if 2 * self.radii[i - 1] >= m:
                 raise UsageError(f"m({i}) = {m} <= 2 r({i}) breaks unique decomposition")
+            levels.append((m, s))
+        object.__setattr__(self, "_levels", tuple(levels))
+        object.__setattr__(self, "_sumsets", tuple(AxisSumset(levels[:i]) for i in range(len(self.radii))))
 
     @property
     def stages(self) -> int:
@@ -96,17 +102,26 @@ class Schedule:
         return self.r(i + 1) - self.r(i)
 
     def m(self, i: int) -> int:
-        inv = int(Fraction(1) / self.theta)
-        root = _int_root(self.s(i), inv)
-        assert root is not None
-        return root
+        """Spacing m(i) = s(i)^theta; defined for 1 <= i < stages."""
+        if not 1 <= i < self.stages:
+            raise UsageError(f"m({i}) out of range 1..{self.stages - 1}")
+        return self._levels[i - 1][0]
 
-    def level(self, i: int) -> "GammaLevel":
-        return GammaLevel(i, self.m(i), self.s(i))
+    def level(self, i: int) -> GridSet:
+        """Level-i offset lattice Gamma_i = Q_{s(i)} intersect m(i)Z^2."""
+        return GridSet(self.m(i), self.s(i))
 
     def levels_1d(self, upto: int) -> list[tuple[int, int]]:
         """(m(j), s(j)) for j = 1..upto, the per-coordinate level data."""
-        return [(self.m(j), self.s(j)) for j in range(1, upto + 1)]
+        if not 0 <= upto < self.stages:
+            raise UsageError(f"levels_1d({upto}) out of range 0..{self.stages - 1}")
+        return list(self._levels[:upto])
+
+    def sumset(self, stage: int) -> AxisSumset:
+        """Per-coordinate core sumset G_1 + ... + G_{stage-1} of the stage-`stage` arrangement."""
+        if not 1 <= stage <= self.stages:
+            raise UsageError(f"stage {stage} out of range 1..{self.stages}")
+        return self._sumsets[stage - 1]
 
     def prod_r_exponent(self, i: int) -> float:
         """Diagnostic log(prod_{j<=i} r(j)) / log r(i); 1 + o(1) only for fast growth."""
@@ -134,10 +149,9 @@ def build_schedule(stages: int, theta: Fraction = Fraction(1, 3), c: Fraction | 
     if stages < 1 or stages > MAX_STAGES:
         raise UsageError(f"stage count must be in 1..{MAX_STAGES}")
     c = Fraction(c)
-    inv = Fraction(1) / theta
-    if not (0 < theta < 1) or inv != int(inv):
+    if not (0 < theta < 1) or (Fraction(1) / theta).denominator != 1:
         raise UsageError(f"theta must be a reciprocal integer in (0,1), got {theta}")
-    inv = int(inv)
+    inv = int(Fraction(1) / theta)
     radii = [r1]
     for _ in range(stages - 1):
         r = radii[-1]
@@ -161,14 +175,17 @@ def schedule_from_text(text: str) -> Schedule:
         parts = ln.split()
         if not parts:
             continue
-        if parts[0] == "theta" and len(parts) == 2:
-            theta = Fraction(parts[1])
-        elif parts[0] == "c" and len(parts) == 2:
-            c = Fraction(parts[1])
-        elif parts[0] == "r" and len(parts) == 3:
-            radii[int(parts[1])] = int(parts[2])
-        else:
-            raise UsageError(f"bad schedule line: {ln!r}")
+        try:
+            if parts[0] == "theta" and len(parts) == 2:
+                theta = Fraction(parts[1])
+            elif parts[0] == "c" and len(parts) == 2:
+                c = Fraction(parts[1])
+            elif parts[0] == "r" and len(parts) == 3:
+                radii[int(parts[1])] = int(parts[2])
+            else:
+                raise ValueError
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(f"bad schedule line: {ln!r}") from None
     if theta is None or c is None or not radii:
         raise UsageError("schedule file needs theta, c, and r lines")
     if sorted(radii) != list(range(1, len(radii) + 1)):
@@ -180,30 +197,7 @@ def schedule_from_text(text: str) -> Schedule:
 # Gamma levels, addresses, decomposition
 
 
-@dataclass(frozen=True)
-class GammaLevel:
-    """Level-i offset lattice Q_{s(i)} intersect m(i)Z^2."""
-
-    level: int
-    spacing: int
-    radius: int
-
-    def __contains__(self, u: Site) -> bool:
-        return all(a % self.spacing == 0 and abs(a) <= self.radius for a in u)
-
-    def steps(self) -> int:
-        return self.radius // self.spacing
-
-    def axis_values(self) -> list[int]:
-        k = self.steps()
-        return [q * self.spacing for q in range(-k, k + 1)]
-
-    def enumerate(self) -> Iterable[Site]:
-        vals = self.axis_values()
-        return ((x, y) for x in vals for y in vals)
-
-
-def gamma_size(level: GammaLevel) -> int:
+def gamma_size(level: GridSet) -> int:
     """|Gamma_i| = (2 s(i)/m(i) + 1)^2; requires m(i) | s(i)."""
     if level.radius % level.spacing != 0:
         raise UsageError(f"spacing {level.spacing} does not divide radius {level.radius}")
@@ -244,13 +238,22 @@ def validate_address(addr: Address, sched: Schedule) -> None:
         raise UsageError("address site escapes Q_{r(i)-r(1)}")
 
 
-def _peel_coord(a: int, spacing: int, radius: int, bound: int) -> int | None:
-    """Unique multiple g of spacing with |g| <= radius and |a - g| <= bound, else None."""
-    q = round(a / spacing) * spacing
-    for cand in (q, q - spacing, q + spacing):
-        if abs(cand) <= radius and abs(a - cand) <= bound:
-            return cand
-    return None
+def _peel(w: Site, stage: int, sched: Schedule, slack: Callable[[int], int]) -> tuple[list[Site], Site]:
+    """Peel level offsets from w top-down, from level stage-1, while every coordinate peels.
+
+    Level l's offset is the unique multiple of m(l) within slack(l) of the
+    remainder; m(l) > 2 r(l) >= 2 slack(l) rules out a second candidate.
+    Returns the peeled offsets (coarsest first) and the remainder.
+    """
+    axis = sched.sumset(stage)
+    peeled: list[Site] = []
+    for l in range(stage - 1, 0, -1):
+        g = tuple(axis.peel(a, l - 1, slack(l)) for a in w)
+        if None in g:
+            break
+        peeled.append(g)
+        w = tuple(a - b for a, b in zip(w, g))
+    return peeled, w
 
 
 def decompose(v: Site, stage: int, sched: Schedule) -> Address | None:
@@ -262,134 +265,16 @@ def decompose(v: Site, stage: int, sched: Schedule) -> Address | None:
     """
     if stage < 1 or stage > sched.stages:
         raise UsageError(f"stage {stage} out of range 1..{sched.stages}")
-    levels: list[Site] = []
-    current = tuple(v)
-    for j in range(stage - 1, 0, -1):
-        m, s = sched.m(j), sched.s(j)
-        bound = sched.r(j) - sched.r(1)
-        picked = []
-        for a in current:
-            g = _peel_coord(a, m, s, bound)
-            if g is None:
-                return None
-            picked.append(g)
-        levels.append(tuple(picked))
-        current = tuple(a - g for a, g in zip(current, picked))
-    if any(a != 0 for a in current):
+    peeled, rest = _peel(tuple(v), stage, sched, lambda j: sched.r(j) - sched.r(1))
+    if len(peeled) < stage - 1 or any(rest):
         return None
-    return Address(tuple(reversed(levels)), stage)
+    return Address(tuple(reversed(peeled)), stage)
 
 
 def compose(levels: Sequence[Site], sched: Schedule) -> Site:
     addr = Address(tuple(levels), len(levels) + 1)
     validate_address(addr, sched)
     return addr.site()
-
-
-# ---------------------------------------------------------------------------
-# 1-D counting kernels. Everything about core sets and copy coverage factors
-# per coordinate, so these four little functions carry all the heavy lifting.
-
-
-def _axis_count(levels: list[tuple[int, int]], lo: int, hi: int) -> int:
-    """|(G_1 + ... + G_J) ∩ [lo, hi]| for per-coordinate grids G_j = m_j Z ∩ [-s_j, s_j]."""
-    if lo > hi:
-        return 0
-    if not levels:
-        return 1 if lo <= 0 <= hi else 0
-    if len(levels) == 1:
-        m, s = levels[0]
-        a, b = max(lo, -s), min(hi, s)
-        if a > b:
-            return 0
-        return b // m - -(-a // m) + 1 if b // m >= -(-a // m) else 0
-    m, s = levels[-1]
-    rest = levels[:-1]
-    reach = sum(t[1] for t in rest)
-    if lo <= -(reach + s) and hi >= reach + s:
-        out = 1
-        for mm, ss in levels:
-            out *= 2 * (ss // mm) + 1
-        return out
-    k = s // m
-    total = 0
-    for q in range(max(-(-(lo - reach) // m), -k), min((hi + reach) // m, k) + 1):
-        total += _axis_count(rest, lo - q * m, hi - q * m)
-    return total
-
-
-def _axis_count_sum(levels: list[tuple[int, int]], lo: int, hi: int) -> tuple[int, int]:
-    """Count and coordinate-sum of (G_1 + ... + G_J) ∩ [lo, hi]."""
-    if lo > hi:
-        return 0, 0
-    if not levels:
-        return (1, 0) if lo <= 0 <= hi else (0, 0)
-    if len(levels) == 1:
-        m, s = levels[0]
-        a, b = max(lo, -s), min(hi, s)
-        if a > b:
-            return 0, 0
-        qa, qb = -(-a // m), b // m
-        if qb < qa:
-            return 0, 0
-        cnt = qb - qa + 1
-        return cnt, m * (qa + qb) * cnt // 2
-    m, s = levels[-1]
-    rest = levels[:-1]
-    reach = sum(t[1] for t in rest)
-    k = s // m
-    cnt_total, sum_total = 0, 0
-    for q in range(max(-(-(lo - reach) // m), -k), min((hi + reach) // m, k) + 1):
-        base = q * m
-        cnt, sm = _axis_count_sum(rest, lo - base, hi - base)
-        cnt_total += cnt
-        sum_total += sm + base * cnt
-    return cnt_total, sum_total
-
-
-def _axis_values(levels: list[tuple[int, int]], lo: int, hi: int) -> list[int]:
-    """Sorted values of (G_1 + ... + G_J) ∩ [lo, hi]."""
-    if lo > hi:
-        return []
-    if not levels:
-        return [0] if lo <= 0 <= hi else []
-    m, s = levels[-1]
-    rest = levels[:-1]
-    reach = sum(t[1] for t in rest)
-    k = s // m
-    out: list[int] = []
-    for q in range(max(-(-(lo - reach) // m), -k), min((hi + reach) // m, k) + 1):
-        base = q * m
-        out.extend(base + x for x in _axis_values(rest, lo - base, hi - base))
-    return out
-
-
-def _axis_covered(levels: list[tuple[int, int]], halfwidth: int, lo: int, hi: int) -> int:
-    """|(Lambda + [-halfwidth, halfwidth]) ∩ [lo, hi]| with Lambda the level sumset.
-
-    Copy intervals can abut or overlap when spacing is tight, so this merges
-    the interval union explicitly instead of multiplying counts.
-    """
-    if lo > hi:
-        return 0
-    centers = _axis_values(levels, lo - halfwidth, hi + halfwidth)
-    total = 0
-    cur_lo: int | None = None
-    cur_hi = 0
-    for c in centers:
-        a, b = max(c - halfwidth, lo), min(c + halfwidth, hi)
-        if a > b:
-            continue
-        if cur_lo is None:
-            cur_lo, cur_hi = a, b
-        elif a <= cur_hi + 1:
-            cur_hi = max(cur_hi, b)
-        else:
-            total += cur_hi - cur_lo + 1
-            cur_lo, cur_hi = a, b
-    if cur_lo is not None:
-        total += cur_hi - cur_lo + 1
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +296,6 @@ class PointHandle:
     levels: list[Site] = field(default_factory=list)
     zero_fill: bool = False
     overlay_seed: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.overlay_seed == 0:
@@ -428,16 +312,15 @@ class PointHandle:
                 f"stage {stage} exceeds built schedule ({self.schedule.stages} stages); "
                 f"max feasible window shrinks accordingly"
             )
-        with self._lock:
-            for j in range(len(self.levels) + 1, stage):
-                if self.zero_fill:
-                    self.levels.append((0, 0))
-                    continue
-                k = self.schedule.s(j) // self.schedule.m(j)
-                qx = rng.uniform_int(self.seed, "gamma-x", j, lo=-k, hi=k)
-                qy = rng.uniform_int(self.seed, "gamma-y", j, lo=-k, hi=k)
-                m = self.schedule.m(j)
-                self.levels.append((qx * m, qy * m))
+        for j in range(len(self.levels) + 1, stage):
+            if self.zero_fill:
+                self.levels.append((0, 0))
+                continue
+            k = self.schedule.s(j) // self.schedule.m(j)
+            qx = rng.uniform_int(self.seed, "gamma-x", j, lo=-k, hi=k)
+            qy = rng.uniform_int(self.seed, "gamma-y", j, lo=-k, hi=k)
+            m = self.schedule.m(j)
+            self.levels.append((qx * m, qy * m))
 
     def position_at(self, stage: int) -> Site:
         """Position of the point in the stage-`stage` arrangement."""
@@ -501,9 +384,9 @@ def window_axes(point: PointHandle, n: int) -> tuple[list[int], list[int]]:
     """
     j = point.determining_stage(n)
     u = point.position_at(j)
-    levels = point.schedule.levels_1d(j - 1)
-    xs = [x - u[0] for x in _axis_values(levels, u[0] - n, u[0] + n)]
-    ys = [y - u[1] for y in _axis_values(levels, u[1] - n, u[1] + n)]
+    axis = point.schedule.sumset(j)
+    xs = [x - u[0] for x in axis.values(u[0] - n, u[0] + n)]
+    ys = [y - u[1] for y in axis.values(u[1] - n, u[1] + n)]
     return xs, ys
 
 
@@ -518,17 +401,17 @@ def core_count(point: PointHandle, n: int) -> int:
     """|{v in Q_n : color = 1}| without materializing the window."""
     j = point.determining_stage(n)
     u = point.position_at(j)
-    levels = point.schedule.levels_1d(j - 1)
-    return _axis_count(levels, u[0] - n, u[0] + n) * _axis_count(levels, u[1] - n, u[1] + n)
+    axis = point.schedule.sumset(j)
+    return axis.count_sum(u[0] - n, u[0] + n)[0] * axis.count_sum(u[1] - n, u[1] + n)[0]
 
 
 def core_centroid(point: PointHandle, n: int) -> tuple[int, Fraction, Fraction]:
     """Count and exact mean offset of the window's 1-cells."""
     j = point.determining_stage(n)
     u = point.position_at(j)
-    levels = point.schedule.levels_1d(j - 1)
-    cx, sx = _axis_count_sum(levels, u[0] - n, u[0] + n)
-    cy, sy = _axis_count_sum(levels, u[1] - n, u[1] + n)
+    axis = point.schedule.sumset(j)
+    cx, sx = axis.count_sum(u[0] - n, u[0] + n)
+    cy, sy = axis.count_sum(u[1] - n, u[1] + n)
     if cx == 0 or cy == 0:
         raise UsageError("empty window core")
     # mean over the product set factors into per-axis means
@@ -542,10 +425,8 @@ def count_provenance_leq(point: PointHandle, n: int, prov_stage: int) -> int:
         return (2 * n + 1) ** 2
     u = point.position_at(j)
     halfwidth = point.schedule.arrangement_radius(prov_stage)
-    levels = [(point.schedule.m(t), point.schedule.s(t)) for t in range(prov_stage, j)]
-    return _axis_covered(levels, halfwidth, u[0] - n, u[0] + n) * _axis_covered(
-        levels, halfwidth, u[1] - n, u[1] + n
-    )
+    axis = AxisSumset(point.schedule.levels_1d(j - 1)[prov_stage - 1 :])
+    return axis.covered(halfwidth, u[0] - n, u[0] + n) * axis.covered(halfwidth, u[1] - n, u[1] + n)
 
 
 def locate_site(point: PointHandle, v: Site) -> tuple[int, Site]:
@@ -555,22 +436,8 @@ def locate_site(point: PointHandle, v: Site) -> tuple[int, Site]:
     lie inside the stage-l arrangement (radius r(l), or 0 at stage 1).
     """
     j = point.determining_stage(sup_norm(v))
-    current = site_add(point.position_at(j), v)
-    prov = j
-    for l in range(j - 1, 0, -1):
-        m, s = point.schedule.m(l), point.schedule.s(l)
-        bound = point.schedule.arrangement_radius(l)
-        picked = []
-        for a in current:
-            g = _peel_coord(a, m, s, bound)
-            if g is None:
-                break
-            picked.append(g)
-        if len(picked) != 2:
-            break
-        current = tuple(a - g for a, g in zip(current, picked))
-        prov = l
-    return prov, current
+    peeled, rest = _peel(site_add(point.position_at(j), v), j, point.schedule, point.schedule.arrangement_radius)
+    return j - len(peeled), rest
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ class ExperimentConfig:
     sample_size: int = 50
     scales: tuple[int, ...] | None = None
     eps_list: tuple[str, ...] = ("1/4", "1/8")
-    threads: int = 1
 
     def schedule(self) -> Schedule:
         return schedule_from_spec(self.schedule_spec)
@@ -55,19 +54,21 @@ class ExperimentConfig:
 
 
 def schedule_from_spec(spec: dict) -> Schedule:
-    if "radii" in spec:
-        return Schedule(tuple(int(r) for r in spec["radii"]), Fraction(spec["theta"]), Fraction(str(spec.get("c", 2))))
-    if "file" in spec:
+    if "file" in spec and "radii" not in spec:
         return cutstack.schedule_from_text(Path(spec["file"]).read_text())
     try:
-        return cutstack.build_schedule(
-            int(spec.get("stages", 4)),
-            Fraction(spec.get("theta", "1/3")),
-            Fraction(str(spec.get("c", 2))),
-            int(spec.get("r1", 1)),
-        )
+        c = Fraction(str(spec.get("c", 2)))
+        if "radii" in spec:
+            radii, theta = tuple(int(r) for r in spec["radii"]), Fraction(spec["theta"])
+        else:
+            stages, theta, r1 = int(spec.get("stages", 4)), Fraction(spec.get("theta", "1/3")), int(spec.get("r1", 1))
     except KeyError as exc:
         raise UsageError(f"schedule spec missing field {exc}") from None
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad schedule spec: {exc}") from None
+    if "radii" in spec:
+        return Schedule(radii, theta, c)
+    return cutstack.build_schedule(stages, theta, c, r1)
 
 
 def config_from_json(doc: dict) -> ExperimentConfig:
@@ -84,19 +85,26 @@ def config_from_json(doc: dict) -> ExperimentConfig:
         raise UsageError("config field 'sample_size' must be a positive integer")
     scales = doc.get("scales")
     if scales is not None:
-        scales = tuple(int(n) for n in scales)
+        try:
+            scales = tuple(int(n) for n in scales)
+        except (TypeError, ValueError):
+            raise UsageError(f"config field 'scales' must be a list of integers, got {scales!r}") from None
     eps_list = tuple(str(e) for e in doc.get("epsilons", ("1/4", "1/8")))
-    threads = doc.get("threads", 1)
-    if not isinstance(threads, int) or threads < 1:
-        raise UsageError("config field 'threads' must be a positive integer")
+    try:
+        for e in eps_list:
+            Fraction(e)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"config field 'epsilons' must be fractions, got {list(eps_list)!r}") from None
+    schedule = doc.get("schedule", {"stages": 4, "theta": "1/3", "c": "2", "r1": 1})
+    if not isinstance(schedule, dict):
+        raise UsageError("config field 'schedule' must be a JSON object")
     return ExperimentConfig(
         kind=kind,
         seed=seed,
-        schedule_spec=doc.get("schedule", {"stages": 4, "theta": "1/3", "c": "2", "r1": 1}),
+        schedule_spec=schedule,
         sample_size=sample_size,
         scales=scales,
         eps_list=eps_list,
-        threads=threads,
     )
 
 
@@ -655,7 +663,7 @@ def variant_suite(report: Report, sched: Schedule, label: str, seed: int, roundt
     )
     # decompose round-trip on random addresses
     bad = 0
-    top_stage = min(3, sched.stages)
+    top_stage = sched.stages
     for i in range(roundtrip):
         levels = []
         for j in range(1, top_stage):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Iterator
+from typing import Iterable, Iterator
 
 Site = tuple[int, ...]
 
@@ -186,43 +186,138 @@ class GridSet:
         return product(self.axis_values(), repeat=self.rank)
 
 
+class AxisSumset:
+    """Per-coordinate sumset G_1 + ... + G_J of grids G_j = m_j Z ∩ [-s_j, s_j].
+
+    Levels are given as (spacing, radius) pairs, finest first. Every spacing
+    must exceed twice the reach s_1 + ... + s_{j-1} of the finer levels, so
+    each value has exactly one decomposition into per-level offsets. All
+    traversals visit only the level offsets whose copies meet the window.
+    """
+
+    def __init__(self, levels: Iterable[tuple[int, int]]) -> None:
+        self._levels: list[tuple[int, int, int]] = []  # (m, s // m, reach of the finer levels)
+        self._reach = [0]  # reach of levels[:t]
+        self._size = [1]  # number of values of levels[:t]
+        for m, s in levels:
+            if m <= 2 * self._reach[-1]:
+                raise UsageError(
+                    f"spacing {m} does not dominate remaining reach {self._reach[-1]}; "
+                    "sumset would lose unique decomposition"
+                )
+            self._levels.append((m, s // m, self._reach[-1]))
+            self._reach.append(self._reach[-1] + s)
+            self._size.append(self._size[-1] * (2 * (s // m) + 1))
+
+    @property
+    def reach(self) -> int:
+        return self._reach[-1]
+
+    def peel(self, a: int, level: int, slack: int) -> int | None:
+        """The offset g of the level (0-based) with |a - g| <= slack, or None.
+
+        g is the multiple of the spacing nearest to a; it is the only
+        candidate because callers keep slack below half the spacing.
+        """
+        m, k, _ = self._levels[level]
+        q = (a + m // 2) // m
+        return q * m if -k <= q <= k and abs(a - q * m) <= slack else None
+
+    def count_sum(self, lo: int, hi: int) -> tuple[int, int]:
+        """Count and sum of the values in [lo, hi]."""
+        return self._count_sum(len(self._levels), lo, hi)
+
+    def _count_sum(self, top: int, lo: int, hi: int) -> tuple[int, int]:
+        if lo <= -self._reach[top] and hi >= self._reach[top]:
+            return self._size[top], 0  # the window covers the whole, symmetric set
+        if top == 0:
+            return 0, 0
+        m, k, reach = self._levels[top - 1]
+        size = self._size[top - 1]
+        qa, qb = max(-((reach - lo) // m), -k), min((hi + reach) // m, k)
+        # copies q*m + (finer set) that lie wholly inside the window are
+        # counted in closed form; only the partial copies at the ends recurse
+        fa, fb = max(qa, -((-lo - reach) // m)), min(qb, (hi - reach) // m)
+        if fa > fb:
+            fa, fb = qb + 1, qb
+        whole = fb - fa + 1
+        count, total = whole * size, size * m * (fa + fb) * whole // 2
+        for q in (*range(qa, fa), *range(fb + 1, qb + 1)):
+            c, s = self._count_sum(top - 1, lo - q * m, hi - q * m)
+            count += c
+            total += s + q * m * c
+        return count, total
+
+    def _runs(self, lo: int, hi: int) -> list[tuple[int, int, int]]:
+        """The values in [lo, hi] as increasing runs (first, last, step) of the finest level."""
+        runs: list[tuple[int, int, int]] = []
+
+        def walk(top: int, base: int, lo: int, hi: int) -> None:
+            m, k, reach = self._levels[top - 1]
+            qa, qb = max(-((reach - lo) // m), -k), min((hi + reach) // m, k)
+            if top > 1:
+                for q in range(qa, qb + 1):
+                    walk(top - 1, base + q * m, lo - q * m, hi - q * m)
+            elif qa <= qb:
+                runs.append((base + qa * m, base + qb * m, m))
+
+        if self._levels:
+            walk(len(self._levels), 0, lo, hi)
+        elif lo <= 0 <= hi:
+            runs.append((0, 0, 1))
+        return runs
+
+    def values(self, lo: int, hi: int) -> list[int]:
+        """Sorted values in [lo, hi]."""
+        out: list[int] = []
+        for first, last, m in self._runs(lo, hi):
+            out.extend(range(first, last + 1, m))
+        return out
+
+    def covered(self, halfwidth: int, lo: int, hi: int) -> int:
+        """|(values + [-halfwidth, halfwidth]) ∩ [lo, hi]|.
+
+        Copies can abut or overlap when the spacing is tight, so the union is
+        merged interval by interval rather than multiplied out.
+        """
+        if lo > hi:
+            return 0
+        h = halfwidth
+        total, cur_lo, cur_hi = 0, lo, lo - 1
+        for first, last, m in self._runs(lo - h, hi + h):
+            if first < last and m > 2 * h + 1:
+                # disjoint copies; all but the first and last lie inside [lo, hi]
+                total += ((last - first) // m - 1) * (2 * h + 1)
+                pieces: tuple[tuple[int, int], ...] = ((first - h, first + h), (last - h, last + h))
+            else:
+                pieces = ((first - h, last + h),)
+            for a, b in pieces:
+                a, b = max(a, lo), min(b, hi)
+                if a > cur_hi + 1:
+                    total += cur_hi - cur_lo + 1
+                    cur_lo = a
+                cur_hi = max(cur_hi, b)
+        return total + cur_hi - cur_lo + 1
+
+
 @dataclass(frozen=True)
 class SumsetSet:
     """Minkowski sum of grids with unique per-level decomposition.
 
-    Levels are ordered coarse-to-fine is not required; membership peels the
-    largest spacing first. Requires every level's spacing to exceed twice the
-    reach of the remaining levels, which forces unique representation.
+    Levels may come in any order; they are sorted finest first. Requires
+    every level's spacing to exceed twice the reach of the finer levels,
+    which forces unique representation.
     """
 
     levels: tuple[GridSet, ...]
+    _axis: AxisSumset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ordered = sorted(self.levels, key=lambda g: g.spacing, reverse=True)
-        reach = sum(g.radius for g in ordered)
-        for g in ordered:
-            reach -= g.radius
-            if g.spacing <= 2 * reach:
-                raise UsageError(
-                    f"spacing {g.spacing} does not dominate remaining reach {reach}; "
-                    "sumset would lose unique decomposition"
-                )
+        ordered = sorted(self.levels, key=lambda g: g.spacing)
+        object.__setattr__(self, "_axis", AxisSumset((g.spacing, g.radius) for g in ordered))
 
     def __contains__(self, u: Site) -> bool:
-        ordered = sorted(self.levels, key=lambda g: g.spacing, reverse=True)
-        rest = list(ordered)
-        v = tuple(u)
-        while rest:
-            g = rest.pop(0)
-            reach = sum(h.radius for h in rest)
-            picked = []
-            for a in v:
-                q = _nearest_multiple(a, g.spacing, g.radius, reach)
-                if q is None:
-                    return False
-                picked.append(q)
-            v = tuple(a - q for a, q in zip(v, picked))
-        return all(a == 0 for a in v)
+        return all(self._axis.count_sum(a, a)[0] == 1 for a in u)
 
     def __len__(self) -> int:
         out = 1
@@ -231,26 +326,8 @@ class SumsetSet:
         return out
 
     def enumerate(self) -> Iterator[Site]:
-        axes = [sorted(_sum_axis(self.levels, dim)) for dim in range(self.levels[0].rank)]
-        return product(*axes)
-
-
-def _nearest_multiple(a: int, spacing: int, radius: int, slack: int) -> int | None:
-    """The unique multiple q of spacing with |q| <= radius and |a - q| <= slack, or None."""
-    q = ((a + spacing // 2) // spacing) * spacing if spacing > 1 else a
-    # round-to-nearest can land one step off for negative remainders; scan the
-    # two adjacent multiples to be safe
-    for cand in (q, q - spacing, q + spacing):
-        if abs(cand) <= radius and abs(a - cand) <= slack:
-            return cand
-    return None
-
-
-def _sum_axis(levels: tuple[GridSet, ...], dim: int) -> set[int]:
-    values = {0}
-    for g in levels:
-        values = {v + a for v in values for a in g.axis_values()}
-    return values
+        axis = self._axis.values(-self._axis.reach, self._axis.reach)
+        return product(axis, repeat=self.levels[0].rank)
 
 
 LatticeSet = ExplicitSet | GridSet | SumsetSet

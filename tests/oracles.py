@@ -33,6 +33,14 @@ def brute_gamma(spacing: int, radius: int) -> set[tuple[int, int]]:
     }
 
 
+def brute_axis_sumset(levels: list[tuple[int, int]]) -> list[int]:
+    """Every value of G_1 + ... + G_J, G_j = m_j Z ∩ [-s_j, s_j], one per offset choice."""
+    values = [0]
+    for m, s in levels:
+        values = [v + g for v in values for g in range(-s, s + 1) if g % m == 0]
+    return values
+
+
 def brute_gamma_star_member(v: tuple[int, int], levels: list[tuple[int, int]]) -> bool:
     """Membership of v in Gamma_1 + ... + Gamma_J by local enumeration.
 

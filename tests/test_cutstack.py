@@ -2,10 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slowent import cutstack as cs
-from slowent import rng
-from slowent.lattice import UsageError
+from slowent import expcli, rng
+from slowent.lattice import AxisSumset, GridSet, UsageError
 
 from oracles import brute_gamma, brute_gamma_star_member, brute_window_ones
 
@@ -70,12 +72,12 @@ def test_gamma_size_formula_and_enumeration(sched_default):
 
 
 def test_gamma_size_degenerate():
-    assert cs.gamma_size(cs.GammaLevel(1, 5, 5)) == 9
+    assert cs.gamma_size(GridSet(5, 5)) == 9
 
 
 def test_gamma_size_requires_divisibility():
     with pytest.raises(UsageError):
-        cs.gamma_size(cs.GammaLevel(1, 5, 7))
+        cs.gamma_size(GridSet(5, 7))
 
 
 def test_gamma_star_size(sched_default):
@@ -374,8 +376,6 @@ def test_stage4_sampling_all_schedules():
 def test_window_frame_consistency():
     # the window read in the stage-j arrangement equals the read in any
     # deeper arrangement, for every offset
-    from slowent.cutstack import _axis_values
-
     for theta_num, c in ((3, 2), (3, 5), (4, 2)):
         sched = cs.build_schedule(4, Fraction(1, theta_num), c, 1)
         for seed in range(8):
@@ -385,9 +385,53 @@ def test_window_frame_consistency():
             for j in range(2, 5):
                 u = p.position_at(j)
                 if max(abs(u[0]), abs(u[1])) + n <= sched.r(j):
-                    levels = sched.levels_1d(j - 1)
-                    xs = tuple(x - u[0] for x in _axis_values(levels, u[0] - n, u[0] + n))
-                    ys = tuple(y - u[1] for y in _axis_values(levels, u[1] - n, u[1] + n))
+                    axis = AxisSumset(sched.levels_1d(j - 1))
+                    xs = tuple(x - u[0] for x in axis.values(u[0] - n, u[0] + n))
+                    ys = tuple(y - u[1] for y in axis.values(u[1] - n, u[1] + n))
                     frames.append((xs, ys))
             assert len(frames) >= 2
             assert all(f == frames[0] for f in frames[1:])
+
+
+# ---------------------------------------------------------------------------
+# Properties at every built stage of the default variants
+
+VARIANTS = [expcli.schedule_from_spec(spec) for spec in expcli.DEFAULT_VARIANTS]
+exact = settings(derandomize=True, deadline=None)
+
+
+@st.composite
+def addresses(draw, sched, stage):
+    """Level offsets (gamma_1, ..., gamma_{stage-1}), any multiple of m(j) in Q_{s(j)}."""
+    levels = []
+    for j in range(1, stage):
+        k = sched.s(j) // sched.m(j)
+        levels.append((draw(st.integers(-k, k)) * sched.m(j), draw(st.integers(-k, k)) * sched.m(j)))
+    return levels
+
+
+@pytest.mark.parametrize("variant", range(len(VARIANTS)))
+@exact
+@given(data=st.data())
+def test_decompose_compose_round_trip_every_stage(variant, data):
+    sched = VARIANTS[variant]
+    levels = data.draw(addresses(sched, sched.stages))
+    for stage in range(2, sched.stages + 1):
+        back = cs.decompose(cs.compose(levels[: stage - 1], sched), stage, sched)
+        assert back is not None and back.levels == tuple(levels[: stage - 1])
+
+
+@pytest.mark.parametrize("variant", range(len(VARIANTS)))
+@exact
+@given(data=st.data())
+def test_color_agrees_with_locate(variant, data):
+    # offsets aimed at another core site (plus a small jitter) hit the core
+    # often; stage-4 addresses put coordinates past 2^53
+    sched = VARIANTS[variant]
+    stage = data.draw(st.integers(2, 4))
+    p = cs.point_from_address(sched, data.draw(addresses(sched, stage)))
+    target = cs.compose(data.draw(addresses(sched, stage)), sched)
+    jx, jy = data.draw(st.sampled_from([(0, 0), (1, 0), (0, -1)]) | st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+    u = p.position_at(stage)
+    v = (target[0] - u[0] + jx, target[1] - u[1] + jy)
+    assert cs.color01_at(p, v) == (cs.locate_site(p, v)[0] == 1)

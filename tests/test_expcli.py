@@ -82,6 +82,38 @@ def _run_cli(*args: str, cwd: Path):
     )
 
 
+@pytest.mark.parametrize(
+    "files, args",
+    [
+        ({"bad.csv": "n,value\n4,abc\n"}, ("fit", "bad.csv", "--out", "fo")),
+        ({"c.json": '{"kind": "recurrence", "scales": ["x"]}'}, ("recur", "--config", "c.json", "--out", "o")),
+        ({"c.json": '{"kind": "recurrence", "schedule": {"theta": "abc"}}'}, ("recur", "--config", "c.json", "--out", "o")),
+        ({"c.json": '{"kind": "recurrence", "schedule": 5}'}, ("recur", "--config", "c.json", "--out", "o")),
+        ({"c.json": '{"kind": "cover-scan", "epsilons": ["abc"]}'}, ("cover", "--config", "c.json", "--out", "o")),
+        ({}, ("recur", "--theta", "abc", "--out", "o")),
+        ({}, ("recur", "--theta", "0", "--out", "o")),
+        ({"s.txt": "theta abc\nc 2\nr 1 1\n"}, ("schedule", "check", "s.txt")),
+    ],
+    ids=[
+        "fit-row",
+        "config-scales",
+        "config-theta",
+        "config-schedule",
+        "config-epsilons",
+        "arg-theta",
+        "arg-theta-zero",
+        "schedule-file-theta",
+    ],
+)
+def test_cli_bad_input_exits_2(tmp_path, files, args):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    res = _run_cli(*args, cwd=tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "usage error:" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_cli_schedule_build_and_check(tmp_path):
     res = _run_cli("schedule", "build", "--stages", "3", "--out-file", "s.txt", cwd=tmp_path)
     assert res.returncode == 0, res.stderr

@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slowent import rng
 from slowent.lattice import (
+    AxisSumset,
     Box,
     ExplicitSet,
     GridSet,
@@ -18,7 +21,7 @@ from slowent.lattice import (
     sup_norm,
 )
 
-from oracles import dense_pattern_distance
+from oracles import brute_axis_sumset, dense_pattern_distance
 
 
 def test_box_site_count_examples():
@@ -131,6 +134,32 @@ def test_sumset_descriptor_matches_explicit():
 def test_sumset_descriptor_requires_dominance():
     with pytest.raises(UsageError):
         SumsetSet((GridSet(3, 27), GridSet(5, 25)))
+
+
+@st.composite
+def dominating_levels(draw):
+    """Up to four (spacing, radius) levels, finest first; each spacing exceeds twice the finer reach."""
+    levels, reach = [], 0
+    for _ in range(draw(st.integers(0, 4))):
+        m = draw(st.integers(2 * reach + 1, 2 * reach + 8))
+        s = draw(st.integers(0, 4 * m))
+        levels.append((m, s))
+        reach += s
+    return levels
+
+
+@settings(derandomize=True, deadline=None)
+@given(levels=dominating_levels(), data=st.data())
+def test_axis_sumset_matches_brute(levels, data):
+    axis = AxisSumset(levels)
+    full = brute_axis_sumset(levels)
+    lo = data.draw(st.integers(-axis.reach - 8, axis.reach + 8))
+    hi = data.draw(st.integers(lo - 2, axis.reach + 8))
+    h = data.draw(st.integers(0, 8))
+    inside = sorted(x for x in full if lo <= x <= hi)
+    assert axis.values(lo, hi) == inside
+    assert axis.count_sum(lo, hi) == (len(inside), sum(inside))
+    assert axis.covered(h, lo, hi) == len({y for x in full for y in range(x - h, x + h + 1) if lo <= y <= hi})
 
 
 def test_grid_membership():
