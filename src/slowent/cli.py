@@ -66,6 +66,18 @@ def _emit(report: expcli.Report, args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+# subcommand: (experiment kind, default sample size, help)
+_EXPERIMENT_COMMANDS = {
+    "cover": ("cover-scan", 12, "cover-number scan over construction samples"),
+    "recur": ("recurrence", 50, "recurrence census, alpha fit, binomial bound"),
+    "overlay": ("overlay", 10_000, "overlay separation bounds and erasure identity"),
+    "ratio-et": ("ratio-et", 100, "ratio ergodic theorem visit-count check"),
+    "bowen": ("bowen", 500, "Bowen metric checks on toy torus actions"),
+    "verify": ("verify-all", 50, "full claim-verification matrix"),
+    "metric-props": ("metric-props", 100_000, "pattern metric axiom suite"),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="slowent", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -101,16 +113,8 @@ def main(argv: list[str] | None = None) -> int:
     p_fit.add_argument("input", type=Path)
     p_fit.add_argument("--scale", choices=("slow", "exp"), default="slow")
 
-    for kind, helptext in (
-        ("cover", "cover-number scan over construction samples"),
-        ("recur", "recurrence census, alpha fit, binomial bound"),
-        ("overlay", "overlay separation bounds and erasure identity"),
-        ("ratio-et", "ratio ergodic theorem visit-count check"),
-        ("bowen", "Bowen metric checks on toy torus actions"),
-        ("verify", "full claim-verification matrix"),
-        ("metric-props", "pattern metric axiom suite"),
-    ):
-        p = sub.add_parser(kind, help=helptext)
+    for command, (_, _, helptext) in _EXPERIMENT_COMMANDS.items():
+        p = sub.add_parser(command, help=helptext)
         _add_common(p)
         _schedule_args(p)
         p.add_argument("--sample-size", type=int, default=None)
@@ -118,33 +122,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except UsageError as exc:
+    except (UsageError, cutstack.StageCapError, OSError, json.JSONDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-
-
-_KIND_BY_COMMAND = {
-    "cover": "cover-scan",
-    "recur": "recurrence",
-    "overlay": "overlay",
-    "ratio-et": "ratio-et",
-    "bowen": "bowen",
-    "verify": "verify-all",
-    "metric-props": "metric-props",
-}
-
-_DEFAULT_SIZES = {
-    "metric-props": 100_000,
-    "cover-scan": 12,
-    "recurrence": 50,
-    "overlay": 10_000,
-    "ratio-et": 100,
-    "bowen": 500,
-    "verify-all": 50,
-}
 
 
 def _dispatch(args: argparse.Namespace) -> int:
@@ -190,12 +170,12 @@ def _dispatch(args: argparse.Namespace) -> int:
         expcli.write_csv(expcli.fit_rows(fit), args.out / "fit.csv")
         print(json.dumps(expcli._canonical(fit), indent=2, sort_keys=True))
         return 0
-    kind = _KIND_BY_COMMAND[args.command]
+    kind, default_size, _ = _EXPERIMENT_COMMANDS[args.command]
     config = _load_config(args, kind)
     if getattr(args, "sample_size", None):
         config = dataclasses.replace(config, sample_size=args.sample_size)
     elif not args.config:
-        config = dataclasses.replace(config, sample_size=_DEFAULT_SIZES[kind])
+        config = dataclasses.replace(config, sample_size=default_size)
     report = expcli.run_experiment(config)
     return _emit(report, args)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .lattice import UsageError
+from .lattice import UsageError, box_site_count
 
 
 class CoverTooLarge(RuntimeError):
@@ -356,7 +356,7 @@ def alpha_fit(recurrence_counts: Sequence[tuple[int, int]], k: int = 2) -> Growt
         raise UsageError("recurrence counts must be >= 1")
     if any(pts[i][0] >= pts[i + 1][0] for i in range(len(pts) - 1)):
         raise UsageError("sample abscissae must be strictly increasing")
-    xs = [math.log(box_count(n, k)) for n, _ in pts]
+    xs = [math.log(box_site_count(n, k)) for n, _ in pts]
     ys = [math.log(c) for _, c in pts]
     if len(pts) >= 2:
         slope, resid = _least_squares(xs, ys)
@@ -377,17 +377,13 @@ def alpha_fit(recurrence_counts: Sequence[tuple[int, int]], k: int = 2) -> Growt
     )
 
 
-def box_count(n: int, k: int) -> int:
-    return (2 * n + 1) ** k
-
-
 def alpha_pointwise(r_count: int, n: int, k: int = 2) -> float:
     """log |R_n| / log |Q_n| for a single scale."""
     if n < 1:
         raise UsageError("pointwise alpha needs n >= 1")
     if r_count < 1:
         raise UsageError("empty recurrence set")
-    return math.log(r_count) / math.log(box_count(n, k))
+    return math.log(r_count) / math.log(box_site_count(n, k))
 
 
 # ---------------------------------------------------------------------------
@@ -412,18 +408,9 @@ def bowen_first_fit_separated(dist_fn, count: int, eps: float) -> int:
     reaches cap; the returned value only needs to be exact on the side of
     the eps comparison it lands on.
     """
-    try:
-        dist_fn(0, 0, eps)
-        capped = True
-    except TypeError:
-        capped = False
     chosen: list[int] = []
     for i in range(count):
-        if capped:
-            ok = all(dist_fn(i, j, eps) >= eps for j in chosen)
-        else:
-            ok = all(dist_fn(i, j) >= eps for j in chosen)
-        if ok:
+        if all(dist_fn(i, j, eps) >= eps for j in chosen):
             chosen.append(i)
     return len(chosen)
 
@@ -461,7 +448,7 @@ def bowen_sep_check(
 ) -> list[BowenCell]:
     """Check sep(sample, d_n, eps) <= C^n / eps^C in log space per (n, eps) cell.
 
-    pair_bowen_dist(n) must return a callable (i, j) -> Bowen distance at
+    pair_bowen_dist(n) must return a callable (i, j, cap) -> Bowen distance at
     radius n between sample points i and j.
     """
     cells = []

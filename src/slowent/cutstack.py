@@ -390,9 +390,21 @@ def window_axes(point: PointHandle, n: int) -> tuple[list[int], list[int]]:
     return xs, ys
 
 
+def capped_window_axes(point: PointHandle, n: int) -> tuple[list[int], list[int]]:
+    """window_axes for callers that build the X x Y product.
+
+    Raises UsageError, before anything is materialized, when the window
+    holds more than GENERIC_CELL_CAP 1-cells.
+    """
+    count = core_count(point, n)
+    if count > GENERIC_CELL_CAP:
+        raise UsageError(f"window Q_{n} holds {count} core cells, above the cap of {GENERIC_CELL_CAP}")
+    return window_axes(point, n)
+
+
 def name01(point: PointHandle, n: int) -> Pattern:
     """The two-color name of radius n: sparse pattern with default 0."""
-    xs, ys = window_axes(point, n)
+    xs, ys = capped_window_axes(point, n)
     cells = {(x, y): 1 for x in xs for y in ys}
     return Pattern(Box(n), 0, cells)
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Protocol
 
-from .lattice import Box, Pattern, Site, UsageError, site_add, sup_norm
+from .lattice import Box, Pattern, Site, UsageError, pattern_distance, site_add, sup_norm
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,8 @@ class TableNames:
 def name_metric(x_name: Pattern, y_name: Pattern, partition: CoFinitePartition) -> Fraction:
     """Distance between names: differing atoms over core visits, 0/0 = 0.
 
-    Names must identify the infinite atom with their default symbol; the
-    value then coincides with the plain pattern distance.
+    Names must identify the infinite atom with their default symbol and use
+    only partition labels; the value is then the plain pattern distance.
     """
     for nm in (x_name, y_name):
         if nm.default_symbol != partition.infinite_atom:
@@ -92,17 +92,7 @@ def name_metric(x_name: Pattern, y_name: Pattern, partition: CoFinitePartition) 
         bad = nm.symbols() - set(partition.labels)
         if bad:
             raise UsageError(f"symbols {sorted(bad)} not in partition")
-    if x_name.box != y_name.box:
-        raise UsageError("names live on different boxes")
-    union = x_name.support() | y_name.support()
-    if not union:
-        return Fraction(0)
-    differing = sum(
-        1
-        for u in union
-        if x_name.cells.get(u, partition.infinite_atom) != y_name.cells.get(u, partition.infinite_atom)
-    )
-    return Fraction(differing, len(union))
+    return pattern_distance(x_name, y_name)
 
 
 def recurrence_metric(rx: set[Site] | frozenset[Site], ry: set[Site] | frozenset[Site]) -> Fraction:

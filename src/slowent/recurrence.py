@@ -14,9 +14,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import cutstack
-from .covernum import box_count
 from .cutstack import PointHandle
-from .lattice import Site, UsageError
+from .lattice import Site, UsageError, box_site_count
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,7 @@ class RecurrencePattern:
 
 def recurrence_set(point: PointHandle, n: int) -> RecurrencePattern:
     """Return sites of the point within Q_n; exactly the 1-cells of its name."""
-    xs, ys = cutstack.window_axes(point, n)
+    xs, ys = cutstack.capped_window_axes(point, n)
     return RecurrencePattern(n, tuple(sorted((x, y) for x in xs for y in ys)))
 
 
@@ -124,7 +123,7 @@ def rho_alpha_inequality_check(
     for n, count in cover_values:
         if count < 1:
             raise UsageError("cover counts must be >= 1")
-        q = box_count(n, k)
+        q = box_site_count(n, k)
         log2_bound = 2.0 * (q ** (alpha_hat + float(eps))) * math.log2(q)
         ok = math.log2(count) <= log2_bound
         out.append(InequalityCell(n, count, log2_bound, ok))

@@ -89,3 +89,24 @@ def brute_window_ones(point, n: int) -> set[tuple[int, int]]:
     from slowent.cutstack import color01_at
 
     return {(x, y) for (x, y) in box_sites(n) if color01_at(point, (x, y)) == 1}
+
+
+def brute_stage2_census(sched, n: int) -> dict:
+    """Stage-2 census over every 2-D position of Gamma_1, one window per position.
+
+    Each position gets its own point, pattern digest and centroid, so nothing
+    here uses the per-axis factorization of expcli.stage2_recurrence_census.
+    """
+    from slowent.cutstack import core_centroid, point_from_address
+    from slowent.recurrence import centroid_decode_axes, recurrence_key
+
+    positions = sorted(sched.level(1).enumerate())
+    keys = set()
+    decode_hits = 0
+    for g in positions:
+        p = point_from_address(sched, [g])
+        keys.add(recurrence_key(p, n))
+        _, mean_x, mean_y = core_centroid(p, n)
+        if centroid_decode_axes(1, mean_x, 1, mean_y) == g:
+            decode_hits += 1
+    return {"positions": len(positions), "distinct_patterns": len(keys), "decode_hits": decode_hits, "window": n}

@@ -18,7 +18,7 @@ import pytest
 
 from slowent import covernum, cutstack as cs, expcli, recurrence as rec, rng, symbolic as sym, toys
 from slowent.covernum import alpha_fit, alpha_pointwise
-from slowent.lattice import Box, Pattern, pattern_distance
+from slowent.lattice import Box, Pattern, box_site_count, pattern_distance
 from slowent.partitions import TWO_ATOM, CoFinitePartition, TableNames, name_metric, refine_by_orbit
 
 SEED = 20240801
@@ -187,21 +187,20 @@ def test_criterion_6_recurrence_generation(sched_default, sched_c5):
     positions5 = sorted(sched_c5.level(1).enumerate())
     gstar5 = cs.gamma_star_size(2, sched_c5)
     assert len(positions5) == gstar5 == 5329
-    census5 = expcli.stage2_recurrence_census(sched_c5, 2 * sched_c5.r(2), positions5)
+    census5 = expcli.stage2_recurrence_census(sched_c5, 2 * sched_c5.r(2))
     assert census5["distinct_patterns"] == gstar5
     assert census5["decode_hits"] == gstar5
 
     # minimal spacing: the count bound still holds; injectivity and decoding
     # collapse because the tiling is exact, so the rates are reported
-    positions2 = sorted(sched_default.level(1).enumerate())
-    census2 = expcli.stage2_recurrence_census(sched_default, 2 * sched_default.r(2), positions2)
+    census2 = expcli.stage2_recurrence_census(sched_default, 2 * sched_default.r(2))
     assert census2["distinct_patterns"] <= cs.gamma_star_size(2, sched_default)
 
     # pointwise alpha for the centered point at n = 27: exact counts, float logs
     center = cs.point_from_address(sched_default, [(0, 0)])
     r27 = rec.recurrence_count(center, 27)
     assert r27 == 361
-    assert covernum.box_count(27, 2) == 3025
+    assert box_site_count(27, 2) == 3025
     alpha = alpha_pointwise(r27, 27)
     assert abs(alpha - math.log(361) / math.log(3025)) < 1e-6
     _report(
@@ -266,7 +265,7 @@ def test_criterion_8_rho_alpha_inequality(sched_default, sched_c5, alpha_hats):
             assert all(c.ok for c in cells)
             checked += 1
     # designed counterexample is flagged
-    q = covernum.box_count(20, 2)
+    q = box_site_count(20, 2)
     flagged = rec.rho_alpha_inequality_check([(20, 2**q)], 0.0, eps)
     assert not flagged[0].ok
     _report("criterion-8 binomial cover bound", started, 120, scales_checked=checked)

@@ -275,6 +275,18 @@ def test_bowen_single_point_sample():
         assert bowen_first_fit_separated(dn, 1, 0.1) == 1
 
 
+def test_bowen_first_fit_propagates_metric_type_error():
+    # every call passes the cap, so a TypeError raised inside the metric is
+    # a real fault and must not be mistaken for a signature without cap
+    def dn(i, j, cap=None):
+        if cap is not None:
+            raise TypeError("fault inside the metric")
+        return 1.0
+
+    with pytest.raises(TypeError, match="fault inside the metric"):
+        bowen_first_fit_separated(dn, 3, 0.1)
+
+
 def test_bowen_bound_log2_monotone():
     assert bowen_bound_log2(4, 0.1, 2.0, 2.0) >= bowen_bound_log2(2, 0.1, 2.0, 2.0)
 

@@ -435,3 +435,20 @@ def test_color_agrees_with_locate(variant, data):
     u = p.position_at(stage)
     v = (target[0] - u[0] + jx, target[1] - u[1] + jy)
     assert cs.color01_at(p, v) == (cs.locate_site(p, v)[0] == 1)
+
+
+@pytest.mark.parametrize("variant", range(len(VARIANTS)))
+@exact
+@given(data=st.data())
+def test_stage2_window_factorizes(variant, data):
+    # the window at (gx, gy) is X(gx) x X(gy): the x-axis of (gx, 0) and the
+    # x-axis of (gy, 0), with |gy| up to s(1); the census relies on this
+    sched = VARIANTS[variant]
+    axis = sched.level(1).axis_values()
+    gx, gy = data.draw(st.sampled_from(axis)), data.draw(st.sampled_from(axis))
+    n = 2 * sched.r(2)
+    p, px, py = (cs.point_from_address(sched, [g]) for g in ((gx, gy), (gx, 0), (gy, 0)))
+    assert cs.window_axes(p, n) == (cs.window_axes(px, n)[0], cs.window_axes(py, n)[0])
+    _, mean_x, mean_y = cs.core_centroid(p, n)
+    assert (mean_x, mean_y) == (cs.core_centroid(px, n)[1], cs.core_centroid(py, n)[1])
+

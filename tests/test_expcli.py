@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -9,6 +10,8 @@ import pytest
 import slowent
 from slowent import expcli
 from slowent.lattice import UsageError
+
+from oracles import brute_stage2_census
 
 
 def test_config_from_json_validation():
@@ -93,6 +96,9 @@ def _run_cli(*args: str, cwd: Path):
         ({}, ("recur", "--theta", "abc", "--out", "o")),
         ({}, ("recur", "--theta", "0", "--out", "o")),
         ({"s.txt": "theta abc\nc 2\nr 1 1\n"}, ("schedule", "check", "s.txt")),
+        ({}, ("names", "--n", "10000")),
+        ({}, ("distmat", "--n", "10000", "--sample-size", "2", "--out", "o")),
+        ({}, ("names", "--n", "100000000000000000")),
     ],
     ids=[
         "fit-row",
@@ -103,6 +109,9 @@ def _run_cli(*args: str, cwd: Path):
         "arg-theta",
         "arg-theta-zero",
         "schedule-file-theta",
+        "names-window-cap",
+        "distmat-window-cap",
+        "names-stage-cap",
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, files, args):
@@ -182,3 +191,32 @@ def test_cli_fit_writes_csv(tmp_path):
     lines = (tmp_path / "fo" / "fit.csv").read_text().splitlines()
     assert lines[0] == "n,value,transformed_x,transformed_y,in_window"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("variant", range(3))
+def test_stage2_census_matches_2d_oracle(variant):
+    # the three variants whose 2-D census is cheap: 361, 3025 and 5329 positions
+    sched = expcli.schedule_from_spec(expcli.DEFAULT_VARIANTS[variant])
+    n = 2 * sched.r(2)
+    census = expcli.stage2_recurrence_census(sched, n)
+    assert census["positions"] == (361, 3025, 5329)[variant]
+    assert census == brute_stage2_census(sched, n)
+
+
+def test_run_experiment_rejects_unknown_kind():
+    with pytest.raises(UsageError):
+        expcli.run_experiment(expcli.ExperimentConfig(kind="nonsense"))
+
+
+def test_bench_layers_resolve():
+    # the traced benchmark run wraps these by name; a rename must fail here
+    path = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("bench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    names = layers.LIBRARY + layers.PHASES + [layers.MAIN] + [(m, q) for m, q, _ in layers.CLOSURES]
+    for module, qualname in names:
+        obj = importlib.import_module(module)
+        for part in qualname.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), (module, qualname)

@@ -145,3 +145,16 @@ def test_recurrence_metric_axioms_direct(sched_default):
             assert (recurrence_metric(a, b) == 0) == (a == b)
             for c in sets:
                 assert recurrence_metric(a, c) <= recurrence_metric(a, b) + recurrence_metric(b, c)
+
+
+def test_window_cap_refuses_oversized_products(sched_default):
+    p = cs.point_from_address(sched_default, [(0, 0)])
+    count = cs.core_count(p, 10_000)
+    assert count > cs.GENERIC_CELL_CAP
+    with pytest.raises(UsageError):
+        cs.name01(p, 10_000)
+    with pytest.raises(UsageError):
+        recurrence_set(p, 10_000)
+    # the axes themselves are not capped: they hold only |X| + |Y| values
+    xs, ys = cs.window_axes(p, 10_000)
+    assert len(xs) * len(ys) == count
