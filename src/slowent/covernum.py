@@ -93,6 +93,21 @@ class CoverEstimate:
             raise UsageError(f"inconsistent estimate {self.lower} <= {self.exact} <= {self.upper}")
 
 
+def _within(sample: MetricSample, radius: Fraction) -> list[int]:
+    """Per point, the bitmask of the points within `radius` of it (itself included)."""
+    return [sum(1 << j for j, d in enumerate(row) if d <= radius) for row in sample.dist]
+
+
+def _mask_mass(masses: Sequence[Fraction], mask: int) -> Fraction:
+    """Total mass of the points in a bitmask."""
+    out = Fraction(0)
+    while mask:
+        v = (mask & -mask).bit_length() - 1
+        out += masses[v]
+        mask &= mask - 1
+    return out
+
+
 def _maximal_cliques(adj: list[int], n: int) -> list[int]:
     """Bitmask maximal cliques of the diameter-feasibility graph (Bron-Kerbosch)."""
     cliques: list[int] = []
@@ -140,23 +155,9 @@ def exact_cover_number(
     target = (Fraction(1) - Fraction(eps_mass)) * total
     if target <= 0:
         return 0
-    adj = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if i != j and sample.dist[i][j] <= eps_diam:
-                adj[i] |= 1 << j
+    adj = [mask & ~(1 << i) for i, mask in enumerate(_within(sample, eps_diam))]
     cliques = _maximal_cliques(adj, n)
-    mass_bits = list(sample.masses)
-
-    def mass_of(mask: int) -> Fraction:
-        out = Fraction(0)
-        while mask:
-            v = (mask & -mask).bit_length() - 1
-            out += mass_bits[v]
-            mask &= mask - 1
-        return out
-
-    clique_mass = [(mass_of(c), c) for c in cliques]
+    clique_mass = [(_mask_mass(sample.masses, c), c) for c in cliques]
     clique_mass.sort(key=lambda t: (-t[0], t[1]))
     best_single = clique_mass[0][0] if clique_mass else Fraction(0)
 
@@ -177,7 +178,7 @@ def exact_cover_number(
                 continue
             if covered_mass + depth_left * cmass < target:
                 break
-            if feasible(depth_left - 1, covered | c, covered_mass + mass_of(gain), seen):
+            if feasible(depth_left - 1, covered | c, covered_mass + _mask_mass(sample.masses, gain), seen):
                 return True
         return False
 
@@ -194,31 +195,18 @@ def greedy_cover_upper(sample: MetricSample, eps_diam: Fraction, eps_mass: Fract
     smallest center index); the result is a valid cover, hence an upper
     bound on the exact count.
     """
-    n = len(sample)
     total = sample.total_mass()
     target = (Fraction(1) - Fraction(eps_mass)) * total
     if target <= 0:
         return 0
-    radius = Fraction(eps_diam) / 2
-    balls = []
-    for i in range(n):
-        mask = 0
-        for j in range(n):
-            if sample.dist[i][j] <= radius:
-                mask |= 1 << j
-        balls.append(mask)
+    balls = _within(sample, Fraction(eps_diam) / 2)
     covered = 0
     covered_mass = Fraction(0)
     count = 0
     while covered_mass < target:
         best_i, best_gain = -1, Fraction(-1)
-        for i in range(n):
-            gain = Fraction(0)
-            m = balls[i] & ~covered
-            while m:
-                v = (m & -m).bit_length() - 1
-                gain += sample.masses[v]
-                m &= m - 1
+        for i, ball in enumerate(balls):
+            gain = _mask_mass(sample.masses, ball & ~covered)
             if gain > best_gain:
                 best_i, best_gain = i, gain
         if best_gain <= 0:
@@ -237,11 +225,7 @@ def max_separated_lower(sample: MetricSample, eps: Fraction) -> int:
     mass still get selected but need not be covered, so the lower-bound
     reading requires strictly positive masses.
     """
-    chosen: list[int] = []
-    for i in range(len(sample)):
-        if all(sample.dist[i][j] >= eps for j in chosen):
-            chosen.append(i)
-    return len(chosen)
+    return bowen_first_fit_separated(lambda i, j, cap: sample.dist[i][j], len(sample), eps)
 
 
 def cover_estimate(sample: MetricSample, eps_diam: Fraction, eps_mass: Fraction = Fraction(0)) -> CoverEstimate:
@@ -402,7 +386,10 @@ def bowen_distance(action, base_metric, n: int, x, y) -> float:
 
 
 def bowen_first_fit_separated(dist_fn, count: int, eps: float) -> int:
-    """First-fit separated-set size under a pair distance callback.
+    """First-fit separated-set size under a pair distance callback, scanning by index.
+
+    Shared by `max_separated_lower` (exact sample distances) and the Bowen
+    checks (orbit distances).
 
     dist_fn(i, j, cap) may stop scanning orbit sites once the running max
     reaches cap; the returned value only needs to be exact on the side of

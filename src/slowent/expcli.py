@@ -216,28 +216,11 @@ def random_pattern(seed: int, tag: str, index: int, box_radius: int = 2, max_cel
     return Pattern(box, 0, cells)
 
 
-def _triangle_violations(dists: list[tuple[Fraction, Fraction, Fraction]]) -> int:
-    """Count triples with d_ac > d_ab + d_bc using integer cross-multiplication."""
-    if not dists:
-        return 0
-    arr = np.array(
-        [
-            [d_ac.numerator, d_ac.denominator, d_ab.numerator, d_ab.denominator, d_bc.numerator, d_bc.denominator]
-            for d_ac, d_ab, d_bc in dists
-        ],
-        dtype=np.int64,
-    )
-    lhs = arr[:, 0] * arr[:, 3] * arr[:, 5]
-    rhs = arr[:, 2] * arr[:, 1] * arr[:, 5] + arr[:, 4] * arr[:, 1] * arr[:, 3]
-    return int(np.sum(lhs > rhs))
-
-
 def metric_axiom_suite(seed: int, triples: int) -> dict:
     """Random-triple and exhaustive-small checks of the pattern metric axioms."""
     from .lattice import pattern_distance
 
-    sym_viol = ident_viol = 0
-    tri: list[tuple[Fraction, Fraction, Fraction]] = []
+    sym_viol = ident_viol = tri_viol = 0
     for i in range(triples):
         a = random_pattern(seed, "mp-a", i)
         b = random_pattern(seed, "mp-b", i)
@@ -250,8 +233,8 @@ def metric_axiom_suite(seed: int, triples: int) -> dict:
             sym_viol += 1
         if (d_ab == 0) != (a == b):
             ident_viol += 1
-        tri.append((d_ac, d_ab, d_bc))
-    tri_viol = _triangle_violations(tri)
+        if d_ac > d_ab + d_bc:
+            tri_viol += 1
 
     # exhaustive: one core symbol on Q_1, at most 3 core cells
     sites = list(Box(1).sites())
@@ -283,7 +266,7 @@ def metric_axiom_suite(seed: int, triples: int) -> dict:
         "random_triples": triples,
         "symmetry_violations": sym_viol,
         "identity_violations": ident_viol,
-        "triangle_violations": int(tri_viol),
+        "triangle_violations": tri_viol,
         "exhaustive_patterns": n,
         "exhaustive_triangle_violations": ex_viol,
     }
@@ -772,21 +755,10 @@ DEFAULT_VARIANTS = (
 def verify_all(
     config: ExperimentConfig,
     variants: Sequence[dict] = DEFAULT_VARIANTS,
-    budget_seconds: float | None = None,
 ) -> Report:
-    """Claim-check matrix across schedule variants plus the global suites.
-
-    With a budget, variants that would start past the deadline are skipped
-    and flagged; such partial reports are inherently not byte-reproducible,
-    so the default run carries no budget.
-    """
+    """Claim-check matrix across schedule variants plus the global suites."""
     report = Report(config=_canonical(config))
-    deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
-    skipped = []
     for spec in variants:
-        if deadline is not None and time.monotonic() > deadline:
-            skipped.append(str(spec))
-            continue
         try:
             sched = schedule_from_spec(spec)
         except UsageError as exc:
@@ -794,8 +766,6 @@ def verify_all(
             continue
         label = f"theta={spec['theta']},c={spec['c']}"
         variant_suite(report, sched, label, config.seed, roundtrip=2000)
-    if skipped:
-        report.note("partial-report", "variants skipped after exceeding the runtime budget", skipped=skipped)
     stats = metric_axiom_suite(config.seed, 20000)
     report.add(
         "global/metric-axioms",

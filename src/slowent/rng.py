@@ -14,11 +14,9 @@ import struct
 
 def stream_u64(seed: int, tag: str, *indices: int) -> int:
     """Return a uniform 64-bit integer keyed by (seed, tag, indices)."""
-    h = hashlib.blake2b(digest_size=8, key=(seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
-    h.update(tag.encode("utf-8"))
-    for ix in indices:
-        h.update(struct.pack("<q", ix))
-    return int.from_bytes(h.digest(), "little")
+    data = tag.encode("utf-8") + struct.pack(f"<{len(indices)}q", *indices)
+    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8, key=key).digest(), "little")
 
 
 def uniform_int(seed: int, tag: str, *indices: int, lo: int, hi: int) -> int:

@@ -203,26 +203,28 @@ def gv_rate_deficit(core_size: int, eps: Fraction) -> float:
 def separated_words_first_fit(length: int, min_distance: int, words: list[int] | None = None) -> int:
     """First-fit maximal family of binary words at pairwise Hamming distance >= min_distance.
 
-    With words=None scans the whole cube in numeric order, blocking the
-    radius (min_distance - 1) ball around each kept word; this realizes the
-    sphere-covering bound constructively.
+    Scans `words` in order (the whole cube in numeric order when None),
+    blocking the radius (min_distance - 1) ball around each kept word; over
+    the cube this realizes the sphere-covering bound constructively. The
+    blocked table takes 2^length bytes in either mode.
     """
+    if min_distance < 1:
+        raise UsageError(f"min_distance must be >= 1, got {min_distance}")
+    size = 1 << length
     if words is None:
-        blocked = bytearray(1 << length)
-        ball = _ball_masks(length, min_distance - 1)
-        kept = 0
-        for w in range(1 << length):
-            if blocked[w]:
-                continue
-            kept += 1
-            for mask in ball:
-                blocked[w ^ mask] = 1
-        return kept
-    kept_words: list[int] = []
+        words = range(size)
+    elif any(not 0 <= w < size for w in words):
+        raise UsageError(f"words must lie in [0, 2^{length})")
+    blocked = bytearray(size)
+    ball = _ball_masks(length, min_distance - 1)
+    kept = 0
     for w in words:
-        if all(bin(w ^ k).count("1") >= min_distance for k in kept_words):
-            kept_words.append(w)
-    return len(kept_words)
+        if blocked[w]:
+            continue
+        kept += 1
+        for mask in ball:
+            blocked[w ^ mask] = 1
+    return kept
 
 
 def _ball_masks(length: int, radius: int) -> list[int]:

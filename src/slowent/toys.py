@@ -19,11 +19,11 @@ _CHUNK = 512
 
 def torus_dist(x: np.ndarray, y: np.ndarray) -> float:
     """Sup metric on the 2-torus."""
-    d = np.abs(x - y) % 1.0
-    return float(np.max(np.minimum(d, 1.0 - d)))
+    return float(torus_dist_rows(x, y))
 
 
 def torus_dist_rows(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Sup metric on the 2-torus, row by row along the last axis."""
     d = np.abs(xs - ys) % 1.0
     return np.minimum(d, 1.0 - d).max(axis=-1)
 

@@ -84,6 +84,15 @@ def brute_exact_cover(masses: list[Fraction], dist: list[list[Fraction]], eps_di
     raise AssertionError("uncoverable instance")
 
 
+def brute_separated_words(min_distance: int, words) -> int:
+    """First-fit family size by comparing each word against every kept word."""
+    kept: list[int] = []
+    for w in words:
+        if all(bin(w ^ k).count("1") >= min_distance for k in kept):
+            kept.append(w)
+    return len(kept)
+
+
 def brute_window_ones(point, n: int) -> set[tuple[int, int]]:
     """Per-site window colors via the single-site color path (no axis counting)."""
     from slowent.cutstack import color01_at

@@ -169,20 +169,6 @@ def test_verify_all_flags_broken_schedule():
     assert broken
 
 
-def test_verify_all_budget_partial_flag():
-    cfg = expcli.ExperimentConfig(kind="verify-all", seed=1)
-    report = expcli.verify_all(
-        cfg,
-        variants=(
-            {"stages": 3, "theta": "1/3", "c": "2", "r1": 1},
-            {"stages": 3, "theta": "1/4", "c": "2", "r1": 1},
-        ),
-        budget_seconds=0.0,
-    )
-    partial = [v for v in report.verdicts if v.name == "partial-report"]
-    assert partial and partial[0].details["skipped"]
-
-
 def test_cli_fit_writes_csv(tmp_path):
     data = "n,value\n4,16\n8,256\n16,65536\n"
     (tmp_path / "data.csv").write_text(data)

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slowent import cutstack as cs
 from slowent import rng
@@ -23,6 +25,8 @@ from slowent.symbolic import (
     separated_words_first_fit,
     translate_pattern,
 )
+
+from oracles import brute_separated_words
 
 
 def test_identity_code_restricts():
@@ -165,6 +169,33 @@ def test_separated_words_first_fit_realizes_bound():
 def test_separated_words_subset_mode():
     words = [0b0000, 0b0001, 0b0011, 0b1111]
     assert separated_words_first_fit(4, 2, words) == 3
+
+
+@settings(derandomize=True, deadline=None)
+@given(length=st.integers(1, 10), min_distance=st.integers(1, 4), data=st.data())
+def test_separated_words_matches_brute(length, min_distance, data):
+    word = st.integers(0, (1 << length) - 1)
+    words = data.draw(st.lists(word, max_size=60))
+    words += data.draw(st.lists(st.sampled_from(words), max_size=10)) if words else []
+    assert separated_words_first_fit(length, min_distance, words) == brute_separated_words(min_distance, words)
+
+
+@pytest.mark.parametrize("length", range(1, 9))
+def test_separated_words_cube_matches_brute(length):
+    for d in range(1, 5):
+        cube = range(1 << length)
+        assert separated_words_first_fit(length, d) == brute_separated_words(d, cube)
+
+
+def test_separated_words_rejects_bad_input():
+    with pytest.raises(UsageError):
+        separated_words_first_fit(4, 2, [0, -1])
+    with pytest.raises(UsageError):
+        separated_words_first_fit(4, 2, [3, 16])
+    with pytest.raises(UsageError):
+        separated_words_first_fit(4, 0, [1, 1])
+    with pytest.raises(UsageError):
+        separated_words_first_fit(4, 0)
 
 
 def test_gv_rate_deficit_tends_to_entropy():
