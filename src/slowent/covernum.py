@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .lattice import UsageError, box_site_count
 
 
@@ -225,7 +227,7 @@ def max_separated_lower(sample: MetricSample, eps: Fraction) -> int:
     mass still get selected but need not be covered, so the lower-bound
     reading requires strictly positive masses.
     """
-    return bowen_first_fit_separated(lambda i, j, cap: sample.dist[i][j], len(sample), eps)
+    return bowen_first_fit_separated(lambda i, js, cap: [sample.dist[i][j] for j in js], len(sample), eps)
 
 
 def cover_estimate(sample: MetricSample, eps_diam: Fraction, eps_mass: Fraction = Fraction(0)) -> CoverEstimate:
@@ -374,32 +376,24 @@ def alpha_pointwise(r_count: int, n: int, k: int = 2) -> float:
 # Bowen metric checks for Lipschitz toy actions (floats by design)
 
 
-def bowen_distance(action, base_metric, n: int, x, y) -> float:
-    """sup over ||u||_inf <= n of base_metric(T^u x, T^u y)."""
-    best = 0.0
-    for ux in range(-n, n + 1):
-        for uy in range(-n, n + 1):
-            d = base_metric(action.apply((ux, uy), x), action.apply((ux, uy), y))
-            if d > best:
-                best = d
-    return best
-
-
 def bowen_first_fit_separated(dist_fn, count: int, eps: float) -> int:
-    """First-fit separated-set size under a pair distance callback, scanning by index.
+    """First-fit separated-set size under a batched distance callback, scanning by index.
 
     Shared by `max_separated_lower` (exact sample distances) and the Bowen
     checks (orbit distances).
 
-    dist_fn(i, j, cap) may stop scanning orbit sites once the running max
-    reaches cap; the returned value only needs to be exact on the side of
-    the eps comparison it lands on.
+    dist_fn(i, chosen, cap) gets candidate i and the index array of the
+    points chosen so far, once per candidate, and returns one distance per
+    chosen point. It may stop early: every returned value must be >= cap
+    exactly when every true distance is.
     """
-    chosen: list[int] = []
+    chosen = np.empty(count, dtype=np.intp)
+    size = 0
     for i in range(count):
-        if all(dist_fn(i, j, eps) >= eps for j in chosen):
-            chosen.append(i)
-    return len(chosen)
+        if np.all(np.asarray(dist_fn(i, chosen[:size], eps)) >= eps):
+            chosen[size] = i
+            size += 1
+    return size
 
 
 @dataclass(frozen=True)
@@ -435,8 +429,9 @@ def bowen_sep_check(
 ) -> list[BowenCell]:
     """Check sep(sample, d_n, eps) <= C^n / eps^C in log space per (n, eps) cell.
 
-    pair_bowen_dist(n) must return a callable (i, j, cap) -> Bowen distance at
-    radius n between sample points i and j.
+    pair_bowen_dist(n) must return a batched callable (i, js, cap) -> Bowen
+    distances at radius n from sample point i to the points js, as taken by
+    `bowen_first_fit_separated`.
     """
     cells = []
     for n in n_list:

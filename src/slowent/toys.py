@@ -1,9 +1,12 @@
 """Toy Lipschitz actions on the 2-torus used by the Bowen-metric checks.
 
 Floats by design: these are geometric sanity checks, not part of the exact
-combinatorial pipeline. Pair distance callbacks accept an optional cap and
-stop scanning orbit sites once the running maximum reaches it, which keeps
-large orbit boxes affordable without changing any >= eps decision.
+combinatorial pipeline. Pair distance callbacks take one point against one
+point or against an index array of points, plus an optional cap. Against
+an array they evaluate the u = 0 orbit term for every pair in one
+broadcast, scan the rest of the orbit only for the pairs still below the
+cap, and stop at the first pair that stays below it. The orbit maximum does
+not depend on scan order, so no >= cap decision changes.
 """
 
 from __future__ import annotations
@@ -13,9 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-
-_CHUNK = 512
-
 
 def torus_dist(x: np.ndarray, y: np.ndarray) -> float:
     """Sup metric on the 2-torus."""
@@ -36,15 +36,27 @@ def sample_torus_points(count: int, seed: int) -> np.ndarray:
     return pts
 
 
-def _capped_max(per_site: np.ndarray, cap: float | None) -> float:
-    if cap is None:
-        return float(per_site.max())
-    best = 0.0
-    for start in range(0, len(per_site), _CHUNK):
-        best = max(best, float(per_site[start : start + _CHUNK].max()))
-        if best >= cap:
-            return best
-    return best
+def _bowen_dn(at0: np.ndarray, orbit_max):
+    """The pair distance callback d_n(i, j, cap=None) of a toy action.
+
+    at0 holds every point at u = 0 and orbit_max(i, j) is the maximum of the
+    base distance over the whole orbit box. For one point j the result is
+    that maximum. For an index array j it is an array: the u = 0 terms,
+    then the full maximum for the pairs below cap, in order, until one stays
+    below cap. So no entry exceeds its true distance, and every entry is
+    >= cap exactly when every true distance is.
+    """
+
+    def dn(i: int, j, cap: float | None = None):
+        js = np.atleast_1d(j)
+        out = torus_dist_rows(at0[i], at0[js])
+        for k in range(len(js)) if cap is None else np.flatnonzero(out < cap):
+            out[k] = orbit_max(i, js[k])
+            if cap is not None and out[k] < cap:
+                break
+        return float(out[0]) if np.ndim(j) == 0 else out
+
+    return dn
 
 
 @dataclass(frozen=True)
@@ -66,25 +78,13 @@ class TranslationAction:
         return a.reshape(-1, 1) * np.array(self.v1) + b.reshape(-1, 1) * np.array(self.v2)
 
     def pair_bowen(self, points: np.ndarray, n: int):
-        """d_n(i, j, cap=None) over the full orbit box, with early exit at cap.
-
-        Orbit chunks are materialized lazily: far pairs certify >= cap on
-        the first chunk, so large boxes cost a single chunk per far pair.
-        """
+        """d_n(i, j, cap=None) over the full orbit box, u = 0 first (see `_bowen_dn`)."""
         offs = self.orbit_offsets(n)
 
-        def dn(i: int, j: int, cap: float | None = None) -> float:
-            best = 0.0
-            for start in range(0, len(offs), _CHUNK):
-                block_offs = offs[start : start + _CHUNK]
-                xi = (points[i] + block_offs) % 1.0
-                yj = (points[j] + block_offs) % 1.0
-                best = max(best, float(torus_dist_rows(xi, yj).max()))
-                if cap is not None and best >= cap:
-                    return best
-            return best
+        def orbit_max(i: int, j: int) -> float:
+            return float(torus_dist_rows((points[i] + offs) % 1.0, (points[j] + offs) % 1.0).max())
 
-        return dn
+        return _bowen_dn((points + offs[len(offs) // 2]) % 1.0, orbit_max)
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ class ToralEndoAction:
         ks = sorted({a + 2 * b for a in range(-n, n + 1) for b in range(-n, n + 1)})
         orbits = np.stack([(points @ self.matrix_power(k).T) % 1.0 for k in ks], axis=1)
 
-        def dn(i: int, j: int, cap: float | None = None) -> float:
-            return _capped_max(torus_dist_rows(orbits[i], orbits[j]), cap)
+        def orbit_max(i: int, j: int) -> float:
+            return float(torus_dist_rows(orbits[i], orbits[j]).max())
 
-        return dn
+        return _bowen_dn(orbits[:, ks.index(0)], orbit_max)

@@ -7,7 +7,8 @@ separate from the library's counting and search paths.
 from fractions import Fraction
 from itertools import combinations
 
-from slowent.lattice import Pattern, box_sites
+from slowent import rng
+from slowent.lattice import Box, Pattern, box_sites, pattern_distance
 
 
 def dense_pattern_distance(a: Pattern, b: Pattern) -> Fraction:
@@ -119,3 +120,61 @@ def brute_stage2_census(sched, n: int) -> dict:
         if centroid_decode_axes(1, mean_x, 1, mean_y) == g:
             decode_hits += 1
     return {"positions": len(positions), "distinct_patterns": len(keys), "decode_hits": decode_hits, "window": n}
+
+
+def bowen_distance(action, base_metric, n: int, x, y) -> float:
+    """sup over ||u||_inf <= n of base_metric(T^u x, T^u y), one orbit site at a time."""
+    best = 0.0
+    for ux in range(-n, n + 1):
+        for uy in range(-n, n + 1):
+            d = base_metric(action.apply((ux, uy), x), action.apply((ux, uy), y))
+            if d > best:
+                best = d
+    return best
+
+
+def brute_bowen_first_fit(action, base_metric, n: int, points, eps_list) -> list[int]:
+    """First-fit separated-set size per eps, each candidate against each kept point over its whole orbit.
+
+    Same sup as `bowen_distance`, with T^u applied once per site to all points.
+    """
+    moved = [action.apply((ux, uy), points) for ux in range(-n, n + 1) for uy in range(-n, n + 1)]
+    dist: dict[tuple[int, int], float] = {}
+    sizes = []
+    for eps in eps_list:
+        kept: list[int] = []
+        for i in range(len(points)):
+            for j in kept:
+                if (i, j) not in dist:
+                    dist[i, j] = max(base_metric(at[i], at[j]) for at in moved)
+            if all(dist[i, j] >= eps for j in kept):
+                kept.append(i)
+        sizes.append(len(kept))
+    return sizes
+
+
+def random_pattern(seed: int, tag: str, index: int, box_radius: int = 2, max_cells: int = 4) -> Pattern:
+    """A seeded pattern on Q_box_radius with symbols {1, 2} and at most max_cells cells."""
+    side = 2 * box_radius + 1
+    count = rng.uniform_int(seed, tag + "-count", index, lo=0, hi=max_cells)
+    cells: dict = {}
+    attempt = 0
+    while len(cells) < count:
+        flat = rng.uniform_int(seed, tag + "-site", index, len(cells), attempt, lo=0, hi=side * side - 1)
+        site = (flat // side - box_radius, flat % side - box_radius)
+        attempt += 1
+        if site not in cells:
+            cells[site] = 1 + rng.uniform_int(seed, tag + "-sym", index, len(cells), lo=0, hi=1)
+    return Pattern(Box(box_radius), 0, cells)
+
+
+def random_axiom_violations(seed: int, triples: int) -> dict:
+    """Metric axiom violations over seeded random triples of patterns."""
+    out = {"symmetry": 0, "identity": 0, "triangle": 0}
+    for i in range(triples):
+        a, b, c = (random_pattern(seed, tag, i) for tag in ("mp-a", "mp-b", "mp-c"))
+        d_ab, d_bc, d_ac = pattern_distance(a, b), pattern_distance(b, c), pattern_distance(a, c)
+        out["symmetry"] += d_ab != pattern_distance(b, a)
+        out["identity"] += (d_ab == 0) != (a == b)
+        out["triangle"] += d_ac > d_ab + d_bc
+    return out

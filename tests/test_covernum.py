@@ -11,7 +11,6 @@ from slowent.covernum import (
     alpha_fit,
     alpha_pointwise,
     bowen_bound_log2,
-    bowen_distance,
     bowen_first_fit_separated,
     bowen_sep_check,
     cover_estimate,
@@ -23,7 +22,7 @@ from slowent.covernum import (
 )
 from slowent.lattice import UsageError
 
-from oracles import brute_exact_cover
+from oracles import bowen_distance, brute_bowen_first_fit, brute_exact_cover
 
 
 def four_point_sample():
@@ -273,6 +272,33 @@ def test_bowen_single_point_sample():
     for n in (0, 2):
         dn = tr.pair_bowen(pts, n)
         assert bowen_first_fit_separated(dn, 1, 0.1) == 1
+
+
+@pytest.mark.parametrize("action", [toys.TranslationAction(), toys.ToralEndoAction()], ids=["translation", "endo"])
+@pytest.mark.parametrize("n", [0, 1, 2, 4, 16])
+def test_bowen_first_fit_matches_per_pair_oracle(action, n):
+    # n = 16 is a box of 1089 offsets, more than one 512-offset chunk
+    pts = toys.sample_torus_points(16, 6)
+    eps_list = (0.15, 0.45, 0.49)
+    for size in (0, 1, len(pts)):
+        dn = action.pair_bowen(pts[:size], n)
+        got = [bowen_first_fit_separated(dn, size, eps) for eps in eps_list]
+        assert got == brute_bowen_first_fit(action, toys.torus_dist, n, pts[:size], eps_list), size
+
+
+def test_bowen_pair_distance_takes_one_point_or_an_array():
+    pts = toys.sample_torus_points(8, 7)
+    for action in (toys.TranslationAction(), toys.ToralEndoAction()):
+        dn = action.pair_bowen(pts, 2)
+        full = [dn(0, j) for j in range(1, 8)]
+        assert all(isinstance(d, float) for d in full)
+        assert list(dn(0, range(1, 8))) == full
+        # with a cap, no value exceeds the true one, and every value is >= cap
+        # exactly when every true value is
+        for cap in (min(full), max(full), max(full) + 0.01):
+            capped = dn(0, list(range(1, 8)), cap)
+            assert all(c <= d for c, d in zip(capped, full))
+            assert (min(capped) >= cap) == (min(full) >= cap)
 
 
 def test_bowen_first_fit_propagates_metric_type_error():

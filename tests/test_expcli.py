@@ -9,9 +9,9 @@ import pytest
 
 import slowent
 from slowent import expcli
-from slowent.lattice import UsageError
+from slowent.lattice import Box, UsageError, pattern_distance
 
-from oracles import brute_stage2_census
+from oracles import brute_stage2_census, random_axiom_violations, random_pattern
 
 
 def test_config_from_json_validation():
@@ -153,19 +153,26 @@ def test_cli_names_round_trips(tmp_path):
     assert p.box.radius == 3
 
 
-def test_verify_all_structure():
+@pytest.fixture(scope="session")
+def verify_report():
+    """One verify_all run over a valid variant and a broken one, shared by the structure tests."""
     cfg = expcli.ExperimentConfig(kind="verify-all", seed=1)
-    report = expcli.verify_all(cfg, variants=({"stages": 4, "theta": "1/3", "c": "2", "r1": 1},))
-    names = {v.name for v in report.verdicts}
+    variants = (
+        {"stages": 4, "theta": "1/3", "c": "2", "r1": 1},
+        {"radii": [1, 28, 185222], "theta": "1/3", "c": 2},
+    )
+    return expcli.verify_all(cfg, variants=variants)
+
+
+def test_verify_all_structure(verify_report):
+    names = {v.name for v in verify_report.verdicts}
     assert any("gamma1-count" in n for n in names)
     assert any("mass-increasing" in n for n in names)
     assert any(n.startswith("global/") for n in names)
 
 
-def test_verify_all_flags_broken_schedule():
-    cfg = expcli.ExperimentConfig(kind="verify-all", seed=1)
-    report = expcli.verify_all(cfg, variants=({"radii": [1, 28, 185222], "theta": "1/3", "c": 2},))
-    broken = [v for v in report.verdicts if v.status == "fail" and "schedule validates" in v.invariant]
+def test_verify_all_flags_broken_schedule(verify_report):
+    broken = [v for v in verify_report.verdicts if v.status == "fail" and "schedule validates" in v.invariant]
     assert broken
 
 
@@ -206,3 +213,40 @@ def test_bench_layers_resolve():
         for part in qualname.split("."):
             obj = getattr(obj, part)
         assert callable(obj), (module, qualname)
+
+
+def test_metric_axioms_hold_on_random_triples():
+    assert random_axiom_violations(seed=2024, triples=2000) == {"symmetry": 0, "identity": 0, "triangle": 0}
+
+
+def test_site_type_census_covers_random_triples():
+    census = set(expcli.site_type_counts(4))
+    assert len(census) == 10_842
+    for i in range(500):
+        triple = [random_pattern(11, tag, i) for tag in ("a", "b", "c")]
+        counts = [0] * len(expcli.SITE_TYPES)
+        for u in set().union(*(p.cells for p in triple)):
+            t = tuple(p.cells.get(u, 0) for p in triple)
+            if next(x for x in t if x) == 2:
+                t = tuple(3 - x if x else 0 for x in t)
+            counts[expcli.SITE_TYPES.index(t)] += 1
+        assert tuple(counts) in census
+        a, b, c = triple
+        x, y, z = expcli.census_triple(counts, Box(2))
+        assert (pattern_distance(x, y), pattern_distance(y, z), pattern_distance(x, z)) == (
+            pattern_distance(a, b),
+            pattern_distance(b, c),
+            pattern_distance(a, c),
+        )
+        assert (x == y) == (a == b)
+
+
+def test_metric_axiom_pass_condition_counts_every_violation(monkeypatch):
+    # run_metric_props and verify_all's global/metric-axioms share this predicate
+    stats = expcli.metric_axiom_suite()
+    assert expcli.metric_axioms_hold(stats)
+    for key in ("symmetry_violations", "identity_violations", "triangle_violations", "exhaustive_triangle_violations"):
+        assert not expcli.metric_axioms_hold({**stats, key: 1})
+    monkeypatch.setattr(expcli, "metric_axiom_suite", lambda: {**stats, "identity_violations": 1})
+    report = expcli.run_metric_props(expcli.ExperimentConfig(kind="metric-props"))
+    assert [v.name for v in report.failed()] == ["metric-axioms"]

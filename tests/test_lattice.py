@@ -109,6 +109,24 @@ def test_pattern_distance_metric_axioms_random():
         assert d_ac <= d_ab + d_bc
 
 
+@settings(derandomize=True, deadline=None)
+@given(data=st.data())
+def test_pattern_distance_invariant_under_site_permutation_and_swaps(data):
+    # the metric-axiom census in expcli rests on this: a triple matters only
+    # through how many sites carry each joint symbol type
+    box = Box(2)
+    sites = list(box.sites())
+    cells = st.dictionaries(st.sampled_from(sites), st.sampled_from((1, 2)), max_size=8)
+    a, b = Pattern(box, 0, data.draw(cells)), Pattern(box, 0, data.draw(cells))
+    target = dict(zip(sites, data.draw(st.permutations(sites))))
+    swapped = data.draw(st.sets(st.sampled_from(sites)))
+
+    def moved(p):
+        return Pattern(box, 0, {target[u]: 3 - s if u in swapped else s for u, s in p.cells.items()})
+
+    assert pattern_distance(moved(a), moved(b)) == pattern_distance(a, b)
+
+
 def test_sumset_explicit():
     u = ExplicitSet(frozenset({(0, 0), (3, 0)}))
     ident = ExplicitSet(frozenset({(0, 0)}))
