@@ -16,6 +16,19 @@ from . import covernum, cutstack, expcli, recurrence
 from .lattice import UsageError, pattern_to_text
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(2, f"{self.prog}: usage error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="JSON experiment config")
     parser.add_argument("--seed", type=int, default=2024)
@@ -81,7 +94,7 @@ _EXPERIMENT_COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="slowent", description=__doc__)
+    parser = _Parser(prog="slowent", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sched = sub.add_parser("schedule", help="build or check construction schedules")
@@ -108,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
     _add_common(p_dist)
     _schedule_args(p_dist)
     p_dist.add_argument("--n", type=int, default=27)
-    p_dist.add_argument("--sample-size", type=int, default=12)
+    p_dist.add_argument("--sample-size", type=_positive_int, default=12)
 
     p_fit = sub.add_parser("fit", help="growth-exponent fit from a CSV of n,value rows")
     _add_common(p_fit)
@@ -121,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
         _schedule_args(p)
         p.add_argument(
             "--sample-size",
-            type=int,
+            type=_positive_int,
             default=None,
             help="unused by this command (kept in the report config)" if command in _SIZE_UNUSED else None,
         )
@@ -179,7 +192,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
     kind, default_size, _ = _EXPERIMENT_COMMANDS[args.command]
     config = _load_config(args, kind)
-    if getattr(args, "sample_size", None):
+    if args.sample_size is not None:
         config = dataclasses.replace(config, sample_size=args.sample_size)
     elif not args.config:
         config = dataclasses.replace(config, sample_size=default_size)

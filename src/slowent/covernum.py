@@ -56,15 +56,6 @@ class MetricSample:
     def total_mass(self) -> Fraction:
         return sum(self.masses, Fraction(0))
 
-    def check_triangle(self) -> None:
-        n = len(self.ids)
-        d = self.dist
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if d[i][k] > d[i][j] + d[j][k]:
-                        raise UsageError(f"triangle violation at ({i},{j},{k})")
-
 
 def sample_from_points(ids: Sequence, masses: Sequence[Fraction], metric) -> MetricSample:
     """Assemble a sample by evaluating `metric(id_i, id_j)` on all pairs."""

@@ -13,8 +13,7 @@ suffices.
 
 Points are addresses (gamma_1, ..., gamma_{i-1}): the interval structure of
 the underlying arrangement is quotiented away since every computable
-observable depends only on positions and widths. The generic engine keeps
-explicit cells for small worked examples and non-uniform colorings.
+observable depends only on positions and widths.
 """
 
 from __future__ import annotations
@@ -335,6 +334,8 @@ class PointHandle:
         Uses the conservative slack rule n + r(stage-1) <= r(stage) - ||u||,
         which leaves room for a full lower-stage copy around the window.
         """
+        if n < 0:
+            raise UsageError(f"window radius must be >= 0, got {n}")
         if n == 0 and not self.levels:
             return 1
         for j in range(2, self.schedule.stages + 1):
@@ -388,6 +389,9 @@ def window_axes(point: PointHandle, n: int) -> tuple[list[int], list[int]]:
     xs = [x - u[0] for x in axis.values(u[0] - n, u[0] + n)]
     ys = [y - u[1] for y in axis.values(u[1] - n, u[1] + n)]
     return xs, ys
+
+
+GENERIC_CELL_CAP = 5_000_000
 
 
 def capped_window_axes(point: PointHandle, n: int) -> tuple[list[int], list[int]]:
@@ -495,91 +499,3 @@ def mass_ledger(sched: Schedule, stage: int) -> MassLedger:
         news.append(total - totals[i - 2] if i >= 2 else total)
         cores.append(gamma_star_size(i, sched) * widths[i - 1])
     return MassLedger(tuple(widths), tuple(totals), tuple(news), tuple(cores))
-
-
-# ---------------------------------------------------------------------------
-# Generic cutting-and-tiling engine (explicit cells, small instances only)
-
-
-@dataclass
-class Arrangement:
-    """Explicit arrangement: equal-width cells over Q_radius with colors and provenance."""
-
-    radius: int
-    width: Fraction
-    cells: dict[Site, tuple[int, int]]
-    stage: int
-
-    def total_mass(self) -> Fraction:
-        return self.width * len(self.cells)
-
-    def mass_of(self, pred: Callable[[Site, int, int], bool]) -> Fraction:
-        return self.width * sum(1 for u, (color, prov) in self.cells.items() if pred(u, color, prov))
-
-
-def initial_arrangement(color: int = 1) -> Arrangement:
-    """Stage 1: a single cell of width 1 at the origin."""
-    return Arrangement(0, Fraction(1), {(0, 0): (color, 1)}, 1)
-
-
-GENERIC_CELL_CAP = 5_000_000
-
-
-def generic_cut_tile(
-    arr: Arrangement,
-    m: int,
-    psi: dict[int, Site],
-    r_next: int,
-    new_color: int = 0,
-) -> Arrangement:
-    """Cut `arr` into m equal-width pieces, translate piece j to psi(j), fill the rest.
-
-    psi must be injective with pairwise spacing >= 2 * arr.radius and keep
-    every placed copy inside Q_{r_next}; placements may not collide. Old
-    cell mass is conserved exactly.
-    """
-    if sorted(psi) != list(range(1, m + 1)):
-        raise UsageError("psi must be defined exactly on 1..m")
-    targets = list(psi.values())
-    if len(set(targets)) != m:
-        raise UsageError("psi must be injective")
-    for i in range(m):
-        for j in range(i + 1, m):
-            if sup_norm(site_add(targets[i], tuple(-a for a in targets[j]))) < 2 * arr.radius:
-                raise UsageError(f"psi spacing violation between pieces {i + 1} and {j + 1}")
-    if (2 * r_next + 1) ** 2 > GENERIC_CELL_CAP:
-        raise UsageError(f"arrangement Q_{r_next} exceeds the explicit-cell cap")
-    new_stage = arr.stage + 1
-    cells: dict[Site, tuple[int, int]] = {}
-    for j in range(1, m + 1):
-        base = psi[j]
-        for u, payload in arr.cells.items():
-            w = site_add(base, u)
-            if sup_norm(w) > r_next:
-                raise UsageError(f"placement {w} of piece {j} escapes Q_{r_next}")
-            if w in cells:
-                raise UsageError(f"placement collision at {w}")
-            cells[w] = payload
-    for x in range(-r_next, r_next + 1):
-        for y in range(-r_next, r_next + 1):
-            if (x, y) not in cells:
-                cells[(x, y)] = (new_color, new_stage)
-    out = Arrangement(r_next, arr.width / m, cells, new_stage)
-    assert out.mass_of(lambda u, c, p: p < new_stage) == arr.total_mass()
-    return out
-
-
-def boundary_mass(arr: Arrangement, dist: int) -> Fraction:
-    """Mass of pre-existing cells within `dist` of the boundary of the arrangement box."""
-    return arr.mass_of(lambda u, c, p: p < arr.stage and sup_norm(u) >= arr.radius - dist)
-
-
-def construction_arrangement(sched: Schedule, stage: int) -> Arrangement:
-    """Materialize the first `stage` arrangements of the two-color construction."""
-    arr = initial_arrangement()
-    for i in range(1, stage):
-        level = sched.level(i)
-        gammas = sorted(level.enumerate())
-        psi = {j + 1: g for j, g in enumerate(gammas)}
-        arr = generic_cut_tile(arr, len(gammas), psi, sched.r(i + 1), new_color=0)
-    return arr

@@ -25,14 +25,6 @@ def site_add(u: Site, v: Site) -> Site:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def site_sub(u: Site, v: Site) -> Site:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def site_neg(u: Site) -> Site:
-    return tuple(-a for a in u)
-
-
 def sup_norm(u: Site) -> int:
     return max(abs(a) for a in u)
 
@@ -137,23 +129,7 @@ def pattern_distance(a: Pattern, b: Pattern) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Lattice sets: explicit finite sets, arithmetic grids, and their sumsets.
-
-
-@dataclass(frozen=True)
-class ExplicitSet:
-    """A finite lattice set given by enumeration."""
-
-    sites: frozenset[Site]
-
-    def __contains__(self, u: Site) -> bool:
-        return tuple(u) in self.sites
-
-    def __len__(self) -> int:
-        return len(self.sites)
-
-    def enumerate(self) -> Iterator[Site]:
-        return iter(sorted(self.sites))
+# Lattice sets: arithmetic grids and the per-coordinate sumset of grids.
 
 
 @dataclass(frozen=True)
@@ -298,60 +274,6 @@ class AxisSumset:
                     cur_lo = a
                 cur_hi = max(cur_hi, b)
         return total + cur_hi - cur_lo + 1
-
-
-@dataclass(frozen=True)
-class SumsetSet:
-    """Minkowski sum of grids with unique per-level decomposition.
-
-    Levels may come in any order; they are sorted finest first. Requires
-    every level's spacing to exceed twice the reach of the finer levels,
-    which forces unique representation.
-    """
-
-    levels: tuple[GridSet, ...]
-    _axis: AxisSumset = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        ordered = sorted(self.levels, key=lambda g: g.spacing)
-        object.__setattr__(self, "_axis", AxisSumset((g.spacing, g.radius) for g in ordered))
-
-    def __contains__(self, u: Site) -> bool:
-        return all(self._axis.count_sum(a, a)[0] == 1 for a in u)
-
-    def __len__(self) -> int:
-        out = 1
-        for g in self.levels:
-            out *= len(g)
-        return out
-
-    def enumerate(self) -> Iterator[Site]:
-        axis = self._axis.values(-self._axis.reach, self._axis.reach)
-        return product(axis, repeat=self.levels[0].rank)
-
-
-LatticeSet = ExplicitSet | GridSet | SumsetSet
-
-
-def sumset(left: LatticeSet, right: LatticeSet) -> LatticeSet:
-    """Minkowski sum U + V = {u + v : u in U, v in V}.
-
-    Two explicit sets combine by enumeration; anything involving a grid
-    descriptor composes descriptors without enumerating.
-    """
-    if isinstance(left, ExplicitSet) and isinstance(right, ExplicitSet):
-        return ExplicitSet(frozenset(site_add(u, v) for u in left.sites for v in right.sites))
-    left_levels = _as_levels(left)
-    right_levels = _as_levels(right)
-    return SumsetSet(left_levels + right_levels)
-
-
-def _as_levels(s: LatticeSet) -> tuple[GridSet, ...]:
-    if isinstance(s, GridSet):
-        return (s,)
-    if isinstance(s, SumsetSet):
-        return s.levels
-    raise UsageError("descriptor composition requires grid or sumset operands")
 
 
 # ---------------------------------------------------------------------------

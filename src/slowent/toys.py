@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
+from .lattice import UsageError
 
 def torus_dist(x: np.ndarray, y: np.ndarray) -> float:
     """Sup metric on the 2-torus."""
@@ -97,12 +98,20 @@ class ToralEndoAction:
     """
 
     def matrix_power(self, k: int) -> np.ndarray:
+        """M^k as int64; raises UsageError once an entry reaches 2^26.
+
+        Orbit points are x @ M^k.T % 1.0 with x in [0, 1)^2, so an entry of
+        2^26 or more leaves fewer than 26 of float64's 53 bits for the
+        fractional part of a coordinate. |k| <= 19 stays below the bound.
+        """
         m = np.array([[2, 1], [1, 1]], dtype=np.int64)
         minv = np.array([[1, -1], [-1, 2]], dtype=np.int64)
         out = np.eye(2, dtype=np.int64)
         base = m if k >= 0 else minv
         for _ in range(abs(k)):
             out = out @ base
+            if np.abs(out).max() >= 1 << 26:
+                raise UsageError(f"M^{k} has an entry >= 2^26; orbit coordinates would lose their fractional bits")
         return out
 
     @property

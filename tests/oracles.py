@@ -4,8 +4,11 @@ Everything here enumerates sites or subsets directly and stays deliberately
 separate from the library's counting and search paths.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
 
 from slowent import rng
 from slowent.lattice import Box, Pattern, box_sites, pattern_distance
@@ -92,6 +95,52 @@ def brute_separated_words(min_distance: int, words) -> int:
         if all(bin(w ^ k).count("1") >= min_distance for k in kept):
             kept.append(w)
     return len(kept)
+
+
+@dataclass
+class BruteArrangement:
+    """Explicit arrangement over Q_radius; arrays are indexed [x + radius, y + radius]."""
+
+    radius: int
+    width: Fraction
+    color: np.ndarray
+    prov: np.ndarray  # stage that created the cell
+    origin: np.ndarray  # [..., axis]: the cell's position in the arrangement of its creation stage
+
+    def at(self, site: tuple[int, int]) -> tuple[int, int, tuple[int, int]]:
+        i = (site[0] + self.radius, site[1] + self.radius)
+        return int(self.color[i]), int(self.prov[i]), tuple(self.origin[i].tolist())
+
+
+def brute_arrangement(sched, stage: int) -> BruteArrangement:
+    """The stage-`stage` arrangement of the two-color construction, cell by cell.
+
+    Stage 1 is one 1-colored cell. Stage i + 1 cuts the stage-i arrangement
+    into |Gamma_i| copies, pastes one at every offset of sched.level(i), and
+    fills the rest of Q_{r(i+1)} with 0-colored cells created at stage i + 1.
+    """
+    color, prov = np.ones((1, 1), np.int8), np.ones((1, 1), np.int8)
+    origin = np.zeros((1, 1, 2), np.int32)
+    width = Fraction(1)
+    for i in range(1, stage):
+        r, big = sched.arrangement_radius(i), sched.r(i + 1)
+        offsets = sched.level(i).axis_values()
+        k, side = len(offsets), 2 * big + 1
+        # one index run per offset along each axis; Gamma_i is a product of
+        # one axis with itself, so copies overlap exactly when two runs do
+        idx = (np.array(offsets)[:, None] + np.arange(-r, r + 1)).ravel() + big
+        assert len(np.unique(idx)) == len(idx), "copies overlap"
+        assert idx.min() >= 0 and idx.max() < side, "a copy escapes Q_{r(i+1)}"
+        grid = np.arange(-big, big + 1, dtype=np.int32)
+        new_color, new_prov = np.zeros((side, side), np.int8), np.full((side, side), i + 1, np.int8)
+        new_origin = np.empty((side, side, 2), np.int32)
+        new_origin[..., 0], new_origin[..., 1] = grid[:, None], grid[None, :]
+        cut = np.ix_(idx, idx)
+        new_color[cut], new_prov[cut] = np.tile(color, (k, k)), np.tile(prov, (k, k))
+        new_origin[cut] = np.tile(origin, (k, k, 1))
+        color, prov, origin = new_color, new_prov, new_origin
+        width /= k * k
+    return BruteArrangement(sched.arrangement_radius(stage), width, color, prov, origin)
 
 
 def brute_window_ones(point, n: int) -> set[tuple[int, int]]:

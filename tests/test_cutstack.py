@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +10,7 @@ from slowent import cutstack as cs
 from slowent import expcli, rng
 from slowent.lattice import AxisSumset, GridSet, UsageError
 
-from oracles import brute_gamma, brute_gamma_star_member, brute_window_ones
+from oracles import brute_arrangement, brute_gamma, brute_gamma_star_member, brute_window_ones
 
 
 # ---------------------------------------------------------------------------
@@ -299,51 +300,45 @@ def test_mass_ledger_c5_strictly_increasing(sched_c5):
 
 
 # ---------------------------------------------------------------------------
-# Generic engine
+# The lazy construction against the explicit cut-and-tile oracle
+
+BRUTE_CASES = [(expcli.schedule_from_spec(spec), 2) for spec in expcli.DEFAULT_VARIANTS]
+BRUTE_CASES.append((cs.build_schedule(4, Fraction(1, 2), 2, 1), 3))  # r = 1, 10, 451: 903^2 cells
 
 
-def test_generic_cut_tile_identity():
-    arr = cs.initial_arrangement()
-    out = cs.generic_cut_tile(arr, 1, {1: (0, 0)}, 0, new_color=0)
-    assert out.cells == {(0, 0): (1, 1)}
-    assert out.width == 1
-    assert out.stage == 2
+@pytest.mark.parametrize(
+    "sched, stage",
+    BRUTE_CASES,
+    ids=["theta1/3-c2-stage2", "theta1/4-c2-stage2", "theta1/3-c5-stage2", "theta1/4-c5-stage2", "theta1/2-c2-stage3"],
+)
+def test_lazy_construction_matches_brute_arrangement(sched, stage):
+    arr = brute_arrangement(sched, stage)
+    ledger = cs.mass_ledger(sched, stage)
+    assert ledger.width(stage) == arr.width
+    assert ledger.stage_mass(stage) == arr.color.size * arr.width
+    assert ledger.new_mass(stage) == np.count_nonzero(arr.prov == stage) * arr.width
+    assert ledger.mu_core(stage) == np.count_nonzero(arr.color) * arr.width
+    # cutting and tiling conserves the previous stage's mass
+    assert ledger.stage_mass(stage - 1) == np.count_nonzero(arr.prov < stage) * arr.width
+    # 20 points with zero-filled higher levels, 300 sites of the arrangement each
+    sites = np.random.default_rng(stage).integers(-arr.radius, arr.radius + 1, size=(20, 300, 2)).tolist()
+    seen = set()
+    for seed, draws in enumerate(sites):
+        p = cs.point_from_address(sched, cs.sample_point(sched, stage, seed).levels)
+        u = p.position_at(stage)
+        for w in draws:
+            color, prov, origin = arr.at(w)
+            v = (w[0] - u[0], w[1] - u[1])
+            assert (cs.color01_at(p, v), cs.locate_site(p, v)) == (color, (prov, origin)), (seed, w)
+            seen.add(prov)
+    assert seen == set(np.unique(arr.prov).tolist())  # the probes reach every creation stage present
 
 
-def test_generic_cut_tile_stage2(sched_default):
-    arr = cs.construction_arrangement(sched_default, 2)
-    assert arr.radius == 28
-    assert arr.width == Fraction(1, 361)
-    assert len(arr.cells) == 57 * 57
-    # old cells sit exactly on Gamma_1 with provenance 1, total old mass 1
-    old = {u for u, (color, prov) in arr.cells.items() if prov == 1}
-    assert old == brute_gamma(3, 27)
-    assert arr.mass_of(lambda u, c, p: p == 1) == 1
-    assert all(color == 1 for u, (color, prov) in arr.cells.items() if prov == 1)
-    assert arr.total_mass() == 9
-
-
-def test_generic_cut_tile_boundary_mass(sched_default):
-    arr = cs.construction_arrangement(sched_default, 2)
-    # provenance-1 cells on the outer ring ||u|| = 27 of Gamma_1: 19^2 - 17^2 = 72
-    eps = cs.boundary_mass(arr, 1)
-    assert eps == Fraction(72, 361)
-
-
-def test_generic_cut_tile_rejects_bad_psi():
-    arr = cs.construction_arrangement(cs.build_schedule(2, Fraction(1, 3), 2, 1), 2)
-    with pytest.raises(UsageError):
-        cs.generic_cut_tile(arr, 2, {1: (0, 0), 2: (28, 0)}, 120, new_color=0)
-    with pytest.raises(UsageError):
-        cs.generic_cut_tile(arr, 2, {1: (0, 0), 2: (200, 0)}, 120, new_color=0)
-
-
-def test_generic_cut_tile_mass_conservation():
-    arr = cs.initial_arrangement()
-    psi = {i + 1: g for i, g in enumerate(sorted(brute_gamma(3, 6)))}
-    out = cs.generic_cut_tile(arr, len(psi), psi, 7, new_color=0)
-    assert out.mass_of(lambda u, c, p: p == 1) == arr.total_mass()
-    assert out.width == Fraction(1, len(psi))
+def test_windows_reject_negative_radius(sched_default):
+    p = cs.sample_point(sched_default, 3, seed=1)
+    for window in (p.determining_stage, lambda n: cs.count_provenance_leq(p, n, 3), lambda n: cs.core_count(p, n)):
+        with pytest.raises(UsageError):
+            window(-2)
 
 
 def test_sample_point_stage1_empty_address(sched_default):
@@ -452,3 +447,13 @@ def test_stage2_window_factorizes(variant, data):
     _, mean_x, mean_y = cs.core_centroid(p, n)
     assert (mean_x, mean_y) == (cs.core_centroid(px, n)[1], cs.core_centroid(py, n)[1])
 
+
+@pytest.mark.parametrize("variant", range(len(VARIANTS)))
+@settings(exact, max_examples=25)
+@given(data=st.data())
+def test_name_restriction_is_the_smaller_name(variant, data):
+    sched = VARIANTS[variant]
+    p = cs.sample_point(sched, 3, data.draw(st.integers(0, 2**32 - 1)))
+    n = data.draw(st.integers(0, 2 * sched.r(2)))
+    m = data.draw(st.integers(0, n))
+    assert cs.name01(p, n).restricted(m) == cs.name01(p, m)

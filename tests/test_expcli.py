@@ -99,6 +99,12 @@ def _run_cli(*args: str, cwd: Path):
         ({}, ("names", "--n", "10000")),
         ({}, ("distmat", "--n", "10000", "--sample-size", "2", "--out", "o")),
         ({}, ("names", "--n", "100000000000000000")),
+        ({}, ("ratio-et", "--sample-size", "-3", "--out", "o")),
+        ({}, ("cover", "--sample-size", "-3", "--out", "o")),
+        ({}, ("bowen", "--sample-size", "-3", "--out", "o")),
+        ({}, ("recur", "--sample-size", "-3", "--out", "o")),
+        ({}, ("recur", "--sample-size", "0", "--out", "o")),
+        ({}, ("distmat", "--n", "-2", "--sample-size", "2", "--out", "o")),
     ],
     ids=[
         "fit-row",
@@ -112,6 +118,12 @@ def _run_cli(*args: str, cwd: Path):
         "names-window-cap",
         "distmat-window-cap",
         "names-stage-cap",
+        "ratio-et-negative-size",
+        "cover-negative-size",
+        "bowen-negative-size",
+        "recur-negative-size",
+        "recur-zero-size",
+        "distmat-negative-radius",
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, files, args):

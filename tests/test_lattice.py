@@ -8,16 +8,13 @@ from slowent import rng
 from slowent.lattice import (
     AxisSumset,
     Box,
-    ExplicitSet,
     GridSet,
     Pattern,
-    SumsetSet,
     UsageError,
     box_site_count,
     pattern_distance,
     pattern_from_text,
     pattern_to_text,
-    sumset,
     sup_norm,
 )
 
@@ -127,31 +124,9 @@ def test_pattern_distance_invariant_under_site_permutation_and_swaps(data):
     assert pattern_distance(moved(a), moved(b)) == pattern_distance(a, b)
 
 
-def test_sumset_explicit():
-    u = ExplicitSet(frozenset({(0, 0), (3, 0)}))
-    ident = ExplicitSet(frozenset({(0, 0)}))
-    assert sumset(u, ident).sites == u.sites
-    v = ExplicitSet(frozenset({(0, 0), (0, 3)}))
-    assert sumset(u, v).sites == frozenset({(0, 0), (3, 0), (0, 3), (3, 3)})
-
-
-def test_sumset_descriptor_matches_explicit():
-    g1 = GridSet(3, 6)
-    g2 = GridSet(57, 114)
-    comp = sumset(g1, g2)
-    assert isinstance(comp, SumsetSet)
-    explicit = sumset(
-        ExplicitSet(frozenset(g1.enumerate())), ExplicitSet(frozenset(g2.enumerate()))
-    )
-    assert set(comp.enumerate()) == set(explicit.sites)
-    assert len(comp) == len(explicit.sites)
-    for v in [(0, 0), (60, -3), (57, 6), (58, 0), (-117, 117)]:
-        assert (v in comp) == (v in explicit)
-
-
 def test_sumset_descriptor_requires_dominance():
     with pytest.raises(UsageError):
-        SumsetSet((GridSet(3, 27), GridSet(5, 25)))
+        AxisSumset([(3, 27), (5, 25)])
 
 
 @st.composite
@@ -208,11 +183,3 @@ def test_pattern_text_rejects_garbage():
         pattern_from_text("box x default 0")
     with pytest.raises(UsageError):
         pattern_from_text("box 1 default 0\n0 0 1\n0 0 1")
-
-
-def test_sumset_descriptor_construction_membership():
-    # membership of (30, -3) in the level-1 + level-2 grid sumset
-    comp = sumset(GridSet(3, 27), GridSet(57, 185193))
-    assert (30, -3) in comp
-    assert (29, 0) not in comp
-    assert (0, 0) in comp

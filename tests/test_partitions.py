@@ -4,7 +4,7 @@ import pytest
 
 from slowent import cutstack as cs
 from slowent import rng
-from slowent.lattice import Box, Pattern, UsageError
+from slowent.lattice import Box, Pattern, UsageError, box_sites
 from slowent.partitions import (
     TWO_ATOM,
     CoFinitePartition,
@@ -18,6 +18,8 @@ from slowent.partitions import (
     rescale_radius,
     rescaled_metric,
 )
+
+from oracles import brute_arrangement
 
 THREE_ATOM = CoFinitePartition(labels=(0, 1, 2), infinite_atom=0)
 
@@ -192,9 +194,10 @@ def test_partition_delta_examples():
 def test_partition_delta_stage2_recolor(sched_default):
     # one core cell of mass 1/361 recolored to the infinite atom; the union of
     # the per-label symmetric differences is that single cell
-    arr = cs.construction_arrangement(sched_default, 2)
-    masses = {u: arr.width for u in arr.cells}
-    p_labels = {u: color for u, (color, prov) in arr.cells.items()}
+    arr = brute_arrangement(sched_default, 2)
+    sites = list(box_sites(arr.radius))
+    masses = {u: arr.width for u in sites}
+    p_labels = {u: arr.at(u)[0] for u in sites}
     r_labels = dict(p_labels)
     r_labels[(0, 0)] = 0
     delta = partition_delta(p_labels, r_labels, masses, TWO_ATOM, TWO_ATOM)
