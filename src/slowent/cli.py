@@ -109,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
     _add_common(p_sample)
     _schedule_args(p_sample)
     p_sample.add_argument("--stage", type=int, default=3)
-    p_sample.add_argument("--count", type=int, default=5)
+    p_sample.add_argument("--count", type=_positive_int, default=5)
 
     p_names = sub.add_parser("names", help="emit a sampled point's name pattern")
     _add_common(p_names)
@@ -164,7 +164,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "distmat":
         sched = _schedule_from_args(args)
         pts = expcli.sample_points(sched, 3, args.sample_size, args.seed)
-        patterns = [recurrence.recurrence_set(q, args.n).site_set() for q in pts]
+        patterns = [recurrence.recurrence_set(q, args.n) for q in pts]
         from .partitions import recurrence_metric
 
         args.out.mkdir(parents=True, exist_ok=True)

@@ -321,7 +321,7 @@ def growth_fit(samples: Sequence[tuple[int, float]], scale: str, window: int | N
     )
 
 
-def alpha_fit(recurrence_counts: Sequence[tuple[int, int]], k: int = 2) -> GrowthFit:
+def alpha_fit(recurrence_counts: Sequence[tuple[int, int]]) -> GrowthFit:
     """Recurrence-dimension surrogate from |R_n| counts.
 
     Pointwise values log|R_n| / log|Q_n| stand in for the limsup (their max
@@ -333,7 +333,7 @@ def alpha_fit(recurrence_counts: Sequence[tuple[int, int]], k: int = 2) -> Growt
         raise UsageError("recurrence counts must be >= 1")
     if any(pts[i][0] >= pts[i + 1][0] for i in range(len(pts) - 1)):
         raise UsageError("sample abscissae must be strictly increasing")
-    xs = [math.log(box_site_count(n, k)) for n, _ in pts]
+    xs = [math.log(box_site_count(n)) for n, _ in pts]
     ys = [math.log(c) for _, c in pts]
     if len(pts) >= 2:
         slope, resid = _least_squares(xs, ys)
@@ -354,13 +354,13 @@ def alpha_fit(recurrence_counts: Sequence[tuple[int, int]], k: int = 2) -> Growt
     )
 
 
-def alpha_pointwise(r_count: int, n: int, k: int = 2) -> float:
+def alpha_pointwise(r_count: int, n: int) -> float:
     """log |R_n| / log |Q_n| for a single scale."""
     if n < 1:
         raise UsageError("pointwise alpha needs n >= 1")
     if r_count < 1:
         raise UsageError("empty recurrence set")
-    return math.log(r_count) / math.log(box_site_count(n, k))
+    return math.log(r_count) / math.log(box_site_count(n))
 
 
 # ---------------------------------------------------------------------------
@@ -396,16 +396,16 @@ class BowenCell:
     ok: bool
 
 
-def bowen_bound_log2(n: int, eps: float, lip_generator: float, sep_prefactor: float, k: int = 2) -> float:
+def bowen_bound_log2(n: int, eps: float, lip_generator: float, sep_prefactor: float) -> float:
     """log2 of the exponential separation bound C^n / eps^C for Lipschitz actions.
 
-    With lip T^u <= C1^(k n) for ||u|| <= n and sep(Omega, d, eps) <=
-    C2 / eps^C2, a separated set under d_n is (eps / C1^(k n))-separated
-    under d, so sep <= C2 (C1^(k n) / eps)^C2. Computed in log space; the
-    combined single constant is C = max(C2, C1^(k C2), 2).
+    With lip T^u <= C1^(2n) for ||u|| <= n in Z^2 and sep(Omega, d, eps) <=
+    C2 / eps^C2, a separated set under d_n is (eps / C1^(2n))-separated
+    under d, so sep <= C2 (C1^(2n) / eps)^C2. Computed in log space; the
+    combined single constant is C = max(C2, C1^(2 C2), 2).
     """
     c1, c2 = lip_generator, sep_prefactor
-    c = max(c2, c1 ** (k * c2), 2.0)
+    c = max(c2, c1 ** (2 * c2), 2.0)
     return n * math.log2(c) + c * math.log2(1.0 / eps)
 
 
@@ -416,7 +416,6 @@ def bowen_sep_check(
     eps_list: Sequence[float],
     lip_generator: float,
     sep_prefactor: float,
-    k: int = 2,
 ) -> list[BowenCell]:
     """Check sep(sample, d_n, eps) <= C^n / eps^C in log space per (n, eps) cell.
 
@@ -429,6 +428,6 @@ def bowen_sep_check(
         dn = pair_bowen_dist(n)
         for eps in eps_list:
             sep = bowen_first_fit_separated(dn, sample_size, eps)
-            log2_bound = bowen_bound_log2(n, eps, lip_generator, sep_prefactor, k)
+            log2_bound = bowen_bound_log2(n, eps, lip_generator, sep_prefactor)
             cells.append(BowenCell(n, eps, sep, log2_bound, math.log2(max(sep, 1)) <= log2_bound))
     return cells

@@ -31,7 +31,16 @@ class StageCapError(RuntimeError):
     """A window evaluation needed more construction stages than are built."""
 
 
-MAX_STAGES = 64
+#: Most decimal digits a schedule radius may have. Every schedule that
+#: passes can be written to text and read back (Python converts ints of at
+#: most 4300 digits), and the exact root checks stay cheap. The radii grow
+#: at least quadratically, so the bound also caps the stage count.
+MAX_RADIUS_DIGITS = 4300
+_RADIUS_BOUND = 10**MAX_RADIUS_DIGITS
+
+
+def _radius_too_large(i: int) -> UsageError:
+    return UsageError(f"r({i}) has more than {MAX_RADIUS_DIGITS} decimal digits; use fewer stages")
 
 
 # ---------------------------------------------------------------------------
@@ -60,13 +69,13 @@ class Schedule:
             raise UsageError(f"theta must be a reciprocal integer in (0,1), got {self.theta}")
         if self.c < 2:
             raise UsageError(f"spacing factor c must be >= 2, got {self.c}")
-        if len(self.radii) > MAX_STAGES:
-            raise UsageError(f"too many stages ({len(self.radii)} > {MAX_STAGES})")
         inv = int(Fraction(1) / self.theta)
         prev = 0
         for i, r in enumerate(self.radii, start=1):
             if r <= prev:
                 raise UsageError(f"radii must be strictly increasing, r({i}) = {r}")
+            if r >= _RADIUS_BOUND:
+                raise _radius_too_large(i)
             prev = r
         levels = []
         for i in range(1, len(self.radii)):
@@ -134,6 +143,8 @@ def _int_root(value: int, k: int) -> int | None:
     """Exact integer k-th root of value, or None. Pure-integer Newton iteration."""
     if value < 1:
         return None
+    if value.bit_length() <= k:  # value < 2^k, so only 1 can have an integer root
+        return 1 if value == 1 else None
     x = 1 << -(-value.bit_length() // k)
     while True:
         y = ((k - 1) * x + value // x ** (k - 1)) // k
@@ -145,17 +156,22 @@ def _int_root(value: int, k: int) -> int | None:
 
 def build_schedule(stages: int, theta: Fraction = Fraction(1, 3), c: Fraction | int = 2, r1: int = 1) -> Schedule:
     """Greedy minimal schedule: m(i) is the smallest integer > c * r(i)."""
-    if stages < 1 or stages > MAX_STAGES:
-        raise UsageError(f"stage count must be in 1..{MAX_STAGES}")
+    if stages < 1:
+        raise UsageError(f"stage count must be >= 1, got {stages}")
     c = Fraction(c)
     if not (0 < theta < 1) or (Fraction(1) / theta).denominator != 1:
         raise UsageError(f"theta must be a reciprocal integer in (0,1), got {theta}")
     inv = int(Fraction(1) / theta)
     radii = [r1]
-    for _ in range(stages - 1):
+    for i in range(2, stages + 1):
         r = radii[-1]
         m = int(c * r) + 1 if (c * r) == int(c * r) else math.ceil(c * r)
+        # m**inv >= 2^((bits(m) - 1) inv): refuse before forming a power past the bound
+        if (m.bit_length() - 1) * inv >= _RADIUS_BOUND.bit_length():
+            raise _radius_too_large(i)
         radii.append(r + m**inv)
+        if radii[-1] >= _RADIUS_BOUND:
+            raise _radius_too_large(i)
     return Schedule(tuple(radii), Fraction(theta), c)
 
 

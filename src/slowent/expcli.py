@@ -72,6 +72,11 @@ def schedule_from_spec(spec: dict) -> Schedule:
     return cutstack.build_schedule(stages, theta, c, r1)
 
 
+def _json_int(value: Any) -> bool:
+    """Whether a decoded JSON value is an integer; true and false decode to bool, an int subclass."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def config_from_json(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise UsageError("config must be a JSON object")
@@ -79,14 +84,16 @@ def config_from_json(doc: dict) -> ExperimentConfig:
     if kind not in EXPERIMENT_KINDS:
         raise UsageError(f"config field 'kind' must be one of {EXPERIMENT_KINDS}, got {kind!r}")
     seed = doc.get("seed", 2024)
-    if not isinstance(seed, int):
+    if not _json_int(seed):
         raise UsageError("config field 'seed' must be an integer")
     sample_size = doc.get("sample_size", 50)
-    if not isinstance(sample_size, int) or sample_size < 1:
+    if not _json_int(sample_size) or sample_size < 1:
         raise UsageError("config field 'sample_size' must be a positive integer")
     scales = doc.get("scales")
     if scales is not None:
         try:
+            if any(isinstance(n, bool) for n in scales):
+                raise TypeError
             scales = tuple(int(n) for n in scales)
         except (TypeError, ValueError):
             raise UsageError(f"config field 'scales' must be a list of integers, got {scales!r}") from None
@@ -303,7 +310,7 @@ def metric_axioms_hold(stats: dict) -> bool:
     )
 
 
-def fit_rows(fit: GrowthFit, k: int = 2) -> list[dict]:
+def fit_rows(fit: GrowthFit) -> list[dict]:
     """Plot-ready rows for a growth fit: n, value, transformed coordinates."""
     rows = []
     for n, value in fit.samples:
@@ -312,7 +319,7 @@ def fit_rows(fit: GrowthFit, k: int = 2) -> list[dict]:
         elif fit.scale == "exp":
             tx, ty = float(n), math.log2(value)
         else:
-            tx, ty = math.log(box_site_count(n, k)), math.log(value)
+            tx, ty = math.log(box_site_count(n)), math.log(value)
         rows.append(
             {
                 "n": n,
@@ -361,7 +368,7 @@ def run_cover_scan(config: ExperimentConfig) -> Report:
     scales = list(config.scales) if config.scales else default_scales(sched, cap=4 * sched.r(2))
     rows = []
     for n in scales:
-        patterns = [recurrence.recurrence_set(p, n).site_set() for p in points]
+        patterns = [recurrence.recurrence_set(p, n) for p in points]
         smp = sample_from_points(
             list(range(len(points))),
             [Fraction(1, len(points))] * len(points),

@@ -1,6 +1,6 @@
 """Integer-lattice geometry: sites, centered boxes, sparse patterns, sumsets.
 
-Sites are plain integer tuples. A Pattern is a sparse coloring of a box
+Sites are integer pairs in Z^2. A Pattern is a sparse coloring of a box
 Q_n = {u : ||u||_inf <= n}: only cells that differ from the default symbol
 are stored, because in the infinite-measure setting the default symbol
 occupies all but a vanishing fraction of sites. All distances are exact
@@ -29,41 +29,39 @@ def sup_norm(u: Site) -> int:
     return max(abs(a) for a in u)
 
 
-def box_site_count(n: int, k: int = 2) -> int:
-    """Number of lattice sites in Q_n for rank k, exactly (2n+1)^k."""
+def box_site_count(n: int) -> int:
+    """Number of lattice sites in Q_n, exactly (2n+1)^2."""
     if n < 0:
         raise UsageError(f"box radius must be >= 0, got {n}")
-    if k < 1:
-        raise UsageError(f"rank must be >= 1, got {k}")
-    return (2 * n + 1) ** k
+    return (2 * n + 1) ** 2
 
 
-def box_sites(n: int, k: int = 2) -> Iterator[Site]:
+def box_sites(n: int) -> Iterator[Site]:
     """Iterate all sites of Q_n in lexicographic order."""
     if n < 0:
         raise UsageError(f"box radius must be >= 0, got {n}")
-    return product(range(-n, n + 1), repeat=k)
+    return product(range(-n, n + 1), repeat=2)
 
 
 @dataclass(frozen=True)
 class Box:
-    """Centered box Q_n in Z^k."""
+    """Centered box Q_n in Z^2."""
 
     radius: int
-    rank: int = 2
 
     def __post_init__(self) -> None:
-        if self.radius < 0 or self.rank < 1:
-            raise UsageError(f"invalid box (radius={self.radius}, rank={self.rank})")
+        if self.radius < 0:
+            raise UsageError(f"invalid box radius {self.radius}")
 
     def __contains__(self, u: Site) -> bool:
-        return len(u) == self.rank and sup_norm(u) <= self.radius
+        r = self.radius
+        return len(u) == 2 and -r <= u[0] <= r and -r <= u[1] <= r
 
     def site_count(self) -> int:
-        return box_site_count(self.radius, self.rank)
+        return box_site_count(self.radius)
 
     def sites(self) -> Iterator[Site]:
-        return box_sites(self.radius, self.rank)
+        return box_sites(self.radius)
 
 
 @dataclass
@@ -97,17 +95,8 @@ class Pattern:
         """Restriction to the smaller box Q_radius."""
         if radius > self.box.radius:
             raise UsageError(f"cannot restrict Q_{self.box.radius} to larger Q_{radius}")
-        sub = Box(radius, self.box.rank)
+        sub = Box(radius)
         return Pattern(sub, self.default_symbol, {u: s for u, s in self.cells.items() if u in sub})
-
-    def key(self) -> tuple:
-        """Hashable canonical identity."""
-        return (self.box.radius, self.box.rank, self.default_symbol, tuple(sorted(self.cells.items())))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Pattern):
-            return NotImplemented
-        return self.key() == other.key()
 
 
 def pattern_distance(a: Pattern, b: Pattern) -> Fraction:
@@ -134,32 +123,31 @@ def pattern_distance(a: Pattern, b: Pattern) -> Fraction:
 
 @dataclass(frozen=True)
 class GridSet:
-    """Q_radius intersected with spacing * Z^rank."""
+    """Q_radius intersected with spacing * Z^2."""
 
     spacing: int
     radius: int
-    rank: int = 2
 
     def __post_init__(self) -> None:
         if self.spacing < 1 or self.radius < 0:
             raise UsageError(f"invalid grid (spacing={self.spacing}, radius={self.radius})")
 
     def __contains__(self, u: Site) -> bool:
-        return len(u) == self.rank and all(a % self.spacing == 0 and abs(a) <= self.radius for a in u)
+        return len(u) == 2 and all(a % self.spacing == 0 and abs(a) <= self.radius for a in u)
 
     def steps(self) -> int:
         """Per-coordinate count of multiples on one side of 0."""
         return self.radius // self.spacing
 
     def __len__(self) -> int:
-        return (2 * self.steps() + 1) ** self.rank
+        return (2 * self.steps() + 1) ** 2
 
     def axis_values(self) -> list[int]:
         k = self.steps()
         return [q * self.spacing for q in range(-k, k + 1)]
 
     def enumerate(self) -> Iterator[Site]:
-        return product(self.axis_values(), repeat=self.rank)
+        return product(self.axis_values(), repeat=2)
 
 
 class AxisSumset:
@@ -305,8 +293,6 @@ DEFAULT_REGISTRY = SymbolRegistry({0: "0", 1: "1", 2: "a", 3: "b"})
 
 def pattern_to_text(p: Pattern, registry: SymbolRegistry = DEFAULT_REGISTRY) -> str:
     """Canonical text form: header line, then one sorted line per non-default cell."""
-    if p.box.rank != 2:
-        raise UsageError("text format is defined for rank-2 patterns")
     lines = [f"box {p.box.radius} default {registry.name(p.default_symbol)}"]
     for (x, y), sym in sorted(p.cells.items()):
         lines.append(f"{x} {y} {registry.name(sym)}")

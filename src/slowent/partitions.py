@@ -140,7 +140,7 @@ class OrbitRefinement:
         inf = self.partition.infinite_atom
         cells: dict[Site, int] = {}
         candidates: set[Site] = set()
-        out_box = Box(n, base_name.box.rank)
+        out_box = Box(n)
         for u in base_name.support():
             for f in self.offsets:
                 v = tuple(a - b for a, b in zip(u, f))
@@ -158,10 +158,6 @@ class OrbitRefinement:
 
     def core_count(self, point, n: int) -> int:
         return len(self.name(point, n).cells)
-
-
-def refine_by_orbit(partition: CoFinitePartition, offsets: tuple[Site, ...], provider: NameProvider) -> OrbitRefinement:
-    return OrbitRefinement(partition, offsets, provider)
 
 
 # ---------------------------------------------------------------------------

@@ -18,31 +18,10 @@ from .cutstack import PointHandle
 from .lattice import Site, UsageError, box_site_count
 
 
-@dataclass(frozen=True)
-class RecurrencePattern:
-    """Canonically sorted return sites within Q_radius."""
-
-    radius: int
-    sites: tuple[Site, ...]
-
-    def __post_init__(self) -> None:
-        for u in self.sites:
-            if max(abs(a) for a in u) > self.radius:
-                raise UsageError(f"site {u} outside Q_{self.radius}")
-        if list(self.sites) != sorted(set(self.sites)):
-            raise UsageError("sites must be sorted and distinct")
-
-    def __len__(self) -> int:
-        return len(self.sites)
-
-    def site_set(self) -> frozenset[Site]:
-        return frozenset(self.sites)
-
-
-def recurrence_set(point: PointHandle, n: int) -> RecurrencePattern:
+def recurrence_set(point: PointHandle, n: int) -> frozenset[Site]:
     """Return sites of the point within Q_n; exactly the 1-cells of its name."""
     xs, ys = cutstack.capped_window_axes(point, n)
-    return RecurrencePattern(n, tuple(sorted((x, y) for x in xs for y in ys)))
+    return frozenset((x, y) for x in xs for y in ys)
 
 
 def recurrence_count(point: PointHandle, n: int) -> int:
@@ -64,17 +43,18 @@ def recurrence_key(point: PointHandle, n: int) -> bytes:
     return h.digest()
 
 
-def centroid_decode(pattern: RecurrencePattern) -> Site:
+def centroid_decode(sites: frozenset[Site]) -> Site:
     """Recover the position encoded by a translate of a zero-sum site set.
 
     Returns the nearest-integer rounding of the negated site mean, with
-    exact .5 ties rounded toward zero so contamination stays visible.
+    exact .5 ties rounded toward zero so contamination stays visible. The
+    reference for centroid_decode_axes, which decodes factorized windows.
     """
-    if not pattern.sites:
+    if not sites:
         raise UsageError("cannot decode an empty recurrence pattern")
-    count = len(pattern.sites)
-    sx = sum(u[0] for u in pattern.sites)
-    sy = sum(u[1] for u in pattern.sites)
+    count = len(sites)
+    sx = sum(u[0] for u in sites)
+    sy = sum(u[1] for u in sites)
     return (_round_half_toward_zero(Fraction(-sx, count)), _round_half_toward_zero(Fraction(-sy, count)))
 
 
@@ -112,7 +92,6 @@ def rho_alpha_inequality_check(
     cover_values: Sequence[tuple[int, int]],
     alpha_hat: float,
     eps: Fraction | float,
-    k: int = 2,
 ) -> list[InequalityCell]:
     """Check N <= 2^(2 |Q_n|^(alpha_hat + eps) log2 |Q_n|) for each (n, N).
 
@@ -123,7 +102,7 @@ def rho_alpha_inequality_check(
     for n, count in cover_values:
         if count < 1:
             raise UsageError("cover counts must be >= 1")
-        q = box_site_count(n, k)
+        q = box_site_count(n)
         log2_bound = 2.0 * (q ** (alpha_hat + float(eps))) * math.log2(q)
         ok = math.log2(count) <= log2_bound
         out.append(InequalityCell(n, count, log2_bound, ok))

@@ -10,11 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from . import cutstack, rng
 from .cutstack import PointHandle
-from .lattice import Box, Pattern, Site, UsageError
+from .lattice import DEFAULT_REGISTRY, Box, Pattern, Site, UsageError
 from .partitions import CoFinitePartition, name_metric
 
 A_SYMBOL = 2
@@ -26,79 +25,45 @@ OVERLAY_PARTITION = CoFinitePartition(labels=(0, A_SYMBOL, B_SYMBOL), infinite_a
 
 @dataclass
 class SlidingBlockCode:
-    """Shift-equivariant local rule: pattern over Q_m -> output symbol."""
+    """Shift-equivariant code of window radius 0: a symbol-to-symbol table."""
 
-    window_radius: int
-    rule: Callable[[Pattern], int]
+    table: dict[int, int]
     input_default: int
-
-    def default_output(self) -> int:
-        return self.rule(Pattern(Box(self.window_radius), self.input_default, {}))
 
 
 def apply_code(code: SlidingBlockCode, input_pattern: Pattern) -> Pattern:
-    """Apply the local rule at every site, shrinking the box by the window radius.
+    """Map the symbol at every site through the code's table, on the same box.
 
-    Sites whose window sees only default input cells map to the rule's
-    default output, so the sparse result costs O(support), not O(box).
+    Default sites map to the image of the input default, so the sparse
+    result costs O(support), not O(box).
     """
-    m = code.window_radius
-    n = input_pattern.box.radius - m
-    if n < 0:
-        raise UsageError(f"input radius {input_pattern.box.radius} < window radius {m}")
     if input_pattern.default_symbol != code.input_default:
         raise UsageError("input default symbol does not match the code")
-    out_box = Box(n, input_pattern.box.rank)
-    default_out = code.default_output()
-    candidates: set[Site] = set()
-    for u in input_pattern.support():
-        for dx in range(-m, m + 1):
-            for dy in range(-m, m + 1):
-                v = (u[0] - dx, u[1] - dy)
-                if v in out_box:
-                    candidates.add(v)
+    default_out = code.table[code.input_default]
     cells: dict[Site, int] = {}
-    window_box = Box(m, input_pattern.box.rank)
-    offsets = [(dx, dy) for dx in range(-m, m + 1) for dy in range(-m, m + 1)]
-    lookup = input_pattern.cells
-    rule_cache: dict[tuple, int] = {}
-    for v in candidates:
-        local: dict[Site, int] = {}
-        for w in offsets:
-            sym = lookup.get((v[0] + w[0], v[1] + w[1]))
-            if sym is not None:
-                local[w] = sym
-        key = tuple(sorted(local.items()))
-        sym_out = rule_cache.get(key)
-        if sym_out is None:
-            sym_out = code.rule(Pattern(window_box, code.input_default, local))
-            rule_cache[key] = sym_out
+    for u, sym in input_pattern.cells.items():
+        try:
+            sym_out = code.table[sym]
+        except KeyError:
+            raise UsageError(f"symbol {sym} is not mapped by the code") from None
         if sym_out != default_out:
-            cells[v] = sym_out
-    return Pattern(out_box, default_out, cells)
+            cells[u] = sym_out
+    return Pattern(input_pattern.box, default_out, cells)
 
 
 def erasure_code() -> SlidingBlockCode:
     """Symbol-wise factor map a, b -> 1 and 0 -> 0."""
-
-    def rule(window: Pattern) -> int:
-        sym = window.symbol_at((0, 0))
-        if sym in (A_SYMBOL, B_SYMBOL):
-            return 1
-        if sym in (0, 1):
-            return 0 if sym == 0 else 1
-        raise UsageError(f"unexpected symbol {sym} under erasure")
-
-    return SlidingBlockCode(window_radius=0, rule=rule, input_default=0)
+    return SlidingBlockCode({0: 0, 1: 1, A_SYMBOL: 1, B_SYMBOL: 1}, input_default=0)
 
 
 def identity_code(default: int = 0) -> SlidingBlockCode:
-    return SlidingBlockCode(0, lambda w: w.symbol_at((0, 0)), default)
+    """Identity on the symbol ids of the default registry."""
+    return SlidingBlockCode({sym: sym for sym in DEFAULT_REGISTRY.names}, default)
 
 
 def translate_pattern(p: Pattern, offset: Site, radius: int) -> Pattern:
     """Restriction of the offset-shifted pattern to Q_radius."""
-    box = Box(radius, p.box.rank)
+    box = Box(radius)
     cells = {}
     for u, sym in p.cells.items():
         v = tuple(a - b for a, b in zip(u, offset))

@@ -122,7 +122,7 @@ class ToralEndoAction:
 
     @property
     def lipschitz(self) -> float:
-        # single-constant form lip T^u <= C^||u||_inf for the rank-2 action
+        # single-constant form lip T^u <= C^||u||_inf for the Z^2 action
         return self.generator_lipschitz**2
 
     def apply(self, u: tuple[int, int], x: np.ndarray) -> np.ndarray:

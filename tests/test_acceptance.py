@@ -19,7 +19,7 @@ import pytest
 from slowent import covernum, cutstack as cs, expcli, recurrence as rec, rng, symbolic as sym, toys
 from slowent.covernum import alpha_fit, alpha_pointwise
 from slowent.lattice import Box, Pattern, box_site_count, pattern_distance
-from slowent.partitions import TWO_ATOM, CoFinitePartition, TableNames, name_metric, refine_by_orbit
+from slowent.partitions import TWO_ATOM, CoFinitePartition, OrbitRefinement, TableNames, name_metric
 
 SEED = 20240801
 
@@ -84,7 +84,7 @@ def test_criterion_2_refinement_inequalities():
         if coarse > fine:
             coarse_viol += 1
 
-    ref = refine_by_orbit(TWO_ATOM, ((0, 0), (1, 0)), TableNames({}))
+    ref = OrbitRefinement(TWO_ATOM, ((0, 0), (1, 0)), TableNames({}))
     orbit_viol = 0
     for i in range(pairs):
         # disagreements confined to the inner window, where the counting
@@ -202,7 +202,7 @@ def test_criterion_6_recurrence_generation(sched_default, sched_c5):
     center = cs.point_from_address(sched_default, [(0, 0)])
     r27 = rec.recurrence_count(center, 27)
     assert r27 == 361
-    assert box_site_count(27, 2) == 3025
+    assert box_site_count(27) == 3025
     alpha = alpha_pointwise(r27, 27)
     assert abs(alpha - math.log(361) / math.log(3025)) < 1e-6
     _report(
@@ -267,7 +267,7 @@ def test_criterion_8_rho_alpha_inequality(sched_default, sched_c5, alpha_hats):
             assert all(c.ok for c in cells)
             checked += 1
     # designed counterexample is flagged
-    q = box_site_count(20, 2)
+    q = box_site_count(20)
     flagged = rec.rho_alpha_inequality_check([(20, 2**q)], 0.0, eps)
     assert not flagged[0].ok
     _report("criterion-8 binomial cover bound", started, 120, scales_checked=checked)

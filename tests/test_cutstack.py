@@ -50,6 +50,25 @@ def test_schedule_text_round_trip(sched_default):
     assert cs.schedule_to_text(back) == text
 
 
+@pytest.mark.parametrize("theta, c, stages", [("1/3", 2, 9), ("1/4", 2, 7), ("1/3", 5, 8), ("1/4", 5, 7)])
+def test_largest_schedules_round_trip_through_text(theta, c, stages):
+    # one more stage would pass the radius digit bound
+    sched = cs.build_schedule(stages, Fraction(theta), c)
+    assert cs.schedule_from_text(cs.schedule_to_text(sched)) == sched
+    with pytest.raises(UsageError):
+        cs.build_schedule(stages + 1, Fraction(theta), c)
+
+
+def test_schedule_refuses_radii_past_the_digit_bound():
+    with pytest.raises(UsageError):
+        cs.Schedule((1, 10**cs.MAX_RADIUS_DIGITS), Fraction(1, 3), Fraction(2))
+    # a tiny theta makes m**(1/theta) astronomically large: refused before the power or root is formed
+    with pytest.raises(UsageError):
+        cs.build_schedule(2, Fraction(1, 10**9), 2)
+    with pytest.raises(UsageError):
+        cs.Schedule((1, 3), Fraction(1, 10**9), Fraction(2))
+
+
 def test_schedule_text_rejects_gaps():
     with pytest.raises(UsageError):
         cs.schedule_from_text("theta 1/3\nc 2\nr 1 1\nr 3 185221\n")

@@ -21,6 +21,10 @@ def test_config_from_json_validation():
         expcli.config_from_json({"kind": "recurrence", "seed": "abc"})
     with pytest.raises(UsageError):
         expcli.config_from_json({"kind": "recurrence", "sample_size": 0})
+    # JSON true decodes to a bool, which Python counts as the int 1
+    for field, value in (("seed", True), ("sample_size", True), ("scales", [4, True])):
+        with pytest.raises(UsageError):
+            expcli.config_from_json({"kind": "recurrence", field: value})
     cfg = expcli.config_from_json({"kind": "recurrence", "seed": 5})
     assert cfg.kind == "recurrence" and cfg.seed == 5
 
@@ -105,6 +109,10 @@ def _run_cli(*args: str, cwd: Path):
         ({}, ("recur", "--sample-size", "-3", "--out", "o")),
         ({}, ("recur", "--sample-size", "0", "--out", "o")),
         ({}, ("distmat", "--n", "-2", "--sample-size", "2", "--out", "o")),
+        ({}, ("schedule", "build", "--stages", "10")),
+        ({}, ("sample", "--stages", "14", "--count", "1")),
+        ({"c.json": '{"kind": "cover-scan", "seed": true}'}, ("cover", "--config", "c.json", "--out", "o")),
+        ({}, ("sample", "--count", "-3")),
     ],
     ids=[
         "fit-row",
@@ -124,6 +132,10 @@ def _run_cli(*args: str, cwd: Path):
         "recur-negative-size",
         "recur-zero-size",
         "distmat-negative-radius",
+        "schedule-digit-bound",
+        "sample-digit-bound",
+        "config-seed-bool",
+        "sample-negative-count",
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, files, args):

@@ -22,11 +22,10 @@ from oracles import brute_axis_sumset, dense_pattern_distance
 
 
 def test_box_site_count_examples():
-    assert box_site_count(0, 2) == 1
-    assert box_site_count(1, 2) == 9
+    assert box_site_count(0) == 1
+    assert box_site_count(1) == 9
     # direct evaluation (2*27+1)^2
-    assert box_site_count(27, 2) == 55 * 55 == 3025
-    assert box_site_count(2, 3) == 125
+    assert box_site_count(27) == 55 * 55 == 3025
 
 
 def test_box_site_count_matches_enumeration():
@@ -36,9 +35,7 @@ def test_box_site_count_matches_enumeration():
 
 def test_box_rejects_bad_arguments():
     with pytest.raises(UsageError):
-        box_site_count(-1, 2)
-    with pytest.raises(UsageError):
-        box_site_count(2, 0)
+        box_site_count(-1)
 
 
 def test_sup_norm():

@@ -14,7 +14,6 @@ from slowent.partitions import (
     name_metric,
     partition_delta,
     recurrence_metric,
-    refine_by_orbit,
     rescale_radius,
     rescaled_metric,
 )
@@ -107,7 +106,7 @@ def test_refining_partition_monotonicity():
 
 def test_orbit_refinement_identity():
     provider = TableNames({})
-    ref = refine_by_orbit(TWO_ATOM, ((0, 0),), provider)
+    ref = OrbitRefinement(TWO_ATOM, ((0, 0),), provider)
     x = Pattern(Box(2), 0, {(0, 0): 1, (1, 1): 1})
     refined = ref.refine_pattern(x)
     assert refined.support() == x.support()
@@ -116,12 +115,12 @@ def test_orbit_refinement_identity():
 
 def test_orbit_refinement_requires_origin():
     with pytest.raises(UsageError):
-        refine_by_orbit(TWO_ATOM, ((1, 0),), TableNames({}))
+        OrbitRefinement(TWO_ATOM, ((1, 0),), TableNames({}))
 
 
 def test_orbit_refinement_core_rule():
     # core of P^F at u iff u or u + (1,0) lies in the core of P
-    ref = refine_by_orbit(TWO_ATOM, ((0, 0), (1, 0)), TableNames({}))
+    ref = OrbitRefinement(TWO_ATOM, ((0, 0), (1, 0)), TableNames({}))
     x = Pattern(Box(3), 0, {(0, 0): 1, (2, 2): 1})
     refined = ref.refine_pattern(x)
     expected = {
@@ -154,7 +153,7 @@ def _margin_agreeing_pair(seed, i, radius, inner):
 
 def test_orbit_refinement_bound():
     # d_{P^F, n} <= |F| * d_{P, n} pointwise, for pairs disagreeing inside Q_n
-    ref = refine_by_orbit(TWO_ATOM, ((0, 0), (1, 0)), TableNames({}))
+    ref = OrbitRefinement(TWO_ATOM, ((0, 0), (1, 0)), TableNames({}))
     for i in range(400):
         x, y = _margin_agreeing_pair(23, i, radius=3, inner=2)
         rx, ry = ref.refine_pattern(x), ref.refine_pattern(y)
@@ -167,7 +166,7 @@ def test_orbit_refinement_construction_count(sched_default):
     # core count of the F-refined name over Q_24 equals |(G ∪ (G - (3,0))) ∩ Q_24|
     # where G is the local core grid of the centered point
     provider = ConstructionNames()
-    ref = refine_by_orbit(TWO_ATOM, ((0, 0), (3, 0)), provider)
+    ref = OrbitRefinement(TWO_ATOM, ((0, 0), (3, 0)), provider)
     p = cs.point_from_address(sched_default, [(0, 0)])
     refined = ref.name(p, 24)
     base = cs.name01(p, 27)

@@ -8,7 +8,6 @@ from slowent import rng
 from slowent.lattice import UsageError
 from slowent.partitions import TWO_ATOM, name_metric, recurrence_metric
 from slowent.recurrence import (
-    RecurrencePattern,
     centroid_decode,
     centroid_decode_axes,
     distinct_pattern_count,
@@ -19,18 +18,11 @@ from slowent.recurrence import (
 )
 
 
-def test_recurrence_pattern_validation():
-    with pytest.raises(UsageError):
-        RecurrencePattern(1, ((2, 0),))
-    with pytest.raises(UsageError):
-        RecurrencePattern(1, ((1, 0), (0, 0)))
-
-
 def test_recurrence_set_examples(sched_default):
     p = cs.point_from_address(sched_default, [(0, 0)])
-    assert recurrence_set(p, 0).sites == ((0, 0),)
+    assert recurrence_set(p, 0) == {(0, 0)}
     r3 = recurrence_set(p, 3)
-    assert set(r3.sites) == {(x, y) for x in (-3, 0, 3) for y in (-3, 0, 3)}
+    assert r3 == {(x, y) for x in (-3, 0, 3) for y in (-3, 0, 3)}
     r27 = recurrence_set(p, 27)
     assert len(r27) == 361
 
@@ -38,7 +30,7 @@ def test_recurrence_set_examples(sched_default):
 def test_recurrence_set_is_name_support(sched_default):
     for i in range(4):
         p = cs.sample_point(sched_default, 3, seed=rng.derive_seed(3, "rs", i))
-        assert recurrence_set(p, 9).site_set() == cs.name01(p, 9).support()
+        assert recurrence_set(p, 9) == cs.name01(p, 9).support()
         assert recurrence_count(p, 9) == len(cs.name01(p, 9).cells)
 
 
@@ -53,25 +45,25 @@ def test_recurrence_metric_identity_with_names(sched_default):
     y = cs.sample_point(sched_default, 3, seed=22)
     for n in (3, 9, 27):
         rx, ry = recurrence_set(x, n), recurrence_set(y, n)
-        lhs = recurrence_metric(rx.site_set(), ry.site_set())
+        lhs = recurrence_metric(rx, ry)
         rhs = name_metric(cs.name01(x, n), cs.name01(y, n), TWO_ATOM)
         assert lhs == rhs
 
 
 def test_centroid_decode_examples():
-    sym = RecurrencePattern(3, tuple(sorted((x, y) for x in (-3, 0, 3) for y in (-3, 0, 3))))
+    sym = frozenset((x, y) for x in (-3, 0, 3) for y in (-3, 0, 3))
     assert centroid_decode(sym) == (0, 0)
-    shifted = RecurrencePattern(6, tuple(sorted((x - 3, y) for x in (-3, 0, 3) for y in (-3, 0, 3))))
+    shifted = frozenset((x - 3, y) for x in (-3, 0, 3) for y in (-3, 0, 3))
     assert centroid_decode(shifted) == (3, 0)
     with pytest.raises(UsageError):
-        centroid_decode(RecurrencePattern(1, ()))
+        centroid_decode(frozenset())
 
 
 def test_centroid_decode_tie_rounding():
     # mean -0.5: ties round toward zero
-    p = RecurrencePattern(1, ((0, 0), (1, 0)))
+    p = frozenset(((0, 0), (1, 0)))
     assert centroid_decode(p) == (0, 0)
-    q = RecurrencePattern(1, ((-1, 0), (0, 0)))
+    q = frozenset(((-1, 0), (0, 0)))
     assert centroid_decode(q) == (0, 0)
 
 
@@ -138,7 +130,7 @@ def test_distinct_patterns_sampled_stage3(sched_default):
 def test_recurrence_metric_axioms_direct(sched_default):
     from slowent.partitions import recurrence_metric
 
-    sets = [recurrence_set(cs.sample_point(sched_default, 3, seed=rng.derive_seed(72, "ax", i)), 6).site_set() for i in range(12)]
+    sets = [recurrence_set(cs.sample_point(sched_default, 3, seed=rng.derive_seed(72, "ax", i)), 6) for i in range(12)]
     for a in sets:
         for b in sets:
             assert recurrence_metric(a, b) == recurrence_metric(b, a)

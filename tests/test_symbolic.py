@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from slowent import cutstack as cs
 from slowent import rng
-from slowent.lattice import Box, Pattern, UsageError
+from slowent.lattice import Box, Pattern, UsageError, sup_norm
 from slowent.symbolic import (
     A_SYMBOL,
     B_SYMBOL,
@@ -64,6 +64,34 @@ def test_apply_code_shift_equivariance():
         lhs = translate_pattern(apply_code(code, p), u, 2)
         rhs = apply_code(code, translate_pattern(p, u, 2))
         assert lhs == rhs
+
+
+@settings(derandomize=True, deadline=None)
+@given(data=st.data())
+def test_box_pattern_and_code_match_definitions(data):
+    # Box membership: the sup-norm definition, on sites of the wrong length too
+    r = data.draw(st.integers(0, 3))
+    u = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=1, max_size=3)))
+    assert (u in Box(r)) == (len(u) == 2 and sup_norm(u) <= r)
+
+    # Pattern equality: a sorted-items comparison, whatever the insertion order
+    sites = list(Box(r).sites())
+    symbols = st.sampled_from((1, A_SYMBOL, B_SYMBOL))
+    p = Pattern(Box(r), 0, data.draw(st.dictionaries(st.sampled_from(sites), symbols, max_size=9)))
+    q_cells = dict(data.draw(st.permutations(list(p.cells.items()))))
+    q_cells.update(data.draw(st.dictionaries(st.sampled_from(sites), symbols, max_size=2)))
+    q = Pattern(Box(r + data.draw(st.integers(0, 1))), data.draw(st.sampled_from((0, 4))), q_cells)
+
+    def canonical(x):
+        return x.box.radius, x.default_symbol, sorted(x.cells.items())
+
+    assert (p == q) == (canonical(p) == canonical(q))
+
+    # erasure: a, b -> 1 and 0 -> 0, site by site over the whole box
+    erased = apply_code(erasure_code(), p)
+    assert erased.box == p.box
+    expected = {v: 0 if p.symbol_at(v) == 0 else 1 for v in p.box.sites()}
+    assert {v: erased.symbol_at(v) for v in p.box.sites()} == expected
 
 
 def test_overlay_name_consistency(sched_default):
