@@ -402,9 +402,7 @@ def window_axes(point: PointHandle, n: int) -> tuple[list[int], list[int]]:
     j = point.determining_stage(n)
     u = point.position_at(j)
     axis = point.schedule.sumset(j)
-    xs = [x - u[0] for x in axis.values(u[0] - n, u[0] + n)]
-    ys = [y - u[1] for y in axis.values(u[1] - n, u[1] + n)]
-    return xs, ys
+    return axis.values(u[0] - n, u[0] + n, u[0]), axis.values(u[1] - n, u[1] + n, u[1])
 
 
 GENERIC_CELL_CAP = 5_000_000

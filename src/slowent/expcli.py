@@ -91,12 +91,9 @@ def config_from_json(doc: dict) -> ExperimentConfig:
         raise UsageError("config field 'sample_size' must be a positive integer")
     scales = doc.get("scales")
     if scales is not None:
-        try:
-            if any(isinstance(n, bool) for n in scales):
-                raise TypeError
-            scales = tuple(int(n) for n in scales)
-        except (TypeError, ValueError):
-            raise UsageError(f"config field 'scales' must be a list of integers, got {scales!r}") from None
+        if not isinstance(scales, list) or not all(_json_int(n) for n in scales):
+            raise UsageError(f"config field 'scales' must be a list of integers, got {scales!r}")
+        scales = tuple(scales)
     eps_list = tuple(str(e) for e in doc.get("epsilons", ("1/4", "1/8")))
     try:
         for e in eps_list:
@@ -573,12 +570,13 @@ def run_bowen(config: ExperimentConfig, n_list: Sequence[int] = (0, 1, 2, 4, 8, 
     lip_n = min(6, max(n_list))
     viol = 0
     checked = 0
+    endo_dn = endo.pair_bowen(pts, lip_n)
     for i in range(min(count, 200)):
         j = (i * 7 + 1) % count
         if i == j:
             continue
         d0 = toys.torus_dist(pts[i], pts[j])
-        dn = endo.pair_bowen(pts[[i, j]], lip_n)(0, 1)
+        dn = endo_dn(i, j)
         checked += 1
         if dn > (lip**lip_n) * d0 + 1e-9:
             viol += 1

@@ -231,11 +231,11 @@ class AxisSumset:
             runs.append((0, 0, 1))
         return runs
 
-    def values(self, lo: int, hi: int) -> list[int]:
-        """Sorted values in [lo, hi]."""
+    def values(self, lo: int, hi: int, origin: int = 0) -> list[int]:
+        """Sorted values in [lo, hi], as offsets from origin."""
         out: list[int] = []
         for first, last, m in self._runs(lo, hi):
-            out.extend(range(first, last + 1, m))
+            out.extend(range(first - origin, last - origin + 1, m))
         return out
 
     def covered(self, halfwidth: int, lo: int, hi: int) -> int:

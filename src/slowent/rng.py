@@ -4,26 +4,42 @@ Every random quantity in the library is derived from a 64-bit master seed,
 a purpose tag, and integer indices via a keyed hash. Streams are stateless,
 so adding new consumers never perturbs existing ones, and results are
 bit-identical across runs and platforms.
+
+Values are defined word by word: a 64-bit word is the keyed BLAKE2b digest
+of the tag followed by its indices packed as little-endian int64, and a
+wide draw appends (counter, word) to the indices of each of its words. The
+module computes them from one keyed state per draw, copied and extended
+for each word; BLAKE2b hashes a buffer the same whether it arrives in one
+update or in several, so the values are the word-by-word ones.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+from collections.abc import Iterable, Sequence
+
+_COUNTER_WORD = struct.Struct("<qq")
+
+
+def _keyed(seed: int, tag: str, indices: Sequence[int]) -> hashlib.blake2b:
+    """The keyed hash state over (tag, indices), not yet finalized."""
+    data = tag.encode("utf-8") + struct.pack(f"<{len(indices)}q", *indices)
+    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+    return hashlib.blake2b(data, digest_size=8, key=key)
 
 
 def stream_u64(seed: int, tag: str, *indices: int) -> int:
     """Return a uniform 64-bit integer keyed by (seed, tag, indices)."""
-    data = tag.encode("utf-8") + struct.pack(f"<{len(indices)}q", *indices)
-    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-    return int.from_bytes(hashlib.blake2b(data, digest_size=8, key=key).digest(), "little")
+    return int.from_bytes(_keyed(seed, tag, indices).digest(), "little")
 
 
 def uniform_int(seed: int, tag: str, *indices: int, lo: int, hi: int) -> int:
     """Uniform integer in [lo, hi], exact for arbitrary-width ranges.
 
-    Draws as many 64-bit words as the span needs and rejects values past
-    the largest unbiased multiple, so there is no modulo bias.
+    Attempt `counter` joins the words stream_u64(seed, tag, *indices,
+    counter, w), word 0 most significant, and is rejected past the largest
+    unbiased multiple of the span, so there is no modulo bias.
     """
     if hi < lo:
         raise ValueError(f"empty range [{lo}, {hi}]")
@@ -31,11 +47,16 @@ def uniform_int(seed: int, tag: str, *indices: int, lo: int, hi: int) -> int:
     words = max(1, -(-span.bit_length() // 64))
     width = 64 * words
     limit = (1 << width) - ((1 << width) % span)
+    state = _keyed(seed, tag, indices)
     counter = 0
     while True:
-        u = 0
-        for w in range(words):
-            u = (u << 64) | stream_u64(seed, tag, *indices, counter, w)
+        # little-endian digests, least significant word first
+        digests = []
+        for w in range(words - 1, -1, -1):
+            h = state.copy()
+            h.update(_COUNTER_WORD.pack(counter, w))
+            digests.append(h.digest())
+        u = int.from_bytes(b"".join(digests), "little")
         if u < limit:
             return lo + (u % span)
         counter += 1
@@ -46,8 +67,19 @@ def uniform_float(seed: int, tag: str, *indices: int) -> float:
     return (stream_u64(seed, tag, *indices) >> 11) / float(1 << 53)
 
 
+def fair_bits(seed: int, tag: str, sites: Iterable[Sequence[int]]) -> list[int]:
+    """[fair_bit(seed, tag, *site) for site in sites], keying (seed, tag) once."""
+    state = _keyed(seed, tag, ())
+    bits = []
+    for site in sites:
+        h = state.copy()
+        h.update(struct.pack(f"<{len(site)}q", *site))
+        bits.append(h.digest()[0] & 1)
+    return bits
+
+
 def fair_bit(seed: int, tag: str, *indices: int) -> int:
-    return stream_u64(seed, tag, *indices) & 1
+    return fair_bits(seed, tag, (indices,))[0]
 
 
 def derive_seed(seed: int, tag: str, *indices: int) -> int:

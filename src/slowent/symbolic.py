@@ -108,10 +108,8 @@ def overlay_name(point: PointHandle, n: int) -> OverlayName:
     base = cutstack.name01(point, n)
     # key bits by the absolute window offset relative to the point, which is
     # the same site in every nested window
-    bits = {
-        v: rng.fair_bit(point.overlay_seed, "overlay-bit", v[0], v[1]) for v in base.support()
-    }
-    return OverlayName(base, bits)
+    sites = base.support()
+    return OverlayName(base, dict(zip(sites, rng.fair_bits(point.overlay_seed, "overlay-bit", sites))))
 
 
 def overlay_from_word(base: Pattern, word: int) -> OverlayName:

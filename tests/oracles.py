@@ -202,6 +202,22 @@ def brute_bowen_first_fit(action, base_metric, n: int, points, eps_list) -> list
     return sizes
 
 
+def brute_uniform_int(seed: int, tag: str, *indices: int, lo: int, hi: int) -> int:
+    """rng.uniform_int word by word: one stream_u64 per 64-bit word, word 0 most significant."""
+    span = hi - lo + 1
+    words = max(1, -(-span.bit_length() // 64))
+    width = 64 * words
+    limit = (1 << width) - ((1 << width) % span)
+    counter = 0
+    while True:
+        u = 0
+        for w in range(words):
+            u = (u << 64) | rng.stream_u64(seed, tag, *indices, counter, w)
+        if u < limit:
+            return lo + (u % span)
+        counter += 1
+
+
 def random_pattern(seed: int, tag: str, index: int, box_radius: int = 2, max_cells: int = 4) -> Pattern:
     """A seeded pattern on Q_box_radius with symbols {1, 2} and at most max_cells cells."""
     side = 2 * box_radius + 1

@@ -113,6 +113,7 @@ def _run_cli(*args: str, cwd: Path):
         ({}, ("sample", "--stages", "14", "--count", "1")),
         ({"c.json": '{"kind": "cover-scan", "seed": true}'}, ("cover", "--config", "c.json", "--out", "o")),
         ({}, ("sample", "--count", "-3")),
+        ({"c.json": '{"kind": "recurrence", "scales": [2.7, "8"]}'}, ("recur", "--config", "c.json", "--out", "o")),
     ],
     ids=[
         "fit-row",
@@ -136,6 +137,7 @@ def _run_cli(*args: str, cwd: Path):
         "sample-digit-bound",
         "config-seed-bool",
         "sample-negative-count",
+        "config-scales-non-integer",
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, files, args):

@@ -150,6 +150,8 @@ def test_axis_sumset_matches_brute(levels, data):
     assert axis.values(lo, hi) == inside
     assert axis.count_sum(lo, hi) == (len(inside), sum(inside))
     assert axis.covered(h, lo, hi) == len({y for x in full for y in range(x - h, x + h + 1) if lo <= y <= hi})
+    origin = data.draw(st.integers(lo - 8, hi + 8))
+    assert axis.values(lo, hi, origin) == [x - origin for x in inside]
 
 
 def test_grid_membership():
