@@ -45,7 +45,7 @@ def _schedule_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _schedule_spec(args: argparse.Namespace) -> dict:
-    if getattr(args, "schedule_file", None):
+    if args.schedule_file:
         return {"file": str(args.schedule_file)}
     return {"stages": args.stages, "theta": args.theta, "c": args.c, "r1": args.r1}
 
@@ -54,20 +54,21 @@ def _schedule_from_args(args: argparse.Namespace) -> cutstack.Schedule:
     return expcli.schedule_from_spec(_schedule_spec(args))
 
 
-def _load_config(args: argparse.Namespace, kind: str) -> expcli.ExperimentConfig:
+def _load_config(args: argparse.Namespace) -> expcli.ExperimentConfig:
+    kind, default_size, reads_schedule, _, _ = _EXPERIMENT_COMMANDS[args.command]
     if args.config:
         doc = json.loads(args.config.read_text())
         doc.setdefault("kind", kind)
         config = expcli.config_from_json(doc)
         if config.kind != kind:
             raise UsageError(f"config kind {config.kind!r} does not match subcommand {kind!r}")
-        return config
-    return expcli.ExperimentConfig(
-        kind=kind,
-        seed=args.seed,
-        schedule_spec=_schedule_spec(args),
-        sample_size=getattr(args, "sample_size", 50),
-    )
+    else:
+        config = expcli.ExperimentConfig(kind=kind, seed=args.seed, sample_size=default_size)
+        if reads_schedule:
+            config = dataclasses.replace(config, schedule_spec=_schedule_spec(args))
+    if args.sample_size is not None:
+        config = dataclasses.replace(config, sample_size=args.sample_size)
+    return config
 
 
 def _emit(report: expcli.Report, args: argparse.Namespace) -> int:
@@ -79,17 +80,17 @@ def _emit(report: expcli.Report, args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-# subcommand: (experiment kind, default sample size, help); the kinds in
-# _SIZE_UNUSED run fixed-size suites, so their size only lands in the report config
-_SIZE_UNUSED = {"verify", "metric-props"}
+# subcommand: (experiment kind, default sample size, reads a schedule, reads its
+# sample size, help). A command that reads no schedule records the default
+# spec in its report config; one that runs a fixed-size suite records its size.
 _EXPERIMENT_COMMANDS = {
-    "cover": ("cover-scan", 12, "cover-number scan over construction samples"),
-    "recur": ("recurrence", 50, "recurrence census, alpha fit, binomial bound"),
-    "overlay": ("overlay", 10_000, "overlay separation bounds and erasure identity"),
-    "ratio-et": ("ratio-et", 100, "ratio ergodic theorem visit-count check"),
-    "bowen": ("bowen", 500, "Bowen metric checks on toy torus actions"),
-    "verify": ("verify-all", 50, "full claim-verification matrix"),
-    "metric-props": ("metric-props", 100_000, "pattern metric axiom suite"),
+    "cover": ("cover-scan", 12, True, True, "cover-number scan over construction samples"),
+    "recur": ("recurrence", 50, True, True, "recurrence census, alpha fit, binomial bound"),
+    "overlay": ("overlay", 10_000, True, True, "overlay separation bounds and erasure identity"),
+    "ratio-et": ("ratio-et", 100, True, True, "ratio ergodic theorem visit-count check"),
+    "bowen": ("bowen", 500, False, True, "Bowen metric checks on toy torus actions"),
+    "verify": ("verify-all", 50, False, False, "full claim-verification matrix"),
+    "metric-props": ("metric-props", 100_000, False, False, "pattern metric axiom suite"),
 }
 
 
@@ -128,15 +129,16 @@ def main(argv: list[str] | None = None) -> int:
     p_fit.add_argument("input", type=Path)
     p_fit.add_argument("--scale", choices=("slow", "exp"), default="slow")
 
-    for command, (_, _, helptext) in _EXPERIMENT_COMMANDS.items():
+    for command, (_, _, reads_schedule, reads_size, helptext) in _EXPERIMENT_COMMANDS.items():
         p = sub.add_parser(command, help=helptext)
         _add_common(p)
-        _schedule_args(p)
+        if reads_schedule:
+            _schedule_args(p)
         p.add_argument(
             "--sample-size",
             type=_positive_int,
             default=None,
-            help="unused by this command (kept in the report config)" if command in _SIZE_UNUSED else None,
+            help=None if reads_size else "unused by this command (kept in the report config)",
         )
 
     args = parser.parse_args(argv)
@@ -190,13 +192,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         expcli.write_csv(expcli.fit_rows(fit), args.out / "fit.csv")
         print(json.dumps(expcli._canonical(fit), indent=2, sort_keys=True))
         return 0
-    kind, default_size, _ = _EXPERIMENT_COMMANDS[args.command]
-    config = _load_config(args, kind)
-    if args.sample_size is not None:
-        config = dataclasses.replace(config, sample_size=args.sample_size)
-    elif not args.config:
-        config = dataclasses.replace(config, sample_size=default_size)
-    report = expcli.run_experiment(config)
+    report = expcli.run_experiment(_load_config(args))
     return _emit(report, args)
 
 

@@ -138,12 +138,11 @@ def exact_cover_number(
     sample: MetricSample,
     eps_diam: Fraction,
     eps_mass: Fraction = Fraction(0),
-    limit: int = EXACT_COVER_LIMIT,
 ) -> int:
     """Minimal number of diameter <= eps_diam subsets covering mass >= (1 - eps_mass) * total."""
     n = len(sample)
-    if n > limit:
-        raise CoverTooLarge(f"{n} points exceeds exact limit {limit}; use the greedy/separation bounds")
+    if n > EXACT_COVER_LIMIT:
+        raise CoverTooLarge(f"{n} points exceeds exact limit {EXACT_COVER_LIMIT}; use the greedy/separation bounds")
     total = sample.total_mass()
     target = (Fraction(1) - Fraction(eps_mass)) * total
     if target <= 0:
@@ -277,7 +276,7 @@ def _least_squares(xs: list[float], ys: list[float]) -> tuple[float, float]:
     return slope, resid
 
 
-def growth_fit(samples: Sequence[tuple[int, float]], scale: str, window: int | None = None) -> GrowthFit:
+def growth_fit(samples: Sequence[tuple[int, float]], scale: str) -> GrowthFit:
     """Fit a growth exponent on the stated scale.
 
     slow: log log value against log n (the exponent alpha in value ~ 2^(n^alpha)).
@@ -300,11 +299,9 @@ def growth_fit(samples: Sequence[tuple[int, float]], scale: str, window: int | N
             raise UsageError("exp scale needs positive values")
         xs = [float(n) for n, _ in pts]
         ys = [math.log2(v) for _, v in pts]
-    win = pts if window is None else pts[-window:]
-    if len(win) < 2:
+    if len(pts) < 2:
         raise UsageError("need at least 2 samples in the fit window")
-    offset = len(pts) - len(win)
-    slope, resid = _least_squares(xs[offset:], ys[offset:])
+    slope, resid = _least_squares(xs, ys)
     best, best_win = -math.inf, ()
     for start in range(len(pts) - 1):
         s, _ = _least_squares(xs[start:], ys[start:])
@@ -315,7 +312,7 @@ def growth_fit(samples: Sequence[tuple[int, float]], scale: str, window: int | N
         samples=tuple((n, float(v)) for n, v in pts),
         exponent=slope,
         residual=resid,
-        window=tuple(n for n, _ in win),
+        window=tuple(n for n, _ in pts),
         limsup_exponent=best,
         limsup_window=best_win,
     )

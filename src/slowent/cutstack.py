@@ -310,11 +310,10 @@ class PointHandle:
     seed: int
     levels: list[Site] = field(default_factory=list)
     zero_fill: bool = False
-    overlay_seed: int = 0
+    overlay_seed: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.overlay_seed == 0:
-            self.overlay_seed = rng.derive_seed(self.seed, "overlay-seed")
+        self.overlay_seed = rng.derive_seed(self.seed, "overlay-seed")
 
     @property
     def stage(self) -> int:
@@ -373,9 +372,9 @@ def sample_point(sched: Schedule, stage: int, seed: int) -> PointHandle:
     return p
 
 
-def point_from_address(sched: Schedule, levels: Sequence[Site], seed: int = 0, zero_fill: bool = True) -> PointHandle:
+def point_from_address(sched: Schedule, levels: Sequence[Site], seed: int = 0) -> PointHandle:
     """Point with pinned low-level offsets; higher levels zero (canonical embedding)."""
-    p = PointHandle(sched, seed, levels=list(levels), zero_fill=zero_fill)
+    p = PointHandle(sched, seed, levels=list(levels), zero_fill=True)
     for j, g in enumerate(levels, start=1):
         if g not in sched.level(j):
             raise UsageError(f"level-{j} offset {g} outside Gamma_{j}")

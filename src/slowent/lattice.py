@@ -265,41 +265,36 @@ class AxisSumset:
 
 
 # ---------------------------------------------------------------------------
-# Symbol registry and pattern text format.
+# Symbol names and pattern text format.
+
+#: Symbol ids and their names: 0/1 for the two-color construction, a/b for overlay bits.
+SYMBOL_NAMES = {0: "0", 1: "1", 2: "a", 3: "b"}
+_SYMBOL_IDS = {name: sym for sym, name in SYMBOL_NAMES.items()}
 
 
-@dataclass
-class SymbolRegistry:
-    """Maps small integer symbol ids to display names used in text formats."""
-
-    names: dict[int, str]
-
-    def name(self, sym: int) -> str:
-        try:
-            return self.names[sym]
-        except KeyError:
-            raise UsageError(f"symbol id {sym} not registered") from None
-
-    def id_of(self, name: str) -> int:
-        for sym, nm in self.names.items():
-            if nm == name:
-                return sym
-        raise UsageError(f"symbol name {name!r} not registered")
+def _symbol_name(sym: int) -> str:
+    try:
+        return SYMBOL_NAMES[sym]
+    except KeyError:
+        raise UsageError(f"symbol id {sym} not registered") from None
 
 
-#: Default ids: 0/1 for the two-color construction, a/b for overlay bits.
-DEFAULT_REGISTRY = SymbolRegistry({0: "0", 1: "1", 2: "a", 3: "b"})
+def _symbol_id(name: str) -> int:
+    try:
+        return _SYMBOL_IDS[name]
+    except KeyError:
+        raise UsageError(f"symbol name {name!r} not registered") from None
 
 
-def pattern_to_text(p: Pattern, registry: SymbolRegistry = DEFAULT_REGISTRY) -> str:
+def pattern_to_text(p: Pattern) -> str:
     """Canonical text form: header line, then one sorted line per non-default cell."""
-    lines = [f"box {p.box.radius} default {registry.name(p.default_symbol)}"]
+    lines = [f"box {p.box.radius} default {_symbol_name(p.default_symbol)}"]
     for (x, y), sym in sorted(p.cells.items()):
-        lines.append(f"{x} {y} {registry.name(sym)}")
+        lines.append(f"{x} {y} {_symbol_name(sym)}")
     return "\n".join(lines) + "\n"
 
 
-def pattern_from_text(text: str, registry: SymbolRegistry = DEFAULT_REGISTRY) -> Pattern:
+def pattern_from_text(text: str) -> Pattern:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise UsageError("empty pattern text")
@@ -310,7 +305,7 @@ def pattern_from_text(text: str, registry: SymbolRegistry = DEFAULT_REGISTRY) ->
         box = Box(int(head[1]))
     except ValueError:
         raise UsageError(f"bad box radius: {head[1]!r}") from None
-    default = registry.id_of(head[3])
+    default = _symbol_id(head[3])
     cells: dict[Site, int] = {}
     for ln in lines[1:]:
         parts = ln.split()
@@ -322,5 +317,5 @@ def pattern_from_text(text: str, registry: SymbolRegistry = DEFAULT_REGISTRY) ->
             raise UsageError(f"bad cell line: {ln!r}") from None
         if site in cells:
             raise UsageError(f"duplicate cell {site}")
-        cells[site] = registry.id_of(parts[2])
+        cells[site] = _symbol_id(parts[2])
     return Pattern(box, default, cells)

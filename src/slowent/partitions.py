@@ -197,8 +197,10 @@ def partition_delta(
 # ---------------------------------------------------------------------------
 # Rescaled metric
 
+RESCALE_SEARCH_CAP = 1 << 22
 
-def rescale_radius(point, n: int, provider: NameProvider, search_cap: int | None = 1 << 22) -> int:
+
+def rescale_radius(point, n: int, provider: NameProvider) -> int:
     """Smallest m with at least |Q_n| core visits in Q_m.
 
     Doubles m until the target is met, then bisects. Counts come from the
@@ -213,8 +215,8 @@ def rescale_radius(point, n: int, provider: NameProvider, search_cap: int | None
     while provider.core_count(point, hi) < target:
         lo = hi
         hi *= 2
-        if search_cap is not None and hi > search_cap:
-            raise UsageError(f"core-visit search exceeded cap {search_cap} (window too small)")
+        if hi > RESCALE_SEARCH_CAP:
+            raise UsageError(f"core-visit search exceeded cap {RESCALE_SEARCH_CAP} (window too small)")
     while lo + 1 < hi:
         mid = (lo + hi) // 2
         if provider.core_count(point, mid) >= target:

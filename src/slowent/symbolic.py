@@ -1,8 +1,8 @@
 """Full-shift machinery: sliding block codes, the fair two-letter overlay on
 core sites, the erasure factor map, and Hamming-ball covering lower bounds.
 
-Symbol ids follow the default registry: 0 and 1 for the base colors, 2 and
-3 for the overlay letters a and b.
+Symbol ids follow `lattice.SYMBOL_NAMES`: 0 and 1 for the base colors, 2
+and 3 for the overlay letters a and b.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import cutstack, rng
 from .cutstack import PointHandle
-from .lattice import DEFAULT_REGISTRY, Box, Pattern, Site, UsageError
+from .lattice import SYMBOL_NAMES, Box, Pattern, Site, UsageError
 from .partitions import CoFinitePartition, name_metric
 
 A_SYMBOL = 2
@@ -56,9 +56,9 @@ def erasure_code() -> SlidingBlockCode:
     return SlidingBlockCode({0: 0, 1: 1, A_SYMBOL: 1, B_SYMBOL: 1}, input_default=0)
 
 
-def identity_code(default: int = 0) -> SlidingBlockCode:
-    """Identity on the symbol ids of the default registry."""
-    return SlidingBlockCode({sym: sym for sym in DEFAULT_REGISTRY.names}, default)
+def identity_code() -> SlidingBlockCode:
+    """Identity on the named symbol ids."""
+    return SlidingBlockCode({sym: sym for sym in SYMBOL_NAMES}, input_default=0)
 
 
 def translate_pattern(p: Pattern, offset: Site, radius: int) -> Pattern:

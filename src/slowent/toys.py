@@ -64,19 +64,17 @@ def _bowen_dn(at0: np.ndarray, orbit_max):
 class TranslationAction:
     """Commuting pair of torus translations; every T^u is an isometry."""
 
-    v1: tuple[float, float] = (0.41421356237309515, 0.7320508075688772)
-    v2: tuple[float, float] = (0.23606797749978969, 0.6180339887498949)
-
-    lipschitz: float = 1.0
+    V1 = (0.41421356237309515, 0.7320508075688772)
+    V2 = (0.23606797749978969, 0.6180339887498949)
 
     def apply(self, u: tuple[int, int], x: np.ndarray) -> np.ndarray:
-        off = np.array(self.v1) * u[0] + np.array(self.v2) * u[1]
+        off = np.array(self.V1) * u[0] + np.array(self.V2) * u[1]
         return (x + off) % 1.0
 
     def orbit_offsets(self, n: int) -> np.ndarray:
         grid = np.arange(-n, n + 1)
         a, b = np.meshgrid(grid, grid, indexing="ij")
-        return a.reshape(-1, 1) * np.array(self.v1) + b.reshape(-1, 1) * np.array(self.v2)
+        return a.reshape(-1, 1) * np.array(self.V1) + b.reshape(-1, 1) * np.array(self.V2)
 
     def pair_bowen(self, points: np.ndarray, n: int):
         """d_n(i, j, cap=None) over the full orbit box, u = 0 first (see `_bowen_dn`)."""

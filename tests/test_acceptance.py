@@ -321,7 +321,7 @@ def test_criterion_10_ratio_ergodic(sched_default):
         schedule_spec={"stages": 4, "theta": "1/3", "c": "2", "r1": 1},
         sample_size=100,
     )
-    report = expcli.run_ratio_et(config, n=5000)
+    report = expcli.run_ratio_et(config)
     verdict = report.verdicts[0]
     assert verdict.status == "pass", verdict.details
     _report(

@@ -114,6 +114,26 @@ def _run_cli(*args: str, cwd: Path):
         ({"c.json": '{"kind": "cover-scan", "seed": true}'}, ("cover", "--config", "c.json", "--out", "o")),
         ({}, ("sample", "--count", "-3")),
         ({"c.json": '{"kind": "recurrence", "scales": [2.7, "8"]}'}, ("recur", "--config", "c.json", "--out", "o")),
+        ({"c.json": '{"kind": "cover-scan", "epsilons": 5}'}, ("cover", "--config", "c.json", "--out", "o")),
+        (
+            {"c.json": '{"kind": "recurrence", "schedule": {"stages": 3.9, "theta": "1/3", "c": "2", "r1": 1}}'},
+            ("recur", "--config", "c.json", "--out", "o"),
+        ),
+        (
+            {"c.json": '{"kind": "recurrence", "schedule": {"stages": "3", "theta": "1/3", "c": "2", "r1": 1}}'},
+            ("recur", "--config", "c.json", "--out", "o"),
+        ),
+        (
+            {"c.json": '{"kind": "recurrence", "schedule": {"stages": 3, "theta": "1/3", "c": "2", "r1": true}}'},
+            ("recur", "--config", "c.json", "--out", "o"),
+        ),
+        (
+            {"c.json": '{"kind": "recurrence", "schedule": {"radii": [1, 28.0, 185221], "theta": "1/3", "c": 2}}'},
+            ("recur", "--config", "c.json", "--out", "o"),
+        ),
+        ({}, ("verify", "--stages", "3", "--out", "o")),
+        ({}, ("bowen", "--theta", "1/4", "--out", "o")),
+        ({"s.txt": "theta 1/3\nc 2\nr 1 1\nr 2 28\n"}, ("metric-props", "--schedule-file", "s.txt", "--out", "o")),
     ],
     ids=[
         "fit-row",
@@ -138,6 +158,14 @@ def _run_cli(*args: str, cwd: Path):
         "config-seed-bool",
         "sample-negative-count",
         "config-scales-non-integer",
+        "config-epsilons-non-list",
+        "config-schedule-stages-float",
+        "config-schedule-stages-string",
+        "config-schedule-r1-bool",
+        "config-schedule-radii-float",
+        "verify-schedule-flag",
+        "bowen-schedule-flag",
+        "metric-props-schedule-flag",
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, files, args):
