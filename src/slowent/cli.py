@@ -37,17 +37,19 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _schedule_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--stages", type=int, default=4)
-    parser.add_argument("--theta", type=str, default="1/3")
-    parser.add_argument("--c", type=str, default="2")
-    parser.add_argument("--r1", type=int, default=1)
+    # unset flags stay None, so a command sees which were given; _schedule_spec fills in defaults
+    parser.add_argument("--stages", type=int)
+    parser.add_argument("--theta", type=str)
+    parser.add_argument("--c", type=str)
+    parser.add_argument("--r1", type=int)
     parser.add_argument("--schedule-file", type=Path)
 
 
 def _schedule_spec(args: argparse.Namespace) -> dict:
     if args.schedule_file:
         return {"file": str(args.schedule_file)}
-    return {"stages": args.stages, "theta": args.theta, "c": args.c, "r1": args.r1}
+    given = {key: getattr(args, key) for key in expcli.DEFAULT_SCHEDULE_SPEC if getattr(args, key) is not None}
+    return {**expcli.DEFAULT_SCHEDULE_SPEC, **given}
 
 
 def _schedule_from_args(args: argparse.Namespace) -> cutstack.Schedule:
@@ -55,20 +57,26 @@ def _schedule_from_args(args: argparse.Namespace) -> cutstack.Schedule:
 
 
 def _load_config(args: argparse.Namespace) -> expcli.ExperimentConfig:
+    """The config file's or the command's defaults, then the given --seed and --sample-size."""
     kind, default_size, reads_schedule, _, _ = _EXPERIMENT_COMMANDS[args.command]
     if args.config:
+        if any(getattr(args, key, None) is not None for key in (*expcli.DEFAULT_SCHEDULE_SPEC, "schedule_file")):
+            raise UsageError("schedule flags cannot be combined with --config: give the schedule in the config")
         doc = json.loads(args.config.read_text())
+        if not isinstance(doc, dict):
+            raise UsageError("config must be a JSON object")
+        if "schedule" in doc and not reads_schedule:
+            raise UsageError(f"{args.command} reads no schedule, so its config cannot have a 'schedule' field")
         doc.setdefault("kind", kind)
         config = expcli.config_from_json(doc)
         if config.kind != kind:
             raise UsageError(f"config kind {config.kind!r} does not match subcommand {kind!r}")
     else:
-        config = expcli.ExperimentConfig(kind=kind, seed=args.seed, sample_size=default_size)
+        config = expcli.ExperimentConfig(kind=kind, sample_size=default_size)
         if reads_schedule:
             config = dataclasses.replace(config, schedule_spec=_schedule_spec(args))
-    if args.sample_size is not None:
-        config = dataclasses.replace(config, sample_size=args.sample_size)
-    return config
+    given = {"seed": args.seed, "sample_size": args.sample_size}
+    return dataclasses.replace(config, **{key: value for key, value in given.items() if value is not None})
 
 
 def _emit(report: expcli.Report, args: argparse.Namespace) -> int:
@@ -134,6 +142,8 @@ def main(argv: list[str] | None = None) -> int:
         _add_common(p)
         if reads_schedule:
             _schedule_args(p)
+        # unset, the seed comes from the config (2024 by default)
+        p.set_defaults(seed=None)
         p.add_argument(
             "--sample-size",
             type=_positive_int,

@@ -41,11 +41,15 @@ EXPERIMENT_RUNNERS = {
 }
 
 
+#: The schedule a config runs when it names none, and the CLI's schedule flag defaults.
+DEFAULT_SCHEDULE_SPEC = {"stages": 4, "theta": "1/3", "c": "2", "r1": 1}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
     seed: int = 2024
-    schedule_spec: dict = field(default_factory=lambda: {"stages": 4, "theta": "1/3", "c": "2", "r1": 1})
+    schedule_spec: dict = field(default_factory=lambda: dict(DEFAULT_SCHEDULE_SPEC))
     sample_size: int = 50
     scales: tuple[int, ...] | None = None
     eps_list: tuple[str, ...] = ("1/4", "1/8")
@@ -112,7 +116,7 @@ def config_from_json(doc: dict) -> ExperimentConfig:
             Fraction(e)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"config field 'epsilons' must be fractions, got {list(eps_list)!r}") from None
-    schedule = doc.get("schedule", {"stages": 4, "theta": "1/3", "c": "2", "r1": 1})
+    schedule = doc.get("schedule", dict(DEFAULT_SCHEDULE_SPEC))
     if not isinstance(schedule, dict):
         raise UsageError("config field 'schedule' must be a JSON object")
     return ExperimentConfig(
@@ -203,10 +207,11 @@ def write_csv(rows: list[dict], path: Path) -> None:
     if not rows:
         path.write_text("")
         return
-    cols = list(rows[0])
+    # tables may mix row shapes (bowen): every key gets a column, in first-seen order
+    cols = list(dict.fromkeys(c for row in rows for c in row))
     lines = [",".join(cols)]
     for row in rows:
-        lines.append(",".join(str(_canonical(row[c])) for c in cols))
+        lines.append(",".join(str(_canonical(row[c])) if c in row else "" for c in cols))
     path.write_text("\n".join(lines) + "\n")
 
 

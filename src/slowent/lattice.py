@@ -57,9 +57,6 @@ class Box:
         r = self.radius
         return len(u) == 2 and -r <= u[0] <= r and -r <= u[1] <= r
 
-    def site_count(self) -> int:
-        return box_site_count(self.radius)
-
     def sites(self) -> Iterator[Site]:
         return box_sites(self.radius)
 
@@ -87,9 +84,6 @@ class Pattern:
     def support(self) -> set[Site]:
         """Sites carrying a non-default symbol."""
         return set(self.cells)
-
-    def symbols(self) -> set[int]:
-        return {self.default_symbol} | set(self.cells.values())
 
     def restricted(self, radius: int) -> "Pattern":
         """Restriction to the smaller box Q_radius."""
@@ -269,7 +263,6 @@ class AxisSumset:
 
 #: Symbol ids and their names: 0/1 for the two-color construction, a/b for overlay bits.
 SYMBOL_NAMES = {0: "0", 1: "1", 2: "a", 3: "b"}
-_SYMBOL_IDS = {name: sym for sym, name in SYMBOL_NAMES.items()}
 
 
 def _symbol_name(sym: int) -> str:
@@ -279,43 +272,9 @@ def _symbol_name(sym: int) -> str:
         raise UsageError(f"symbol id {sym} not registered") from None
 
 
-def _symbol_id(name: str) -> int:
-    try:
-        return _SYMBOL_IDS[name]
-    except KeyError:
-        raise UsageError(f"symbol name {name!r} not registered") from None
-
-
 def pattern_to_text(p: Pattern) -> str:
     """Canonical text form: header line, then one sorted line per non-default cell."""
     lines = [f"box {p.box.radius} default {_symbol_name(p.default_symbol)}"]
     for (x, y), sym in sorted(p.cells.items()):
         lines.append(f"{x} {y} {_symbol_name(sym)}")
     return "\n".join(lines) + "\n"
-
-
-def pattern_from_text(text: str) -> Pattern:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise UsageError("empty pattern text")
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "box" or head[2] != "default":
-        raise UsageError(f"bad pattern header: {lines[0]!r}")
-    try:
-        box = Box(int(head[1]))
-    except ValueError:
-        raise UsageError(f"bad box radius: {head[1]!r}") from None
-    default = _symbol_id(head[3])
-    cells: dict[Site, int] = {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise UsageError(f"bad cell line: {ln!r}")
-        try:
-            site = (int(parts[0]), int(parts[1]))
-        except ValueError:
-            raise UsageError(f"bad cell line: {ln!r}") from None
-        if site in cells:
-            raise UsageError(f"duplicate cell {site}")
-        cells[site] = _symbol_id(parts[2])
-    return Pattern(box, default, cells)

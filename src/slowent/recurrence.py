@@ -11,7 +11,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import cutstack
 from .cutstack import PointHandle
@@ -43,23 +43,9 @@ def recurrence_key(point: PointHandle, n: int) -> bytes:
     return h.digest()
 
 
-def centroid_decode(sites: frozenset[Site]) -> Site:
-    """Recover the position encoded by a translate of a zero-sum site set.
-
-    Returns the nearest-integer rounding of the negated site mean, with
-    exact .5 ties rounded toward zero so contamination stays visible. The
-    reference for centroid_decode_axes, which decodes factorized windows.
-    """
-    if not sites:
-        raise UsageError("cannot decode an empty recurrence pattern")
-    count = len(sites)
-    sx = sum(u[0] for u in sites)
-    sy = sum(u[1] for u in sites)
-    return (_round_half_toward_zero(Fraction(-sx, count)), _round_half_toward_zero(Fraction(-sy, count)))
-
-
 def centroid_decode_axes(count_x: int, mean_x: Fraction, count_y: int, mean_y: Fraction) -> Site:
-    """Decoder on factorized windows: the mean of X x Y is (mean X, mean Y)."""
+    """Position encoded by a translate of a zero-sum window X x Y: the negated mean (mean X, mean Y),
+    rounded to the nearest integer with exact .5 ties toward zero so contamination stays visible."""
     if count_x == 0 or count_y == 0:
         raise UsageError("cannot decode an empty recurrence pattern")
     return (_round_half_toward_zero(-mean_x), _round_half_toward_zero(-mean_y))
@@ -73,11 +59,6 @@ def _round_half_toward_zero(q: Fraction) -> int:
     if rem < Fraction(1, 2):
         return floor
     return floor + 1 if q < 0 else floor
-
-
-def distinct_pattern_count(points: Iterable[PointHandle], n: int) -> int:
-    """Number of distinct recurrence patterns over the sample at radius n."""
-    return len({recurrence_key(p, n) for p in points})
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,7 @@ def uniform_float(seed: int, tag: str, *indices: int) -> float:
 
 
 def fair_bits(seed: int, tag: str, sites: Iterable[Sequence[int]]) -> list[int]:
-    """[fair_bit(seed, tag, *site) for site in sites], keying (seed, tag) once."""
+    """The low bit of stream_u64(seed, tag, *site) for each site, keying (seed, tag) once."""
     state = _keyed(seed, tag, ())
     bits = []
     for site in sites:
@@ -76,10 +76,6 @@ def fair_bits(seed: int, tag: str, sites: Iterable[Sequence[int]]) -> list[int]:
         h.update(struct.pack(f"<{len(site)}q", *site))
         bits.append(h.digest()[0] & 1)
     return bits
-
-
-def fair_bit(seed: int, tag: str, *indices: int) -> int:
-    return fair_bits(seed, tag, (indices,))[0]
 
 
 def derive_seed(seed: int, tag: str, *indices: int) -> int:

@@ -13,14 +13,10 @@ from fractions import Fraction
 
 from . import cutstack, rng
 from .cutstack import PointHandle
-from .lattice import SYMBOL_NAMES, Box, Pattern, Site, UsageError
-from .partitions import CoFinitePartition, name_metric
+from .lattice import Pattern, Site, UsageError
 
 A_SYMBOL = 2
 B_SYMBOL = 3
-
-#: Partition {0 | a, b} whose names are overlay names.
-OVERLAY_PARTITION = CoFinitePartition(labels=(0, A_SYMBOL, B_SYMBOL), infinite_atom=0)
 
 
 @dataclass
@@ -56,22 +52,6 @@ def erasure_code() -> SlidingBlockCode:
     return SlidingBlockCode({0: 0, 1: 1, A_SYMBOL: 1, B_SYMBOL: 1}, input_default=0)
 
 
-def identity_code() -> SlidingBlockCode:
-    """Identity on the named symbol ids."""
-    return SlidingBlockCode({sym: sym for sym in SYMBOL_NAMES}, input_default=0)
-
-
-def translate_pattern(p: Pattern, offset: Site, radius: int) -> Pattern:
-    """Restriction of the offset-shifted pattern to Q_radius."""
-    box = Box(radius)
-    cells = {}
-    for u, sym in p.cells.items():
-        v = tuple(a - b for a, b in zip(u, offset))
-        if v in box:
-            cells[v] = sym
-    return Pattern(box, p.default_symbol, cells)
-
-
 # ---------------------------------------------------------------------------
 # Overlay names
 
@@ -94,9 +74,6 @@ class OverlayName:
         cells = {u: (A_SYMBOL if b == 0 else B_SYMBOL) for u, b in self.bits.items()}
         return Pattern(self.base.box, 0, cells)
 
-    def erase(self) -> Pattern:
-        return self.base
-
 
 def overlay_name(point: PointHandle, n: int) -> OverlayName:
     """Sample the overlay name of radius n, conditioned on the point's base name.
@@ -110,18 +87,6 @@ def overlay_name(point: PointHandle, n: int) -> OverlayName:
     # the same site in every nested window
     sites = base.support()
     return OverlayName(base, dict(zip(sites, rng.fair_bits(point.overlay_seed, "overlay-bit", sites))))
-
-
-def overlay_from_word(base: Pattern, word: int) -> OverlayName:
-    """Overlay with bits read off an integer word over the sorted 1-cells."""
-    sites = sorted(base.support())
-    bits = {u: (word >> i) & 1 for i, u in enumerate(sites)}
-    return OverlayName(base, bits)
-
-
-def overlay_distance(x: OverlayName, y: OverlayName) -> Fraction:
-    """Name distance for the partition {0 | a, b}: infinite atom 0, letters core."""
-    return name_metric(x.flatten(), y.flatten(), OVERLAY_PARTITION)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ Everything here enumerates sites or subsets directly and stays deliberately
 separate from the library's counting and search paths.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -11,7 +12,7 @@ from itertools import combinations
 import numpy as np
 
 from slowent import rng
-from slowent.lattice import Box, Pattern, box_sites, pattern_distance
+from slowent.lattice import SYMBOL_NAMES, Box, Pattern, UsageError, box_sites, pattern_distance, site_add, sup_norm
 
 
 def dense_pattern_distance(a: Pattern, b: Pattern) -> Fraction:
@@ -148,6 +149,57 @@ def brute_window_ones(point, n: int) -> set[tuple[int, int]]:
     from slowent.cutstack import color01_at
 
     return {(x, y) for (x, y) in box_sites(n) if color01_at(point, (x, y)) == 1}
+
+
+def centroid_decode(sites: frozenset[tuple[int, int]]) -> tuple[int, int]:
+    """The position encoded by a translate of a zero-sum site set, from the sites themselves.
+
+    Each coordinate is the nearest integer to the negated site mean, with
+    exact .5 ties rounded toward zero: the reference for
+    recurrence.centroid_decode_axes, which decodes factorized windows.
+    """
+    if not sites:
+        raise UsageError("cannot decode an empty recurrence pattern")
+
+    def nearest(q: Fraction) -> int:
+        return math.trunc(q) if q - math.floor(q) == Fraction(1, 2) else math.floor(q + Fraction(1, 2))
+
+    return tuple(nearest(Fraction(-sum(u[k] for u in sites), len(sites))) for k in (0, 1))
+
+
+def refine_by_offsets(base: Pattern, offsets) -> Pattern:
+    """The orbit refinement P^F of a 0/1 name, site by site.
+
+    The refined symbol at v lists the base symbols at v + f for the offsets
+    f in sorted order, read as a binary number, so the all-0 tuple is the
+    default 0. A base name over Q_n gives a refined name over Q_{n - reach},
+    reach the largest sup norm of an offset.
+    """
+    assert base.default_symbol == 0 and set(base.cells.values()) <= {1}
+    offsets = sorted(offsets)
+    box = Box(base.box.radius - max(sup_norm(f) for f in offsets))
+    cells = {}
+    for v in box.sites():
+        sym = 0
+        for f in offsets:
+            sym = 2 * sym + base.symbol_at(site_add(v, f))
+        if sym:
+            cells[v] = sym
+    return Pattern(box, 0, cells)
+
+
+def pattern_from_text(text: str) -> Pattern:
+    """Read the text form that lattice.pattern_to_text writes (and `slowent names` prints)."""
+    symbol_ids = {name: sym for sym, name in SYMBOL_NAMES.items()}
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    head = lines[0].split()
+    assert len(head) == 4 and head[0] == "box" and head[2] == "default", lines[0]
+    cells = {}
+    for ln in lines[1:]:
+        x, y, name = ln.split()
+        assert (int(x), int(y)) not in cells, ln
+        cells[int(x), int(y)] = symbol_ids[name]
+    return Pattern(Box(int(head[1])), symbol_ids[head[3]], cells)
 
 
 def brute_stage2_census(sched, n: int) -> dict:

@@ -19,7 +19,8 @@ import pytest
 from slowent import covernum, cutstack as cs, expcli, recurrence as rec, rng, symbolic as sym, toys
 from slowent.covernum import alpha_fit, alpha_pointwise
 from slowent.lattice import Box, Pattern, box_site_count, pattern_distance
-from slowent.partitions import TWO_ATOM, CoFinitePartition, OrbitRefinement, TableNames, name_metric
+
+from oracles import refine_by_offsets
 
 SEED = 20240801
 
@@ -69,22 +70,21 @@ def _random_core_name(seed, tag, i, radius, symbols=(1, 2), max_cells=8):
 
 def test_criterion_2_refinement_inequalities():
     started = time.monotonic()
-    three = CoFinitePartition(labels=(0, 1, 2), infinite_atom=0)
     pairs = 10_000
     coarse_viol = 0
     for i in range(pairs):
         x = _random_core_name(SEED, "r2x", i, radius=3)
         y = _random_core_name(SEED, "r2y", i, radius=3)
-        fine = name_metric(x, y, three)
-        coarse = name_metric(
+        # names of the three-atom partition {0 | 1 | 2} and of its coarsening {0 | 1, 2}
+        fine = pattern_distance(x, y)
+        coarse = pattern_distance(
             Pattern(x.box, 0, {u: 1 for u in x.cells}),
             Pattern(y.box, 0, {u: 1 for u in y.cells}),
-            TWO_ATOM,
         )
         if coarse > fine:
             coarse_viol += 1
 
-    ref = OrbitRefinement(TWO_ATOM, ((0, 0), (1, 0)), TableNames({}))
+    offsets = ((0, 0), (1, 0))
     orbit_viol = 0
     for i in range(pairs):
         # disagreements confined to the inner window, where the counting
@@ -99,8 +99,8 @@ def test_criterion_2_refinement_inequalities():
             else:
                 cells[(fx, fy)] = 1
         y = Pattern(x.box, 0, cells)
-        d_ref = name_metric(ref.refine_pattern(x), ref.refine_pattern(y), ref.partition)
-        d_base = name_metric(x.restricted(2), y.restricted(2), TWO_ATOM)
+        d_ref = pattern_distance(refine_by_offsets(x, offsets), refine_by_offsets(y, offsets))
+        d_base = pattern_distance(x.restricted(2), y.restricted(2))
         if d_ref > 2 * d_base:
             orbit_viol += 1
 
@@ -262,7 +262,7 @@ def test_criterion_8_rho_alpha_inequality(sched_default, sched_c5, alpha_hats):
         positions = sorted(sched.level(1).enumerate())[:6000]
         points = [cs.point_from_address(sched, [g]) for g in positions]
         for n in (4, 16, 2 * sched.r(2)):
-            count = rec.distinct_pattern_count(points, n)
+            count = len({rec.recurrence_key(p, n) for p in points})
             cells = rec.rho_alpha_inequality_check([(n, count)], a_hat, eps)
             assert all(c.ok for c in cells)
             checked += 1

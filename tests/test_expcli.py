@@ -11,7 +11,7 @@ import slowent
 from slowent import expcli
 from slowent.lattice import Box, UsageError, pattern_distance
 
-from oracles import brute_stage2_census, random_axiom_violations, random_pattern
+from oracles import brute_stage2_census, pattern_from_text, random_axiom_violations, random_pattern
 
 
 def test_config_from_json_validation():
@@ -134,6 +134,18 @@ def _run_cli(*args: str, cwd: Path):
         ({}, ("verify", "--stages", "3", "--out", "o")),
         ({}, ("bowen", "--theta", "1/4", "--out", "o")),
         ({"s.txt": "theta 1/3\nc 2\nr 1 1\nr 2 28\n"}, ("metric-props", "--schedule-file", "s.txt", "--out", "o")),
+        ({"c.json": '{"kind": "ratio-et"}'}, ("ratio-et", "--config", "c.json", "--stages", "3", "--out", "o")),
+        (
+            {"c.json": '{"kind": "cover-scan"}', "s.txt": "theta 1/3\nc 2\nr 1 1\nr 2 28\n"},
+            ("cover", "--config", "c.json", "--schedule-file", "s.txt", "--out", "o"),
+        ),
+        ({"c.json": '{"schedule": {"stages": 3}}'}, ("bowen", "--config", "c.json", "--out", "o")),
+        ({"c.json": '{"kind": "verify-all", "schedule": {}}'}, ("verify", "--config", "c.json", "--out", "o")),
+        (
+            {"c.json": '{"schedule": {"stages": 3, "theta": "1/5", "c": "9", "r1": 4}}'},
+            ("metric-props", "--config", "c.json", "--out", "o"),
+        ),
+        ({"c.json": "[1]"}, ("cover", "--config", "c.json", "--out", "o")),
     ],
     ids=[
         "fit-row",
@@ -166,6 +178,12 @@ def _run_cli(*args: str, cwd: Path):
         "verify-schedule-flag",
         "bowen-schedule-flag",
         "metric-props-schedule-flag",
+        "config-with-schedule-flag",
+        "config-with-schedule-file",
+        "bowen-config-schedule",
+        "verify-config-schedule",
+        "metric-props-config-schedule",
+        "config-not-object",
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, files, args):
@@ -175,6 +193,27 @@ def test_cli_bad_input_exits_2(tmp_path, files, args):
     assert res.returncode == 2, res.stderr
     assert "usage error:" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+def test_cli_seed_overrides_config(tmp_path):
+    (tmp_path / "r.json").write_text('{"seed": 5, "sample_size": 3}')
+    res = _run_cli("ratio-et", "--config", "r.json", "--out", "o", cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert json.loads((tmp_path / "o" / "report.json").read_text())["config"]["seed"] == 5
+    res = _run_cli("ratio-et", "--config", "r.json", "--seed", "7", "--out", "o", cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    config = json.loads((tmp_path / "o" / "report.json").read_text())["config"]
+    assert (config["seed"], config["sample_size"]) == (7, 3)
+
+
+def test_cli_bowen_csv_has_every_column(tmp_path):
+    # the bowen table mixes translation rows (sep_base) and endomorphism rows (log2_bound)
+    res = _run_cli("bowen", "--sample-size", "20", "--format", "csv", "--out", "o", cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    lines = (tmp_path / "o" / "bowen.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    assert "sep_base" in header and "log2_bound" in header
+    assert all(len(line.split(",")) == len(header) for line in lines)
 
 
 def test_cli_schedule_build_and_check(tmp_path):
@@ -201,8 +240,6 @@ def test_cli_metric_props_exit_zero(tmp_path):
 def test_cli_names_round_trips(tmp_path):
     res = _run_cli("names", "--n", "3", "--seed", "4", cwd=tmp_path)
     assert res.returncode == 0, res.stderr
-    from slowent.lattice import pattern_from_text
-
     p = pattern_from_text(res.stdout)
     assert p.box.radius == 3
 

@@ -1,7 +1,9 @@
 import ast
+import runpy
 from pathlib import Path
 
 import slowent
+from slowent import expcli
 
 PACKAGE = Path(slowent.__file__).parent
 
@@ -30,3 +32,133 @@ def test_every_module_import_is_used():
     assert modules
     unused = {p.name: names for p in modules if (names := unused_imports(p.read_text()))}
     assert unused == {}
+
+
+# ---------------------------------------------------------------------------
+# Reachability: every module-level definition in the package is reached from
+# the CLI entry point, an experiment runner, or a benchmark workload.
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _imported(tree: ast.Module) -> dict[str, str]:
+    """Local name -> "module" or "module.name" for imports of the package's modules.
+
+    Imports inside functions count too; `from . import x` and `from slowent
+    import x` bind modules, `from .m import x` binds definitions.
+    """
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level == 1 or node.module == "slowent"):
+            prefix = node.module + "." if node.level == 1 and node.module else ""
+            out.update({alias.asname or alias.name: prefix + alias.name for alias in node.names})
+    return out
+
+
+def _defined(tree: ast.Module) -> dict[str, ast.AST]:
+    """Module-level functions, classes and assigned names."""
+    out: dict[str, ast.AST] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    out[target.id] = node
+    return out
+
+
+class NameGraph:
+    """Module-level definitions of a package, joined by the names they read."""
+
+    def __init__(self, sources: dict[str, str]):
+        trees = {module: ast.parse(src) for module, src in sources.items()}
+        self.defs = {module: _defined(tree) for module, tree in trees.items()}
+        self.imports = {module: _imported(tree) for module, tree in trees.items()}
+
+    def resolve(self, parts: list[str], module: str | None, imports: dict[str, str]) -> str | None:
+        """The definition "module.name" that a dotted name reaches, if any."""
+        head, rest = parts[0], parts[1:]
+        if module is not None and head in self.defs[module]:
+            return f"{module}.{head}"
+        target = imports.get(head)
+        if target in self.defs:
+            return self.resolve(rest, target, self.imports[target]) if rest else None
+        owner, _, name = (target or "").partition(".")
+        if owner in self.defs:
+            return self.resolve([name, *rest], owner, self.imports[owner])
+        return None
+
+    def reads(self, node: ast.AST, module: str | None, imports: dict[str, str]) -> set[str]:
+        """Definitions named anywhere inside `node`, read as code of `module`
+        (with module None, as code of a file outside the package)."""
+        out = set()
+        for sub in ast.walk(node):
+            parts: list[str] = []
+            while isinstance(sub, ast.Attribute):
+                parts.insert(0, sub.attr)
+                sub = sub.value
+            if isinstance(sub, ast.Name) and (hit := self.resolve([sub.id, *parts], module, imports)):
+                out.add(hit)
+        return out
+
+    def unreached(self, roots: set[str]) -> list[str]:
+        seen, todo = set(), list(roots)
+        while todo:
+            key = todo.pop()
+            if key in seen:
+                continue
+            seen.add(key)
+            module, name = key.split(".", 1)
+            todo.extend(self.reads(self.defs[module][name], module, self.imports[module]))
+        return sorted(f"{m}.{n}" for m, names in self.defs.items() for n in names if f"{m}.{n}" not in seen)
+
+
+def package_graph() -> NameGraph:
+    # __init__.py only re-exports the submodules
+    return NameGraph({p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"})
+
+
+def entry_points(graph: NameGraph) -> set[str]:
+    """cli.main, the experiment runners (looked up by name at run time), every
+    function the benchmark traces, and every package name its query workload reads."""
+    roots = {"cli.main"} | {f"expcli.{name}" for name in expcli.EXPERIMENT_RUNNERS.values()}
+    layers = runpy.run_path(str(ROOT / "bench" / "layers.py"))
+    for module, qualname, _ in [*layers["traced_functions"](), *layers["CLOSURES"]]:
+        roots.add(f"{module.removeprefix('slowent.')}.{qualname.split('.')[0]}")
+    queries = ast.parse((ROOT / "bench" / "queries.py").read_text())
+    return roots | graph.reads(queries, None, _imported(queries))
+
+
+A_SOURCE = """
+from . import b
+from .b import g as h
+K = 1
+def main():
+    return b.f() + h()
+def spare():
+    return K
+"""
+
+B_SOURCE = """
+from . import a
+def f():
+    return a.b.g()
+def g():
+    return 0
+class C:
+    def m(self):
+        return f()
+"""
+
+
+def test_name_graph_follows_imports_and_attributes():
+    graph = NameGraph({"a": A_SOURCE, "b": B_SOURCE})
+    assert graph.unreached({"a.main"}) == ["a.K", "a.spare", "b.C"]
+    assert graph.unreached({"b.C"}) == ["a.K", "a.main", "a.spare"]
+
+
+def test_every_definition_is_reachable():
+    graph = package_graph()
+    unreached = graph.unreached(entry_points(graph))
+    assert not unreached, f"{len(unreached)} definitions reached from no entry point: {', '.join(unreached)}"

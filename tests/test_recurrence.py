@@ -5,17 +5,17 @@ import pytest
 
 from slowent import cutstack as cs
 from slowent import rng
-from slowent.lattice import UsageError
-from slowent.partitions import TWO_ATOM, name_metric, recurrence_metric
+from slowent.lattice import UsageError, pattern_distance
+from slowent.partitions import recurrence_metric
 from slowent.recurrence import (
-    centroid_decode,
     centroid_decode_axes,
-    distinct_pattern_count,
     recurrence_count,
     recurrence_key,
     recurrence_set,
     rho_alpha_inequality_check,
 )
+
+from oracles import centroid_decode
 
 
 def test_recurrence_set_examples(sched_default):
@@ -46,7 +46,7 @@ def test_recurrence_metric_identity_with_names(sched_default):
     for n in (3, 9, 27):
         rx, ry = recurrence_set(x, n), recurrence_set(y, n)
         lhs = recurrence_metric(rx, ry)
-        rhs = name_metric(cs.name01(x, n), cs.name01(y, n), TWO_ATOM)
+        rhs = pattern_distance(cs.name01(x, n), cs.name01(y, n))
         assert lhs == rhs
 
 
@@ -79,16 +79,16 @@ def test_centroid_decode_axes_agrees(sched_c5):
 
 def test_distinct_pattern_count_basics(sched_default):
     pts = [cs.point_from_address(sched_default, [(0, 0)]) for _ in range(4)]
-    assert distinct_pattern_count(pts, 27) == 1
+    assert len({recurrence_key(p, 27) for p in pts}) == 1
     mixed = [cs.point_from_address(sched_default, [g]) for g in [(0, 0), (3, 0), (27, 0)]]
     # full-grid degeneracy of minimal spacing: every window looks the same
-    assert distinct_pattern_count(mixed, 56) == 1
+    assert len({recurrence_key(p, 56) for p in mixed}) == 1
 
 
 def test_distinct_pattern_count_c5(sched_c5):
     gs = [(0, 0), (6, 0), (0, 6), (216, -216), (12, 6)]
     pts = [cs.point_from_address(sched_c5, [g]) for g in gs]
-    assert distinct_pattern_count(pts, 2 * sched_c5.r(2)) == len(gs)
+    assert len({recurrence_key(p, 2 * sched_c5.r(2)) for p in pts}) == len(gs)
 
 
 def test_recurrence_key_separates(sched_c5):
@@ -115,7 +115,7 @@ def test_construction_counts_pass_inequality(sched_default):
     positions = sorted(sched_default.level(1).enumerate())
     pts = [cs.point_from_address(sched_default, [g]) for g in positions[:50]]
     n = 2 * sched_default.r(2)
-    count = distinct_pattern_count(pts, n)
+    count = len({recurrence_key(p, n) for p in pts})
     alpha_hat = math.log(recurrence_count(pts[0], n)) / math.log((2 * n + 1) ** 2)
     cells = rho_alpha_inequality_check([(n, count)], alpha_hat, Fraction(1, 20))
     assert all(c.ok for c in cells)
@@ -123,13 +123,11 @@ def test_construction_counts_pass_inequality(sched_default):
 
 def test_distinct_patterns_sampled_stage3(sched_default):
     pts = [cs.sample_point(sched_default, 3, seed=rng.derive_seed(71, "dp", i)) for i in range(100)]
-    count = distinct_pattern_count(pts, 27)
+    count = len({recurrence_key(p, 27) for p in pts})
     assert count <= cs.gamma_star_size(2, sched_default)
 
 
 def test_recurrence_metric_axioms_direct(sched_default):
-    from slowent.partitions import recurrence_metric
-
     sets = [recurrence_set(cs.sample_point(sched_default, 3, seed=rng.derive_seed(72, "ax", i)), 6) for i in range(12)]
     for a in sets:
         for b in sets:

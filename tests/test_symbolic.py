@@ -7,32 +7,41 @@ from hypothesis import strategies as st
 
 from slowent import cutstack as cs
 from slowent import rng
-from slowent.lattice import Box, Pattern, UsageError, sup_norm
+from slowent.lattice import SYMBOL_NAMES, Box, Pattern, UsageError, pattern_distance, sup_norm
 from slowent.symbolic import (
     A_SYMBOL,
     B_SYMBOL,
     OverlayName,
+    SlidingBlockCode,
     apply_code,
     binary_entropy,
     erasure_code,
     gv_rate_deficit,
     hamming_ball_volume,
     hamming_cover_lower,
-    identity_code,
-    overlay_distance,
-    overlay_from_word,
     overlay_name,
     separated_words_first_fit,
-    translate_pattern,
 )
 
-from oracles import brute_separated_words
+from oracles import brute_separated_words, pattern_from_text
+
+
+def translate_pattern(p, offset, radius):
+    """Restriction of the offset-shifted pattern to Q_radius."""
+    box = Box(radius)
+    cells = {(x - offset[0], y - offset[1]): s for (x, y), s in p.cells.items()}
+    return Pattern(box, p.default_symbol, {v: s for v, s in cells.items() if v in box})
+
+
+def overlay_from_word(base, word):
+    """Overlay with bits read off an integer word over the sorted 1-cells."""
+    return OverlayName(base, {u: (word >> i) & 1 for i, u in enumerate(sorted(base.support()))})
 
 
 def test_identity_code_restricts():
     p = Pattern(Box(3), 0, {(0, 0): 1, (2, -1): 1})
-    out = apply_code(identity_code(), p)
-    assert out == p
+    identity = SlidingBlockCode({sym: sym for sym in SYMBOL_NAMES}, input_default=0)
+    assert apply_code(identity, p) == p
 
 
 def test_apply_code_radius_check():
@@ -58,7 +67,7 @@ def test_apply_code_shift_equivariance():
         for k in range(rng.uniform_int(31, "n", i, lo=0, hi=6)):
             x = rng.uniform_int(31, "x", i, k, lo=-4, hi=4)
             y = rng.uniform_int(31, "y", i, k, lo=-4, hi=4)
-            cells[(x, y)] = A_SYMBOL if rng.fair_bit(31, "s", i, k) else B_SYMBOL
+            cells[(x, y)] = A_SYMBOL if rng.stream_u64(31, "s", i, k) & 1 else B_SYMBOL
         p = Pattern(Box(4), 0, cells)
         u = (rng.uniform_int(31, "ux", i, lo=-2, hi=2), rng.uniform_int(31, "uy", i, lo=-2, hi=2))
         lhs = translate_pattern(apply_code(code, p), u, 2)
@@ -98,7 +107,7 @@ def test_overlay_name_consistency(sched_default):
     p = cs.point_from_address(sched_default, [(0, 0)], seed=9)
     small = overlay_name(p, 3)
     big = overlay_name(p, 27)
-    assert small.erase() == cs.name01(p, 3)
+    assert small.base == cs.name01(p, 3)
     for v, bit in small.bits.items():
         assert big.bits[v] == bit
     again = overlay_name(p, 3)
@@ -136,21 +145,22 @@ def test_overlay_validation():
 
 
 def test_overlay_distance_examples():
+    # the name metric of the partition {0 | a, b} is the pattern metric on flattened overlay names
     base = Pattern(Box(2), 0, {(x, y): 1 for x in (-2, 0, 2) for y in (0, 1)})
     same = overlay_from_word(base, 0b101010)
-    assert overlay_distance(same, same) == 0
+    assert pattern_distance(same.flatten(), same.flatten()) == 0
     other = overlay_from_word(base, 0b101011)
-    assert overlay_distance(same, other) == Fraction(1, 6)
+    assert pattern_distance(same.flatten(), other.flatten()) == Fraction(1, 6)
     # shared base of c cells, bits differing on j cells -> j/c
     third = overlay_from_word(base, 0b010101)
-    assert overlay_distance(same, third) == 1
+    assert pattern_distance(same.flatten(), third.flatten()) == 1
 
 
 def test_overlay_distance_disjoint_bases(sched_default):
     p = cs.point_from_address(sched_default, [(0, 0)])
     base1 = cs.name01(p, 3)
     base2 = Pattern(Box(3), 0, {(x + 1, y): 1 for (x, y) in base1.cells if abs(x + 1) <= 3})
-    d = overlay_distance(overlay_from_word(base1, 0), overlay_from_word(base2, 0))
+    d = pattern_distance(overlay_from_word(base1, 0).flatten(), overlay_from_word(base2, 0).flatten())
     assert d == 1
 
 
@@ -162,7 +172,7 @@ def test_overlay_distance_dominates_base_metric(sched_default):
         y = cs.sample_point(sched_default, 3, seed=rng.derive_seed(60, "b", i))
         ox, oy = overlay_name(x, 6), overlay_name(y, 6)
         base = recurrence_metric(ox.base.support(), oy.base.support())
-        assert overlay_distance(ox, oy) >= base
+        assert pattern_distance(ox.flatten(), oy.flatten()) >= base
 
 
 def test_hamming_cover_lower_values():
@@ -234,7 +244,7 @@ def test_gv_rate_deficit_tends_to_entropy():
 
 
 def test_overlay_serializes_with_letter_symbols(sched_default):
-    from slowent.lattice import pattern_from_text, pattern_to_text
+    from slowent.lattice import pattern_to_text
 
     p = cs.point_from_address(sched_default, [(0, 0)], seed=3)
     flat = overlay_name(p, 3).flatten()
