@@ -93,7 +93,7 @@ def _emit(report: expcli.Report, args: argparse.Namespace) -> int:
 # spec in its report config; one that runs a fixed-size suite records its size.
 _EXPERIMENT_COMMANDS = {
     "cover": ("cover-scan", 12, True, True, "cover-number scan over construction samples"),
-    "recur": ("recurrence", 50, True, True, "recurrence census, alpha fit, binomial bound"),
+    "recur": ("recurrence", 50, True, False, "recurrence census, alpha fit, binomial bound"),
     "overlay": ("overlay", 10_000, True, True, "overlay separation bounds and erasure identity"),
     "ratio-et": ("ratio-et", 100, True, True, "ratio ergodic theorem visit-count check"),
     "bowen": ("bowen", 500, False, True, "Bowen metric checks on toy torus actions"),

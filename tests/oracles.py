@@ -69,6 +69,25 @@ def brute_gamma_star_member(v: tuple[int, int], levels: list[tuple[int, int]]) -
     return False
 
 
+def axis_decompose(a: int, stage: int, sched) -> tuple[int, ...] | None:
+    """Per-axis offsets (g_1, ..., g_{stage-1}) summing to a, or None.
+
+    Level l tries both multiples of m(l) around the remainder by floor
+    division, and keeps those in Q_{s(l)} within r(l) - r(1) of it; at most
+    one survives because m(l) > 2 r(l). No AxisSumset involved.
+    """
+    peeled = []
+    for l in range(stage - 1, 0, -1):
+        m, k, slack = sched.m(l), sched.s(l) // sched.m(l), sched.r(l) - sched.r(1)
+        fits = [q * m for q in (a // m, a // m + 1) if -k <= q <= k and abs(a - q * m) <= slack]
+        assert len(fits) <= 1
+        if not fits:
+            return None
+        peeled.append(fits[0])
+        a -= fits[0]
+    return tuple(reversed(peeled)) if a == 0 else None
+
+
 def brute_exact_cover(masses: list[Fraction], dist: list[list[Fraction]], eps_diam: Fraction, eps_mass: Fraction) -> int:
     """Minimal partial cover by enumerating all diameter-feasible subsets."""
     n = len(masses)

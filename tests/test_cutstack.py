@@ -10,7 +10,7 @@ from slowent import cutstack as cs
 from slowent import expcli, rng
 from slowent.lattice import AxisSumset, GridSet, UsageError
 
-from oracles import brute_arrangement, brute_gamma, brute_gamma_star_member, brute_window_ones
+from oracles import axis_decompose, brute_arrangement, brute_gamma, brute_gamma_star_member, brute_window_ones
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +433,32 @@ def test_decompose_compose_round_trip_every_stage(variant, data):
     for stage in range(2, sched.stages + 1):
         back = cs.decompose(cs.compose(levels[: stage - 1], sched), stage, sched)
         assert back is not None and back.levels == tuple(levels[: stage - 1])
+
+
+@pytest.mark.parametrize("variant", range(len(VARIANTS)))
+def test_axis_extremes_hold_each_level_quotient(variant):
+    sched = VARIANTS[variant]
+    axis = expcli.axis_extremes(sched, sched.stages)
+    assert len(set(axis)) == len(axis) == 5 ** (sched.stages - 1)
+    for j in range(1, sched.stages):
+        m, k = sched.m(j), sched.s(j) // sched.m(j)
+        assert {xs[j - 1] for xs in axis} == {q * m for q in (-k, -k + 1, 0, k - 1, k)}
+
+
+@pytest.mark.parametrize("variant", range(len(VARIANTS)))
+def test_decompose_is_the_pair_of_axis_peels_on_the_extremes(variant):
+    # every core coordinate is a multiple of m(1) >= 3, so one step off a
+    # core site leaves the core on that axis alone
+    sched = VARIANTS[variant]
+    for stage in range(2, sched.stages + 1):
+        axis = expcli.axis_extremes(sched, stage)
+        for xs, ys in zip(axis, reversed(axis)):
+            x, y = sum(xs), sum(ys)
+            assert (axis_decompose(x, stage, sched), axis_decompose(y, stage, sched)) == (xs, ys)
+            assert axis_decompose(x + 1, stage, sched) is None and axis_decompose(y - 1, stage, sched) is None
+            assert cs.decompose((x, y), stage, sched).levels == tuple(zip(xs, ys))
+            assert cs.decompose((x + 1, y), stage, sched) is None
+            assert cs.decompose((x, y - 1), stage, sched) is None
 
 
 @pytest.mark.parametrize("variant", range(len(VARIANTS)))

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import slowent
-from slowent import expcli
+from slowent import expcli, lattice
 from slowent.lattice import Box, UsageError, pattern_distance
 
 from oracles import brute_stage2_census, pattern_from_text, random_axiom_violations, random_pattern
@@ -216,6 +216,18 @@ def test_cli_bowen_csv_has_every_column(tmp_path):
     assert all(len(line.split(",")) == len(header) for line in lines)
 
 
+def test_cli_recur_sample_size_is_only_recorded(tmp_path):
+    res = _run_cli("recur", "--help", cwd=tmp_path)
+    assert "unused by this command" in " ".join(res.stdout.split())
+    docs = []
+    for size in ("3", "50"):
+        res = _run_cli("recur", "--sample-size", size, "--out", size, cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        docs.append(json.loads((tmp_path / size / "report.json").read_text()))
+    assert [doc["config"].pop("sample_size") for doc in docs] == [3, 50]
+    assert docs[0] == docs[1]
+
+
 def test_cli_schedule_build_and_check(tmp_path):
     res = _run_cli("schedule", "build", "--stages", "3", "--out-file", "s.txt", cwd=tmp_path)
     assert res.returncode == 0, res.stderr
@@ -275,6 +287,26 @@ def test_cli_fit_writes_csv(tmp_path):
     lines = (tmp_path / "fo" / "fit.csv").read_text().splitlines()
     assert lines[0] == "n,value,transformed_x,transformed_y,in_window"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("spec", expcli.DEFAULT_VARIANTS)
+def test_planted_top_level_peel_defect_fails_roundtrip(monkeypatch, spec):
+    # a peel that loses the top level's q = -k copy; a uniform draw of the
+    # top quotient hits -k once in 2k + 1 draws, and k > 10^30 here
+    sched = expcli.schedule_from_spec(spec)
+    top = sched.stages - 1
+    lost = -(sched.s(top) // sched.m(top)) * sched.m(top)
+    peel = lattice.AxisSumset.peel
+
+    def planted(self, a, level, slack):
+        g = peel(self, a, level, slack)
+        return None if level == top - 1 and g == lost else g
+
+    monkeypatch.setattr(lattice.AxisSumset, "peel", planted)
+    report = expcli.Report(config={})
+    expcli.variant_suite(report, sched, "v")
+    (roundtrip,) = [v for v in report.verdicts if v.name == "v/decompose-roundtrip"]
+    assert roundtrip.status == "fail" and roundtrip.details["failures"] > 0
 
 
 @pytest.mark.parametrize("variant", range(3))
