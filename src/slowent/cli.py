@@ -29,9 +29,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+_UNUSED = "unused by this command (kept in the report config)"
+
+
+def _add_common(parser: argparse.ArgumentParser, seed_help: str | None) -> None:
     parser.add_argument("--config", type=Path, help="JSON experiment config")
-    parser.add_argument("--seed", type=int, default=2024)
+    parser.add_argument("--seed", type=int, default=2024, help=seed_help)
     parser.add_argument("--out", type=Path, default=Path("out"))
     parser.add_argument("--format", choices=("csv", "json"), default="json")
 
@@ -58,7 +61,7 @@ def _schedule_from_args(args: argparse.Namespace) -> cutstack.Schedule:
 
 def _load_config(args: argparse.Namespace) -> expcli.ExperimentConfig:
     """The config file's or the command's defaults, then the given --seed and --sample-size."""
-    kind, default_size, reads_schedule, _, _ = _EXPERIMENT_COMMANDS[args.command]
+    kind, default_size, reads_schedule, _, _, _ = _EXPERIMENT_COMMANDS[args.command]
     if args.config:
         if any(getattr(args, key, None) is not None for key in (*expcli.DEFAULT_SCHEDULE_SPEC, "schedule_file")):
             raise UsageError("schedule flags cannot be combined with --config: give the schedule in the config")
@@ -89,16 +92,17 @@ def _emit(report: expcli.Report, args: argparse.Namespace) -> int:
 
 
 # subcommand: (experiment kind, default sample size, reads a schedule, reads its
-# sample size, help). A command that reads no schedule records the default
-# spec in its report config; one that runs a fixed-size suite records its size.
+# sample size, reads its seed, help). A command that reads no schedule records
+# the default spec in its report config; one that runs a fixed-size suite
+# records its size, and an exhaustive one records its seed.
 _EXPERIMENT_COMMANDS = {
-    "cover": ("cover-scan", 12, True, True, "cover-number scan over construction samples"),
-    "recur": ("recurrence", 50, True, False, "recurrence census, alpha fit, binomial bound"),
-    "overlay": ("overlay", 10_000, True, True, "overlay separation bounds and erasure identity"),
-    "ratio-et": ("ratio-et", 100, True, True, "ratio ergodic theorem visit-count check"),
-    "bowen": ("bowen", 500, False, True, "Bowen metric checks on toy torus actions"),
-    "verify": ("verify-all", 50, False, False, "full claim-verification matrix"),
-    "metric-props": ("metric-props", 100_000, False, False, "pattern metric axiom suite"),
+    "cover": ("cover-scan", 12, True, True, True, "cover-number scan over construction samples"),
+    "recur": ("recurrence", 50, True, False, False, "recurrence census, alpha fit, binomial bound"),
+    "overlay": ("overlay", 10_000, True, True, True, "overlay separation bounds and erasure identity"),
+    "ratio-et": ("ratio-et", 100, True, True, True, "ratio ergodic theorem visit-count check"),
+    "bowen": ("bowen", 500, False, True, True, "Bowen metric checks on toy torus actions"),
+    "verify": ("verify-all", 50, False, False, True, "full claim-verification matrix"),
+    "metric-props": ("metric-props", 100_000, False, False, False, "pattern metric axiom suite"),
 }
 
 
@@ -115,31 +119,31 @@ def main(argv: list[str] | None = None) -> int:
     p_check.add_argument("file", type=Path)
 
     p_sample = sub.add_parser("sample", help="sample construction points")
-    _add_common(p_sample)
+    _add_common(p_sample, None)
     _schedule_args(p_sample)
     p_sample.add_argument("--stage", type=int, default=3)
     p_sample.add_argument("--count", type=_positive_int, default=5)
 
     p_names = sub.add_parser("names", help="emit a sampled point's name pattern")
-    _add_common(p_names)
+    _add_common(p_names, None)
     _schedule_args(p_names)
     p_names.add_argument("--n", type=int, default=27)
     p_names.add_argument("--point-seed", type=int, default=0)
 
     p_dist = sub.add_parser("distmat", help="pairwise recurrence-metric distances for a sample")
-    _add_common(p_dist)
+    _add_common(p_dist, None)
     _schedule_args(p_dist)
     p_dist.add_argument("--n", type=int, default=27)
     p_dist.add_argument("--sample-size", type=_positive_int, default=12)
 
     p_fit = sub.add_parser("fit", help="growth-exponent fit from a CSV of n,value rows")
-    _add_common(p_fit)
+    _add_common(p_fit, None)
     p_fit.add_argument("input", type=Path)
     p_fit.add_argument("--scale", choices=("slow", "exp"), default="slow")
 
-    for command, (_, _, reads_schedule, reads_size, helptext) in _EXPERIMENT_COMMANDS.items():
+    for command, (_, _, reads_schedule, reads_size, reads_seed, helptext) in _EXPERIMENT_COMMANDS.items():
         p = sub.add_parser(command, help=helptext)
-        _add_common(p)
+        _add_common(p, None if reads_seed else _UNUSED)
         if reads_schedule:
             _schedule_args(p)
         # unset, the seed comes from the config (2024 by default)
@@ -148,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
             "--sample-size",
             type=_positive_int,
             default=None,
-            help=None if reads_size else "unused by this command (kept in the report config)",
+            help=None if reads_size else _UNUSED,
         )
 
     args = parser.parse_args(argv)

@@ -70,14 +70,11 @@ def sample_from_points(ids: Sequence, masses: Sequence[Fraction], metric) -> Met
 
 @dataclass(frozen=True)
 class CoverEstimate:
-    """Bracketing of a covering number, with the parameters that produced it."""
+    """Bracketing of a covering number."""
 
     lower: int
     upper: int
     exact: int | None
-    methods: tuple[str, ...]
-    eps_diam: Fraction
-    eps_mass: Fraction
 
     def __post_init__(self) -> None:
         if self.lower > self.upper:
@@ -229,16 +226,11 @@ def cover_estimate(sample: MetricSample, eps_diam: Fraction, eps_mass: Fraction 
     eps_mass = Fraction(eps_mass)
     if eps_mass == 0:
         lower = max_separated_lower(sample, Fraction(eps_diam) + Fraction(1, 10**9))
-        methods = ["first-fit-separated", "greedy-ball"]
     else:
         lower = 1 if (Fraction(1) - eps_mass) * sample.total_mass() > 0 else 0
-        methods = ["trivial-lower", "greedy-ball"]
     upper = greedy_cover_upper(sample, eps_diam, eps_mass)
-    exact: int | None = None
-    if len(sample) <= EXACT_COVER_LIMIT:
-        exact = exact_cover_number(sample, eps_diam, eps_mass)
-        methods.append("branch-and-bound")
-    return CoverEstimate(lower, upper, exact, tuple(methods), Fraction(eps_diam), eps_mass)
+    exact = exact_cover_number(sample, eps_diam, eps_mass) if len(sample) <= EXACT_COVER_LIMIT else None
+    return CoverEstimate(lower, upper, exact)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import rng
-from .lattice import AxisSumset, Box, GridSet, Pattern, Site, UsageError, site_add, sup_norm
+from .lattice import AxisSumset, Box, Pattern, Site, UsageError, site_add, sup_norm
 
 
 class StageCapError(RuntimeError):
@@ -114,10 +114,6 @@ class Schedule:
         if not 1 <= i < self.stages:
             raise UsageError(f"m({i}) out of range 1..{self.stages - 1}")
         return self._levels[i - 1][0]
-
-    def level(self, i: int) -> GridSet:
-        """Level-i offset lattice Gamma_i = Q_{s(i)} intersect m(i)Z^2."""
-        return GridSet(self.m(i), self.s(i))
 
     def levels_1d(self, upto: int) -> list[tuple[int, int]]:
         """(m(j), s(j)) for j = 1..upto, the per-coordinate level data."""
@@ -212,19 +208,14 @@ def schedule_from_text(text: str) -> Schedule:
 # Gamma levels, addresses, decomposition
 
 
-def gamma_size(level: GridSet) -> int:
-    """|Gamma_i| = (2 s(i)/m(i) + 1)^2; requires m(i) | s(i)."""
-    if level.radius % level.spacing != 0:
-        raise UsageError(f"spacing {level.spacing} does not divide radius {level.radius}")
-    return (2 * (level.radius // level.spacing) + 1) ** 2
+def gamma_size(sched: Schedule, i: int) -> int:
+    """|Gamma_i| = (2 s(i)/m(i) + 1)^2; m(i) divides s(i) = m(i)^(1/theta)."""
+    return (2 * (sched.s(i) // sched.m(i)) + 1) ** 2
 
 
 def gamma_star_size(stage: int, sched: Schedule) -> int:
     """|Gamma*_{stage-1}| = product of level sizes below the stage; 1 at stage 1."""
-    out = 1
-    for j in range(1, stage):
-        out *= gamma_size(sched.level(j))
-    return out
+    return math.prod(gamma_size(sched, j) for j in range(1, stage))
 
 
 @dataclass(frozen=True)
@@ -238,19 +229,18 @@ class Address:
         if len(self.levels) != self.stage - 1:
             raise UsageError(f"address with {len(self.levels)} levels cannot be stage {self.stage}")
 
-    def site(self) -> Site:
-        x = sum(g[0] for g in self.levels)
-        y = sum(g[1] for g in self.levels)
-        return (x, y)
 
+def _check_levels(levels: Sequence[Site], sched: Schedule) -> None:
+    """Raise unless every g_j is a pair in Gamma_j = Q_{s(j)} intersect m(j)Z^2.
 
-def validate_address(addr: Address, sched: Schedule) -> None:
-    for j, g in enumerate(addr.levels, start=1):
-        if g not in sched.level(j):
+    Gamma_j is one axis grid taken twice, so each coordinate of g_j must be
+    a multiple of m(j) with |a| <= s(j).
+    """
+    if len(levels) >= sched.stages:
+        raise UsageError(f"address has {len(levels)} levels; the schedule builds {sched.stages - 1}")
+    for j, ((m, s), g) in enumerate(zip(sched.levels_1d(len(levels)), levels), start=1):
+        if len(g) != 2 or any(a % m or abs(a) > s for a in g):
             raise UsageError(f"level-{j} offset {g} outside Gamma_{j}")
-    reach = sched.r(addr.stage) - sched.r(1)
-    if addr.levels and sup_norm(addr.site()) > reach:
-        raise UsageError("address site escapes Q_{r(i)-r(1)}")
 
 
 def _peel(w: Site, stage: int, sched: Schedule, slack: Callable[[int], int]) -> tuple[list[Site], Site]:
@@ -287,9 +277,12 @@ def decompose(v: Site, stage: int, sched: Schedule) -> Address | None:
 
 
 def compose(levels: Sequence[Site], sched: Schedule) -> Site:
-    addr = Address(tuple(levels), len(levels) + 1)
-    validate_address(addr, sched)
-    return addr.site()
+    """The site g_1 + ... + g_{stage-1} of an address.
+
+    Each |g_j| <= s(j) per coordinate, so the site lies in Q_{r(stage) - r(1)}.
+    """
+    _check_levels(levels, sched)
+    return (sum(g[0] for g in levels), sum(g[1] for g in levels))
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +367,8 @@ def sample_point(sched: Schedule, stage: int, seed: int) -> PointHandle:
 
 def point_from_address(sched: Schedule, levels: Sequence[Site], seed: int = 0) -> PointHandle:
     """Point with pinned low-level offsets; higher levels zero (canonical embedding)."""
-    p = PointHandle(sched, seed, levels=list(levels), zero_fill=True)
-    for j, g in enumerate(levels, start=1):
-        if g not in sched.level(j):
-            raise UsageError(f"level-{j} offset {g} outside Gamma_{j}")
-    return p
+    _check_levels(levels, sched)
+    return PointHandle(sched, seed, levels=list(levels), zero_fill=True)
 
 
 # ---------------------------------------------------------------------------
@@ -482,12 +472,6 @@ class MassLedger:
     new_masses: tuple[Fraction, ...]
     core_masses: tuple[Fraction, ...]
 
-    def width(self, i: int) -> Fraction:
-        return self.widths[i - 1]
-
-    def stage_mass(self, i: int) -> Fraction:
-        return self.stage_masses[i - 1]
-
     def new_mass(self, i: int) -> Fraction:
         return self.new_masses[i - 1]
 
@@ -503,7 +487,7 @@ def mass_ledger(sched: Schedule, stage: int) -> MassLedger:
     """
     widths = [Fraction(1)]
     for j in range(1, stage):
-        widths.append(widths[-1] / gamma_size(sched.level(j)))
+        widths.append(widths[-1] / gamma_size(sched, j))
     totals, news, cores = [], [], []
     for i in range(1, stage + 1):
         side = 2 * sched.arrangement_radius(i) + 1

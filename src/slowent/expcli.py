@@ -428,7 +428,7 @@ def stage2_recurrence_census(sched: Schedule, n: int) -> dict:
     with X(a) non-empty (it holds the point itself), so distinct patterns and
     decoder hits over A x A are the squares of the per-axis counts over A.
     """
-    axis = sched.level(1).axis_values()
+    axis = sched.sumset(2).values(-sched.s(1), sched.s(1))
     patterns = set()
     decode_hits = 0
     for a in axis:
@@ -651,7 +651,7 @@ def gamma_exponent_fit(sched: Schedule) -> GrowthFit:
     xs, ys = [], []
     for i in range(1, top + 1):
         xs.append(math.log(sched.r(i + 1)))
-        ys.append(math.log(cutstack.gamma_size(sched.level(i))))
+        ys.append(math.log(cutstack.gamma_size(sched, i)))
     slope, resid = covernum._least_squares(xs, ys)
     return GrowthFit(
         scale="gamma-level",
@@ -695,16 +695,15 @@ def variant_suite(report: Report, sched: Schedule, label: str) -> None:
     """Claim checks for one schedule variant; assertion strength follows spacing."""
     theta = sched.theta
     # combinatorics
-    lvl1 = sched.level(1)
-    formula = cutstack.gamma_size(lvl1)
-    # Gamma_1 = A x A, so counting A counts every site
-    exhaustive = len(lvl1.axis_values()) ** 2
+    formula = cutstack.gamma_size(sched, 1)
+    # Gamma_1 = A x A, so traversing the axis A counts every site
+    exhaustive = len(sched.sumset(2).values(-sched.s(1), sched.s(1))) ** 2
     report.add(f"{label}/gamma1-count", "|Gamma_1| formula equals exhaustive count", formula == exhaustive, formula=formula, exhaustive=exhaustive)
     gstar = cutstack.gamma_star_size(min(3, sched.stages), sched)
     report.add(
         f"{label}/gamma-star-product",
         "|Gamma*_i| equals the product of level sizes",
-        gstar == math.prod(cutstack.gamma_size(sched.level(j)) for j in range(1, min(3, sched.stages))),
+        gstar == math.prod(cutstack.gamma_size(sched, j) for j in range(1, min(3, sched.stages))),
         value=gstar,
     )
     # decompose round trip over the per-axis extremes; combination i on x

@@ -76,21 +76,9 @@ class Pattern:
             if sym == self.default_symbol:
                 raise UsageError(f"cell {u} stores the default symbol (not canonical)")
 
-    def symbol_at(self, u: Site) -> int:
-        if u not in self.box:
-            raise UsageError(f"site {u} outside box Q_{self.box.radius}")
-        return self.cells.get(u, self.default_symbol)
-
     def support(self) -> set[Site]:
         """Sites carrying a non-default symbol."""
         return set(self.cells)
-
-    def restricted(self, radius: int) -> "Pattern":
-        """Restriction to the smaller box Q_radius."""
-        if radius > self.box.radius:
-            raise UsageError(f"cannot restrict Q_{self.box.radius} to larger Q_{radius}")
-        sub = Box(radius)
-        return Pattern(sub, self.default_symbol, {u: s for u, s in self.cells.items() if u in sub})
 
 
 def pattern_distance(a: Pattern, b: Pattern) -> Fraction:
@@ -112,36 +100,7 @@ def pattern_distance(a: Pattern, b: Pattern) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Lattice sets: arithmetic grids and the per-coordinate sumset of grids.
-
-
-@dataclass(frozen=True)
-class GridSet:
-    """Q_radius intersected with spacing * Z^2."""
-
-    spacing: int
-    radius: int
-
-    def __post_init__(self) -> None:
-        if self.spacing < 1 or self.radius < 0:
-            raise UsageError(f"invalid grid (spacing={self.spacing}, radius={self.radius})")
-
-    def __contains__(self, u: Site) -> bool:
-        return len(u) == 2 and all(a % self.spacing == 0 and abs(a) <= self.radius for a in u)
-
-    def steps(self) -> int:
-        """Per-coordinate count of multiples on one side of 0."""
-        return self.radius // self.spacing
-
-    def __len__(self) -> int:
-        return (2 * self.steps() + 1) ** 2
-
-    def axis_values(self) -> list[int]:
-        k = self.steps()
-        return [q * self.spacing for q in range(-k, k + 1)]
-
-    def enumerate(self) -> Iterator[Site]:
-        return product(self.axis_values(), repeat=2)
+# Lattice sets: the per-coordinate sumset of arithmetic grids.
 
 
 class AxisSumset:
@@ -166,10 +125,6 @@ class AxisSumset:
             self._levels.append((m, s // m, self._reach[-1]))
             self._reach.append(self._reach[-1] + s)
             self._size.append(self._size[-1] * (2 * (s // m) + 1))
-
-    @property
-    def reach(self) -> int:
-        return self._reach[-1]
 
     def peel(self, a: int, level: int, slack: int) -> int | None:
         """The offset g of the level (0-based) with |a - g| <= slack, or None.

@@ -67,10 +67,6 @@ class TranslationAction:
     V1 = (0.41421356237309515, 0.7320508075688772)
     V2 = (0.23606797749978969, 0.6180339887498949)
 
-    def apply(self, u: tuple[int, int], x: np.ndarray) -> np.ndarray:
-        off = np.array(self.V1) * u[0] + np.array(self.V2) * u[1]
-        return (x + off) % 1.0
-
     def orbit_offsets(self, n: int) -> np.ndarray:
         grid = np.arange(-n, n + 1)
         a, b = np.meshgrid(grid, grid, indexing="ij")
@@ -122,10 +118,6 @@ class ToralEndoAction:
     def lipschitz(self) -> float:
         # single-constant form lip T^u <= C^||u||_inf for the Z^2 action
         return self.generator_lipschitz**2
-
-    def apply(self, u: tuple[int, int], x: np.ndarray) -> np.ndarray:
-        mat = self.matrix_power(u[0] + 2 * u[1])
-        return (x @ mat.T) % 1.0
 
     def pair_bowen(self, points: np.ndarray, n: int):
         ks = sorted({a + 2 * b for a in range(-n, n + 1) for b in range(-n, n + 1)})

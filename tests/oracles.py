@@ -7,12 +7,25 @@ separate from the library's counting and search paths.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
-from slowent import rng
+from slowent import rng, toys
 from slowent.lattice import SYMBOL_NAMES, Box, Pattern, UsageError, box_sites, pattern_distance, site_add, sup_norm
+
+
+def symbol_at(p: Pattern, u: tuple[int, int]) -> int:
+    """The symbol of pattern p at site u of its box; the default where no cell is stored."""
+    assert u in p.box, (u, p.box)
+    return p.cells.get(u, p.default_symbol)
+
+
+def restricted(p: Pattern, radius: int) -> Pattern:
+    """Restriction of pattern p to the smaller box Q_radius."""
+    assert radius <= p.box.radius
+    sub = Box(radius)
+    return Pattern(sub, p.default_symbol, {u: s for u, s in p.cells.items() if u in sub})
 
 
 def dense_pattern_distance(a: Pattern, b: Pattern) -> Fraction:
@@ -21,7 +34,7 @@ def dense_pattern_distance(a: Pattern, b: Pattern) -> Fraction:
     differing = 0
     core = 0
     for u in a.box.sites():
-        sa, sb = a.symbol_at(u), b.symbol_at(u)
+        sa, sb = symbol_at(a, u), symbol_at(b, u)
         if sa != sb:
             differing += 1
         if sa != a.default_symbol or sb != b.default_symbol:
@@ -36,6 +49,16 @@ def brute_gamma(spacing: int, radius: int) -> set[tuple[int, int]]:
         for y in range(-radius, radius + 1)
         if x % spacing == 0 and y % spacing == 0
     }
+
+
+def gamma_axis(sched, j: int) -> list[int]:
+    """The axis of Gamma_j = Q_{s(j)} ∩ m(j)Z^2: the multiples of m(j) in [-s(j), s(j)]."""
+    return list(range(-sched.s(j), sched.s(j) + 1, sched.m(j)))
+
+
+def in_gamma(g, sched, j: int) -> bool:
+    """Membership of g in Gamma_j, coordinate by coordinate (Gamma_j for j >= 2 is too large to list)."""
+    return len(g) == 2 and all(a % sched.m(j) == 0 and abs(a) <= sched.s(j) for a in g)
 
 
 def brute_axis_sumset(levels: list[tuple[int, int]]) -> list[int]:
@@ -136,7 +159,7 @@ def brute_arrangement(sched, stage: int) -> BruteArrangement:
     """The stage-`stage` arrangement of the two-color construction, cell by cell.
 
     Stage 1 is one 1-colored cell. Stage i + 1 cuts the stage-i arrangement
-    into |Gamma_i| copies, pastes one at every offset of sched.level(i), and
+    into |Gamma_i| copies, pastes one at every offset of Gamma_i, and
     fills the rest of Q_{r(i+1)} with 0-colored cells created at stage i + 1.
     """
     color, prov = np.ones((1, 1), np.int8), np.ones((1, 1), np.int8)
@@ -144,7 +167,7 @@ def brute_arrangement(sched, stage: int) -> BruteArrangement:
     width = Fraction(1)
     for i in range(1, stage):
         r, big = sched.arrangement_radius(i), sched.r(i + 1)
-        offsets = sched.level(i).axis_values()
+        offsets = gamma_axis(sched, i)
         k, side = len(offsets), 2 * big + 1
         # one index run per offset along each axis; Gamma_i is a product of
         # one axis with itself, so copies overlap exactly when two runs do
@@ -201,7 +224,7 @@ def refine_by_offsets(base: Pattern, offsets) -> Pattern:
     for v in box.sites():
         sym = 0
         for f in offsets:
-            sym = 2 * sym + base.symbol_at(site_add(v, f))
+            sym = 2 * sym + symbol_at(base, site_add(v, f))
         if sym:
             cells[v] = sym
     return Pattern(box, 0, cells)
@@ -230,7 +253,7 @@ def brute_stage2_census(sched, n: int) -> dict:
     from slowent.cutstack import core_centroid, point_from_address
     from slowent.recurrence import centroid_decode_axes, recurrence_key
 
-    positions = sorted(sched.level(1).enumerate())
+    positions = list(product(gamma_axis(sched, 1), repeat=2))
     keys = set()
     decode_hits = 0
     for g in positions:
@@ -242,12 +265,24 @@ def brute_stage2_census(sched, n: int) -> dict:
     return {"positions": len(positions), "distinct_patterns": len(keys), "decode_hits": decode_hits, "window": n}
 
 
+def act(action, u: tuple[int, int], x: np.ndarray) -> np.ndarray:
+    """T^u x for a toy torus action, from its definition.
+
+    TranslationAction moves by u_1 V1 + u_2 V2; ToralEndoAction applies
+    M^(u_1 + 2 u_2). Both are taken mod 1, point by point.
+    """
+    if isinstance(action, toys.TranslationAction):
+        return (x + (np.array(action.V1) * u[0] + np.array(action.V2) * u[1])) % 1.0
+    assert isinstance(action, toys.ToralEndoAction)
+    return (x @ action.matrix_power(u[0] + 2 * u[1]).T) % 1.0
+
+
 def bowen_distance(action, base_metric, n: int, x, y) -> float:
     """sup over ||u||_inf <= n of base_metric(T^u x, T^u y), one orbit site at a time."""
     best = 0.0
     for ux in range(-n, n + 1):
         for uy in range(-n, n + 1):
-            d = base_metric(action.apply((ux, uy), x), action.apply((ux, uy), y))
+            d = base_metric(act(action, (ux, uy), x), act(action, (ux, uy), y))
             if d > best:
                 best = d
     return best
@@ -258,7 +293,7 @@ def brute_bowen_first_fit(action, base_metric, n: int, points, eps_list) -> list
 
     Same sup as `bowen_distance`, with T^u applied once per site to all points.
     """
-    moved = [action.apply((ux, uy), points) for ux in range(-n, n + 1) for uy in range(-n, n + 1)]
+    moved = [act(action, (ux, uy), points) for ux in range(-n, n + 1) for uy in range(-n, n + 1)]
     dist: dict[tuple[int, int], float] = {}
     sizes = []
     for eps in eps_list:

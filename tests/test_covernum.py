@@ -136,9 +136,9 @@ def test_cover_estimate_invariant():
     assert est.exact == 3
     assert est.lower <= est.exact <= est.upper
     with pytest.raises(UsageError):
-        CoverEstimate(3, 2, None, ("x",), Fraction(1), Fraction(0))
+        CoverEstimate(3, 2, None)
     with pytest.raises(UsageError):
-        CoverEstimate(1, 3, 5, ("x",), Fraction(1), Fraction(0))
+        CoverEstimate(1, 3, 5)
 
 
 def test_metric_sample_validation():

@@ -8,9 +8,18 @@ from hypothesis import strategies as st
 
 from slowent import cutstack as cs
 from slowent import expcli, rng
-from slowent.lattice import AxisSumset, GridSet, UsageError
+from slowent.lattice import AxisSumset, UsageError
 
-from oracles import axis_decompose, brute_arrangement, brute_gamma, brute_gamma_star_member, brute_window_ones
+from oracles import (
+    axis_decompose,
+    brute_arrangement,
+    brute_gamma,
+    brute_gamma_star_member,
+    brute_window_ones,
+    gamma_axis,
+    in_gamma,
+    restricted,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -85,19 +94,9 @@ def test_prod_r_diagnostic_reported(sched_default):
 
 
 def test_gamma_size_formula_and_enumeration(sched_default):
-    lvl = sched_default.level(1)
-    assert cs.gamma_size(lvl) == 361
-    assert brute_gamma(3, 27) == set(lvl.enumerate())
-    assert cs.gamma_size(sched_default.level(2)) == 6499**2 == 42237001
-
-
-def test_gamma_size_degenerate():
-    assert cs.gamma_size(GridSet(5, 5)) == 9
-
-
-def test_gamma_size_requires_divisibility():
-    with pytest.raises(UsageError):
-        cs.gamma_size(GridSet(5, 7))
+    assert cs.gamma_size(sched_default, 1) == 361
+    assert brute_gamma(3, 27) == {(x, y) for x in gamma_axis(sched_default, 1) for y in gamma_axis(sched_default, 1)}
+    assert cs.gamma_size(sched_default, 2) == len(gamma_axis(sched_default, 2)) ** 2 == 6499**2 == 42237001
 
 
 def test_gamma_star_size(sched_default):
@@ -151,10 +150,22 @@ def test_gamma_star_symmetry(sched_default):
 
 def test_gamma_star_centroid_zero(sched_default):
     sx = sy = 0
-    for x, y in sched_default.level(1).enumerate():
+    for x, y in brute_gamma(sched_default.m(1), sched_default.s(1)):
         sx += x
         sy += y
     assert (sx, sy) == (0, 0)
+
+
+@pytest.mark.parametrize("spec", expcli.DEFAULT_VARIANTS)
+def test_compose_meets_the_reach_bound(spec):
+    # |g_j| <= s(j) per coordinate bounds a composed site by r(stage) - r(1);
+    # the all-(+k) address meets the bound at every stage, and nothing passes it
+    sched = expcli.schedule_from_spec(spec)
+    for stage in range(1, sched.stages + 1):
+        reach = sched.r(stage) - sched.r(1)
+        top = [(sched.s(j), sched.s(j)) for j in range(1, stage)]
+        assert cs.compose(top, sched) == (reach, reach)
+        assert cs.compose([(-a, b) for a, b in top], sched) == (-reach, reach)
 
 
 def test_address_validation(sched_default):
@@ -204,7 +215,7 @@ def test_color_and_name_examples(sched_default):
     assert cs.color01_at(p, (1, 0)) == 0
     name3 = cs.name01(p, 3)
     assert set(name3.cells) == {(x, y) for x in (-3, 0, 3) for y in (-3, 0, 3)}
-    assert cs.name01(p, 27).restricted(3) == name3
+    assert restricted(cs.name01(p, 27), 3) == name3
 
 
 def test_name_zero_radius(sched_default):
@@ -303,18 +314,16 @@ def test_count_provenance_matches_locate(sched_default):
 
 def test_mass_ledger_values(sched_default):
     ledger = cs.mass_ledger(sched_default, 3)
-    assert ledger.width(1) == 1
-    assert ledger.width(2) == Fraction(1, 361)
-    assert ledger.stage_mass(1) == 1
-    assert ledger.stage_mass(2) == 9
+    assert ledger.widths[:2] == (1, Fraction(1, 361))
+    assert ledger.stage_masses[:2] == (1, 9)
     assert ledger.new_mass(2) == 8
     assert all(c == 1 for c in ledger.core_masses)
 
 
 def test_mass_ledger_c5_strictly_increasing(sched_c5):
     ledger = cs.mass_ledger(sched_c5, 3)
-    assert ledger.stage_mass(1) < ledger.stage_mass(2) < ledger.stage_mass(3)
-    assert ledger.stage_mass(2) == Fraction(435**2, 5329)
+    assert ledger.stage_masses[0] < ledger.stage_masses[1] < ledger.stage_masses[2]
+    assert ledger.stage_masses[1] == Fraction(435**2, 5329)
     assert all(c == 1 for c in ledger.core_masses)
 
 
@@ -333,12 +342,12 @@ BRUTE_CASES.append((cs.build_schedule(4, Fraction(1, 2), 2, 1), 3))  # r = 1, 10
 def test_lazy_construction_matches_brute_arrangement(sched, stage):
     arr = brute_arrangement(sched, stage)
     ledger = cs.mass_ledger(sched, stage)
-    assert ledger.width(stage) == arr.width
-    assert ledger.stage_mass(stage) == arr.color.size * arr.width
+    assert ledger.widths[stage - 1] == arr.width
+    assert ledger.stage_masses[stage - 1] == arr.color.size * arr.width
     assert ledger.new_mass(stage) == np.count_nonzero(arr.prov == stage) * arr.width
     assert ledger.mu_core(stage) == np.count_nonzero(arr.color) * arr.width
     # cutting and tiling conserves the previous stage's mass
-    assert ledger.stage_mass(stage - 1) == np.count_nonzero(arr.prov < stage) * arr.width
+    assert ledger.stage_masses[stage - 2] == np.count_nonzero(arr.prov < stage) * arr.width
     # 20 points with zero-filled higher levels, 300 sites of the arrangement each
     sites = np.random.default_rng(stage).integers(-arr.radius, arr.radius + 1, size=(20, 300, 2)).tolist()
     seen = set()
@@ -384,7 +393,7 @@ def test_stage4_sampling_all_schedules():
         p = cs.sample_point(sched, 4, seed=1)
         assert len(p.levels) == 3
         for j, g in enumerate(p.levels, start=1):
-            assert g in sched.level(j)
+            assert in_gamma(g, sched, j)
 
 
 def test_window_frame_consistency():
@@ -484,7 +493,7 @@ def test_stage2_window_factorizes(variant, data):
     # the window at (gx, gy) is X(gx) x X(gy): the x-axis of (gx, 0) and the
     # x-axis of (gy, 0), with |gy| up to s(1); the census relies on this
     sched = VARIANTS[variant]
-    axis = sched.level(1).axis_values()
+    axis = gamma_axis(sched, 1)
     gx, gy = data.draw(st.sampled_from(axis)), data.draw(st.sampled_from(axis))
     n = 2 * sched.r(2)
     p, px, py = (cs.point_from_address(sched, [g]) for g in ((gx, gy), (gx, 0), (gy, 0)))
@@ -501,4 +510,4 @@ def test_name_restriction_is_the_smaller_name(variant, data):
     p = cs.sample_point(sched, 3, data.draw(st.integers(0, 2**32 - 1)))
     n = data.draw(st.integers(0, 2 * sched.r(2)))
     m = data.draw(st.integers(0, n))
-    assert cs.name01(p, n).restricted(m) == cs.name01(p, m)
+    assert restricted(cs.name01(p, n), m) == cs.name01(p, m)

@@ -228,6 +228,20 @@ def test_cli_recur_sample_size_is_only_recorded(tmp_path):
     assert docs[0] == docs[1]
 
 
+@pytest.mark.parametrize("command", ["recur", "metric-props"])
+def test_cli_seed_is_only_recorded(tmp_path, command):
+    # both run exhaustive suites; the kinds benchmark still passes them --seed
+    res = _run_cli(command, "--help", cwd=tmp_path)
+    assert "--seed SEED unused by this command" in " ".join(res.stdout.split())
+    docs = []
+    for seed in ("1", "2"):
+        res = _run_cli(command, "--seed", seed, "--out", seed, cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        docs.append(json.loads((tmp_path / seed / "report.json").read_text()))
+    assert [doc["config"].pop("seed") for doc in docs] == [1, 2]
+    assert docs[0] == docs[1]
+
+
 def test_cli_schedule_build_and_check(tmp_path):
     res = _run_cli("schedule", "build", "--stages", "3", "--out-file", "s.txt", cwd=tmp_path)
     assert res.returncode == 0, res.stderr
@@ -307,6 +321,19 @@ def test_planted_top_level_peel_defect_fails_roundtrip(monkeypatch, spec):
     expcli.variant_suite(report, sched, "v")
     (roundtrip,) = [v for v in report.verdicts if v.name == "v/decompose-roundtrip"]
     assert roundtrip.status == "fail" and roundtrip.details["failures"] > 0
+
+
+@pytest.mark.parametrize("spec", expcli.DEFAULT_VARIANTS)
+def test_planted_axis_traversal_defect_fails_gamma1_count(monkeypatch, spec):
+    # a traversal that loses the last value of every window
+    sched = expcli.schedule_from_spec(spec)
+    values = lattice.AxisSumset.values
+    monkeypatch.setattr(lattice.AxisSumset, "values", lambda self, lo, hi, origin=0: values(self, lo, hi, origin)[:-1])
+    report = expcli.Report(config={})
+    expcli.variant_suite(report, sched, "v")
+    (count,) = [v for v in report.verdicts if v.name == "v/gamma1-count"]
+    k = sched.s(1) // sched.m(1)
+    assert count.status == "fail" and count.details == {"formula": (2 * k + 1) ** 2, "exhaustive": (2 * k) ** 2}
 
 
 @pytest.mark.parametrize("variant", range(3))

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import runpy
 from pathlib import Path
 
@@ -68,13 +69,36 @@ def _defined(tree: ast.Module) -> dict[str, ast.AST]:
     return out
 
 
+def _is_function(node: ast.AST) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+
+
+def _own_nodes(node: ast.AST) -> list[ast.AST]:
+    """The parts of a definition that run with it: a class without its methods."""
+    if not isinstance(node, ast.ClassDef):
+        return [node]
+    return [*node.decorator_list, *node.bases, *node.keywords, *(stmt for stmt in node.body if not _is_function(stmt))]
+
+
+def attributes_read(tree: ast.AST) -> set[str]:
+    return {sub.attr for sub in ast.walk(tree) if isinstance(sub, ast.Attribute)}
+
+
 class NameGraph:
-    """Module-level definitions of a package, joined by the names they read."""
+    """Module-level definitions and class members of a package, joined by the names they read."""
 
     def __init__(self, sources: dict[str, str]):
         trees = {module: ast.parse(src) for module, src in sources.items()}
         self.defs = {module: _defined(tree) for module, tree in trees.items()}
         self.imports = {module: _imported(tree) for module, tree in trees.items()}
+        self.nodes = {f"{m}.{name}": node for m, names in self.defs.items() for name, node in names.items()}
+        # "module.Class.member" -> ("module.Class", member) for the methods and properties of each class
+        self.members: dict[str, tuple[str, str]] = {}
+        for cls, node in list(self.nodes.items()):
+            for stmt in node.body if isinstance(node, ast.ClassDef) else []:
+                if _is_function(stmt):
+                    self.members[f"{cls}.{stmt.name}"] = (cls, stmt.name)
+                    self.nodes[f"{cls}.{stmt.name}"] = stmt
 
     def resolve(self, parts: list[str], module: str | None, imports: dict[str, str]) -> str | None:
         """The definition "module.name" that a dotted name reaches, if any."""
@@ -102,16 +126,31 @@ class NameGraph:
                 out.add(hit)
         return out
 
-    def unreached(self, roots: set[str]) -> list[str]:
-        seen, todo = set(), list(roots)
+    def unreached(self, roots: set[str], attributes: set[str] = frozenset()) -> list[str]:
+        """Definitions and class members that the roots do not reach.
+
+        A module-level definition is reached when reached code names it. A
+        method or property of a reached class is reached when reached code,
+        or `attributes` (read by code outside the package), reads an
+        attribute of its name; dunders are reached with their class.
+        """
+        seen, read, todo = set(), set(attributes), list(roots)
         while todo:
-            key = todo.pop()
-            if key in seen:
-                continue
-            seen.add(key)
-            module, name = key.split(".", 1)
-            todo.extend(self.reads(self.defs[module][name], module, self.imports[module]))
-        return sorted(f"{m}.{n}" for m, names in self.defs.items() for n in names if f"{m}.{n}" not in seen)
+            while todo:
+                key = todo.pop()
+                if key in seen:
+                    continue
+                seen.add(key)
+                module = key.split(".")[0]
+                for node in _own_nodes(self.nodes[key]):
+                    todo.extend(self.reads(node, module, self.imports[module]))
+                    read |= attributes_read(node)
+            todo = [
+                key
+                for key, (cls, name) in self.members.items()
+                if key not in seen and cls in seen and (name in read or name.startswith("__"))
+            ]
+        return sorted(key for key in self.nodes if key not in seen)
 
 
 def package_graph() -> NameGraph:
@@ -125,9 +164,22 @@ def entry_points(graph: NameGraph) -> set[str]:
     roots = {"cli.main"} | {f"expcli.{name}" for name in expcli.EXPERIMENT_RUNNERS.values()}
     layers = runpy.run_path(str(ROOT / "bench" / "layers.py"))
     for module, qualname, _ in [*layers["traced_functions"](), *layers["CLOSURES"]]:
-        roots.add(f"{module.removeprefix('slowent.')}.{qualname.split('.')[0]}")
+        module = module.removeprefix("slowent.")
+        roots |= {f"{module}.{qualname.split('.')[0]}", f"{module}.{qualname}"}
     queries = ast.parse((ROOT / "bench" / "queries.py").read_text())
     return roots | graph.reads(queries, None, _imported(queries))
+
+
+def bench_attributes() -> set[str]:
+    """Attribute names that the benchmark's query workload and worker read."""
+    return set().union(*(attributes_read(ast.parse((ROOT / "bench" / f).read_text())) for f in ("queries.py", "worker.py")))
+
+
+def overrides_outside_package(key: str) -> bool:
+    """Whether the member "module.Class.name" overrides a base class from outside the package."""
+    module, cls_name, name = key.split(".")
+    cls = getattr(importlib.import_module(f"slowent.{module}"), cls_name)
+    return any(name in vars(base) for base in cls.__mro__[1:] if not base.__module__.startswith("slowent"))
 
 
 A_SOURCE = """
@@ -135,7 +187,7 @@ from . import b
 from .b import g as h
 K = 1
 def main():
-    return b.f() + h()
+    return b.f() + h() + b.C().m()
 def spare():
     return K
 """
@@ -147,18 +199,26 @@ def f():
 def g():
     return 0
 class C:
+    def __init__(self):
+        self.k = a.K
     def m(self):
         return f()
+    def unread(self):
+        return a.spare()
 """
 
 
 def test_name_graph_follows_imports_and_attributes():
     graph = NameGraph({"a": A_SOURCE, "b": B_SOURCE})
-    assert graph.unreached({"a.main"}) == ["a.K", "a.spare", "b.C"]
-    assert graph.unreached({"b.C"}) == ["a.K", "a.main", "a.spare"]
+    # main reads .m, so C.m is reached; nothing reads .unread
+    assert graph.unreached({"a.main"}) == ["a.spare", "b.C.unread"]
+    # C's __init__ comes with the class; its methods need a read of their name
+    assert graph.unreached({"b.C"}) == ["a.main", "a.spare", "b.C.m", "b.C.unread", "b.f", "b.g"]
+    assert graph.unreached({"b.C"}, {"m"}) == ["a.main", "a.spare", "b.C.unread"]
 
 
 def test_every_definition_is_reachable():
     graph = package_graph()
-    unreached = graph.unreached(entry_points(graph))
+    unreached = graph.unreached(entry_points(graph), bench_attributes())
+    unreached = [key for key in unreached if key.count(".") == 1 or not overrides_outside_package(key)]
     assert not unreached, f"{len(unreached)} definitions reached from no entry point: {', '.join(unreached)}"

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slowent import cutstack as cs
 from slowent import rng
 from slowent.lattice import (
     AxisSumset,
     Box,
-    GridSet,
     Pattern,
     UsageError,
     box_site_count,
@@ -142,8 +142,9 @@ def dominating_levels(draw):
 def test_axis_sumset_matches_brute(levels, data):
     axis = AxisSumset(levels)
     full = brute_axis_sumset(levels)
-    lo = data.draw(st.integers(-axis.reach - 8, axis.reach + 8))
-    hi = data.draw(st.integers(lo - 2, axis.reach + 8))
+    reach = sum(s for _, s in levels)
+    lo = data.draw(st.integers(-reach - 8, reach + 8))
+    hi = data.draw(st.integers(lo - 2, reach + 8))
     h = data.draw(st.integers(0, 8))
     inside = sorted(x for x in full if lo <= x <= hi)
     assert axis.values(lo, hi) == inside
@@ -153,11 +154,16 @@ def test_axis_sumset_matches_brute(levels, data):
     assert axis.values(lo, hi, origin) == [x - origin for x in inside]
 
 
-def test_grid_membership():
-    g = GridSet(3, 27)
-    assert (0, 0) in g and (27, -27) in g
-    assert (1, 0) not in g and (30, 0) not in g
-    assert len(g) == 361
+def test_grid_membership(sched_default):
+    # Gamma_1 = Q_27 ∩ 3Z^2 on the default schedule, which builds three levels;
+    # compose and point_from_address share one membership check
+    assert cs.compose([(27, -27)], sched_default) == (27, -27)
+    assert cs.point_from_address(sched_default, [(27, -27)]).levels == [(27, -27)]
+    for levels in ([(1, 0)], [(30, 0)], [(0, 0, 0)], [(0, 0)] * sched_default.stages):
+        with pytest.raises(UsageError):
+            cs.compose(levels, sched_default)
+        with pytest.raises(UsageError):
+            cs.point_from_address(sched_default, levels)
 
 
 def test_pattern_text_round_trip():

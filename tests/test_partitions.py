@@ -5,7 +5,7 @@ from slowent import rng
 from slowent.lattice import Box, Pattern, pattern_distance
 from slowent.partitions import recurrence_metric
 
-from oracles import refine_by_offsets
+from oracles import refine_by_offsets, restricted, symbol_at
 
 
 def test_name_metric_examples():
@@ -84,7 +84,7 @@ def test_orbit_refinement_core_rule():
     expected = {
         u
         for u in Box(2).sites()
-        if x.symbol_at(u) == 1 or x.symbol_at((u[0] + 1, u[1])) == 1
+        if symbol_at(x, u) == 1 or symbol_at(x, (u[0] + 1, u[1])) == 1
     }
     assert refined.support() == expected
 
@@ -115,7 +115,7 @@ def test_orbit_refinement_bound():
     for i in range(400):
         x, y = _margin_agreeing_pair(23, i, radius=3, inner=2)
         d_ref = pattern_distance(refine_by_offsets(x, offsets), refine_by_offsets(y, offsets))
-        d_base = pattern_distance(x.restricted(2), y.restricted(2))
+        d_base = pattern_distance(restricted(x, 2), restricted(y, 2))
         assert d_ref <= 2 * d_base
 
 
@@ -128,7 +128,7 @@ def test_orbit_refinement_construction_count(sched_default):
     expected = {
         u
         for u in Box(24).sites()
-        if base.symbol_at(u) == 1 or base.symbol_at((u[0] + 3, u[1])) == 1
+        if symbol_at(base, u) == 1 or symbol_at(base, (u[0] + 3, u[1])) == 1
     }
     assert refined.support() == expected
     assert len(refined.cells) == 289

@@ -15,7 +15,7 @@ from slowent.recurrence import (
     rho_alpha_inequality_check,
 )
 
-from oracles import centroid_decode
+from oracles import brute_gamma, centroid_decode
 
 
 def test_recurrence_set_examples(sched_default):
@@ -112,7 +112,7 @@ def test_rho_alpha_inequality_check():
 
 
 def test_construction_counts_pass_inequality(sched_default):
-    positions = sorted(sched_default.level(1).enumerate())
+    positions = sorted(brute_gamma(sched_default.m(1), sched_default.s(1)))
     pts = [cs.point_from_address(sched_default, [g]) for g in positions[:50]]
     n = 2 * sched_default.r(2)
     count = len({recurrence_key(p, n) for p in pts})

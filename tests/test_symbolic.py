@@ -23,7 +23,7 @@ from slowent.symbolic import (
     separated_words_first_fit,
 )
 
-from oracles import brute_separated_words, pattern_from_text
+from oracles import brute_separated_words, pattern_from_text, symbol_at
 
 
 def translate_pattern(p, offset, radius):
@@ -99,8 +99,8 @@ def test_box_pattern_and_code_match_definitions(data):
     # erasure: a, b -> 1 and 0 -> 0, site by site over the whole box
     erased = apply_code(erasure_code(), p)
     assert erased.box == p.box
-    expected = {v: 0 if p.symbol_at(v) == 0 else 1 for v in p.box.sites()}
-    assert {v: erased.symbol_at(v) for v in p.box.sites()} == expected
+    expected = {v: 0 if symbol_at(p, v) == 0 else 1 for v in p.box.sites()}
+    assert {v: symbol_at(erased, v) for v in p.box.sites()} == expected
 
 
 def test_overlay_name_consistency(sched_default):
