@@ -32,11 +32,19 @@ def _positive_int(text: str) -> int:
 _UNUSED = "unused by this command (kept in the report config)"
 
 
-def _add_common(parser: argparse.ArgumentParser, seed_help: str | None) -> None:
-    parser.add_argument("--config", type=Path, help="JSON experiment config")
-    parser.add_argument("--seed", type=int, default=2024, help=seed_help)
-    parser.add_argument("--out", type=Path, default=Path("out"))
-    parser.add_argument("--format", choices=("csv", "json"), default="json")
+_COMMON_FLAGS = ("--config", "--seed", "--out", "--format")
+
+
+def _add_common(parser: argparse.ArgumentParser, flags: tuple[str, ...], seed_help: str | None) -> None:
+    """Add the common flags a command reads; a flag left out exits 2 when given."""
+    if "--config" in flags:
+        parser.add_argument("--config", type=Path, help="JSON experiment config")
+    if "--seed" in flags:
+        parser.add_argument("--seed", type=int, default=2024, help=seed_help)
+    if "--out" in flags:
+        parser.add_argument("--out", type=Path, default=Path("out"))
+    if "--format" in flags:
+        parser.add_argument("--format", choices=("csv", "json"), default="json")
 
 
 def _schedule_args(parser: argparse.ArgumentParser) -> None:
@@ -119,31 +127,31 @@ def main(argv: list[str] | None = None) -> int:
     p_check.add_argument("file", type=Path)
 
     p_sample = sub.add_parser("sample", help="sample construction points")
-    _add_common(p_sample, None)
+    _add_common(p_sample, ("--seed",), None)
     _schedule_args(p_sample)
     p_sample.add_argument("--stage", type=int, default=3)
     p_sample.add_argument("--count", type=_positive_int, default=5)
 
     p_names = sub.add_parser("names", help="emit a sampled point's name pattern")
-    _add_common(p_names, None)
+    _add_common(p_names, ("--seed",), None)
     _schedule_args(p_names)
     p_names.add_argument("--n", type=int, default=27)
     p_names.add_argument("--point-seed", type=int, default=0)
 
     p_dist = sub.add_parser("distmat", help="pairwise recurrence-metric distances for a sample")
-    _add_common(p_dist, None)
+    _add_common(p_dist, ("--seed", "--out"), None)
     _schedule_args(p_dist)
     p_dist.add_argument("--n", type=int, default=27)
     p_dist.add_argument("--sample-size", type=_positive_int, default=12)
 
     p_fit = sub.add_parser("fit", help="growth-exponent fit from a CSV of n,value rows")
-    _add_common(p_fit, None)
+    _add_common(p_fit, ("--out",), None)
     p_fit.add_argument("input", type=Path)
     p_fit.add_argument("--scale", choices=("slow", "exp"), default="slow")
 
     for command, (_, _, reads_schedule, reads_size, reads_seed, helptext) in _EXPERIMENT_COMMANDS.items():
         p = sub.add_parser(command, help=helptext)
-        _add_common(p, None if reads_seed else _UNUSED)
+        _add_common(p, _COMMON_FLAGS, None if reads_seed else _UNUSED)
         if reads_schedule:
             _schedule_args(p)
         # unset, the seed comes from the config (2024 by default)

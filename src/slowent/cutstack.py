@@ -238,8 +238,8 @@ def _check_levels(levels: Sequence[Site], sched: Schedule) -> None:
     """
     if len(levels) >= sched.stages:
         raise UsageError(f"address has {len(levels)} levels; the schedule builds {sched.stages - 1}")
-    for j, ((m, s), g) in enumerate(zip(sched.levels_1d(len(levels)), levels), start=1):
-        if len(g) != 2 or any(a % m or abs(a) > s for a in g):
+    for j, ((m, s), g) in enumerate(zip(sched._levels, levels), start=1):
+        if len(g) != 2 or g[0] % m or g[1] % m or abs(g[0]) > s or abs(g[1]) > s:
             raise UsageError(f"level-{j} offset {g} outside Gamma_{j}")
 
 
@@ -248,29 +248,41 @@ def _peel(w: Site, stage: int, sched: Schedule, slack: Callable[[int], int]) -> 
 
     Level l's offset is the unique multiple of m(l) within slack(l) of the
     remainder; m(l) > 2 r(l) >= 2 slack(l) rules out a second candidate.
-    Returns the peeled offsets (coarsest first) and the remainder.
+    The offsets of one coordinate never depend on the other, so each
+    coordinate is peeled through the levels on its own (one
+    AxisSumset.peel per level), and the levels both coordinates peeled are
+    kept. Returns the peeled offsets (coarsest first) and the remainder.
     """
     axis = sched.sumset(stage)
-    peeled: list[Site] = []
-    for l in range(stage - 1, 0, -1):
-        g = tuple(axis.peel(a, l - 1, slack(l)) for a in w)
-        if None in g:
-            break
-        peeled.append(g)
-        w = tuple(a - b for a, b in zip(w, g))
-    return peeled, w
+    tops = range(stage - 2, -1, -1)
+    slacks = [slack(t + 1) for t in tops]
+    per_axis = []
+    for a in w:
+        offsets = []
+        for t, room in zip(tops, slacks):
+            g = axis.peel(a, t, room)
+            if g is None:
+                break
+            offsets.append(g)
+            a -= g
+        per_axis.append((offsets, a))
+    (xs, x), (ys, y) = per_axis
+    depth = min(len(xs), len(ys))
+    return list(zip(xs, ys)), (x + sum(xs[depth:]), y + sum(ys[depth:]))
 
 
 def decompose(v: Site, stage: int, sched: Schedule) -> Address | None:
     """Unique representation of v over Gamma_{stage-1} + ... + Gamma_1, or None.
 
-    Works top-down: at level j the remainder must stay within the total
-    reach r(j) - r(1) of the lower levels, and m(j) > 2 r(j) forces at most
-    one candidate multiple per coordinate, so no backtracking is needed.
+    Works top-down, one coordinate at a time (_peel): at level j the
+    remainder must stay within the total reach r(j) - r(1) of the lower
+    levels, and m(j) > 2 r(j) forces at most one candidate multiple per
+    coordinate, so no backtracking is needed.
     """
     if stage < 1 or stage > sched.stages:
         raise UsageError(f"stage {stage} out of range 1..{sched.stages}")
-    peeled, rest = _peel(tuple(v), stage, sched, lambda j: sched.r(j) - sched.r(1))
+    radii = sched.radii
+    peeled, rest = _peel(tuple(v), stage, sched, lambda j: radii[j - 1] - radii[0])
     if len(peeled) < stage - 1 or any(rest):
         return None
     return Address(tuple(reversed(peeled)), stage)
@@ -410,10 +422,9 @@ def capped_window_axes(point: PointHandle, n: int) -> tuple[list[int], list[int]
 
 
 def name01(point: PointHandle, n: int) -> Pattern:
-    """The two-color name of radius n: sparse pattern with default 0."""
+    """The two-color name of radius n: sparse pattern with default 0, 1 on X x Y."""
     xs, ys = capped_window_axes(point, n)
-    cells = {(x, y): 1 for x in xs for y in ys}
-    return Pattern(Box(n), 0, cells)
+    return Pattern.product(Box(n), xs, ys)
 
 
 def core_count(point: PointHandle, n: int) -> int:

@@ -699,11 +699,15 @@ def variant_suite(report: Report, sched: Schedule, label: str) -> None:
     # Gamma_1 = A x A, so traversing the axis A counts every site
     exhaustive = len(sched.sumset(2).values(-sched.s(1), sched.s(1))) ** 2
     report.add(f"{label}/gamma1-count", "|Gamma_1| formula equals exhaustive count", formula == exhaustive, formula=formula, exhaustive=exhaustive)
-    gstar = cutstack.gamma_star_size(min(3, sched.stages), sched)
+    # Gamma*_{k-1} is the axis sumset taken twice, and every axis value lies
+    # within the reach r(k) - r(1); the sumset counts them from its own levels
+    k = min(3, sched.stages)
+    gstar = cutstack.gamma_star_size(k, sched)
+    reach = sched.r(k) - sched.r(1)
     report.add(
         f"{label}/gamma-star-product",
         "|Gamma*_i| equals the product of level sizes",
-        gstar == math.prod(cutstack.gamma_size(sched, j) for j in range(1, min(3, sched.stages))),
+        gstar == sched.sumset(k).count_sum(-reach, reach)[0] ** 2,
         value=gstar,
     )
     # decompose round trip over the per-axis extremes; combination i on x

@@ -9,10 +9,10 @@ rationals; floats never enter this module.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 Site = tuple[int, ...]
 
@@ -40,7 +40,7 @@ def box_sites(n: int) -> Iterator[Site]:
     """Iterate all sites of Q_n in lexicographic order."""
     if n < 0:
         raise UsageError(f"box radius must be >= 0, got {n}")
-    return product(range(-n, n + 1), repeat=2)
+    return itertools.product(range(-n, n + 1), repeat=2)
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,12 @@ class Box:
 
 @dataclass
 class Pattern:
-    """Sparse coloring of a box; cells holds only the non-default sites."""
+    """Sparse coloring of a box; cells holds only the non-default sites.
+
+    The constructor checks every cell against the box and the default
+    symbol. Pattern.product builds the two-color name over a product X x Y
+    and checks the box per axis instead, in |X| + |Y| steps.
+    """
 
     box: Box
     default_symbol: int
@@ -75,6 +80,17 @@ class Pattern:
                 raise UsageError(f"cell {u} outside box Q_{self.box.radius}")
             if sym == self.default_symbol:
                 raise UsageError(f"cell {u} stores the default symbol (not canonical)")
+
+    @classmethod
+    def product(cls, box: Box, xs: Sequence[int], ys: Sequence[int]) -> Pattern:
+        """The pattern with symbol 1 on xs x ys and default 0."""
+        r = box.radius
+        for axis in (xs, ys):
+            if axis and (min(axis) < -r or max(axis) > r):
+                raise UsageError(f"axis values {min(axis)}..{max(axis)} outside box Q_{r}")
+        pattern = cls.__new__(cls)
+        pattern.box, pattern.default_symbol, pattern.cells = box, 0, dict.fromkeys(itertools.product(xs, ys), 1)
+        return pattern
 
     def support(self) -> set[Site]:
         """Sites carrying a non-default symbol."""

@@ -7,10 +7,12 @@ and centroids all run on the two axis lists instead of the full site set.
 
 from __future__ import annotations
 
-import hashlib
 import math
+# not hashlib, which would load OpenSSL for nothing (see rng)
+from _blake2 import blake2b
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 from . import cutstack
@@ -21,7 +23,7 @@ from .lattice import Site, UsageError, box_site_count
 def recurrence_set(point: PointHandle, n: int) -> frozenset[Site]:
     """Return sites of the point within Q_n; exactly the 1-cells of its name."""
     xs, ys = cutstack.capped_window_axes(point, n)
-    return frozenset((x, y) for x in xs for y in ys)
+    return frozenset(product(xs, ys))
 
 
 def recurrence_count(point: PointHandle, n: int) -> int:
@@ -38,7 +40,7 @@ def recurrence_key(point: PointHandle, n: int) -> bytes:
     count exact.
     """
     xs, ys = cutstack.window_axes(point, n)
-    h = hashlib.blake2b(digest_size=16)
+    h = blake2b(digest_size=16)
     h.update(repr((n, xs, ys)).encode())
     return h.digest()
 

@@ -15,18 +15,20 @@ update or in several, so the values are the word-by-word ones.
 
 from __future__ import annotations
 
-import hashlib
 import struct
+# hashlib.blake2b is this same type; importing hashlib would also load
+# OpenSSL (about 3.4 MiB resident), which no hash here uses
+from _blake2 import blake2b
 from collections.abc import Iterable, Sequence
 
 _COUNTER_WORD = struct.Struct("<qq")
 
 
-def _keyed(seed: int, tag: str, indices: Sequence[int]) -> hashlib.blake2b:
+def _keyed(seed: int, tag: str, indices: Sequence[int]) -> blake2b:
     """The keyed hash state over (tag, indices), not yet finalized."""
     data = tag.encode("utf-8") + struct.pack(f"<{len(indices)}q", *indices)
     key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-    return hashlib.blake2b(data, digest_size=8, key=key)
+    return blake2b(data, digest_size=8, key=key)
 
 
 def stream_u64(seed: int, tag: str, *indices: int) -> int:

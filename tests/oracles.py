@@ -111,6 +111,25 @@ def axis_decompose(a: int, stage: int, sched) -> tuple[int, ...] | None:
     return tuple(reversed(peeled)) if a == 0 else None
 
 
+def peel_2d(w, stage: int, sched, slack) -> tuple[list[tuple[int, int]], tuple[int, int]]:
+    """Peel level offsets from w top-down, both coordinates together, while both peel.
+
+    Level by level, from level stage-1: each coordinate's offset is the one
+    AxisSumset.peel finds within slack(l) of the remainder, and the loop
+    stops at the first level where either coordinate has none. Returns the
+    peeled offsets (coarsest first) and the remainder.
+    """
+    axis = sched.sumset(stage)
+    peeled = []
+    for l in range(stage - 1, 0, -1):
+        g = tuple(axis.peel(a, l - 1, slack(l)) for a in w)
+        if None in g:
+            break
+        peeled.append(g)
+        w = tuple(a - b for a, b in zip(w, g))
+    return peeled, w
+
+
 def brute_exact_cover(masses: list[Fraction], dist: list[list[Fraction]], eps_diam: Fraction, eps_mass: Fraction) -> int:
     """Minimal partial cover by enumerating all diameter-feasible subsets."""
     n = len(masses)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from slowent import cutstack as cs
 from slowent import expcli, rng
-from slowent.lattice import AxisSumset, UsageError
+from slowent.lattice import AxisSumset, Box, Pattern, UsageError
 
 from oracles import (
     axis_decompose,
@@ -18,6 +18,7 @@ from oracles import (
     brute_window_ones,
     gamma_axis,
     in_gamma,
+    peel_2d,
     restricted,
 )
 
@@ -468,6 +469,70 @@ def test_decompose_is_the_pair_of_axis_peels_on_the_extremes(variant):
             assert cs.decompose((x, y), stage, sched).levels == tuple(zip(xs, ys))
             assert cs.decompose((x + 1, y), stage, sched) is None
             assert cs.decompose((x, y - 1), stage, sched) is None
+
+
+#: the two slack rules _peel runs under: decompose's reach of the finer
+#: levels, and locate_site's arrangement radius
+SLACK_RULES = {
+    "decompose": lambda sched: lambda j: sched.r(j) - sched.r(1),
+    "locate_site": lambda sched: sched.arrangement_radius,
+}
+
+
+@pytest.mark.parametrize("rule", SLACK_RULES)
+@pytest.mark.parametrize("variant", range(len(VARIANTS)))
+def test_peel_per_axis_matches_2d_peel_on_the_extremes(variant, rule):
+    # one step off a core site stops that coordinate's peel at some level
+    # while the other coordinate peels on, so the kept depths differ
+    sched = VARIANTS[variant]
+    slack = SLACK_RULES[rule](sched)
+    for stage in range(2, sched.stages + 1):
+        axis = expcli.axis_extremes(sched, stage)
+        for xs, ys in zip(axis, reversed(axis)):
+            x, y = sum(xs), sum(ys)
+            for w in ((x, y), (x + 1, y), (x, y - 1), (x - 1, y + 1)):
+                assert cs._peel(w, stage, sched, slack) == peel_2d(w, stage, sched, slack)
+
+
+@pytest.mark.parametrize("rule", SLACK_RULES)
+@pytest.mark.parametrize("variant", range(len(VARIANTS)))
+@exact
+@given(data=st.data())
+def test_peel_per_axis_matches_2d_peel_at_random_sites(variant, rule, data):
+    sched = VARIANTS[variant]
+    slack = SLACK_RULES[rule](sched)
+    stage = data.draw(st.integers(1, sched.stages))
+    core = cs.compose(data.draw(addresses(sched, stage)), sched)
+    jitter = st.integers(-3, 3) | st.integers(-sched.r(stage), sched.r(stage))
+    w = (core[0] + data.draw(jitter), core[1] + data.draw(jitter))
+    assert cs._peel(w, stage, sched, slack) == peel_2d(w, stage, sched, slack)
+
+
+@pytest.mark.parametrize("variant", range(len(VARIANTS)))
+@settings(exact, max_examples=10)
+@given(data=st.data())
+def test_product_pattern_equals_checked_pattern(variant, data):
+    sched = VARIANTS[variant]
+    n = data.draw(st.integers(0, 2 * sched.r(2)))
+    p = cs.sample_point(sched, 3, data.draw(st.integers(0, 2**32 - 1)))
+    box, values = Box(n), st.lists(st.integers(-n, n), max_size=6)
+    for xs, ys in (cs.window_axes(p, n), (data.draw(values), data.draw(values))):
+        assert Pattern.product(box, xs, ys) == Pattern(box, 0, {(x, y): 1 for x in xs for y in ys})
+        outside = data.draw(st.sampled_from((-n - 1, n + 1)))
+        for bad in (([*xs, outside], ys), (xs, [outside, *ys])):
+            with pytest.raises(UsageError):
+                Pattern.product(box, *bad)
+
+
+def test_name_checks_its_box_per_axis(monkeypatch):
+    # a per-cell check would ask the box about each of the |X| |Y| cells
+    calls = []
+    contains = Box.__contains__
+    monkeypatch.setattr(Box, "__contains__", lambda self, u: calls.append(u) or contains(self, u))
+    for sched in VARIANTS:
+        name = cs.name01(cs.sample_point(sched, 3, seed=5), 2 * sched.r(2))
+        assert (0, 0) in name.cells
+    assert not calls
 
 
 @pytest.mark.parametrize("variant", range(len(VARIANTS)))

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import slowent
-from slowent import expcli, lattice
+from slowent import cli, cutstack, expcli, lattice
 from slowent.lattice import Box, UsageError, pattern_distance
 
 from oracles import brute_stage2_census, pattern_from_text, random_axiom_violations, random_pattern
@@ -195,6 +195,29 @@ def test_cli_bad_input_exits_2(tmp_path, files, args):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (command, flag)
+        for command, dropped in (
+            (("fit", "d.csv"), ("--seed", "--config", "--format")),
+            (("sample",), ("--out", "--config", "--format")),
+            (("names",), ("--out", "--config", "--format")),
+            (("distmat", "--sample-size", "2"), ("--config", "--format")),
+        )
+        for flag in dropped
+    ],
+    ids=lambda value: value[0] if isinstance(value, tuple) else value,
+)
+def test_cli_rejects_common_flags_a_command_does_not_read(capsys, command, flag):
+    # parsing fails before the command reads any file
+    value = {"--seed": "1", "--config": "c.json", "--format": "csv", "--out": "o"}[flag]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, flag, value])
+    assert exc.value.code == 2
+    assert f"usage error: unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 def test_cli_seed_overrides_config(tmp_path):
     (tmp_path / "r.json").write_text('{"seed": 5, "sample_size": 3}')
     res = _run_cli("ratio-et", "--config", "r.json", "--out", "o", cwd=tmp_path)
@@ -334,6 +357,17 @@ def test_planted_axis_traversal_defect_fails_gamma1_count(monkeypatch, spec):
     (count,) = [v for v in report.verdicts if v.name == "v/gamma1-count"]
     k = sched.s(1) // sched.m(1)
     assert count.status == "fail" and count.details == {"formula": (2 * k + 1) ** 2, "exhaustive": (2 * k) ** 2}
+
+
+@pytest.mark.parametrize("spec", expcli.DEFAULT_VARIANTS)
+def test_planted_level_size_defect_fails_gamma_star_product(monkeypatch, spec):
+    # |Gamma*_2| then reads 7 * 7 while the axis sumset still counts its own values
+    sched = expcli.schedule_from_spec(spec)
+    monkeypatch.setattr(cutstack, "gamma_size", lambda sched, i: 7)
+    report = expcli.Report(config={})
+    expcli.variant_suite(report, sched, "v")
+    (product,) = [v for v in report.verdicts if v.name == "v/gamma-star-product"]
+    assert product.status == "fail" and product.details == {"value": 49}
 
 
 @pytest.mark.parametrize("variant", range(3))
