@@ -226,33 +226,49 @@ SITE_TYPES = tuple(t for t in itertools.product((0, 1, 2), repeat=3) if next((x 
 
 
 def site_type_counts(max_cells: int):
-    """Every count vector over SITE_TYPES that gives each pattern at most max_cells cells."""
+    """Every count vector over SITE_TYPES that gives each pattern at most max_cells cells.
 
-    def extend(k: int, loads: tuple[int, ...]):
-        if k == len(SITE_TYPES):
-            yield ()
-            return
-        count = 0
-        while max(loads) <= max_cells:
-            for rest in extend(k + 1, loads):
-                yield (count,) + rest
-            count += 1
-            loads = tuple(load + (x != 0) for load, x in zip(loads, SITE_TYPES[k]))
+    Yields them lazily in lexicographic order: each step adds one site to the
+    last type that still fits, clearing the types after it.
+    """
+    adds = [tuple(int(x != 0) for x in t) for t in SITE_TYPES]  # cells one site of each type adds to each pattern
+    counts = [0] * len(SITE_TYPES)
+    la = lb = lc = 0  # cells of each pattern so far
+    while True:
+        yield tuple(counts)
+        k = len(counts) - 1
+        while True:
+            wa, wb, wc = adds[k]
+            if la + wa <= max_cells and lb + wb <= max_cells and lc + wc <= max_cells:
+                counts[k] += 1
+                la, lb, lc = la + wa, lb + wb, lc + wc
+                break
+            c, counts[k] = counts[k], 0
+            la, lb, lc = la - c * wa, lb - c * wb, lc - c * wc
+            if k == 0:
+                return
+            k -= 1
 
-    yield from extend(0, (0, 0, 0))
+
+# the census box Q_2 and its sites in box order; a census triple uses at most 12
+CENSUS_BOX = Box(2)
+CENSUS_SITES = tuple(CENSUS_BOX.sites())
+# (pattern index, symbol) of the non-default symbols of each site type
+_TYPE_CELLS = tuple(tuple((p, sym) for p, sym in enumerate(t) if sym) for t in SITE_TYPES)
 
 
-def census_triple(counts: Sequence[int], box: Box) -> tuple[Pattern, Pattern, Pattern]:
-    """The three patterns of a count vector, its sites laid out in box order."""
-    sites = box.sites()
+def census_triple(counts: Sequence[int]) -> tuple[Pattern, Pattern, Pattern]:
+    """The three patterns of a count vector on CENSUS_BOX, its sites laid out in box order."""
+    if sum(counts) > len(CENSUS_SITES):
+        raise UsageError(f"{sum(counts)} sites do not fit in Q_{CENSUS_BOX.radius}")
     cells: tuple[dict, dict, dict] = ({}, {}, {})
-    for t, count in zip(SITE_TYPES, counts):
-        for _ in range(count):
-            u = next(sites)
-            for pattern_cells, sym in zip(cells, t):
-                if sym:
-                    pattern_cells[u] = sym
-    return Pattern(box, 0, cells[0]), Pattern(box, 0, cells[1]), Pattern(box, 0, cells[2])
+    end = 0
+    for type_cells, count in zip(_TYPE_CELLS, counts):
+        for u in CENSUS_SITES[end : end + count]:
+            for p, sym in type_cells:
+                cells[p][u] = sym
+        end += count
+    return Pattern(CENSUS_BOX, 0, cells[0]), Pattern(CENSUS_BOX, 0, cells[1]), Pattern(CENSUS_BOX, 0, cells[2])
 
 
 def metric_axiom_suite() -> dict:
@@ -268,7 +284,7 @@ def metric_axiom_suite() -> dict:
 
     sym_viol = ident_viol = tri_viol = triples = 0
     for counts in site_type_counts(4):
-        a, b, c = census_triple(counts, Box(2))
+        a, b, c = census_triple(counts)
         d_ab = pattern_distance(a, b)
         d_bc = pattern_distance(b, c)
         d_ac = pattern_distance(a, c)

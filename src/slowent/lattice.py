@@ -65,9 +65,10 @@ class Box:
 class Pattern:
     """Sparse coloring of a box; cells holds only the non-default sites.
 
-    The constructor checks every cell against the box and the default
-    symbol. Pattern.product builds the two-color name over a product X x Y
-    and checks the box per axis instead, in |X| + |Y| steps.
+    The constructor checks each cell in one pass: a site (x, y) inside the
+    box on both axes, carrying a symbol other than the default.
+    Pattern.product builds the two-color name over a product X x Y and
+    checks the box per axis instead, in |X| + |Y| steps.
     """
 
     box: Box
@@ -75,10 +76,13 @@ class Pattern:
     cells: dict[Site, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        r, default = self.box.radius, self.default_symbol
+        lo = -r
         for u, sym in self.cells.items():
-            if u not in self.box:
-                raise UsageError(f"cell {u} outside box Q_{self.box.radius}")
-            if sym == self.default_symbol:
+            # Box.__contains__, inlined
+            if len(u) != 2 or not (lo <= u[0] <= r and lo <= u[1] <= r):
+                raise UsageError(f"cell {u} outside box Q_{r}")
+            if sym == default:
                 raise UsageError(f"cell {u} stores the default symbol (not canonical)")
 
     @classmethod
@@ -92,10 +96,6 @@ class Pattern:
         pattern.box, pattern.default_symbol, pattern.cells = box, 0, dict.fromkeys(itertools.product(xs, ys), 1)
         return pattern
 
-    def support(self) -> set[Site]:
-        """Sites carrying a non-default symbol."""
-        return set(self.cells)
-
 
 def pattern_distance(a: Pattern, b: Pattern) -> Fraction:
     """Relative Hamming distance between two patterns over the same box.
@@ -103,16 +103,21 @@ def pattern_distance(a: Pattern, b: Pattern) -> Fraction:
     Counts disagreeing sites, normalized by the number of sites where either
     pattern is non-default, with the convention 0/0 = 0. Always in [0, 1],
     and a true metric on patterns over a fixed box.
+
+    Both counts come from the cell dicts' set views. Cells never store the
+    default symbol, so the union has |A| + |B| - |keys(A) & keys(B)| sites,
+    and a site differs unless both patterns store the same symbol there:
+    differing = union - |items(A) & items(B)|.
     """
     if a.box != b.box:
         raise UsageError("patterns live on different boxes")
     if a.default_symbol != b.default_symbol:
         raise UsageError("patterns have different default symbols")
-    union = a.support() | b.support()
+    ca, cb = a.cells, b.cells
+    union = len(ca) + len(cb) - len(ca.keys() & cb.keys())
     if not union:
         return Fraction(0)
-    differing = sum(1 for u in union if a.cells.get(u, a.default_symbol) != b.cells.get(u, b.default_symbol))
-    return Fraction(differing, len(union))
+    return Fraction(union - len(ca.items() & cb.items()), union)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,13 @@ from .lattice import Site
 
 
 def recurrence_metric(rx: set[Site] | frozenset[Site], ry: set[Site] | frozenset[Site]) -> Fraction:
-    """Symmetric difference over union of two return-site sets, 0/0 = 0."""
-    rx, ry = set(rx), set(ry)
-    union = rx | ry
+    """Symmetric difference over union of two return-site sets, 0/0 = 0.
+
+    Both sizes come from the intersection: |rx | ry| = |rx| + |ry| - |rx & ry|,
+    and the symmetric difference is the union less the intersection.
+    """
+    common = len(rx & ry)
+    union = len(rx) + len(ry) - common
     if not union:
         return Fraction(0)
-    return Fraction(len(rx ^ ry), len(union))
+    return Fraction(union - common, union)

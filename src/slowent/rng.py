@@ -72,10 +72,14 @@ def uniform_float(seed: int, tag: str, *indices: int) -> float:
 def fair_bits(seed: int, tag: str, sites: Iterable[Sequence[int]]) -> list[int]:
     """The low bit of stream_u64(seed, tag, *site) for each site, keying (seed, tag) once."""
     state = _keyed(seed, tag, ())
+    packers: dict[int, struct.Struct] = {}  # "<{n}q" by site length n
     bits = []
     for site in sites:
+        packer = packers.get(len(site))
+        if packer is None:
+            packer = packers[len(site)] = struct.Struct(f"<{len(site)}q")
         h = state.copy()
-        h.update(struct.pack(f"<{len(site)}q", *site))
+        h.update(packer.pack(*site))
         bits.append(h.digest()[0] & 1)
     return bits
 

@@ -64,7 +64,7 @@ class OverlayName:
     bits: dict[Site, int]
 
     def __post_init__(self) -> None:
-        if set(self.bits) != self.base.support():
+        if self.bits.keys() != self.base.cells.keys():
             raise UsageError("overlay bits must be defined exactly on the base 1-cells")
         if any(b not in (0, 1) for b in self.bits.values()):
             raise UsageError("overlay bits must be 0 (a) or 1 (b)")
@@ -85,8 +85,7 @@ def overlay_name(point: PointHandle, n: int) -> OverlayName:
     base = cutstack.name01(point, n)
     # key bits by the absolute window offset relative to the point, which is
     # the same site in every nested window
-    sites = base.support()
-    return OverlayName(base, dict(zip(sites, rng.fair_bits(point.overlay_seed, "overlay-bit", sites))))
+    return OverlayName(base, dict(zip(base.cells, rng.fair_bits(point.overlay_seed, "overlay-bit", base.cells))))
 
 
 # ---------------------------------------------------------------------------

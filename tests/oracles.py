@@ -368,3 +368,25 @@ def random_axiom_violations(seed: int, triples: int) -> dict:
         out["identity"] += (d_ab == 0) != (a == b)
         out["triangle"] += d_ac > d_ab + d_bc
     return out
+
+
+def recursive_site_type_counts(site_types, max_cells: int):
+    """Count vectors over site_types giving each pattern at most max_cells cells.
+
+    One generator per type, nested: the count of type k runs up from 0 while
+    every pattern's load stays within max_cells, so the vectors come out in
+    lexicographic order.
+    """
+
+    def extend(k: int, loads: tuple[int, ...]):
+        if k == len(site_types):
+            yield ()
+            return
+        count = 0
+        while max(loads) <= max_cells:
+            for rest in extend(k + 1, loads):
+                yield (count,) + rest
+            count += 1
+            loads = tuple(load + (x != 0) for load, x in zip(loads, site_types[k]))
+
+    yield from extend(0, (0,) * len(site_types[0]))

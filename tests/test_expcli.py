@@ -1,17 +1,25 @@
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import slowent
-from slowent import cli, cutstack, expcli, lattice
-from slowent.lattice import Box, UsageError, pattern_distance
+from slowent import cli, cutstack, expcli, lattice, symbolic
+from slowent.lattice import UsageError, pattern_distance
 
-from oracles import brute_stage2_census, pattern_from_text, random_axiom_violations, random_pattern
+from oracles import (
+    brute_stage2_census,
+    pattern_from_text,
+    random_axiom_violations,
+    random_pattern,
+    recursive_site_type_counts,
+)
 
 
 def test_config_from_json_validation():
@@ -370,6 +378,33 @@ def test_planted_level_size_defect_fails_gamma_star_product(monkeypatch, spec):
     assert product.status == "fail" and product.details == {"value": 49}
 
 
+def _global_verdict(name):
+    """The named global verdict of a verify_all run over no schedule variants."""
+    report = expcli.verify_all(expcli.ExperimentConfig(kind="verify-all", seed=2024), variants=())
+    (verdict,) = [v for v in report.verdicts if v.name == name]
+    return verdict
+
+
+def test_planted_symbol_blind_metric_fails_metric_axioms(monkeypatch):
+    # Jaccard distance of the supports: two patterns that differ only in
+    # their symbols read as distance 0
+    def jaccard(a, b):
+        union = a.cells.keys() | b.cells.keys()
+        return Fraction(len(a.cells.keys() ^ b.cells.keys()), len(union)) if union else Fraction(0)
+
+    monkeypatch.setattr(lattice, "pattern_distance", jaccard)
+    axioms = _global_verdict("global/metric-axioms")
+    assert axioms.status == "fail" and axioms.details["identity_violations"] == 465
+
+
+def test_planted_erasure_defect_fails_erasure_identity(monkeypatch):
+    # an erasure code that maps the letter b to 0 loses every b-cell of the base name
+    table = {0: 0, 1: 1, symbolic.A_SYMBOL: 1, symbolic.B_SYMBOL: 0}
+    monkeypatch.setattr(symbolic, "erasure_code", lambda: symbolic.SlidingBlockCode(table, input_default=0))
+    erasure = _global_verdict("global/erasure-identity")
+    assert erasure.status == "fail" and erasure.details == {"cases": 1000, "failures": 955}
+
+
 @pytest.mark.parametrize("variant", range(3))
 def test_stage2_census_matches_2d_oracle(variant):
     # the three variants whose 2-D census is cheap: 361, 3025 and 5329 positions
@@ -403,6 +438,30 @@ def test_metric_axioms_hold_on_random_triples():
     assert random_axiom_violations(seed=2024, triples=2000) == {"symmetry": 0, "identity": 0, "triangle": 0}
 
 
+@pytest.mark.parametrize("max_cells", [0, 1, 2, 4])
+def test_site_type_counts_is_lazy_and_matches_recursion(max_cells):
+    # a materialized census of 10,842 vectors costs about 5 MiB of peak memory
+    counts = expcli.site_type_counts(max_cells)
+    assert inspect.isgenerator(counts)
+    expected = list(recursive_site_type_counts(expcli.SITE_TYPES, max_cells))
+    assert list(counts) == expected
+    assert len(expected) == {0: 1, 1: 24, 2: 272, 4: 10_842}[max_cells]
+
+
+def test_census_triple_lays_out_sites_in_box_order():
+    counts = list(range(1, 14))  # one site of the first type, two of the second, ...
+    with pytest.raises(UsageError):
+        expcli.census_triple(counts)
+    counts = [0] * 13
+    counts[0], counts[-1] = 2, 3
+    a, b, c = expcli.census_triple(counts)
+    sites = list(expcli.CENSUS_BOX.sites())[:5]
+    assert expcli.SITE_TYPES[0] == (0, 0, 1) and expcli.SITE_TYPES[-1] == (1, 2, 2)
+    assert a.cells == dict.fromkeys(sites[2:], 1)
+    assert b.cells == dict.fromkeys(sites[2:], 2)
+    assert c.cells == {**dict.fromkeys(sites[:2], 1), **dict.fromkeys(sites[2:], 2)}
+
+
 def test_site_type_census_covers_random_triples():
     census = set(expcli.site_type_counts(4))
     assert len(census) == 10_842
@@ -416,7 +475,7 @@ def test_site_type_census_covers_random_triples():
             counts[expcli.SITE_TYPES.index(t)] += 1
         assert tuple(counts) in census
         a, b, c = triple
-        x, y, z = expcli.census_triple(counts, Box(2))
+        x, y, z = expcli.census_triple(counts)
         assert (pattern_distance(x, y), pattern_distance(y, z), pattern_distance(x, z)) == (
             pattern_distance(a, b),
             pattern_distance(b, c),

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -43,10 +44,20 @@ def test_sup_norm():
 
 
 def test_pattern_canonical_sparsity():
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="stores the default symbol"):
         Pattern(Box(1), 0, {(0, 0): 0})
-    with pytest.raises(UsageError):
-        Pattern(Box(1), 0, {(2, 0): 1})
+    with pytest.raises(UsageError, match="stores the default symbol"):
+        Pattern(Box(1), 3, {(0, 0): 1, (1, 1): 3})
+    # a site must be a pair inside the box on both axes, on either side
+    for u in ((0,), (0, 0, 0), (2, 0), (-2, 0), (0, 2), (0, -2), (2, -2)):
+        with pytest.raises(UsageError, match=re.escape(f"cell {u} outside box Q_1")):
+            Pattern(Box(1), 0, {(0, 0): 1, u: 1})
+    # cells are checked in order: the first bad cell names the error
+    with pytest.raises(UsageError, match="outside box"):
+        Pattern(Box(1), 0, {(5, 5): 0, (0, 0): 0})
+    with pytest.raises(UsageError, match="default symbol"):
+        Pattern(Box(1), 0, {(0, 0): 0, (5, 5): 1})
+    assert Pattern(Box(1), 0, {(-1, 1): 2, (1, -1): 3}).cells == {(-1, 1): 2, (1, -1): 3}
 
 
 def test_pattern_distance_examples():
@@ -90,6 +101,18 @@ def test_pattern_distance_matches_dense_oracle():
         a = _random_pattern(5, "a", i)
         b = _random_pattern(5, "b", i)
         assert pattern_distance(a, b) == dense_pattern_distance(a, b)
+
+
+# patterns on Q_2 with symbols {1, 2, 3}; drawing sites from Q_1 makes supports overlap
+SMALL_PATTERNS = st.dictionaries(
+    st.tuples(st.integers(-1, 1), st.integers(-1, 1)), st.integers(1, 3), max_size=9
+).map(lambda cells: Pattern(Box(2), 0, cells))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(a=SMALL_PATTERNS, b=SMALL_PATTERNS)
+def test_pattern_distance_matches_dense_oracle_on_overlapping_supports(a, b):
+    assert pattern_distance(a, b) == dense_pattern_distance(a, b)
 
 
 def test_pattern_distance_metric_axioms_random():

@@ -86,7 +86,7 @@ def test_orbit_refinement_core_rule():
         for u in Box(2).sites()
         if symbol_at(x, u) == 1 or symbol_at(x, (u[0] + 1, u[1])) == 1
     }
-    assert refined.support() == expected
+    assert set(refined.cells) == expected
 
 
 def _margin_agreeing_pair(seed, i, radius, inner):
@@ -130,5 +130,5 @@ def test_orbit_refinement_construction_count(sched_default):
         for u in Box(24).sites()
         if symbol_at(base, u) == 1 or symbol_at(base, (u[0] + 3, u[1])) == 1
     }
-    assert refined.support() == expected
+    assert set(refined.cells) == expected
     assert len(refined.cells) == 289

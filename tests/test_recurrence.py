@@ -30,7 +30,7 @@ def test_recurrence_set_examples(sched_default):
 def test_recurrence_set_is_name_support(sched_default):
     for i in range(4):
         p = cs.sample_point(sched_default, 3, seed=rng.derive_seed(3, "rs", i))
-        assert recurrence_set(p, 9) == cs.name01(p, 9).support()
+        assert recurrence_set(p, 9) == set(cs.name01(p, 9).cells)
         assert recurrence_count(p, 9) == len(cs.name01(p, 9).cells)
 
 

@@ -50,4 +50,4 @@ def test_fair_bits_match_fair_bit_site_by_site(seed, tag, sites):
 def test_overlay_name_bits_are_fair_bits_of_the_sites(sched_default):
     p = cs.sample_point(sched_default, 3, seed=77)
     name = overlay_name(p, 27)
-    assert name.bits == {v: rng.stream_u64(p.overlay_seed, "overlay-bit", *v) & 1 for v in name.base.support()}
+    assert name.bits == {v: rng.stream_u64(p.overlay_seed, "overlay-bit", *v) & 1 for v in name.base.cells}

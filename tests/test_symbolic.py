@@ -35,7 +35,7 @@ def translate_pattern(p, offset, radius):
 
 def overlay_from_word(base, word):
     """Overlay with bits read off an integer word over the sorted 1-cells."""
-    return OverlayName(base, {u: (word >> i) & 1 for i, u in enumerate(sorted(base.support()))})
+    return OverlayName(base, {u: (word >> i) & 1 for i, u in enumerate(sorted(base.cells))})
 
 
 def test_identity_code_restricts():
@@ -171,7 +171,7 @@ def test_overlay_distance_dominates_base_metric(sched_default):
         x = cs.sample_point(sched_default, 3, seed=rng.derive_seed(60, "a", i))
         y = cs.sample_point(sched_default, 3, seed=rng.derive_seed(60, "b", i))
         ox, oy = overlay_name(x, 6), overlay_name(y, 6)
-        base = recurrence_metric(ox.base.support(), oy.base.support())
+        base = recurrence_metric(set(ox.base.cells), set(oy.base.cells))
         assert pattern_distance(ox.flatten(), oy.flatten()) >= base
 
 
