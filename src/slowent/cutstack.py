@@ -449,14 +449,24 @@ def core_centroid(point: PointHandle, n: int) -> tuple[int, Fraction, Fraction]:
 
 
 def count_provenance_leq(point: PointHandle, n: int, prov_stage: int) -> int:
-    """Number of sites in Q_n around the point whose cell was created at a stage <= prov_stage."""
+    """Number of sites in Q_n around the point whose cell was created at a stage <= prov_stage.
+
+    In the stage-j arrangement those sites are the copies v + Q_{r(p)} of
+    the stage-p arrangement (p = prov_stage, radius 0 at p = 1) over the
+    sumset G_p + ... + G_{j-1}. Per axis the copies are pairwise disjoint:
+    m(p) > 2 r(p), and m(t) > 2 r(t) = 2 (r(p) + s(p) + ... + s(t-1)) for
+    t > p. So the thickened axis set is itself an AxisSumset, with the
+    interval [-r(p), r(p)] as its finest level (spacing 1), and its
+    constructor's dominance check verifies exactly this disjointness. The
+    count is then one interval count per axis, O(levels).
+    """
     j = point.determining_stage(n)
     if prov_stage >= j:
         return (2 * n + 1) ** 2
     u = point.position_at(j)
-    halfwidth = point.schedule.arrangement_radius(prov_stage)
-    axis = AxisSumset(point.schedule.levels_1d(j - 1)[prov_stage - 1 :])
-    return axis.covered(halfwidth, u[0] - n, u[0] + n) * axis.covered(halfwidth, u[1] - n, u[1] + n)
+    levels = [(1, point.schedule.arrangement_radius(prov_stage)), *point.schedule.levels_1d(j - 1)[prov_stage - 1 :]]
+    axis = AxisSumset(levels)
+    return axis.count_sum(u[0] - n, u[0] + n)[0] * axis.count_sum(u[1] - n, u[1] + n)[0]
 
 
 def locate_site(point: PointHandle, v: Site) -> tuple[int, Site]:

@@ -509,6 +509,10 @@ def run_recurrence(config: ExperimentConfig) -> Report:
 
 
 def run_overlay(config: ExperimentConfig) -> Report:
+    family_target = 256
+    if config.sample_size < family_target:
+        # a first-fit family never holds more words than it was given
+        raise UsageError(f"overlay needs a sample size of at least {family_target} names to reach 2^8, got {config.sample_size}")
     report = Report(config=_canonical(config))
     sched = config.schedule()
     core_size = 16
@@ -530,7 +534,7 @@ def run_overlay(config: ExperimentConfig) -> Report:
     report.add(
         "gv-sampled",
         "first-fit separated family over sampled overlay names reaches 2^8",
-        sampled >= 256,
+        sampled >= family_target,
         sampled_names=len(words),
         family=sampled,
     )

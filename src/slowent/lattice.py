@@ -68,7 +68,9 @@ class Pattern:
     The constructor checks each cell in one pass: a site (x, y) inside the
     box on both axes, carrying a symbol other than the default.
     Pattern.product builds the two-color name over a product X x Y and
-    checks the box per axis instead, in |X| + |Y| steps.
+    checks the box per axis instead, in |X| + |Y| steps. Pattern.unchecked
+    skips the check, for cells whose sites come from a checked pattern on
+    the same box and whose symbols differ from the default by construction.
     """
 
     box: Box
@@ -92,8 +94,13 @@ class Pattern:
         for axis in (xs, ys):
             if axis and (min(axis) < -r or max(axis) > r):
                 raise UsageError(f"axis values {min(axis)}..{max(axis)} outside box Q_{r}")
+        return cls.unchecked(box, 0, dict.fromkeys(itertools.product(xs, ys), 1))
+
+    @classmethod
+    def unchecked(cls, box: Box, default_symbol: int, cells: dict[Site, int]) -> Pattern:
+        """The pattern with these fields, built without the constructor's cell check."""
         pattern = cls.__new__(cls)
-        pattern.box, pattern.default_symbol, pattern.cells = box, 0, dict.fromkeys(itertools.product(xs, ys), 1)
+        pattern.box, pattern.default_symbol, pattern.cells = box, default_symbol, cells
         return pattern
 
 
@@ -207,31 +214,6 @@ class AxisSumset:
         for first, last, m in self._runs(lo, hi):
             out.extend(range(first - origin, last - origin + 1, m))
         return out
-
-    def covered(self, halfwidth: int, lo: int, hi: int) -> int:
-        """|(values + [-halfwidth, halfwidth]) ∩ [lo, hi]|.
-
-        Copies can abut or overlap when the spacing is tight, so the union is
-        merged interval by interval rather than multiplied out.
-        """
-        if lo > hi:
-            return 0
-        h = halfwidth
-        total, cur_lo, cur_hi = 0, lo, lo - 1
-        for first, last, m in self._runs(lo - h, hi + h):
-            if first < last and m > 2 * h + 1:
-                # disjoint copies; all but the first and last lie inside [lo, hi]
-                total += ((last - first) // m - 1) * (2 * h + 1)
-                pieces: tuple[tuple[int, int], ...] = ((first - h, first + h), (last - h, last + h))
-            else:
-                pieces = ((first - h, last + h),)
-            for a, b in pieces:
-                a, b = max(a, lo), min(b, hi)
-                if a > cur_hi + 1:
-                    total += cur_hi - cur_lo + 1
-                    cur_lo = a
-                cur_hi = max(cur_hi, b)
-        return total + cur_hi - cur_lo + 1
 
 
 # ---------------------------------------------------------------------------

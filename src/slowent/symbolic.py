@@ -31,7 +31,8 @@ def apply_code(code: SlidingBlockCode, input_pattern: Pattern) -> Pattern:
     """Map the symbol at every site through the code's table, on the same box.
 
     Default sites map to the image of the input default, so the sparse
-    result costs O(support), not O(box).
+    result costs O(support), not O(box). The result keeps only the input's
+    sites and only symbols other than its default, so it needs no cell check.
     """
     if input_pattern.default_symbol != code.input_default:
         raise UsageError("input default symbol does not match the code")
@@ -44,7 +45,7 @@ def apply_code(code: SlidingBlockCode, input_pattern: Pattern) -> Pattern:
             raise UsageError(f"symbol {sym} is not mapped by the code") from None
         if sym_out != default_out:
             cells[u] = sym_out
-    return Pattern(input_pattern.box, default_out, cells)
+    return Pattern.unchecked(input_pattern.box, default_out, cells)
 
 
 def erasure_code() -> SlidingBlockCode:
@@ -66,13 +67,13 @@ class OverlayName:
     def __post_init__(self) -> None:
         if self.bits.keys() != self.base.cells.keys():
             raise UsageError("overlay bits must be defined exactly on the base 1-cells")
-        if any(b not in (0, 1) for b in self.bits.values()):
+        if not set(self.bits.values()) <= {0, 1}:
             raise UsageError("overlay bits must be 0 (a) or 1 (b)")
 
     def flatten(self) -> Pattern:
-        """Pattern over {0, a, b} with default 0."""
+        """Pattern over {0, a, b} with default 0, on the base's checked sites."""
         cells = {u: (A_SYMBOL if b == 0 else B_SYMBOL) for u, b in self.bits.items()}
-        return Pattern(self.base.box, 0, cells)
+        return Pattern.unchecked(self.base.box, 0, cells)
 
 
 def overlay_name(point: PointHandle, n: int) -> OverlayName:

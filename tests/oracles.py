@@ -12,7 +12,17 @@ from itertools import combinations, product
 import numpy as np
 
 from slowent import rng, toys
-from slowent.lattice import SYMBOL_NAMES, Box, Pattern, UsageError, box_sites, pattern_distance, site_add, sup_norm
+from slowent.lattice import (
+    SYMBOL_NAMES,
+    AxisSumset,
+    Box,
+    Pattern,
+    UsageError,
+    box_sites,
+    pattern_distance,
+    site_add,
+    sup_norm,
+)
 
 
 def symbol_at(p: Pattern, u: tuple[int, int]) -> int:
@@ -210,6 +220,49 @@ def brute_window_ones(point, n: int) -> set[tuple[int, int]]:
     from slowent.cutstack import color01_at
 
     return {(x, y) for (x, y) in box_sites(n) if color01_at(point, (x, y)) == 1}
+
+
+def covered(axis: AxisSumset, halfwidth: int, lo: int, hi: int) -> int:
+    """|(values + [-halfwidth, halfwidth]) ∩ [lo, hi]|.
+
+    Copies can abut or overlap when the spacing is tight, so the union is
+    merged interval by interval rather than multiplied out.
+    """
+    if lo > hi:
+        return 0
+    h = halfwidth
+    total, cur_lo, cur_hi = 0, lo, lo - 1
+    for first, last, m in axis._runs(lo - h, hi + h):
+        if first < last and m > 2 * h + 1:
+            # disjoint copies; all but the first and last lie inside [lo, hi]
+            total += ((last - first) // m - 1) * (2 * h + 1)
+            pieces: tuple[tuple[int, int], ...] = ((first - h, first + h), (last - h, last + h))
+        else:
+            pieces = ((first - h, last + h),)
+        for a, b in pieces:
+            a, b = max(a, lo), min(b, hi)
+            if a > cur_hi + 1:
+                total += cur_hi - cur_lo + 1
+                cur_lo = a
+            cur_hi = max(cur_hi, b)
+    return total + cur_hi - cur_lo + 1
+
+
+def merged_provenance_count(point, n: int, prov_stage: int, halfwidth: int | None = None) -> int:
+    """count_provenance_leq by merging the window's runs of the finest level (covered).
+
+    The copies of the stage-`prov_stage` arrangement have the given
+    halfwidth, r(prov_stage) (0 at stage 1) when None. O(n): one merge step
+    per run of the sumset G_{prov_stage} + ... + G_{j-1} in the window.
+    """
+    j = point.determining_stage(n)
+    if prov_stage >= j:
+        return (2 * n + 1) ** 2
+    u = point.position_at(j)
+    if halfwidth is None:
+        halfwidth = point.schedule.arrangement_radius(prov_stage)
+    axis = AxisSumset(point.schedule.levels_1d(j - 1)[prov_stage - 1 :])
+    return covered(axis, halfwidth, u[0] - n, u[0] + n) * covered(axis, halfwidth, u[1] - n, u[1] + n)
 
 
 def centroid_decode(sites: frozenset[tuple[int, int]]) -> tuple[int, int]:

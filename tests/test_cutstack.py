@@ -18,6 +18,7 @@ from oracles import (
     brute_window_ones,
     gamma_axis,
     in_gamma,
+    merged_provenance_count,
     peel_2d,
     restricted,
 )
@@ -301,16 +302,21 @@ def test_locate_site_c5(sched_c5):
 
 
 def test_count_provenance_matches_locate(sched_default):
-    p = cs.sample_point(sched_default, 3, seed=31)
+    # a sampled point, and the corner of the stage-2 arrangement, whose
+    # window reaches into stage-3 cells
     n = 6
-    by_stage = {}
-    for x in range(-n, n + 1):
-        for y in range(-n, n + 1):
-            st, _ = cs.locate_site(p, (x, y))
-            by_stage[st] = by_stage.get(st, 0) + 1
-    for stage in (1, 2, 3):
-        expect = sum(c for s, c in by_stage.items() if s <= stage)
-        assert cs.count_provenance_leq(p, n, stage) == expect
+    for sched in (sched_default, *(expcli.schedule_from_spec(spec) for spec in expcli.DEFAULT_VARIANTS)):
+        corner = (sched.s(1), -sched.s(1))
+        for p in (cs.sample_point(sched, 3, seed=31), cs.point_from_address(sched, [corner])):
+            by_stage = {}
+            for x in range(-n, n + 1):
+                for y in range(-n, n + 1):
+                    st, _ = cs.locate_site(p, (x, y))
+                    by_stage[st] = by_stage.get(st, 0) + 1
+            assert len(by_stage) >= 2
+            for stage in (1, 2, 3):
+                expect = sum(c for s, c in by_stage.items() if s <= stage)
+                assert cs.count_provenance_leq(p, n, stage) == expect
 
 
 def test_mass_ledger_values(sched_default):
@@ -576,3 +582,33 @@ def test_name_restriction_is_the_smaller_name(variant, data):
     n = data.draw(st.integers(0, 2 * sched.r(2)))
     m = data.draw(st.integers(0, n))
     assert restricted(cs.name01(p, n), m) == cs.name01(p, m)
+
+
+@pytest.mark.parametrize("variant", range(len(VARIANTS)))
+@exact
+@given(data=st.data())
+def test_count_provenance_matches_merged_runs(variant, data):
+    # the closed form against the merge of the window's finest-level runs;
+    # windows around the corner of an arrangement reach newer cells
+    sched = VARIANTS[variant]
+    stage = data.draw(st.integers(1, 4))
+    corner = [(sched.s(j), -sched.s(j)) for j in range(1, stage)]
+    p = cs.point_from_address(sched, data.draw(addresses(sched, stage) | st.just(corner)))
+    n = data.draw(st.integers(0, 64) | st.integers(10**3, 10**5))
+    j = p.determining_stage(n)
+    for prov_stage in range(1, j):
+        assert cs.count_provenance_leq(p, n, prov_stage) == merged_provenance_count(p, n, prov_stage)
+
+
+def test_count_provenance_never_walks_runs(monkeypatch):
+    # a walk of the window's runs would take O(n) steps; n here has 90-258 digits
+    def walk(self, lo, hi):
+        raise AssertionError("count_provenance_leq walked the runs of a window")
+
+    monkeypatch.setattr(AxisSumset, "_runs", walk)
+    for sched in VARIANTS:
+        n = sched.r(5) // 3
+        for p in (cs.point_from_address(sched, []), cs.point_from_address(sched, cs.sample_point(sched, 5, seed=7).levels)):
+            counts = [cs.count_provenance_leq(p, n, prov_stage) for prov_stage in range(1, 6)]
+            assert counts[0] == cs.core_count(p, n)
+            assert counts == sorted(counts) and counts[-1] <= (2 * n + 1) ** 2

@@ -15,6 +15,7 @@ from slowent.lattice import UsageError, pattern_distance
 
 from oracles import (
     brute_stage2_census,
+    merged_provenance_count,
     pattern_from_text,
     random_axiom_violations,
     random_pattern,
@@ -154,6 +155,7 @@ def _run_cli(*args: str, cwd: Path):
             ("metric-props", "--config", "c.json", "--out", "o"),
         ),
         ({"c.json": "[1]"}, ("cover", "--config", "c.json", "--out", "o")),
+        ({}, ("overlay", "--sample-size", "255", "--out", "o")),
     ],
     ids=[
         "fit-row",
@@ -192,6 +194,7 @@ def _run_cli(*args: str, cwd: Path):
         "verify-config-schedule",
         "metric-props-config-schedule",
         "config-not-object",
+        "overlay-size-below-256",
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, files, args):
@@ -403,6 +406,20 @@ def test_planted_erasure_defect_fails_erasure_identity(monkeypatch):
     monkeypatch.setattr(symbolic, "erasure_code", lambda: symbolic.SlidingBlockCode(table, input_default=0))
     erasure = _global_verdict("global/erasure-identity")
     assert erasure.status == "fail" and erasure.details == {"cases": 1000, "failures": 955}
+
+
+def test_planted_unthickened_provenance_fails_ratio_ergodic(monkeypatch):
+    # provenance counts that drop the thickening count only the centres of
+    # the stage-p copies, so "stage <= 2" reads fewer sites than "stage <= 1"
+    monkeypatch.setattr(cutstack, "count_provenance_leq", lambda p, n, prov_stage: merged_provenance_count(p, n, prov_stage, 0))
+    report = expcli.run_ratio_et(expcli.ExperimentConfig(kind="ratio-et", seed=2024, sample_size=40))
+    (ratio,) = report.verdicts
+    assert ratio.name == "ratio-ergodic" and ratio.status == "fail" and ratio.details["median_ratio"] < 0
+
+
+def test_overlay_refuses_samples_too_small_to_reach_the_target():
+    with pytest.raises(UsageError, match="256"):
+        expcli.run_overlay(expcli.ExperimentConfig(kind="overlay", sample_size=255))
 
 
 @pytest.mark.parametrize("variant", range(3))

@@ -18,7 +18,7 @@ from slowent.lattice import (
     sup_norm,
 )
 
-from oracles import brute_axis_sumset, dense_pattern_distance, pattern_from_text
+from oracles import brute_axis_sumset, covered, dense_pattern_distance, pattern_from_text
 
 
 def test_box_site_count_examples():
@@ -172,7 +172,15 @@ def test_axis_sumset_matches_brute(levels, data):
     inside = sorted(x for x in full if lo <= x <= hi)
     assert axis.values(lo, hi) == inside
     assert axis.count_sum(lo, hi) == (len(inside), sum(inside))
-    assert axis.covered(h, lo, hi) == len({y for x in full for y in range(x - h, x + h + 1) if lo <= y <= hi})
+    thickened = {y for x in full for y in range(x - h, x + h + 1) if lo <= y <= hi}
+    assert covered(axis, h, lo, hi) == len(thickened)
+    # the copies x + [-h, h] are pairwise disjoint exactly when the levels
+    # still dominate with [-h, h] as the finest level
+    if all(m > 2 * (h + sum(s for _, s in levels[:t])) for t, (m, _) in enumerate(levels)):
+        assert AxisSumset([(1, h), *levels]).count_sum(lo, hi)[0] == len(thickened)
+    else:
+        with pytest.raises(UsageError):
+            AxisSumset([(1, h), *levels])
     origin = data.draw(st.integers(lo - 8, hi + 8))
     assert axis.values(lo, hi, origin) == [x - origin for x in inside]
 

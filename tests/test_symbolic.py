@@ -144,6 +144,20 @@ def test_overlay_validation():
         OverlayName(base, {(0, 0): 7})
 
 
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(data=st.data())
+def test_unchecked_outputs_pass_the_cell_check(data):
+    # flatten and apply_code build their results without Pattern's cell
+    # check; the checked constructor accepts them and builds equal patterns
+    box = Box(2)
+    ones = data.draw(st.sets(st.sampled_from(list(box.sites())), max_size=12))
+    base = Pattern(box, 0, dict.fromkeys(ones, 1))
+    flat = OverlayName(base, {u: data.draw(st.integers(0, 1)) for u in ones}).flatten()
+    recolor = SlidingBlockCode({0: B_SYMBOL, 1: 1, A_SYMBOL: B_SYMBOL, B_SYMBOL: 0}, input_default=0)
+    for q in (flat, apply_code(erasure_code(), flat), apply_code(recolor, flat)):
+        assert Pattern(q.box, q.default_symbol, dict(q.cells)) == q
+
+
 def test_overlay_distance_examples():
     # the name metric of the partition {0 | a, b} is the pattern metric on flattened overlay names
     base = Pattern(Box(2), 0, {(x, y): 1 for x in (-2, 0, 2) for y in (0, 1)})
