@@ -68,8 +68,8 @@ def _schedule_from_args(args: argparse.Namespace) -> cutstack.Schedule:
 
 
 def _load_config(args: argparse.Namespace) -> expcli.ExperimentConfig:
-    """The config file's or the command's defaults, then the given --seed and --sample-size."""
-    kind, default_size, reads_schedule, _, _, _ = _EXPERIMENT_COMMANDS[args.command]
+    """The config file, or a config of the command's schedule flags; then the given --seed and --sample-size."""
+    reads_schedule = expcli.COMMANDS[args.command].reads_schedule
     if args.config:
         if any(getattr(args, key, None) is not None for key in (*expcli.DEFAULT_SCHEDULE_SPEC, "schedule_file")):
             raise UsageError("schedule flags cannot be combined with --config: give the schedule in the config")
@@ -78,14 +78,12 @@ def _load_config(args: argparse.Namespace) -> expcli.ExperimentConfig:
             raise UsageError("config must be a JSON object")
         if "schedule" in doc and not reads_schedule:
             raise UsageError(f"{args.command} reads no schedule, so its config cannot have a 'schedule' field")
-        doc.setdefault("kind", kind)
-        config = expcli.config_from_json(doc)
-        if config.kind != kind:
-            raise UsageError(f"config kind {config.kind!r} does not match subcommand {kind!r}")
+        doc.setdefault("kind", args.command)
     else:
-        config = expcli.ExperimentConfig(kind=kind, sample_size=default_size)
-        if reads_schedule:
-            config = dataclasses.replace(config, schedule_spec=_schedule_spec(args))
+        doc = {"kind": args.command, **({"schedule": _schedule_spec(args)} if reads_schedule else {})}
+    config = expcli.config_from_json(doc)
+    if config.kind != args.command:
+        raise UsageError(f"config kind {config.kind!r} does not match subcommand {args.command!r}")
     given = {"seed": args.seed, "sample_size": args.sample_size}
     return dataclasses.replace(config, **{key: value for key, value in given.items() if value is not None})
 
@@ -97,21 +95,6 @@ def _emit(report: expcli.Report, args: argparse.Namespace) -> int:
         print(f"[{v.status.upper():8s}] {v.name}: {v.invariant}")
     print(f"report: {path}")
     return 1 if failed else 0
-
-
-# subcommand: (experiment kind, default sample size, reads a schedule, reads its
-# sample size, reads its seed, help). A command that reads no schedule records
-# the default spec in its report config; one that runs a fixed-size suite
-# records its size, and an exhaustive one records its seed.
-_EXPERIMENT_COMMANDS = {
-    "cover": ("cover-scan", 12, True, True, True, "cover-number scan over construction samples"),
-    "recur": ("recurrence", 50, True, False, False, "recurrence census, alpha fit, binomial bound"),
-    "overlay": ("overlay", 10_000, True, True, True, "overlay separation bounds and erasure identity"),
-    "ratio-et": ("ratio-et", 100, True, True, True, "ratio ergodic theorem visit-count check"),
-    "bowen": ("bowen", 500, False, True, True, "Bowen metric checks on toy torus actions"),
-    "verify": ("verify-all", 50, False, False, True, "full claim-verification matrix"),
-    "metric-props": ("metric-props", 100_000, False, False, False, "pattern metric axiom suite"),
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -149,10 +132,10 @@ def main(argv: list[str] | None = None) -> int:
     p_fit.add_argument("input", type=Path)
     p_fit.add_argument("--scale", choices=("slow", "exp"), default="slow")
 
-    for command, (_, _, reads_schedule, reads_size, reads_seed, helptext) in _EXPERIMENT_COMMANDS.items():
-        p = sub.add_parser(command, help=helptext)
-        _add_common(p, _COMMON_FLAGS, None if reads_seed else _UNUSED)
-        if reads_schedule:
+    for name, command in expcli.COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        _add_common(p, _COMMON_FLAGS, None if command.reads_seed else _UNUSED)
+        if command.reads_schedule:
             _schedule_args(p)
         # unset, the seed comes from the config (2024 by default)
         p.set_defaults(seed=None)
@@ -160,7 +143,7 @@ def main(argv: list[str] | None = None) -> int:
             "--sample-size",
             type=_positive_int,
             default=None,
-            help=None if reads_size else _UNUSED,
+            help=None if command.reads_sample_size else _UNUSED,
         )
 
     args = parser.parse_args(argv)

@@ -315,7 +315,8 @@ def alpha_fit(recurrence_counts: Sequence[tuple[int, int]]) -> GrowthFit:
 
     Pointwise values log|R_n| / log|Q_n| stand in for the limsup (their max
     is reported as the limsup surrogate); the regression slope of log|R_n|
-    against log|Q_n| is the fitted exponent.
+    against log|Q_n| is the fitted exponent. The samples keep the counts as
+    exact ints, and every log is taken from them, so no scale leaves float range.
     """
     pts = list(recurrence_counts)
     if any(c < 1 for _, c in pts):
@@ -334,7 +335,7 @@ def alpha_fit(recurrence_counts: Sequence[tuple[int, int]]) -> GrowthFit:
     best_n, best = max(pointwise, key=lambda t: (t[1], -t[0]))
     return GrowthFit(
         scale="alpha",
-        samples=tuple((n, float(c)) for n, c in pts),
+        samples=tuple((n, c) for n, c in pts),
         exponent=slope,
         residual=resid,
         window=tuple(n for n, _ in pts),

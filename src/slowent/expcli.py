@@ -15,9 +15,10 @@ import math
 import statistics
 import time
 from dataclasses import dataclass, field
+from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,17 +28,29 @@ from .cutstack import Schedule
 from .lattice import Box, Pattern, UsageError, box_site_count
 from .partitions import recurrence_metric
 
-# experiment kind: the name of its runner in this module. run_experiment looks
-# the name up when it runs, so a function rebound on the module after import
-# (a tracing wrapper) is the one that runs.
-EXPERIMENT_RUNNERS = {
-    "metric-props": "run_metric_props",
-    "cover-scan": "run_cover_scan",
-    "recurrence": "run_recurrence",
-    "overlay": "run_overlay",
-    "ratio-et": "run_ratio_et",
-    "bowen": "run_bowen",
-    "verify-all": "verify_all",
+
+class Command(NamedTuple):
+    """An experiment command. A command that reads no schedule records the
+    default spec in its report config; one that runs a fixed-size suite
+    records its sample size, and an exhaustive one records its seed."""
+
+    runner: str  # looked up in this module when it runs, so a function rebound after import (a tracing wrapper) runs
+    sample_size: int  # the default, for the CLI and for a config file without one
+    reads_schedule: bool
+    reads_sample_size: bool
+    reads_seed: bool
+    help: str
+
+
+# command name, which is also the config kind -> command
+COMMANDS = {
+    "cover": Command("run_cover_scan", 12, True, True, True, "cover-number scan over construction samples"),
+    "recur": Command("run_recurrence", 50, True, False, False, "recurrence census, alpha fit, binomial bound"),
+    "overlay": Command("run_overlay", 10_000, True, True, True, "overlay separation bounds and erasure identity"),
+    "ratio-et": Command("run_ratio_et", 100, True, True, True, "ratio ergodic theorem visit-count check"),
+    "bowen": Command("run_bowen", 500, False, True, True, "Bowen metric checks on toy torus actions"),
+    "verify": Command("verify_all", 50, False, False, True, "full claim-verification matrix"),
+    "metric-props": Command("run_metric_props", 100_000, False, False, False, "pattern metric axiom suite"),
 }
 
 
@@ -94,12 +107,12 @@ def config_from_json(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise UsageError("config must be a JSON object")
     kind = doc.get("kind")
-    if kind not in EXPERIMENT_RUNNERS:
-        raise UsageError(f"config field 'kind' must be one of {tuple(EXPERIMENT_RUNNERS)}, got {kind!r}")
+    if kind not in COMMANDS:
+        raise UsageError(f"config field 'kind' must be one of {tuple(COMMANDS)}, got {kind!r}")
     seed = doc.get("seed", 2024)
     if not _json_int(seed):
         raise UsageError("config field 'seed' must be an integer")
-    sample_size = doc.get("sample_size", 50)
+    sample_size = doc.get("sample_size", COMMANDS[kind].sample_size)
     if not _json_int(sample_size) or sample_size < 1:
         raise UsageError("config field 'sample_size' must be a positive integer")
     scales = doc.get("scales")
@@ -133,30 +146,84 @@ def config_from_json(doc: dict) -> ExperimentConfig:
 # Reports
 
 
+class Claim(Enum):
+    """Every claim a report can hold: its verdict name, the invariant it is
+    asserted under, and the text it is only reported under (for a claim that
+    tight spacing degenerates, or a diagnostic that is never asserted)."""
+
+    def __init__(self, key: str, invariant: str | None, note: str | None) -> None:
+        self.key, self.invariant, self.note = key, invariant, note
+
+    SCHEDULE_VALIDATES = ("schedule-validates", "schedule validates", None)
+    GAMMA1_COUNT = ("gamma1-count", "|Gamma_1| formula equals exhaustive count", None)
+    GAMMA_STAR_PRODUCT = ("gamma-star-product", "|Gamma*_i| equals the product of level sizes", None)
+    DECOMPOSE_ROUNDTRIP = ("decompose-roundtrip", "decompose inverts compose exactly", None)
+    CORE_MASS = ("core-mass", "mu(A) = 1 at every stage", None)
+    MASS_INCREASING = (
+        "mass-increasing",
+        "stage masses strictly increase (infinite total mass surrogate)",
+        "stage masses (minimal spacing tiles exactly from stage 2, so the surrogate saturates)",
+    )
+    STAGE2_CENSUS = (
+        "stage2-census",
+        "recurrence patterns injective over stage-2 positions; centroid decoder exact",
+        "recurrence pattern census (tight spacing degenerates to a full grid)",
+    )
+    ALPHA_VS_THETA = ("alpha-vs-theta", "measured alpha limsup within 0.1 of 1 - theta", None)
+    GAMMA_EXPONENT_VS_THETA = ("gamma-exponent-vs-theta", "per-level log-size slope within 0.1 of 2 (1 - theta)", None)
+    GAMMA_STAR_RAW_RATIOS = (
+        "gamma-star-raw-ratios",
+        None,
+        "raw log|Gamma*_i| / log r(i+1) (tends to 2 under greedy growth)",
+    )
+    RHO_ALPHA_BOUND = ("rho-alpha-bound", "cover count obeys the binomial bound at the claim scale", None)
+    PROD_R_DIAGNOSTIC = ("prod-r-diagnostic", None, "log prod r(j) / log r(i); fast growth would make this 1 + o(1)")
+    METRIC_AXIOMS = ("metric-axioms", "pattern metric axioms hold exactly", None)
+    COVER_SANDWICH = ("cover-sandwich", "separation <= exact <= greedy on random instances", None)
+    GV_EXHAUSTIVE = (
+        "gv-exhaustive",
+        "first-fit separated family over the full coloring cube reaches the sphere-covering bound",
+        None,
+    )
+    GV_SAMPLED = ("gv-sampled", "first-fit separated family over sampled overlay names reaches 2^8", None)
+    ERASURE_IDENTITY = ("erasure-identity", "erasing overlay letters recovers the base name exactly", None)
+    RATIO_ERGODIC = (
+        "ratio-ergodic",
+        "median core / stage-2-provenance visit ratio within 15% of the ledger mass ratio",
+        None,
+    )
+    BOWEN_ISOMETRY = ("bowen-isometry", "translations: sep(d_n, eps) equals sep(d, eps) at every tested n", None)
+    LIPSCHITZ_ORBIT_BOUND = ("lipschitz-orbit-bound", "d_n(x, y) <= C^n d(x, y) for the declared per-orbit constant", None)
+    BOWEN_LIPSCHITZ_GROWTH = ("bowen-lipschitz-growth", "sep(d_n, eps) <= C^n / eps^C for the Lipschitz pair", None)
+
+
 @dataclass
 class Verdict:
     name: str
     invariant: str
     status: str  # pass | fail | reported
-    details: dict = field(default_factory=dict)
+    details: dict
 
 
 @dataclass
 class Report:
     config: dict
-    verdicts: list[Verdict] = field(default_factory=list)
-    tables: dict[str, list[dict]] = field(default_factory=dict)
-    exponents: dict[str, float] = field(default_factory=dict)
-    runtime_seconds: float | None = None
+    verdicts: list[Verdict] = field(init=False, default_factory=list)
+    tables: dict[str, list[dict]] = field(init=False, default_factory=dict)
+    exponents: dict[str, float] = field(init=False, default_factory=dict)
+    runtime_seconds: float | None = field(init=False, default=None)
 
     def failed(self) -> list[Verdict]:
         return [v for v in self.verdicts if v.status == "fail"]
 
-    def add(self, name: str, invariant: str, ok: bool, **details: Any) -> None:
-        self.verdicts.append(Verdict(name, invariant, "pass" if ok else "fail", details))
-
-    def note(self, name: str, invariant: str, **details: Any) -> None:
-        self.verdicts.append(Verdict(name, invariant, "reported", details))
+    def claim(self, claim: Claim, ok: bool | None, asserted: bool = True, label: str = "", suffix: str = "", **details: Any) -> None:
+        """Append the verdict of `claim`, named label/key plus suffix: pass or
+        fail under its invariant when asserted, else reported under its note."""
+        name = f"{label}/{claim.key}{suffix}" if label else claim.key + suffix
+        if asserted:
+            self.verdicts.append(Verdict(name, claim.invariant, "pass" if ok else "fail", details))
+        else:
+            self.verdicts.append(Verdict(name, claim.note, "reported", details))
 
 
 def _canonical(obj: Any) -> Any:
@@ -340,6 +407,12 @@ def metric_axioms_hold(stats: dict) -> bool:
     )
 
 
+def metric_axioms_claim(report: Report, label: str) -> None:
+    """The metric-axioms verdict of one exhaustive `metric_axiom_suite` run."""
+    stats = metric_axiom_suite()
+    report.claim(Claim.METRIC_AXIOMS, metric_axioms_hold(stats), label=label, **stats)
+
+
 def fit_rows(fit: GrowthFit) -> list[dict]:
     """Plot-ready rows for a growth fit: n, value, transformed coordinates."""
     rows = []
@@ -364,8 +437,7 @@ def fit_rows(fit: GrowthFit) -> list[dict]:
 
 def run_metric_props(config: ExperimentConfig) -> Report:
     report = Report(config=_canonical(config))
-    stats = metric_axiom_suite()
-    report.add("metric-axioms", "pattern metric symmetry/identity/triangle, exact rationals", metric_axioms_hold(stats), **stats)
+    metric_axioms_claim(report, "")
     return report
 
 
@@ -423,15 +495,8 @@ def run_cover_scan(config: ExperimentConfig) -> Report:
                 }
             )
             ok = full.lower <= (full.exact if full.exact is not None else full.upper) <= full.upper
-            report.add(
-                f"cover-sandwich-n{n}-eps{eps}",
-                "separation lower <= exact <= greedy upper at full coverage",
-                ok,
-                n=n,
-                eps=eps,
-                lower=full.lower,
-                exact=full.exact,
-                upper=full.upper,
+            report.claim(
+                Claim.COVER_SANDWICH, ok, suffix=f"-n{n}-eps{eps}", n=n, eps=eps, lower=full.lower, exact=full.exact, upper=full.upper
             )
     report.tables["cover"] = rows
     return report
@@ -461,29 +526,32 @@ def stage2_recurrence_census(sched: Schedule, n: int) -> dict:
     }
 
 
+def stage2_census_claim(report: Report, sched: Schedule, label: str) -> dict:
+    """The stage2-census verdict at the claim scale 2 r(2), asserted under
+    gapped spacing; returns the census."""
+    census = stage2_recurrence_census(sched, 2 * sched.r(2))
+    report.claim(
+        Claim.STAGE2_CENSUS,
+        census["distinct_patterns"] == census["positions"] == census["decode_hits"],
+        asserted=gapped_spacing(sched),
+        label=label,
+        **census,
+        gamma_star_1=cutstack.gamma_star_size(2, sched),
+        exhaustive=True,
+    )
+    return census
+
+
+def rho_alpha_claim(report: Report, census: dict, alpha: float, label: str) -> None:
+    """The rho-alpha-bound verdict: the census count at its window against the binomial bound."""
+    (cell,) = recurrence.rho_alpha_inequality_check([(census["window"], census["distinct_patterns"])], alpha, Fraction(1, 20))
+    report.claim(Claim.RHO_ALPHA_BOUND, cell.ok, label=label, count=census["distinct_patterns"])
+
+
 def run_recurrence(config: ExperimentConfig) -> Report:
     report = Report(config=_canonical(config))
     sched = config.schedule()
-    n_claim = 2 * sched.r(2)
-    census = stage2_recurrence_census(sched, n_claim)
-    gstar = cutstack.gamma_star_size(2, sched)
-    clean = census["distinct_patterns"] == census["positions"] == gstar and census["decode_hits"] == census["positions"]
-    if gapped_spacing(sched):
-        report.add(
-            "stage2-injectivity",
-            "distinct recurrence patterns equal |Gamma*_1| and decoder is exact",
-            clean,
-            **census,
-            gamma_star_1=gstar,
-        )
-    else:
-        report.note(
-            "stage2-injectivity",
-            "distinct pattern count and decoder rate (tight spacing: contamination expected)",
-            **census,
-            gamma_star_1=gstar,
-        )
-
+    census = stage2_census_claim(report, sched, "")
     center = cutstack.point_from_address(sched, [(0, 0)])
     scales = list(config.scales) if config.scales else [2 * sched.r(1), 2 * sched.r(2)]
     counts = [(n, recurrence.recurrence_count(center, n)) for n in scales]
@@ -496,15 +564,7 @@ def run_recurrence(config: ExperimentConfig) -> Report:
     report.exponents["alpha_limsup"] = fit.limsup_exponent
     report.exponents["alpha_slope"] = fit.exponent
     report.tables["alpha_fit"] = fit_rows(fit)
-    cells = recurrence.rho_alpha_inequality_check(
-        [(n, census["distinct_patterns"]) for n in scales if n >= 1], fit.limsup_exponent, Fraction(1, 20)
-    )
-    report.add(
-        "rho-alpha-inequality",
-        "N(A, d_{A,n}, eps) <= 2^(2 |Q_n|^(alpha+eps) log2 |Q_n|)",
-        all(c.ok for c in cells),
-        cells=[{"n": c.n, "count": c.cover_count, "log2_bound": c.log2_bound, "ok": c.ok} for c in cells],
-    )
+    rho_alpha_claim(report, census, fit.limsup_exponent, "")
     return report
 
 
@@ -520,24 +580,10 @@ def run_overlay(config: ExperimentConfig) -> Report:
     gv = symbolic.hamming_cover_lower(core_size, eps)
     min_dist = math.ceil(eps * core_size)
     family = symbolic.separated_words_first_fit(core_size, min_dist)
-    report.add(
-        "gv-exhaustive",
-        "first-fit separated family over the full coloring cube reaches the sphere-covering bound",
-        family >= gv,
-        core_size=core_size,
-        eps=eps,
-        gv_bound=gv,
-        family=family,
-    )
+    report.claim(Claim.GV_EXHAUSTIVE, family >= gv, core_size=core_size, eps=eps, gv_bound=gv, family=family)
     words = [rng.uniform_int(config.seed, "overlay-word", i, lo=0, hi=(1 << core_size) - 1) for i in range(config.sample_size)]
     sampled = symbolic.separated_words_first_fit(core_size, min_dist, words)
-    report.add(
-        "gv-sampled",
-        "first-fit separated family over sampled overlay names reaches 2^8",
-        sampled >= family_target,
-        sampled_names=len(words),
-        family=sampled,
-    )
+    report.claim(Claim.GV_SAMPLED, sampled >= family_target, sampled_names=len(words), family=sampled)
     # erasure factor identity on random points and radii
     bad = 0
     cases = min(config.sample_size, 1000)
@@ -547,7 +593,7 @@ def run_overlay(config: ExperimentConfig) -> Report:
         ov = symbolic.overlay_name(p, n)
         if symbolic.apply_code(symbolic.erasure_code(), ov.flatten()) != cutstack.name01(p, n):
             bad += 1
-    report.add("erasure-identity", "erasing overlay letters recovers the base name exactly", bad == 0, cases=cases, failures=bad)
+    report.claim(Claim.ERASURE_IDENTITY, bad == 0, cases=cases, failures=bad)
     report.exponents["gv_rate_deficit"] = symbolic.gv_rate_deficit(core_size, eps)
     report.exponents["binary_entropy_eps"] = symbolic.binary_entropy(float(eps))
     return report
@@ -570,15 +616,7 @@ def run_ratio_et(config: ExperimentConfig) -> Report:
         rows.append({"point_id": i, "n": n, "core_visits": visits_core, "stage2_visits": visits_stage2, "ratio": ratio})
     med = statistics.median(ratios)
     ok = abs(med - float(target)) <= 0.15 * float(target)
-    report.add(
-        "ratio-ergodic",
-        "median core / stage-2-provenance visit ratio within 15% of the ledger mass ratio",
-        ok,
-        n=n,
-        median_ratio=med,
-        ledger_ratio=float(target),
-        points=len(points),
-    )
+    report.claim(Claim.RATIO_ERGODIC, ok, n=n, median_ratio=med, ledger_ratio=float(target), points=len(points))
     report.tables["ratio_et"] = rows
     return report
 
@@ -602,13 +640,7 @@ def run_bowen(config: ExperimentConfig, n_list: Sequence[int] = (0, 1, 2, 4, 8, 
             rows.append({"action": "translation", "n": n, "eps": eps, "sep": sep, "sep_base": base_sep[eps]})
             if sep != base_sep[eps]:
                 all_equal = False
-    report.add(
-        "bowen-isometry",
-        "translations: sep(d_n, eps) equals sep(d, eps) at every tested n",
-        all_equal,
-        n_list=list(n_list),
-        eps_list=list(eps_list),
-    )
+    report.claim(Claim.BOWEN_ISOMETRY, all_equal, n_list=list(n_list), eps_list=list(eps_list))
     endo = toys.ToralEndoAction()
     lip = endo.lipschitz
     lip_n = min(6, max(n_list))
@@ -624,14 +656,7 @@ def run_bowen(config: ExperimentConfig, n_list: Sequence[int] = (0, 1, 2, 4, 8, 
         checked += 1
         if dn > (lip**lip_n) * d0 + 1e-9:
             viol += 1
-    report.add(
-        "lipschitz-orbit-bound",
-        "d_n(x, y) <= C^n d(x, y) for the declared per-orbit constant",
-        viol == 0,
-        checked=checked,
-        n=lip_n,
-        lip=lip,
-    )
+    report.claim(Claim.LIPSCHITZ_ORBIT_BOUND, viol == 0, checked=checked, n=lip_n, lip=lip)
     cells = covernum.bowen_sep_check(
         lambda n: endo.pair_bowen(pts, n),
         count,
@@ -644,12 +669,7 @@ def run_bowen(config: ExperimentConfig, n_list: Sequence[int] = (0, 1, 2, 4, 8, 
         {"action": "toral-endo", "n": c.n, "eps": c.eps, "sep": c.separation, "log2_bound": c.log2_bound}
         for c in cells
     ]
-    report.add(
-        "bowen-lipschitz-growth",
-        "sep(d_n, eps) <= C^n / eps^C for the Lipschitz pair",
-        all(c.ok for c in cells),
-        cells=len(cells),
-    )
+    report.claim(Claim.BOWEN_LIPSCHITZ_GROWTH, all(c.ok for c in cells), cells=len(cells))
     report.tables["bowen"] = rows + sep_rows
     return report
 
@@ -692,7 +712,7 @@ def measured_alpha(sched: Schedule) -> GrowthFit:
 
 
 # ---------------------------------------------------------------------------
-# verify-all
+# verify
 
 
 def axis_extremes(sched: Schedule, stage: int) -> list[tuple[int, ...]]:
@@ -718,18 +738,13 @@ def variant_suite(report: Report, sched: Schedule, label: str) -> None:
     formula = cutstack.gamma_size(sched, 1)
     # Gamma_1 = A x A, so traversing the axis A counts every site
     exhaustive = len(sched.sumset(2).values(-sched.s(1), sched.s(1))) ** 2
-    report.add(f"{label}/gamma1-count", "|Gamma_1| formula equals exhaustive count", formula == exhaustive, formula=formula, exhaustive=exhaustive)
+    report.claim(Claim.GAMMA1_COUNT, formula == exhaustive, label=label, formula=formula, exhaustive=exhaustive)
     # Gamma*_{k-1} is the axis sumset taken twice, and every axis value lies
     # within the reach r(k) - r(1); the sumset counts them from its own levels
     k = min(3, sched.stages)
     gstar = cutstack.gamma_star_size(k, sched)
     reach = sched.r(k) - sched.r(1)
-    report.add(
-        f"{label}/gamma-star-product",
-        "|Gamma*_i| equals the product of level sizes",
-        gstar == sched.sumset(k).count_sum(-reach, reach)[0] ** 2,
-        value=gstar,
-    )
+    report.claim(Claim.GAMMA_STAR_PRODUCT, gstar == sched.sumset(k).count_sum(-reach, reach)[0] ** 2, label=label, value=gstar)
     # decompose round trip over the per-axis extremes; combination i on x
     # meets combination N-1-i on y, so every combination appears on both axes
     top_stage = sched.stages
@@ -740,75 +755,42 @@ def variant_suite(report: Report, sched: Schedule, label: str) -> None:
         got = cutstack.decompose(cutstack.compose(levels, sched), top_stage, sched)
         if got is None or got.levels != levels:
             bad += 1
-    report.add(
-        f"{label}/decompose-roundtrip",
-        "decompose inverts compose exactly",
-        bad == 0,
-        trials=len(axis),
-        failures=bad,
-        coverage="per-axis extremes",
+    report.claim(
+        Claim.DECOMPOSE_ROUNDTRIP, bad == 0, label=label, trials=len(axis), failures=bad, coverage="per-axis extremes"
     )
     # mass ledger
     ledger = cutstack.mass_ledger(sched, min(4, sched.stages))
-    report.add(
-        f"{label}/core-mass",
-        "mu(A) = 1 at every stage",
-        all(c == 1 for c in ledger.core_masses),
-        core_masses=[str(c) for c in ledger.core_masses],
+    report.claim(
+        Claim.CORE_MASS, all(c == 1 for c in ledger.core_masses), label=label, core_masses=[str(c) for c in ledger.core_masses]
     )
     increasing = all(ledger.stage_masses[i] < ledger.stage_masses[i + 1] for i in range(len(ledger.stage_masses) - 1))
-    if gapped_spacing(sched):
-        report.add(
-            f"{label}/mass-increasing",
-            "stage masses strictly increase (infinite total mass surrogate)",
-            increasing,
-            masses=[str(m) for m in ledger.stage_masses],
-        )
-    else:
-        report.note(
-            f"{label}/mass-increasing",
-            "stage masses (minimal spacing tiles exactly from stage 2, so the surrogate saturates)",
-            increasing=increasing,
-            masses=[str(m) for m in ledger.stage_masses],
-        )
-    # stage-2 recurrence census
-    n_claim = 2 * sched.r(2)
-    census = stage2_recurrence_census(sched, n_claim)
-    gstar1 = cutstack.gamma_star_size(2, sched)
-    if gapped_spacing(sched):
-        ok = census["distinct_patterns"] == census["positions"] and census["decode_hits"] == census["positions"]
-        report.add(
-            f"{label}/stage2-census",
-            "recurrence patterns injective over stage-2 positions; centroid decoder exact",
-            ok,
-            **census,
-            gamma_star_1=gstar1,
-            exhaustive=True,
-        )
-    else:
-        report.note(
-            f"{label}/stage2-census",
-            "recurrence pattern census (tight spacing degenerates to a full grid)",
-            **census,
-            gamma_star_1=gstar1,
-            exhaustive=True,
-        )
+    gapped = gapped_spacing(sched)
+    report.claim(
+        Claim.MASS_INCREASING,
+        increasing,
+        asserted=gapped,
+        label=label,
+        masses=[str(m) for m in ledger.stage_masses],
+        # as a note, the outcome goes into the details
+        **({} if gapped else {"increasing": increasing}),
+    )
+    census = stage2_census_claim(report, sched, label)
     # exponents
     afit = measured_alpha(sched)
     gfit = gamma_exponent_fit(sched)
     alpha_target = 1 - float(theta)
     gamma_target = 2 * (1 - float(theta))
-    report.add(
-        f"{label}/alpha-vs-theta",
-        "measured alpha limsup within 0.1 of 1 - theta",
+    report.claim(
+        Claim.ALPHA_VS_THETA,
         abs(afit.limsup_exponent - alpha_target) <= 0.1,
+        label=label,
         measured=afit.limsup_exponent,
         target=alpha_target,
     )
-    report.add(
-        f"{label}/gamma-exponent-vs-theta",
-        "per-level log-size slope within 0.1 of 2 (1 - theta)",
+    report.claim(
+        Claim.GAMMA_EXPONENT_VS_THETA,
         abs(gfit.exponent - gamma_target) <= 0.1,
+        label=label,
         measured=gfit.exponent,
         target=gamma_target,
     )
@@ -816,28 +798,12 @@ def variant_suite(report: Report, sched: Schedule, label: str) -> None:
         math.log(cutstack.gamma_star_size(i + 1, sched)) / math.log(sched.r(i + 1))
         for i in range(1, min(6, sched.stages - 1) + 1)
     ]
-    report.note(
-        f"{label}/gamma-star-raw-ratios",
-        "raw log|Gamma*_i| / log r(i+1) (tends to 2 under greedy growth)",
-        ratios=raw,
-    )
+    report.claim(Claim.GAMMA_STAR_RAW_RATIOS, None, asserted=False, label=label, ratios=raw)
     report.exponents[f"{label}/alpha"] = afit.limsup_exponent
     report.exponents[f"{label}/gamma_level_slope"] = gfit.exponent
-    # binomial bound
-    cells = recurrence.rho_alpha_inequality_check(
-        [(n_claim, census["distinct_patterns"])], afit.limsup_exponent, Fraction(1, 20)
-    )
-    report.add(
-        f"{label}/rho-alpha-bound",
-        "cover count obeys the binomial bound at the claim scale",
-        all(c.ok for c in cells),
-        count=census["distinct_patterns"],
-    )
-    report.note(
-        f"{label}/prod-r-diagnostic",
-        "log prod r(j) / log r(i); fast growth would make this 1 + o(1)",
-        values=[sched.prod_r_exponent(i) for i in range(2, min(6, sched.stages) + 1)],
-    )
+    rho_alpha_claim(report, census, afit.limsup_exponent, label)
+    prod_r = [sched.prod_r_exponent(i) for i in range(2, min(6, sched.stages) + 1)]
+    report.claim(Claim.PROD_R_DIAGNOSTIC, None, asserted=False, label=label, values=prod_r)
 
 
 DEFAULT_VARIANTS = (
@@ -858,14 +824,13 @@ def verify_all(
         try:
             sched = schedule_from_spec(spec)
         except UsageError as exc:
-            report.add(f"variant-{spec}", "schedule validates", False, error=str(exc))
+            report.claim(Claim.SCHEDULE_VALIDATES, False, label=f"variant-{spec}", error=str(exc))
             continue
         label = f"theta={spec['theta']},c={spec['c']}"
         variant_suite(report, sched, label)
-    stats = metric_axiom_suite()
-    report.add("global/metric-axioms", "pattern metric axioms hold exactly", metric_axioms_hold(stats), **stats)
+    metric_axioms_claim(report, "global")
     sandwich = cover_sandwich_suite(config.seed, instances=60, max_points=10)
-    report.add("global/cover-sandwich", "separation <= exact <= greedy on random instances", sandwich["violations"] == 0, **sandwich)
+    report.claim(Claim.COVER_SANDWICH, sandwich["violations"] == 0, label="global", **sandwich)
     for sub in (
         run_overlay(ExperimentConfig(kind="overlay", seed=config.seed, sample_size=2000)),
         run_ratio_et(ExperimentConfig(kind="ratio-et", seed=config.seed, sample_size=40)),
@@ -914,8 +879,8 @@ def cover_sandwich_suite(seed: int, instances: int, max_points: int) -> dict:
 
 def run_experiment(config: ExperimentConfig) -> Report:
     started = time.monotonic()
-    if config.kind not in EXPERIMENT_RUNNERS:
+    if config.kind not in COMMANDS:
         raise UsageError(f"unknown experiment kind {config.kind!r}")
-    report = globals()[EXPERIMENT_RUNNERS[config.kind]](config)
+    report = globals()[COMMANDS[config.kind].runner](config)
     report.runtime_seconds = time.monotonic() - started
     return report

@@ -53,10 +53,6 @@ class Box:
         if self.radius < 0:
             raise UsageError(f"invalid box radius {self.radius}")
 
-    def __contains__(self, u: Site) -> bool:
-        r = self.radius
-        return len(u) == 2 and -r <= u[0] <= r and -r <= u[1] <= r
-
     def sites(self) -> Iterator[Site]:
         return box_sites(self.radius)
 
@@ -81,7 +77,6 @@ class Pattern:
         r, default = self.box.radius, self.default_symbol
         lo = -r
         for u, sym in self.cells.items():
-            # Box.__contains__, inlined
             if len(u) != 2 or not (lo <= u[0] <= r and lo <= u[1] <= r):
                 raise UsageError(f"cell {u} outside box Q_{r}")
             if sym == default:

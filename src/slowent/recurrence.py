@@ -67,7 +67,6 @@ def _round_half_toward_zero(q: Fraction) -> int:
 class InequalityCell:
     n: int
     cover_count: int
-    log2_bound: float
     ok: bool
 
 
@@ -79,14 +78,19 @@ def rho_alpha_inequality_check(
     """Check N <= 2^(2 |Q_n|^(alpha_hat + eps) log2 |Q_n|) for each (n, N).
 
     This is the binomial subset-count bound: patterns of at most
-    |Q_n|^(alpha+eps) return sites cannot outnumber the subset count.
+    |Q_n|^(alpha+eps) return sites cannot outnumber the subset count. It is
+    compared in log space, log2 log2 N <= 1 + (alpha_hat + eps) log2 |Q_n| +
+    log2 log2 |Q_n|, with every log taken from the exact integer, so no scale
+    leaves float range. N = 1 is always within the bound, and at n = 0 the
+    bound is 2^0 = 1.
     """
     out = []
     for n, count in cover_values:
         if count < 1:
             raise UsageError("cover counts must be >= 1")
         q = box_site_count(n)
-        log2_bound = 2.0 * (q ** (alpha_hat + float(eps))) * math.log2(q)
-        ok = math.log2(count) <= log2_bound
-        out.append(InequalityCell(n, count, log2_bound, ok))
+        ok = count == 1 or q > 1 and math.log2(math.log2(count)) <= (
+            1 + (alpha_hat + float(eps)) * math.log2(q) + math.log2(math.log2(q))
+        )
+        out.append(InequalityCell(n, count, ok))
     return out

@@ -25,9 +25,15 @@ from slowent.lattice import (
 )
 
 
+def in_box(u: tuple[int, ...], box: Box) -> bool:
+    """Whether u is a site of the box: two coordinates, each within the radius."""
+    r = box.radius
+    return len(u) == 2 and -r <= u[0] <= r and -r <= u[1] <= r
+
+
 def symbol_at(p: Pattern, u: tuple[int, int]) -> int:
     """The symbol of pattern p at site u of its box; the default where no cell is stored."""
-    assert u in p.box, (u, p.box)
+    assert in_box(u, p.box), (u, p.box)
     return p.cells.get(u, p.default_symbol)
 
 
@@ -35,7 +41,7 @@ def restricted(p: Pattern, radius: int) -> Pattern:
     """Restriction of pattern p to the smaller box Q_radius."""
     assert radius <= p.box.radius
     sub = Box(radius)
-    return Pattern(sub, p.default_symbol, {u: s for u, s in p.cells.items() if u in sub})
+    return Pattern(sub, p.default_symbol, {u: s for u, s in p.cells.items() if in_box(u, sub)})
 
 
 def dense_pattern_distance(a: Pattern, b: Pattern) -> Fraction:

@@ -378,7 +378,7 @@ def test_criterion_11_bowen_lipschitz():
 
 def test_criterion_12_determinism():
     started = time.monotonic()
-    config = expcli.ExperimentConfig(kind="verify-all", seed=SEED)
+    config = expcli.ExperimentConfig(kind="verify", seed=SEED)
     first = expcli.verify_all(config)
     second = expcli.verify_all(config)
     b1, b2 = expcli.report_to_json(first), expcli.report_to_json(second)

@@ -216,6 +216,16 @@ def test_alpha_fit_examples():
     assert abs(alpha_pointwise(361, 27) - 0.734762707033463) < 1e-12
 
 
+def test_alpha_fit_keeps_exact_counts_past_float_range():
+    small = alpha_fit([(2, 25), (56, 1369)])
+    assert small.samples == ((2, 25), (56, 1369)) and all(type(c) is int for _, c in small.samples)
+    assert small.limsup_exponent == max(math.log(25) / math.log(25), math.log(1369) / math.log(113**2))
+    n = 10**200
+    huge = alpha_fit([(2, 1), (n, (2 * n + 1) ** 2)])
+    assert huge.samples[1][1] == (2 * n + 1) ** 2
+    assert abs(huge.limsup_exponent - 1.0) < 1e-12
+
+
 def test_alpha_fit_rejects_zero_counts():
     with pytest.raises(UsageError):
         alpha_fit([(2, 0)])

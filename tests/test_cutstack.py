@@ -531,10 +531,10 @@ def test_product_pattern_equals_checked_pattern(variant, data):
 
 
 def test_name_checks_its_box_per_axis(monkeypatch):
-    # a per-cell check would ask the box about each of the |X| |Y| cells
+    # the constructor's cell check is the only per-cell check, and would visit each of the |X| |Y| cells
     calls = []
-    contains = Box.__contains__
-    monkeypatch.setattr(Box, "__contains__", lambda self, u: calls.append(u) or contains(self, u))
+    check = Pattern.__post_init__
+    monkeypatch.setattr(Pattern, "__post_init__", lambda self: calls.append(self) or check(self))
     for sched in VARIANTS:
         name = cs.name01(cs.sample_point(sched, 3, seed=5), 2 * sched.r(2))
         assert (0, 0) in name.cells

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import slowent
-from slowent import cli, cutstack, expcli, lattice, symbolic
+from slowent import cli, cutstack, expcli, lattice, recurrence, symbolic
 from slowent.lattice import UsageError, pattern_distance
 
 from oracles import (
@@ -27,15 +27,15 @@ def test_config_from_json_validation():
     with pytest.raises(UsageError):
         expcli.config_from_json({"kind": "nonsense"})
     with pytest.raises(UsageError):
-        expcli.config_from_json({"kind": "recurrence", "seed": "abc"})
+        expcli.config_from_json({"kind": "recur", "seed": "abc"})
     with pytest.raises(UsageError):
-        expcli.config_from_json({"kind": "recurrence", "sample_size": 0})
+        expcli.config_from_json({"kind": "recur", "sample_size": 0})
     # JSON true decodes to a bool, which Python counts as the int 1
     for field, value in (("seed", True), ("sample_size", True), ("scales", [4, True])):
         with pytest.raises(UsageError):
-            expcli.config_from_json({"kind": "recurrence", field: value})
-    cfg = expcli.config_from_json({"kind": "recurrence", "seed": 5})
-    assert cfg.kind == "recurrence" and cfg.seed == 5
+            expcli.config_from_json({"kind": "recur", field: value})
+    cfg = expcli.config_from_json({"kind": "recur", "seed": 5})
+    assert cfg.kind == "recur" and cfg.seed == 5
 
 
 def test_schedule_from_spec_variants(tmp_path):
@@ -64,7 +64,7 @@ def test_report_roundtrip_and_determinism(tmp_path):
 
 
 def test_csv_rows_derive_from_report(tmp_path):
-    cfg = expcli.ExperimentConfig(kind="recurrence", seed=3)
+    cfg = expcli.ExperimentConfig(kind="recur", seed=3)
     report = expcli.run_experiment(cfg)
     expcli.write_report(report, tmp_path, fmt="csv")
     csv_lines = (tmp_path / "recurrence.csv").read_text().strip().splitlines()
@@ -102,10 +102,10 @@ def _run_cli(*args: str, cwd: Path):
     "files, args",
     [
         ({"bad.csv": "n,value\n4,abc\n"}, ("fit", "bad.csv", "--out", "fo")),
-        ({"c.json": '{"kind": "recurrence", "scales": ["x"]}'}, ("recur", "--config", "c.json", "--out", "o")),
-        ({"c.json": '{"kind": "recurrence", "schedule": {"theta": "abc"}}'}, ("recur", "--config", "c.json", "--out", "o")),
-        ({"c.json": '{"kind": "recurrence", "schedule": 5}'}, ("recur", "--config", "c.json", "--out", "o")),
-        ({"c.json": '{"kind": "cover-scan", "epsilons": ["abc"]}'}, ("cover", "--config", "c.json", "--out", "o")),
+        ({"c.json": '{"kind": "recur", "scales": ["x"]}'}, ("recur", "--config", "c.json", "--out", "o")),
+        ({"c.json": '{"kind": "recur", "schedule": {"theta": "abc"}}'}, ("recur", "--config", "c.json", "--out", "o")),
+        ({"c.json": '{"kind": "recur", "schedule": 5}'}, ("recur", "--config", "c.json", "--out", "o")),
+        ({"c.json": '{"kind": "cover", "epsilons": ["abc"]}'}, ("cover", "--config", "c.json", "--out", "o")),
         ({}, ("recur", "--theta", "abc", "--out", "o")),
         ({}, ("recur", "--theta", "0", "--out", "o")),
         ({"s.txt": "theta abc\nc 2\nr 1 1\n"}, ("schedule", "check", "s.txt")),
@@ -120,24 +120,24 @@ def _run_cli(*args: str, cwd: Path):
         ({}, ("distmat", "--n", "-2", "--sample-size", "2", "--out", "o")),
         ({}, ("schedule", "build", "--stages", "10")),
         ({}, ("sample", "--stages", "14", "--count", "1")),
-        ({"c.json": '{"kind": "cover-scan", "seed": true}'}, ("cover", "--config", "c.json", "--out", "o")),
+        ({"c.json": '{"kind": "cover", "seed": true}'}, ("cover", "--config", "c.json", "--out", "o")),
         ({}, ("sample", "--count", "-3")),
-        ({"c.json": '{"kind": "recurrence", "scales": [2.7, "8"]}'}, ("recur", "--config", "c.json", "--out", "o")),
-        ({"c.json": '{"kind": "cover-scan", "epsilons": 5}'}, ("cover", "--config", "c.json", "--out", "o")),
+        ({"c.json": '{"kind": "recur", "scales": [2.7, "8"]}'}, ("recur", "--config", "c.json", "--out", "o")),
+        ({"c.json": '{"kind": "cover", "epsilons": 5}'}, ("cover", "--config", "c.json", "--out", "o")),
         (
-            {"c.json": '{"kind": "recurrence", "schedule": {"stages": 3.9, "theta": "1/3", "c": "2", "r1": 1}}'},
+            {"c.json": '{"kind": "recur", "schedule": {"stages": 3.9, "theta": "1/3", "c": "2", "r1": 1}}'},
             ("recur", "--config", "c.json", "--out", "o"),
         ),
         (
-            {"c.json": '{"kind": "recurrence", "schedule": {"stages": "3", "theta": "1/3", "c": "2", "r1": 1}}'},
+            {"c.json": '{"kind": "recur", "schedule": {"stages": "3", "theta": "1/3", "c": "2", "r1": 1}}'},
             ("recur", "--config", "c.json", "--out", "o"),
         ),
         (
-            {"c.json": '{"kind": "recurrence", "schedule": {"stages": 3, "theta": "1/3", "c": "2", "r1": true}}'},
+            {"c.json": '{"kind": "recur", "schedule": {"stages": 3, "theta": "1/3", "c": "2", "r1": true}}'},
             ("recur", "--config", "c.json", "--out", "o"),
         ),
         (
-            {"c.json": '{"kind": "recurrence", "schedule": {"radii": [1, 28.0, 185221], "theta": "1/3", "c": 2}}'},
+            {"c.json": '{"kind": "recur", "schedule": {"radii": [1, 28.0, 185221], "theta": "1/3", "c": 2}}'},
             ("recur", "--config", "c.json", "--out", "o"),
         ),
         ({}, ("verify", "--stages", "3", "--out", "o")),
@@ -145,11 +145,11 @@ def _run_cli(*args: str, cwd: Path):
         ({"s.txt": "theta 1/3\nc 2\nr 1 1\nr 2 28\n"}, ("metric-props", "--schedule-file", "s.txt", "--out", "o")),
         ({"c.json": '{"kind": "ratio-et"}'}, ("ratio-et", "--config", "c.json", "--stages", "3", "--out", "o")),
         (
-            {"c.json": '{"kind": "cover-scan"}', "s.txt": "theta 1/3\nc 2\nr 1 1\nr 2 28\n"},
+            {"c.json": '{"kind": "cover"}', "s.txt": "theta 1/3\nc 2\nr 1 1\nr 2 28\n"},
             ("cover", "--config", "c.json", "--schedule-file", "s.txt", "--out", "o"),
         ),
         ({"c.json": '{"schedule": {"stages": 3}}'}, ("bowen", "--config", "c.json", "--out", "o")),
-        ({"c.json": '{"kind": "verify-all", "schedule": {}}'}, ("verify", "--config", "c.json", "--out", "o")),
+        ({"c.json": '{"kind": "verify", "schedule": {}}'}, ("verify", "--config", "c.json", "--out", "o")),
         (
             {"c.json": '{"schedule": {"stages": 3, "theta": "1/5", "c": "9", "r1": 4}}'},
             ("metric-props", "--config", "c.json", "--out", "o"),
@@ -227,6 +227,28 @@ def test_cli_rejects_common_flags_a_command_does_not_read(capsys, command, flag)
         cli.main([*command, flag, value])
     assert exc.value.code == 2
     assert f"usage error: unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_cli_config_without_sample_size_runs_the_command_default(tmp_path):
+    (tmp_path / "c.json").write_text('{"kind": "cover"}')
+    res = _run_cli("cover", "--config", "c.json", "--out", "config", cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    res = _run_cli("cover", "--out", "plain", cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    report = (tmp_path / "config" / "report.json").read_bytes()
+    assert report == (tmp_path / "plain" / "report.json").read_bytes()
+    assert json.loads(report)["config"]["sample_size"] == expcli.COMMANDS["cover"].sample_size
+
+
+@pytest.mark.parametrize("exponent", [149, 160, 200])
+def test_cli_recur_at_huge_scales_ends_without_a_traceback(tmp_path, exponent):
+    # r(6) of this schedule has 274 digits, so every window here is built;
+    # float powers of |Q_n| and float(|R_n|) left float range from 10^149
+    config = {"kind": "recur", "schedule": {"stages": 6, "theta": "1/3", "c": "5", "r1": 1}, "scales": [2, 10**exponent]}
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    res = _run_cli("recur", "--config", "c.json", "--out", "o", cwd=tmp_path)
+    assert res.returncode in (0, 2), res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_cli_seed_overrides_config(tmp_path):
@@ -307,7 +329,7 @@ def test_cli_names_round_trips(tmp_path):
 @pytest.fixture(scope="session")
 def verify_report():
     """One verify_all run over a valid variant and a broken one, shared by the structure tests."""
-    cfg = expcli.ExperimentConfig(kind="verify-all", seed=1)
+    cfg = expcli.ExperimentConfig(kind="verify", seed=1)
     variants = (
         {"stages": 4, "theta": "1/3", "c": "2", "r1": 1},
         {"radii": [1, 28, 185222], "theta": "1/3", "c": 2},
@@ -325,6 +347,7 @@ def test_verify_all_structure(verify_report):
 def test_verify_all_flags_broken_schedule(verify_report):
     broken = [v for v in verify_report.verdicts if v.status == "fail" and "schedule validates" in v.invariant]
     assert broken
+    assert all(v.name.endswith("/schedule-validates") for v in broken)
 
 
 def test_cli_fit_writes_csv(tmp_path):
@@ -383,7 +406,7 @@ def test_planted_level_size_defect_fails_gamma_star_product(monkeypatch, spec):
 
 def _global_verdict(name):
     """The named global verdict of a verify_all run over no schedule variants."""
-    report = expcli.verify_all(expcli.ExperimentConfig(kind="verify-all", seed=2024), variants=())
+    report = expcli.verify_all(expcli.ExperimentConfig(kind="verify", seed=2024), variants=())
     (verdict,) = [v for v in report.verdicts if v.name == name]
     return verdict
 
@@ -415,6 +438,26 @@ def test_planted_unthickened_provenance_fails_ratio_ergodic(monkeypatch):
     report = expcli.run_ratio_et(expcli.ExperimentConfig(kind="ratio-et", seed=2024, sample_size=40))
     (ratio,) = report.verdicts
     assert ratio.name == "ratio-ergodic" and ratio.status == "fail" and ratio.details["median_ratio"] < 0
+
+
+def test_planted_decoder_shift_fails_stage2_census(monkeypatch, tmp_path, capsys):
+    # a centroid decoder off by one in x: the census finds no decoder hit, and
+    # verify's variants and recur read it through the same claim
+    decode = recurrence.centroid_decode_axes
+
+    def shifted(*args):
+        x, y = decode(*args)
+        return x + 1, y
+
+    monkeypatch.setattr(recurrence, "centroid_decode_axes", shifted)
+    for spec in [spec for spec in expcli.DEFAULT_VARIANTS if spec["c"] == "5"]:
+        report = expcli.Report(config={})
+        expcli.variant_suite(report, expcli.schedule_from_spec(spec), "v")
+        (census,) = [v for v in report.verdicts if v.name == "v/stage2-census"]
+        assert census.status == "fail" and census.details["decode_hits"] == 0
+    assert cli.main(["recur", "--c", "5", "--out", str(tmp_path)]) == 1
+    verdicts = json.loads((tmp_path / "report.json").read_text())["verdicts"]
+    assert [(v["name"], v["status"]) for v in verdicts] == [("stage2-census", "fail"), ("rho-alpha-bound", "pass")]
 
 
 def test_overlay_refuses_samples_too_small_to_reach_the_target():
@@ -510,3 +553,39 @@ def test_metric_axiom_pass_condition_counts_every_violation(monkeypatch):
     monkeypatch.setattr(expcli, "metric_axiom_suite", lambda: {**stats, "identity_violations": 1})
     report = expcli.run_metric_props(expcli.ExperimentConfig(kind="metric-props"))
     assert [v.name for v in report.failed()] == ["metric-axioms"]
+
+
+# asserted claims with a planted-defect test above, and the test that plants it
+PLANTED = {
+    "schedule-validates": test_verify_all_flags_broken_schedule,
+    "decompose-roundtrip": test_planted_top_level_peel_defect_fails_roundtrip,
+    "gamma1-count": test_planted_axis_traversal_defect_fails_gamma1_count,
+    "gamma-star-product": test_planted_level_size_defect_fails_gamma_star_product,
+    "metric-axioms": test_planted_symbol_blind_metric_fails_metric_axioms,
+    "erasure-identity": test_planted_erasure_defect_fails_erasure_identity,
+    "ratio-ergodic": test_planted_unthickened_provenance_fails_ratio_ergodic,
+    "stage2-census": test_planted_decoder_shift_fails_stage2_census,
+}
+
+# asserted claims that no planted defect turns to fail yet
+UNPLANTED = {
+    "core-mass",
+    "mass-increasing",
+    "alpha-vs-theta",
+    "gamma-exponent-vs-theta",
+    "rho-alpha-bound",
+    "cover-sandwich",
+    "gv-exhaustive",
+    "gv-sampled",
+    "bowen-isometry",
+    "lipschitz-orbit-bound",
+    "bowen-lipschitz-growth",
+}
+
+
+def test_planted_defects_cover_the_claim_table():
+    asserted = {claim.key for claim in expcli.Claim if claim.invariant is not None}
+    assert not PLANTED.keys() & UNPLANTED
+    assert asserted == PLANTED.keys() | UNPLANTED
+    for name, test in PLANTED.items():
+        assert name in inspect.getsource(test), (name, test.__name__)

@@ -161,7 +161,7 @@ def package_graph() -> NameGraph:
 def entry_points(graph: NameGraph) -> set[str]:
     """cli.main, the experiment runners (looked up by name at run time), every
     function the benchmark traces, and every package name its query workload reads."""
-    roots = {"cli.main"} | {f"expcli.{name}" for name in expcli.EXPERIMENT_RUNNERS.values()}
+    roots = {"cli.main"} | {f"expcli.{command.runner}" for command in expcli.COMMANDS.values()}
     layers = runpy.run_path(str(ROOT / "bench" / "layers.py"))
     for module, qualname, _ in [*layers["traced_functions"](), *layers["CLOSURES"]]:
         module = module.removeprefix("slowent.")
@@ -222,3 +222,45 @@ def test_every_definition_is_reachable():
     unreached = graph.unreached(entry_points(graph), bench_attributes())
     unreached = [key for key in unreached if key.count(".") == 1 or not overrides_outside_package(key)]
     assert not unreached, f"{len(unreached)} definitions reached from no entry point: {', '.join(unreached)}"
+
+
+# ---------------------------------------------------------------------------
+# One definition per claim: each verdict name and invariant text is a string
+# literal in the claim table and nowhere else in the package.
+
+
+def claim_table_strings() -> list[str]:
+    """The verdict names and texts of `expcli.Claim`, read from its source."""
+    tree = ast.parse((PACKAGE / "expcli.py").read_text())
+    (table,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Claim"]
+    out = []
+    for stmt in table.body:
+        if isinstance(stmt, ast.Assign):
+            assert isinstance(stmt.value, ast.Tuple), ast.dump(stmt)
+            fields = [elt.value for elt in stmt.value.elts if isinstance(elt, ast.Constant)]
+            assert len(fields) == len(stmt.value.elts) == 3, ast.dump(stmt)
+            out += [text for text in fields if text is not None]
+    return out
+
+
+def test_each_claim_is_written_once_in_the_package():
+    strings = claim_table_strings()
+    assert sorted(strings) == sorted(
+        text for claim in expcli.Claim for text in (claim.key, claim.invariant, claim.note) if text is not None
+    )
+    literals = [
+        node.value
+        for p in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+    assert {text: literals.count(text) for text in strings} == dict.fromkeys(strings, 1)
+    # and every verdict takes its invariant from the table, never from a literal
+    calls = [
+        node
+        for p in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Verdict"
+    ]
+    assert calls
+    assert not [ast.unparse(call) for call in calls if any(isinstance(arg, (ast.Constant, ast.JoinedStr)) for arg in call.args[1:2])]

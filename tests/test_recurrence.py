@@ -111,6 +111,27 @@ def test_rho_alpha_inequality_check():
         rho_alpha_inequality_check([(4, 0)], 0.0, Fraction(1, 20))
 
 
+def test_rho_alpha_log_space_matches_the_float_bound():
+    # the float form log2 N <= 2 |Q_n|^(alpha+eps) log2 |Q_n| wherever it stays in range, counts on both sides of it
+    eps = Fraction(1, 20)
+    checked = 0
+    for n in (0, 1, 2, 4, 27, 56, 300):
+        q = (2 * n + 1) ** 2
+        for alpha in (0.0, 0.5, 0.73, 1.0):
+            log2_bound = 2.0 * q ** (alpha + float(eps)) * math.log2(q)
+            if log2_bound > 50_000:
+                continue
+            k = math.floor(log2_bound)
+            for count in {1, 2, 3, 2**k, 2**k + 1, 2 ** (k + 1)}:
+                (cell,) = rho_alpha_inequality_check([(n, count)], alpha, eps)
+                assert cell.ok == (math.log2(count) <= log2_bound), (n, alpha, count)
+                checked += 1
+    assert checked > 100
+    # far past float range the check still answers
+    assert rho_alpha_inequality_check([(10**200, 10**400)], 0.5, eps)[0].ok
+    assert not rho_alpha_inequality_check([(2, 2**100)], 0.5, eps)[0].ok
+
+
 def test_construction_counts_pass_inequality(sched_default):
     positions = sorted(brute_gamma(sched_default.m(1), sched_default.s(1)))
     pts = [cs.point_from_address(sched_default, [g]) for g in positions[:50]]

@@ -23,14 +23,14 @@ from slowent.symbolic import (
     separated_words_first_fit,
 )
 
-from oracles import brute_separated_words, pattern_from_text, symbol_at
+from oracles import brute_separated_words, in_box, pattern_from_text, symbol_at
 
 
 def translate_pattern(p, offset, radius):
     """Restriction of the offset-shifted pattern to Q_radius."""
     box = Box(radius)
     cells = {(x - offset[0], y - offset[1]): s for (x, y), s in p.cells.items()}
-    return Pattern(box, p.default_symbol, {v: s for v, s in cells.items() if v in box})
+    return Pattern(box, p.default_symbol, {v: s for v, s in cells.items() if in_box(v, box)})
 
 
 def overlay_from_word(base, word):
@@ -78,10 +78,16 @@ def test_apply_code_shift_equivariance():
 @settings(derandomize=True, deadline=None)
 @given(data=st.data())
 def test_box_pattern_and_code_match_definitions(data):
-    # Box membership: the sup-norm definition, on sites of the wrong length too
+    # Box membership, as the cell check applies it: the sup-norm definition, on sites of the wrong length too
     r = data.draw(st.integers(0, 3))
     u = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=1, max_size=3)))
-    assert (u in Box(r)) == (len(u) == 2 and sup_norm(u) <= r)
+    assert in_box(u, Box(r)) == (len(u) == 2 and sup_norm(u) <= r)
+    try:
+        Pattern(Box(r), 0, {u: 1})
+        accepted = True
+    except UsageError:
+        accepted = False
+    assert accepted == (len(u) == 2 and sup_norm(u) <= r)
 
     # Pattern equality: a sorted-items comparison, whatever the insertion order
     sites = list(Box(r).sites())
