@@ -257,14 +257,19 @@ class GrowthFit:
 
 def _least_squares(xs: list[float], ys: list[float]) -> tuple[float, float]:
     n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    if sxx == 0:
-        raise UsageError("degenerate fit: coincident abscissae")
-    slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
-    intercept = my - slope * mx
-    resid = max(abs(y - (slope * x + intercept)) for x, y in zip(xs, ys))
+    try:
+        mx = sum(xs) / n
+        my = sum(ys) / n
+        sxx = sum((x - mx) ** 2 for x in xs)
+        if sxx == 0:
+            raise UsageError("degenerate fit: coincident abscissae")
+        slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
+        intercept = my - slope * mx
+        resid = max(abs(y - (slope * x + intercept)) for x, y in zip(xs, ys))
+    except OverflowError:
+        slope = resid = math.inf
+    if not (math.isfinite(slope) and math.isfinite(resid)):
+        raise UsageError("fit leaves float range")
     return slope, resid
 
 
@@ -279,6 +284,8 @@ def growth_fit(samples: Sequence[tuple[int, float]], scale: str) -> GrowthFit:
     pts = list(samples)
     if any(pts[i][0] >= pts[i + 1][0] for i in range(len(pts) - 1)):
         raise UsageError("sample abscissae must be strictly increasing")
+    if not all(math.isfinite(v) for _, v in pts):
+        raise UsageError("fit values must be finite")
     if scale == "slow":
         if any(v <= 1 for _, v in pts):
             raise UsageError("slow scale needs values > 1")
@@ -289,7 +296,10 @@ def growth_fit(samples: Sequence[tuple[int, float]], scale: str) -> GrowthFit:
     else:
         if any(v <= 0 for _, v in pts):
             raise UsageError("exp scale needs positive values")
-        xs = [float(n) for n, _ in pts]
+        try:
+            xs = [float(n) for n, _ in pts]
+        except OverflowError:
+            raise UsageError("exp scale needs every n within float range") from None
         ys = [math.log2(v) for _, v in pts]
     if len(pts) < 2:
         raise UsageError("need at least 2 samples in the fit window")

@@ -18,6 +18,7 @@ observable depends only on positions and widths.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -308,17 +309,28 @@ class PointHandle:
     Level offsets at already-computed stages never change; extension draws
     come from counter-based streams keyed by (seed, level), so identical
     (seed, schedule) pairs reproduce identical extensions regardless of the
-    order in which windows are evaluated.
+    order in which windows are evaluated. The arrangement positions are
+    kept as prefix sums of the levels, grown with them.
     """
 
     schedule: Schedule
     seed: int
     levels: list[Site] = field(default_factory=list)
     zero_fill: bool = False
-    overlay_seed: int = field(init=False)
+    _positions: list[Site] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.overlay_seed = rng.derive_seed(self.seed, "overlay-seed")
+        x = y = 0
+        self._positions = [(0, 0)]
+        for gx, gy in self.levels:
+            x += gx
+            y += gy
+            self._positions.append((x, y))
+
+    @functools.cached_property
+    def overlay_seed(self) -> int:
+        """Seed of the point's overlay bits, derived on first read."""
+        return rng.derive_seed(self.seed, "overlay-seed")
 
     @property
     def stage(self) -> int:
@@ -331,22 +343,25 @@ class PointHandle:
                 f"stage {stage} exceeds built schedule ({self.schedule.stages} stages); "
                 f"max feasible window shrinks accordingly"
             )
+        x, y = self._positions[-1]
         for j in range(len(self.levels) + 1, stage):
             if self.zero_fill:
-                self.levels.append((0, 0))
-                continue
-            k = self.schedule.s(j) // self.schedule.m(j)
-            qx = rng.uniform_int(self.seed, "gamma-x", j, lo=-k, hi=k)
-            qy = rng.uniform_int(self.seed, "gamma-y", j, lo=-k, hi=k)
-            m = self.schedule.m(j)
-            self.levels.append((qx * m, qy * m))
+                g = (0, 0)
+            else:
+                m, s = self.schedule._levels[j - 1]
+                k = s // m
+                qx = rng.uniform_int(self.seed, "gamma-x", j, lo=-k, hi=k)
+                qy = rng.uniform_int(self.seed, "gamma-y", j, lo=-k, hi=k)
+                g = (qx * m, qy * m)
+            self.levels.append(g)
+            x += g[0]
+            y += g[1]
+            self._positions.append((x, y))
 
     def position_at(self, stage: int) -> Site:
         """Position of the point in the stage-`stage` arrangement."""
         self.extend_to(stage)
-        x = sum(g[0] for g in self.levels[: stage - 1])
-        y = sum(g[1] for g in self.levels[: stage - 1])
-        return (x, y)
+        return self._positions[stage - 1]
 
     def determining_stage(self, n: int) -> int:
         """Smallest stage whose arrangement pins every color in the window Q_n.
@@ -358,10 +373,12 @@ class PointHandle:
             raise UsageError(f"window radius must be >= 0, got {n}")
         if n == 0 and not self.levels:
             return 1
-        for j in range(2, self.schedule.stages + 1):
-            u = self.position_at(j)
-            slack = self.schedule.r(j - 1)
-            if n + slack <= self.schedule.r(j) - sup_norm(u):
+        radii = self.schedule.radii
+        for j in range(2, len(radii) + 1):
+            if j > len(self._positions):
+                self.extend_to(j)
+            x, y = self._positions[j - 1]
+            if n + radii[j - 2] + max(abs(x), abs(y)) <= radii[j - 1]:
                 return j
         raise StageCapError(
             f"window Q_{n} not determined within {self.schedule.stages} built stages"
@@ -394,16 +411,28 @@ def color01_at(point: PointHandle, v: Site) -> int:
     return 1 if decompose(w, j, point.schedule) is not None else 0
 
 
+def _window(point: PointHandle, n: int) -> tuple[AxisSumset, Site]:
+    """The per-coordinate core sumset of the stage that pins Q_n, and the point's position there."""
+    j = point.determining_stage(n)
+    return point.schedule.sumset(j), point.position_at(j)
+
+
+def _count(axis: AxisSumset, u: Site, n: int) -> int:
+    """|(axis x axis) intersect (u + Q_n)|, one interval count per coordinate."""
+    return axis.count_sum(u[0] - n, u[0] + n)[0] * axis.count_sum(u[1] - n, u[1] + n)[0]
+
+
+def _axes(axis: AxisSumset, u: Site, n: int) -> tuple[list[int], list[int]]:
+    return axis.values(u[0] - n, u[0] + n, u[0]), axis.values(u[1] - n, u[1] + n, u[1])
+
+
 def window_axes(point: PointHandle, n: int) -> tuple[list[int], list[int]]:
     """Per-coordinate offsets of the 1-cells in Q_n around the point.
 
     The window's 1-cell set is always a product X x Y because the core
     sumset is a product of identical per-coordinate sumsets.
     """
-    j = point.determining_stage(n)
-    u = point.position_at(j)
-    axis = point.schedule.sumset(j)
-    return axis.values(u[0] - n, u[0] + n, u[0]), axis.values(u[1] - n, u[1] + n, u[1])
+    return _axes(*_window(point, n), n)
 
 
 GENERIC_CELL_CAP = 5_000_000
@@ -413,12 +442,14 @@ def capped_window_axes(point: PointHandle, n: int) -> tuple[list[int], list[int]
     """window_axes for callers that build the X x Y product.
 
     Raises UsageError, before anything is materialized, when the window
-    holds more than GENERIC_CELL_CAP 1-cells.
+    holds more than GENERIC_CELL_CAP 1-cells. The window's stage and
+    position are resolved once, for both the count and the axes.
     """
-    count = core_count(point, n)
+    axis, u = _window(point, n)
+    count = _count(axis, u, n)
     if count > GENERIC_CELL_CAP:
         raise UsageError(f"window Q_{n} holds {count} core cells, above the cap of {GENERIC_CELL_CAP}")
-    return window_axes(point, n)
+    return _axes(axis, u, n)
 
 
 def name01(point: PointHandle, n: int) -> Pattern:
@@ -429,17 +460,12 @@ def name01(point: PointHandle, n: int) -> Pattern:
 
 def core_count(point: PointHandle, n: int) -> int:
     """|{v in Q_n : color = 1}| without materializing the window."""
-    j = point.determining_stage(n)
-    u = point.position_at(j)
-    axis = point.schedule.sumset(j)
-    return axis.count_sum(u[0] - n, u[0] + n)[0] * axis.count_sum(u[1] - n, u[1] + n)[0]
+    return _count(*_window(point, n), n)
 
 
 def core_centroid(point: PointHandle, n: int) -> tuple[int, Fraction, Fraction]:
     """Count and exact mean offset of the window's 1-cells."""
-    j = point.determining_stage(n)
-    u = point.position_at(j)
-    axis = point.schedule.sumset(j)
+    axis, u = _window(point, n)
     cx, sx = axis.count_sum(u[0] - n, u[0] + n)
     cy, sy = axis.count_sum(u[1] - n, u[1] + n)
     if cx == 0 or cy == 0:
@@ -465,8 +491,7 @@ def count_provenance_leq(point: PointHandle, n: int, prov_stage: int) -> int:
         return (2 * n + 1) ** 2
     u = point.position_at(j)
     levels = [(1, point.schedule.arrangement_radius(prov_stage)), *point.schedule.levels_1d(j - 1)[prov_stage - 1 :]]
-    axis = AxisSumset(levels)
-    return axis.count_sum(u[0] - n, u[0] + n)[0] * axis.count_sum(u[1] - n, u[1] + n)[0]
+    return _count(AxisSumset(levels), u, n)
 
 
 def locate_site(point: PointHandle, v: Site) -> tuple[int, Site]:

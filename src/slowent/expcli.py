@@ -103,12 +103,19 @@ def _json_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+#: Every field a config file may have.
+CONFIG_FIELDS = frozenset({"kind", "seed", "sample_size", "scales", "epsilons", "schedule"})
+
+
 def config_from_json(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise UsageError("config must be a JSON object")
     kind = doc.get("kind")
     if kind not in COMMANDS:
         raise UsageError(f"config field 'kind' must be one of {tuple(COMMANDS)}, got {kind!r}")
+    unknown = sorted(set(doc) - CONFIG_FIELDS)
+    if unknown:
+        raise UsageError(f"unknown config field {', '.join(map(repr, unknown))}; known: {', '.join(sorted(CONFIG_FIELDS))}")
     seed = doc.get("seed", 2024)
     if not _json_int(seed):
         raise UsageError("config field 'seed' must be an integer")

@@ -21,12 +21,22 @@ import struct
 from _blake2 import blake2b
 from collections.abc import Iterable, Sequence
 
-_COUNTER_WORD = struct.Struct("<qq")
+
+class _Packers(dict):
+    """struct.Struct("<{n}q") by index count n, each built once per process."""
+
+    def __missing__(self, n: int) -> struct.Struct:
+        packer = self[n] = struct.Struct(f"<{n}q")
+        return packer
+
+
+_PACKERS = _Packers()
+_COUNTER_WORD = _PACKERS[2]
 
 
 def _keyed(seed: int, tag: str, indices: Sequence[int]) -> blake2b:
     """The keyed hash state over (tag, indices), not yet finalized."""
-    data = tag.encode("utf-8") + struct.pack(f"<{len(indices)}q", *indices)
+    data = tag.encode("utf-8") + _PACKERS[len(indices)].pack(*indices)
     key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
     return blake2b(data, digest_size=8, key=key)
 
@@ -46,17 +56,18 @@ def uniform_int(seed: int, tag: str, *indices: int, lo: int, hi: int) -> int:
     if hi < lo:
         raise ValueError(f"empty range [{lo}, {hi}]")
     span = hi - lo + 1
-    words = max(1, -(-span.bit_length() // 64))
-    width = 64 * words
-    limit = (1 << width) - ((1 << width) % span)
-    state = _keyed(seed, tag, indices)
+    words = -(-span.bit_length() // 64)  # span >= 1, so at least one word
+    top = 1 << 64 * words
+    limit = top - top % span
+    copy = _keyed(seed, tag, indices).copy
+    pack = _COUNTER_WORD.pack
     counter = 0
     while True:
         # little-endian digests, least significant word first
         digests = []
         for w in range(words - 1, -1, -1):
-            h = state.copy()
-            h.update(_COUNTER_WORD.pack(counter, w))
+            h = copy()
+            h.update(pack(counter, w))
             digests.append(h.digest())
         u = int.from_bytes(b"".join(digests), "little")
         if u < limit:
@@ -71,15 +82,12 @@ def uniform_float(seed: int, tag: str, *indices: int) -> float:
 
 def fair_bits(seed: int, tag: str, sites: Iterable[Sequence[int]]) -> list[int]:
     """The low bit of stream_u64(seed, tag, *site) for each site, keying (seed, tag) once."""
-    state = _keyed(seed, tag, ())
-    packers: dict[int, struct.Struct] = {}  # "<{n}q" by site length n
+    copy = _keyed(seed, tag, ()).copy
+    packers = _PACKERS
     bits = []
     for site in sites:
-        packer = packers.get(len(site))
-        if packer is None:
-            packer = packers[len(site)] = struct.Struct(f"<{len(site)}q")
-        h = state.copy()
-        h.update(packer.pack(*site))
+        h = copy()
+        h.update(packers[len(site)].pack(*site))
         bits.append(h.digest()[0] & 1)
     return bits
 

@@ -228,6 +228,28 @@ def brute_window_ones(point, n: int) -> set[tuple[int, int]]:
     return {(x, y) for (x, y) in box_sites(n) if color01_at(point, (x, y)) == 1}
 
 
+def position_from_levels(levels, stage: int) -> tuple[int, int]:
+    """The point's position in the stage-`stage` arrangement: the sum of its first stage-1 offsets."""
+    return (sum(g[0] for g in levels[: stage - 1]), sum(g[1] for g in levels[: stage - 1]))
+
+
+def determining_stage_by_loop(point, n: int) -> int:
+    """PointHandle.determining_stage as a loop that grows the point and re-sums its levels at every stage.
+
+    Stage j pins Q_n when n + r(j-1) <= r(j) - ||u_j||, with u_j the stage-j position.
+    """
+    from slowent.cutstack import StageCapError
+
+    if n == 0 and not point.levels:
+        return 1
+    sched = point.schedule
+    for j in range(2, sched.stages + 1):
+        point.extend_to(j)
+        if n + sched.r(j - 1) <= sched.r(j) - sup_norm(position_from_levels(point.levels, j)):
+            return j
+    raise StageCapError(f"window Q_{n} not determined within {sched.stages} built stages")
+
+
 def covered(axis: AxisSumset, halfwidth: int, lo: int, hi: int) -> int:
     """|(values + [-halfwidth, halfwidth]) ∩ [lo, hi]|.
 

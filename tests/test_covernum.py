@@ -206,6 +206,22 @@ def test_growth_fit_rejects_bad_input():
         growth_fit([(4, 2.0), (8, 4.0)], "weird")
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, float("1e400")])
+@pytest.mark.parametrize("scale", ["slow", "exp"])
+def test_growth_fit_refuses_non_finite_values(value, scale):
+    with pytest.raises(UsageError, match="finite"):
+        growth_fit([(4, 10.0), (8, value)], scale)
+
+
+def test_growth_fit_refuses_exp_abscissae_past_float_range():
+    # float(10**400) overflows, and (10**200)**2 leaves float range inside the regression
+    for n in (10**400, 10**200):
+        with pytest.raises(UsageError, match="float range"):
+            growth_fit([(4, 10.0), (n, 20.0)], "exp")
+    # the slow scale takes log n from the exact int, so the same rows fit
+    assert math.isfinite(growth_fit([(4, 10.0), (10**400, 20.0)], "slow").exponent)
+
+
 def test_alpha_fit_examples():
     full = alpha_fit([(n, (2 * n + 1) ** 2) for n in (2, 4, 8)])
     assert abs(full.limsup_exponent - 1.0) < 1e-12

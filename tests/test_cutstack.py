@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from slowent import cutstack as cs
 from slowent import expcli, rng
 from slowent.lattice import AxisSumset, Box, Pattern, UsageError
+from slowent.symbolic import overlay_name
 
 from oracles import (
     axis_decompose,
@@ -16,10 +17,12 @@ from oracles import (
     brute_gamma,
     brute_gamma_star_member,
     brute_window_ones,
+    determining_stage_by_loop,
     gamma_axis,
     in_gamma,
     merged_provenance_count,
     peel_2d,
+    position_from_levels,
     restricted,
 )
 
@@ -612,3 +615,93 @@ def test_count_provenance_never_walks_runs(monkeypatch):
             counts = [cs.count_provenance_leq(p, n, prov_stage) for prov_stage in range(1, 6)]
             assert counts[0] == cs.core_count(p, n)
             assert counts == sorted(counts) and counts[-1] <= (2 * n + 1) ** 2
+
+
+# ---------------------------------------------------------------------------
+# Point set-up: prefix-sum positions against re-summed levels
+
+
+def _outcome(window, n):
+    try:
+        return window(n)
+    except cs.StageCapError:
+        return "cap"
+
+
+def _check_point_against_level_sums(p):
+    # the oracle runs on a twin, so it never grows the point under test
+    twin = cs.PointHandle(p.schedule, p.seed, list(p.levels), p.zero_fill)
+    sched = p.schedule
+    windows = {0, 1} | {r + d for r in sched.radii for d in (-1, 0, 1)}
+    full = cs.PointHandle(sched, p.seed, list(p.levels), p.zero_fill)
+    full.extend_to(sched.stages)
+    for j in range(2, sched.stages + 1):
+        # the slack rule's own edges at stage j
+        edge = sched.r(j) - sched.r(j - 1) - max(map(abs, position_from_levels(full.levels, j)))
+        windows |= {edge - 1, edge, edge + 1}
+    for n in sorted(w for w in windows if w >= 0):
+        assert _outcome(p.determining_stage, n) == _outcome(lambda n: determining_stage_by_loop(twin, n), n), n
+    assert p.levels == twin.levels
+    for j in range(1, sched.stages + 1):
+        assert p.position_at(j) == position_from_levels(twin.levels, j)
+    assert p.levels == twin.levels
+
+
+@pytest.mark.parametrize("variant", range(len(VARIANTS)))
+def test_positions_and_determining_stage_match_the_level_sums(variant):
+    sched = VARIANTS[variant]
+    corner = [(sched.s(j), -sched.s(j)) for j in range(1, sched.stages)]
+    for stage in range(1, sched.stages + 1):
+        for seed in range(4):
+            _check_point_against_level_sums(cs.sample_point(sched, stage, seed))
+            pinned = cs.sample_point(sched, stage, seed + 100).levels
+            _check_point_against_level_sums(cs.point_from_address(sched, pinned, seed))
+        _check_point_against_level_sums(cs.point_from_address(sched, corner[: stage - 1]))
+
+
+@pytest.mark.parametrize("variant", range(len(VARIANTS)))
+def test_out_of_order_extension_keeps_positions(variant):
+    sched = VARIANTS[variant]
+    top = sched.stages
+    for seed in range(6):
+        direct = cs.sample_point(sched, top, seed)
+        jumped = cs.sample_point(sched, 2, seed)
+        jumped.extend_to(top)
+        jumped.extend_to(3)
+        scattered = cs.sample_point(sched, 1, seed)
+        for j in (5, 3, top, 2):
+            scattered.position_at(j)
+        wide = cs.sample_point(sched, 2, seed)
+        _outcome(wide.determining_stage, sched.r(top - 1))
+        wide.extend_to(top)
+        for p in (jumped, scattered, wide):
+            assert p.levels == direct.levels
+            for j in range(1, top + 1):
+                assert p.position_at(j) == direct.position_at(j) == position_from_levels(direct.levels, j)
+        _check_point_against_level_sums(jumped)
+
+
+def test_point_setup_draws_only_its_offsets(monkeypatch):
+    # sample_point(sched, 3, s) draws four level coordinates, and a window
+    # query on it draws nothing more; the overlay seed waits for its reader
+    calls = dict.fromkeys(("uniform_int", "stream_u64"), 0)
+    for name in calls:
+        real = getattr(rng, name)
+
+        def spy(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(rng, name, spy)
+    for sched in VARIANTS:
+        for seed in (5, 2**70):
+            calls.update(uniform_int=0, stream_u64=0)
+            p = cs.sample_point(sched, 3, seed)
+            cs.core_count(p, 0)
+            assert calls == {"uniform_int": 4, "stream_u64": 0}
+            name = overlay_name(p, 27)
+            assert calls == {"uniform_int": 4, "stream_u64": 1}
+            overlay_name(p, 27)
+            assert calls["stream_u64"] == 1
+            assert p.overlay_seed == rng.derive_seed(seed, "overlay-seed")
+            assert name.bits == dict(zip(name.base.cells, rng.fair_bits(p.overlay_seed, "overlay-bit", name.base.cells)))

@@ -36,6 +36,9 @@ def test_config_from_json_validation():
             expcli.config_from_json({"kind": "recur", field: value})
     cfg = expcli.config_from_json({"kind": "recur", "seed": 5})
     assert cfg.kind == "recur" and cfg.seed == 5
+    # a misspelt field is refused by name, not dropped
+    with pytest.raises(UsageError, match="'sampel_size'"):
+        expcli.config_from_json({"kind": "ratio-et", "sampel_size": 3})
 
 
 def test_schedule_from_spec_variants(tmp_path):
@@ -156,6 +159,12 @@ def _run_cli(*args: str, cwd: Path):
         ),
         ({"c.json": "[1]"}, ("cover", "--config", "c.json", "--out", "o")),
         ({}, ("overlay", "--sample-size", "255", "--out", "o")),
+        ({"c.json": '{"kind": "ratio-et", "sampel_size": 3}'}, ("ratio-et", "--config", "c.json", "--out", "o")),
+        ({"v.csv": "n,value\n4,10\n8,inf\n"}, ("fit", "v.csv", "--out", "fo")),
+        ({"v.csv": "n,value\n4,10\n8,nan\n"}, ("fit", "v.csv", "--out", "fo")),
+        ({"v.csv": "n,value\n4,10\n8,1e400\n"}, ("fit", "v.csv", "--out", "fo")),
+        ({"v.csv": f"n,value\n4,10\n{10**400},20\n"}, ("fit", "v.csv", "--scale", "exp", "--out", "fo")),
+        ({"v.csv": f"n,value\n4,10\n{10**200},20\n"}, ("fit", "v.csv", "--scale", "exp", "--out", "fo")),
     ],
     ids=[
         "fit-row",
@@ -195,6 +204,12 @@ def _run_cli(*args: str, cwd: Path):
         "metric-props-config-schedule",
         "config-not-object",
         "overlay-size-below-256",
+        "config-unknown-field",
+        "fit-value-inf",
+        "fit-value-nan",
+        "fit-value-past-float-range",
+        "fit-exp-n-past-float-range",
+        "fit-exp-n-squared-past-float-range",
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, files, args):
