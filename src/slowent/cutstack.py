@@ -251,23 +251,13 @@ def _peel(w: Site, stage: int, sched: Schedule, slack: Callable[[int], int]) -> 
     remainder; m(l) > 2 r(l) >= 2 slack(l) rules out a second candidate.
     The offsets of one coordinate never depend on the other, so each
     coordinate is peeled through the levels on its own (one
-    AxisSumset.peel per level), and the levels both coordinates peeled are
-    kept. Returns the peeled offsets (coarsest first) and the remainder.
+    AxisSumset.peel per coordinate), and the levels both coordinates
+    peeled are kept. Returns the peeled offsets (coarsest first) and the
+    remainder.
     """
     axis = sched.sumset(stage)
-    tops = range(stage - 2, -1, -1)
-    slacks = [slack(t + 1) for t in tops]
-    per_axis = []
-    for a in w:
-        offsets = []
-        for t, room in zip(tops, slacks):
-            g = axis.peel(a, t, room)
-            if g is None:
-                break
-            offsets.append(g)
-            a -= g
-        per_axis.append((offsets, a))
-    (xs, x), (ys, y) = per_axis
+    slacks = [slack(j) for j in range(1, stage)]
+    (xs, x), (ys, y) = (axis.peel(a, slacks) for a in w)
     depth = min(len(xs), len(ys))
     return list(zip(xs, ys)), (x + sum(xs[depth:]), y + sum(ys[depth:]))
 
@@ -366,12 +356,14 @@ class PointHandle:
     def determining_stage(self, n: int) -> int:
         """Smallest stage whose arrangement pins every color in the window Q_n.
 
-        Uses the conservative slack rule n + r(stage-1) <= r(stage) - ||u||,
-        which leaves room for a full lower-stage copy around the window.
+        Stage 1 pins Q_0, the point's own core cell, whatever the point's
+        levels. A wider window uses the conservative slack rule
+        n + r(stage-1) <= r(stage) - ||u||, which leaves room for a full
+        lower-stage copy around the window.
         """
         if n < 0:
             raise UsageError(f"window radius must be >= 0, got {n}")
-        if n == 0 and not self.levels:
+        if n == 0:
             return 1
         radii = self.schedule.radii
         for j in range(2, len(radii) + 1):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -327,22 +327,64 @@ def site_type_counts(max_cells: int):
 # the census box Q_2 and its sites in box order; a census triple uses at most 12
 CENSUS_BOX = Box(2)
 CENSUS_SITES = tuple(CENSUS_BOX.sites())
-# (pattern index, symbol) of the non-default symbols of each site type
-_TYPE_CELLS = tuple(tuple((p, sym) for p, sym in enumerate(t) if sym) for t in SITE_TYPES)
+# the symbols (a(u), b(u), c(u)) of one site of each type, as a 3-byte segment
+_TYPE_SEGMENTS = tuple(bytes(t) for t in SITE_TYPES)
 
 
-def census_triple(counts: Sequence[int]) -> tuple[Pattern, Pattern, Pattern]:
-    """The three patterns of a count vector on CENSUS_BOX, its sites laid out in box order."""
-    if sum(counts) > len(CENSUS_SITES):
-        raise UsageError(f"{sum(counts)} sites do not fit in Q_{CENSUS_BOX.radius}")
-    cells: tuple[dict, dict, dict] = ({}, {}, {})
-    end = 0
-    for type_cells, count in zip(_TYPE_CELLS, counts):
-        for u in CENSUS_SITES[end : end + count]:
-            for p, sym in type_cells:
-                cells[p][u] = sym
-        end += count
-    return Pattern(CENSUS_BOX, 0, cells[0]), Pattern(CENSUS_BOX, 0, cells[1]), Pattern(CENSUS_BOX, 0, cells[2])
+def census_rows(counts: Sequence[int]) -> tuple[bytes, bytes, bytes]:
+    """The symbol rows over CENSUS_SITES of a count vector's three patterns.
+
+    The sites are laid out in box order, one run per site type, and each
+    row drops its trailing default symbols: two count vectors give the same
+    row exactly when they give the same pattern.
+    """
+    row = b"".join([seg * count for seg, count in zip(_TYPE_SEGMENTS, counts) if count])
+    return row[0::3].rstrip(b"\0"), row[1::3].rstrip(b"\0"), row[2::3].rstrip(b"\0")
+
+
+def census_pattern(row: bytes) -> Pattern:
+    """The pattern with symbol row[i] at CENSUS_SITES[i], through the checked constructor."""
+    return Pattern(CENSUS_BOX, 0, {CENSUS_SITES[i]: s for i, s in enumerate(row) if s})
+
+
+def _census_violations(pattern_distance: Callable[[Pattern, Pattern], Fraction]) -> dict:
+    """Symmetry, identity and triangle violations over the site-type census on Q_2.
+
+    Each distinct row becomes one checked Pattern. The pairs (a, b), (b, a)
+    and (a, c) repeat across the census (3,075 distinct among 32,526), so
+    their distances are kept by row; (b, c) rarely repeats and is measured
+    directly. Only the distinct patterns and pairs are held, never the
+    census itself.
+    """
+    patterns: dict[bytes, Pattern] = {}
+    memo: dict[tuple[bytes, bytes], Fraction] = {}
+
+    def distance(x: bytes, y: bytes) -> Fraction:
+        d = memo.get((x, y))
+        if d is None:
+            d = memo[x, y] = pattern_distance(patterns[x], patterns[y])
+        return d
+
+    sym_viol = ident_viol = tri_viol = triples = 0
+    for counts in site_type_counts(4):
+        ka, kb, kc = rows = census_rows(counts)
+        a, b, c = [patterns.get(k) or patterns.setdefault(k, census_pattern(k)) for k in rows]
+        d_ab, d_ac, d_bc = distance(ka, kb), distance(ka, kc), pattern_distance(b, c)
+        triples += 1
+        if d_ab != distance(kb, ka):
+            sym_viol += 1
+        if (d_ab == 0) != (a == b):
+            ident_viol += 1
+        # d_ac > d_ab + d_bc, in exact integers
+        u_ab, u_bc = d_ab.denominator, d_bc.denominator
+        if d_ac.numerator * u_ab * u_bc > (d_ab.numerator * u_bc + d_bc.numerator * u_ab) * d_ac.denominator:
+            tri_viol += 1
+    return {
+        "census_triples": triples,
+        "symmetry_violations": sym_viol,
+        "identity_violations": ident_viol,
+        "triangle_violations": tri_viol,
+    }
 
 
 def metric_axiom_suite() -> dict:
@@ -356,19 +398,7 @@ def metric_axiom_suite() -> dict:
     """
     from .lattice import pattern_distance
 
-    sym_viol = ident_viol = tri_viol = triples = 0
-    for counts in site_type_counts(4):
-        a, b, c = census_triple(counts)
-        d_ab = pattern_distance(a, b)
-        d_bc = pattern_distance(b, c)
-        d_ac = pattern_distance(a, c)
-        triples += 1
-        if d_ab != pattern_distance(b, a):
-            sym_viol += 1
-        if (d_ab == 0) != (a == b):
-            ident_viol += 1
-        if d_ac > d_ab + d_bc:
-            tri_viol += 1
+    census = _census_violations(pattern_distance)
 
     # exhaustive: one core symbol on Q_1, at most 3 core cells
     sites = list(Box(1).sites())
@@ -396,11 +426,11 @@ def metric_axiom_suite() -> dict:
         rhs = n_ab * d_ac * den + num * d_ac * d_ab
         ex_viol += int(np.sum(lhs > rhs))
     return {
-        "census_triples": triples,
+        "census_triples": census["census_triples"],
         "exhaustive": True,
-        "symmetry_violations": sym_viol,
-        "identity_violations": ident_viol,
-        "triangle_violations": tri_viol,
+        "symmetry_violations": census["symmetry_violations"],
+        "identity_violations": census["identity_violations"],
+        "triangle_violations": census["triangle_violations"],
         "exhaustive_patterns": n,
         "exhaustive_triangle_violations": ex_viol,
     }

@@ -149,15 +149,26 @@ class AxisSumset:
             self._reach.append(self._reach[-1] + s)
             self._size.append(self._size[-1] * (2 * (s // m) + 1))
 
-    def peel(self, a: int, level: int, slack: int) -> int | None:
-        """The offset g of the level (0-based) with |a - g| <= slack, or None.
+    def peel(self, a: int, slacks: Sequence[int]) -> tuple[list[int], int]:
+        """Peel a top-down through the levels, while each level has an offset.
 
-        g is the multiple of the spacing nearest to a; it is the only
-        candidate because callers keep slack below half the spacing.
+        slacks[t] is level t's slack (0-based, finest first). Level t's
+        offset g is the multiple of its spacing nearest to the remainder,
+        kept when |remainder - g| <= slacks[t]; it is the only candidate
+        because callers keep slack below half the spacing. One divmod per
+        level gives both the quotient and the signed rest. Returns the
+        offsets peeled (coarsest first) and the remainder.
         """
-        m, k, _ = self._levels[level]
-        q = (a + m // 2) // m
-        return q * m if -k <= q <= k and abs(a - q * m) <= slack else None
+        offsets: list[int] = []
+        for (m, k, _), room in zip(reversed(self._levels), reversed(slacks)):
+            h = m // 2
+            q, rest = divmod(a + h, m)
+            rest -= h
+            if not (-k <= q <= k and -room <= rest <= room):
+                break
+            offsets.append(a - rest)
+            a = rest
+        return offsets, a
 
     def count_sum(self, lo: int, hi: int) -> tuple[int, int]:
         """Count and sum of the values in [lo, hi]."""

@@ -108,37 +108,55 @@ def brute_gamma_star_member(v: tuple[int, int], levels: list[tuple[int, int]]) -
     return False
 
 
-def axis_decompose(a: int, stage: int, sched) -> tuple[int, ...] | None:
-    """Per-axis offsets (g_1, ..., g_{stage-1}) summing to a, or None.
+def level_peel(a: int, sched, l: int, slack: int) -> int | None:
+    """The level-l offset within slack of a, or None.
 
-    Level l tries both multiples of m(l) around the remainder by floor
-    division, and keeps those in Q_{s(l)} within r(l) - r(1) of it; at most
-    one survives because m(l) > 2 r(l). No AxisSumset involved.
+    Tries both multiples of m(l) around a by floor division, and keeps
+    those in Q_{s(l)} within slack of a; at most one survives while slack
+    stays below m(l) / 2. No AxisSumset involved.
+    """
+    m, k = sched.m(l), sched.s(l) // sched.m(l)
+    fits = [q * m for q in (a // m, a // m + 1) if -k <= q <= k and abs(a - q * m) <= slack]
+    assert len(fits) <= 1
+    return fits[0] if fits else None
+
+
+def axis_peel(a: int, stage: int, sched, slack) -> tuple[list[int], int]:
+    """Peel a top-down from level stage-1 with level_peel, while each level peels.
+
+    Returns the peeled offsets (coarsest first) and the remainder.
     """
     peeled = []
     for l in range(stage - 1, 0, -1):
-        m, k, slack = sched.m(l), sched.s(l) // sched.m(l), sched.r(l) - sched.r(1)
-        fits = [q * m for q in (a // m, a // m + 1) if -k <= q <= k and abs(a - q * m) <= slack]
-        assert len(fits) <= 1
-        if not fits:
-            return None
-        peeled.append(fits[0])
-        a -= fits[0]
-    return tuple(reversed(peeled)) if a == 0 else None
+        g = level_peel(a, sched, l, slack(l))
+        if g is None:
+            break
+        peeled.append(g)
+        a -= g
+    return peeled, a
+
+
+def axis_decompose(a: int, stage: int, sched) -> tuple[int, ...] | None:
+    """Per-axis offsets (g_1, ..., g_{stage-1}) summing to a, or None.
+
+    Every level must peel within the reach r(l) - r(1) of the finer levels,
+    leaving remainder 0.
+    """
+    peeled, rest = axis_peel(a, stage, sched, lambda l: sched.r(l) - sched.r(1))
+    return tuple(reversed(peeled)) if len(peeled) == stage - 1 and rest == 0 else None
 
 
 def peel_2d(w, stage: int, sched, slack) -> tuple[list[tuple[int, int]], tuple[int, int]]:
     """Peel level offsets from w top-down, both coordinates together, while both peel.
 
     Level by level, from level stage-1: each coordinate's offset is the one
-    AxisSumset.peel finds within slack(l) of the remainder, and the loop
-    stops at the first level where either coordinate has none. Returns the
-    peeled offsets (coarsest first) and the remainder.
+    level_peel finds within slack(l) of the remainder, and the loop stops
+    at the first level where either coordinate has none. Returns the peeled
+    offsets (coarsest first) and the remainder.
     """
-    axis = sched.sumset(stage)
     peeled = []
     for l in range(stage - 1, 0, -1):
-        g = tuple(axis.peel(a, l - 1, slack(l)) for a in w)
+        g = tuple(level_peel(a, sched, l, slack(l)) for a in w)
         if None in g:
             break
         peeled.append(g)
@@ -236,12 +254,13 @@ def position_from_levels(levels, stage: int) -> tuple[int, int]:
 def determining_stage_by_loop(point, n: int) -> int:
     """PointHandle.determining_stage as a loop that grows the point and re-sums its levels at every stage.
 
-    Stage j pins Q_n when n + r(j-1) <= r(j) - ||u_j||, with u_j the stage-j position.
+    Stage 1 pins Q_0; stage j pins Q_n when n + r(j-1) <= r(j) - ||u_j||,
+    with u_j the stage-j position.
     """
     from slowent.cutstack import StageCapError
 
-    if n == 0 and not point.levels:
-        return 1
+    if n == 0:
+        return 1  # stage 1 pins the point's own core cell
     sched = point.schedule
     for j in range(2, sched.stages + 1):
         point.extend_to(j)
@@ -471,3 +490,46 @@ def recursive_site_type_counts(site_types, max_cells: int):
             loads = tuple(load + (x != 0) for load, x in zip(loads, site_types[k]))
 
     yield from extend(0, (0,) * len(site_types[0]))
+
+
+def census_triple(counts) -> tuple[Pattern, Pattern, Pattern]:
+    """The three patterns of a count vector on the census box Q_2, its sites laid out in box order."""
+    from slowent.expcli import CENSUS_BOX, CENSUS_SITES, SITE_TYPES
+
+    if sum(counts) > len(CENSUS_SITES):
+        raise UsageError(f"{sum(counts)} sites do not fit in Q_{CENSUS_BOX.radius}")
+    cells: tuple[dict, dict, dict] = ({}, {}, {})
+    end = 0
+    for t, count in zip(SITE_TYPES, counts):
+        for u in CENSUS_SITES[end : end + count]:
+            for p, sym in enumerate(t):
+                if sym:
+                    cells[p][u] = sym
+        end += count
+    return Pattern(CENSUS_BOX, 0, cells[0]), Pattern(CENSUS_BOX, 0, cells[1]), Pattern(CENSUS_BOX, 0, cells[2])
+
+
+def census_violations_by_triple() -> dict:
+    """The census half of metric_axiom_suite, one fresh triple and four distances per count vector.
+
+    Reads slowent.lattice.pattern_distance when it runs, so a metric planted
+    there reaches it, and compares the distances as Fractions.
+    """
+    from slowent import lattice
+    from slowent.expcli import SITE_TYPES
+
+    distance = lattice.pattern_distance
+    sym_viol = ident_viol = tri_viol = triples = 0
+    for counts in recursive_site_type_counts(SITE_TYPES, 4):
+        a, b, c = census_triple(counts)
+        d_ab, d_bc, d_ac = distance(a, b), distance(b, c), distance(a, c)
+        triples += 1
+        sym_viol += d_ab != distance(b, a)
+        ident_viol += (d_ab == 0) != (a == b)
+        tri_viol += d_ac > d_ab + d_bc
+    return {
+        "census_triples": triples,
+        "symmetry_violations": sym_viol,
+        "identity_violations": ident_viol,
+        "triangle_violations": tri_viol,
+    }

@@ -13,6 +13,7 @@ from slowent.symbolic import overlay_name
 
 from oracles import (
     axis_decompose,
+    axis_peel,
     brute_arrangement,
     brute_gamma,
     brute_gamma_star_member,
@@ -505,6 +506,40 @@ def test_peel_per_axis_matches_2d_peel_on_the_extremes(variant, rule):
 
 @pytest.mark.parametrize("rule", SLACK_RULES)
 @pytest.mark.parametrize("variant", range(len(VARIANTS)))
+def test_axis_peel_matches_the_level_by_level_peel_on_the_extremes(variant, rule):
+    # on the sumset at every extreme address, one step off it either side,
+    # and one top spacing away, where a top quotient of +-k becomes +-(k + 1)
+    sched = VARIANTS[variant]
+    slack = SLACK_RULES[rule](sched)
+    for stage in range(1, sched.stages + 1):
+        axis, slacks = sched.sumset(stage), [slack(j) for j in range(1, stage)]
+        top = sched.m(stage - 1) if stage > 1 else 0
+        for xs in expcli.axis_extremes(sched, stage):
+            a = sum(xs)
+            for d in (-1, 0, 1, -top, top):
+                assert axis.peel(a + d, slacks) == axis_peel(a + d, stage, sched, slack)
+            if rule == "decompose":
+                assert axis.peel(a, slacks) == (list(reversed(xs)), 0)
+
+
+@pytest.mark.parametrize("rule", SLACK_RULES)
+@pytest.mark.parametrize("variant", range(len(VARIANTS)))
+@exact
+@given(data=st.data())
+def test_axis_peel_matches_the_level_by_level_peel_off_the_sumset(variant, rule, data):
+    # anywhere in and around the stage arrangement, and at a level's gap midpoint
+    sched = VARIANTS[variant]
+    slack = SLACK_RULES[rule](sched)
+    stage = data.draw(st.integers(1, sched.stages))
+    core = sum(g[0] for g in data.draw(addresses(sched, stage)))
+    r = sched.r(stage)
+    gaps = [sched.m(j) // 2 for j in range(1, stage)] or [0]
+    a = data.draw(st.integers(-r - 2, r + 2) | st.integers(-3, 3).map(lambda d: core + d) | st.sampled_from(gaps).map(lambda h: core + h))
+    assert sched.sumset(stage).peel(a, [slack(j) for j in range(1, stage)]) == axis_peel(a, stage, sched, slack)
+
+
+@pytest.mark.parametrize("rule", SLACK_RULES)
+@pytest.mark.parametrize("variant", range(len(VARIANTS)))
 @exact
 @given(data=st.data())
 def test_peel_per_axis_matches_2d_peel_at_random_sites(variant, rule, data):
@@ -657,6 +692,22 @@ def test_positions_and_determining_stage_match_the_level_sums(variant):
             pinned = cs.sample_point(sched, stage, seed + 100).levels
             _check_point_against_level_sums(cs.point_from_address(sched, pinned, seed))
         _check_point_against_level_sums(cs.point_from_address(sched, corner[: stage - 1]))
+
+
+@pytest.mark.parametrize("variant", range(len(VARIANTS)))
+def test_stage_one_pins_the_zero_window_in_any_order(variant):
+    # the answer for Q_0 may not depend on how far the point has grown
+    sched = VARIANTS[variant]
+    points = [cs.point_from_address(sched, []), cs.sample_point(sched, 1, 7), cs.sample_point(sched, 3, 7)]
+    for p in points:
+        twin = cs.PointHandle(sched, p.seed, list(p.levels), p.zero_fill)
+        assert p.determining_stage(0) == determining_stage_by_loop(twin, 0) == 1
+        for stage in range(2, sched.stages + 1):
+            p.extend_to(stage)
+            assert p.determining_stage(0) == 1
+            assert cs.locate_site(p, (0, 0)) == (1, (0, 0))
+        p.position_at(3)
+        assert p.determining_stage(0) == 1 and cs.core_count(p, 0) == 1
 
 
 @pytest.mark.parametrize("variant", range(len(VARIANTS)))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +16,8 @@ from slowent.lattice import UsageError, pattern_distance
 
 from oracles import (
     brute_stage2_census,
+    census_triple,
+    census_violations_by_triple,
     merged_provenance_count,
     pattern_from_text,
     random_axiom_violations,
@@ -384,9 +387,10 @@ def test_planted_top_level_peel_defect_fails_roundtrip(monkeypatch, spec):
     lost = -(sched.s(top) // sched.m(top)) * sched.m(top)
     peel = lattice.AxisSumset.peel
 
-    def planted(self, a, level, slack):
-        g = peel(self, a, level, slack)
-        return None if level == top - 1 and g == lost else g
+    def planted(self, a, slacks):
+        # the full sumset has one slack per level; its top level stops the peel at the lost copy
+        offsets, rest = peel(self, a, slacks)
+        return ([], a) if len(slacks) == top and offsets[:1] == [lost] else (offsets, rest)
 
     monkeypatch.setattr(lattice.AxisSumset, "peel", planted)
     report = expcli.Report(config={})
@@ -526,10 +530,10 @@ def test_site_type_counts_is_lazy_and_matches_recursion(max_cells):
 def test_census_triple_lays_out_sites_in_box_order():
     counts = list(range(1, 14))  # one site of the first type, two of the second, ...
     with pytest.raises(UsageError):
-        expcli.census_triple(counts)
+        census_triple(counts)
     counts = [0] * 13
     counts[0], counts[-1] = 2, 3
-    a, b, c = expcli.census_triple(counts)
+    a, b, c = census_triple(counts)
     sites = list(expcli.CENSUS_BOX.sites())[:5]
     assert expcli.SITE_TYPES[0] == (0, 0, 1) and expcli.SITE_TYPES[-1] == (1, 2, 2)
     assert a.cells == dict.fromkeys(sites[2:], 1)
@@ -550,13 +554,72 @@ def test_site_type_census_covers_random_triples():
             counts[expcli.SITE_TYPES.index(t)] += 1
         assert tuple(counts) in census
         a, b, c = triple
-        x, y, z = expcli.census_triple(counts)
+        x, y, z = census_triple(counts)
         assert (pattern_distance(x, y), pattern_distance(y, z), pattern_distance(x, z)) == (
             pattern_distance(a, b),
             pattern_distance(b, c),
             pattern_distance(a, c),
         )
         assert (x == y) == (a == b)
+
+
+def test_census_rows_key_the_census_triples():
+    # a row names its pattern: equal rows exactly when the triples' patterns are equal
+    by_row = {}
+    for counts in expcli.site_type_counts(4):
+        for row, p in zip(expcli.census_rows(counts), census_triple(counts)):
+            assert expcli.census_pattern(row) == p
+            by_row.setdefault(row, lattice.pattern_to_text(p))
+            assert by_row[row] == lattice.pattern_to_text(p)
+    assert len(by_row) == len(set(by_row.values())) == 832
+
+
+def _halved_when_longer(a, b):
+    # asymmetric: halves the distance when a has more cells than b
+    d = pattern_distance(a, b)
+    return d / 2 if len(a.cells) > len(b.cells) else d
+
+
+@pytest.mark.parametrize("metric", [pattern_distance, _halved_when_longer], ids=["real", "asymmetric"])
+def test_metric_axiom_suite_census_matches_the_triple_by_triple_census(monkeypatch, metric):
+    monkeypatch.setattr(lattice, "pattern_distance", metric)
+    expected, stats = census_violations_by_triple(), expcli.metric_axiom_suite()
+    assert {key: stats[key] for key in expected} == expected
+    if metric is _halved_when_longer:
+        assert expected["symmetry_violations"] > 0 and expected["triangle_violations"] > 0
+
+
+def test_metric_axiom_suite_builds_each_pattern_and_repeated_pair_once(monkeypatch):
+    # 832 distinct census patterns and 130 on Q_1; 3,075 distinct (a, b),
+    # (b, a) and (a, c) pairs, 10,842 (b, c) pairs and 130 * 129 / 2 pairs on Q_1
+    calls = {"patterns": 0, "distances": 0}
+    post_init = lattice.Pattern.__post_init__
+
+    def counted_post_init(self):
+        calls["patterns"] += 1
+        post_init(self)
+
+    def counted_distance(a, b):
+        calls["distances"] += 1
+        return pattern_distance(a, b)
+
+    monkeypatch.setattr(lattice.Pattern, "__post_init__", counted_post_init)
+    monkeypatch.setattr(lattice, "pattern_distance", counted_distance)
+    assert expcli.metric_axioms_hold(expcli.metric_axiom_suite())
+    assert calls["patterns"] == 962
+    assert calls["distances"] <= 3_075 + 10_842 + 8_385
+
+
+def test_metric_axiom_suite_never_holds_the_census():
+    # the distinct patterns and repeated pairs fit well under the bound;
+    # a memo of every pair, or the census as a list, does not
+    tracemalloc.start()
+    try:
+        expcli.metric_axiom_suite()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 2**20
 
 
 def test_metric_axiom_pass_condition_counts_every_violation(monkeypatch):
