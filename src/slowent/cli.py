@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import covernum, cutstack, expcli, recurrence
+from . import covernum, cutstack, expcli
 from .lattice import UsageError, pattern_to_text
 
 
@@ -159,8 +159,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _schedule_command(args)
     if args.command == "sample":
         sched = _schedule_from_args(args)
-        for i in range(args.count):
-            p = cutstack.sample_point(sched, args.stage, expcli.rng.derive_seed(args.seed, "point", i))
+        for i, p in enumerate(expcli.sample_points(sched, args.stage, args.count, args.seed)):
             print(f"point {i}: levels={p.levels}")
         return 0
     if args.command == "names":
@@ -170,15 +169,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
     if args.command == "distmat":
         sched = _schedule_from_args(args)
-        pts = expcli.sample_points(sched, 3, args.sample_size, args.seed)
-        patterns = [recurrence.recurrence_set(q, args.n) for q in pts]
-        from .partitions import recurrence_metric
-
+        smp = expcli.recurrence_sample(expcli.sample_points(sched, 3, args.sample_size, args.seed), args.n)
         args.out.mkdir(parents=True, exist_ok=True)
-        rows = []
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                rows.append({"i": i, "j": j, "distance": recurrence_metric(patterns[i], patterns[j])})
+        rows = [{"i": i, "j": j, "distance": smp.dist[i][j]} for i in range(len(smp)) for j in range(i + 1, len(smp))]
         expcli.write_csv(rows, args.out / "distmat.csv")
         print(args.out / "distmat.csv")
         return 0

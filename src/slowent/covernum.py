@@ -68,21 +68,6 @@ def sample_from_points(ids: Sequence, masses: Sequence[Fraction], metric) -> Met
     return MetricSample(tuple(ids), tuple(Fraction(m) for m in masses), tuple(tuple(r) for r in rows))
 
 
-@dataclass(frozen=True)
-class CoverEstimate:
-    """Bracketing of a covering number."""
-
-    lower: int
-    upper: int
-    exact: int | None
-
-    def __post_init__(self) -> None:
-        if self.lower > self.upper:
-            raise UsageError(f"inconsistent estimate: lower {self.lower} > upper {self.upper}")
-        if self.exact is not None and not (self.lower <= self.exact <= self.upper):
-            raise UsageError(f"inconsistent estimate {self.lower} <= {self.exact} <= {self.upper}")
-
-
 def _within(sample: MetricSample, radius: Fraction) -> list[int]:
     """Per point, the bitmask of the points within `radius` of it (itself included)."""
     return [sum(1 << j for j, d in enumerate(row) if d <= radius) for row in sample.dist]
@@ -131,11 +116,7 @@ def _maximal_cliques(adj: list[int], n: int) -> list[int]:
     return cliques
 
 
-def exact_cover_number(
-    sample: MetricSample,
-    eps_diam: Fraction,
-    eps_mass: Fraction = Fraction(0),
-) -> int:
+def exact_cover_number(sample: MetricSample, eps_diam: Fraction, eps_mass: Fraction) -> int:
     """Minimal number of diameter <= eps_diam subsets covering mass >= (1 - eps_mass) * total."""
     n = len(sample)
     if n > EXACT_COVER_LIMIT:
@@ -177,7 +158,7 @@ def exact_cover_number(
     raise AssertionError("cover search failed to terminate")
 
 
-def greedy_cover_upper(sample: MetricSample, eps_diam: Fraction, eps_mass: Fraction = Fraction(0)) -> int:
+def greedy_cover_upper(sample: MetricSample, eps_diam: Fraction, eps_mass: Fraction) -> int:
     """Greedy ball cover: radius eps_diam/2 balls certify diameter <= eps_diam.
 
     Repeatedly takes the ball covering the most uncovered mass (ties to the
@@ -207,30 +188,33 @@ def greedy_cover_upper(sample: MetricSample, eps_diam: Fraction, eps_mass: Fract
 
 
 def max_separated_lower(sample: MetricSample, eps: Fraction) -> int:
-    """First-fit maximal eps-separated subset, scanning by point index.
+    """First-fit maximal subset at pairwise distance > eps, scanning by point index.
 
-    Any cover by sets of diameter < eps contains at most one selected point
+    Any cover by sets of diameter <= eps contains at most one selected point
     per set, so the size lower-bounds full-coverage covers. Points of zero
     mass still get selected but need not be covered, so the lower-bound
-    reading requires strictly positive masses.
+    reading requires strictly positive masses. Distance > eps is distance
+    >= the smallest sample distance above eps, the threshold the first fit
+    takes.
     """
-    return bowen_first_fit_separated(lambda i, js, cap: [sample.dist[i][j] for j in js], len(sample), eps)
+    threshold = min((d for row in sample.dist for d in row if d > eps), default=None)
+    if threshold is None:
+        return min(len(sample), 1)
+    return bowen_first_fit_separated(lambda i, js, cap: [sample.dist[i][j] for j in js], len(sample), threshold)
 
 
-def cover_estimate(sample: MetricSample, eps_diam: Fraction, eps_mass: Fraction = Fraction(0)) -> CoverEstimate:
-    """Bundle separation lower bound, greedy upper bound, and the oracle when feasible.
+def cover_bracket(sample: MetricSample, eps_diam: Fraction, eps_mass: Fraction) -> tuple[int, int, int]:
+    """(lower, exact, upper) for the cover number at diameter eps_diam and mass slack eps_mass.
 
     The separation count only bounds full-coverage covers, so with mass
-    slack the lower bound degrades to the trivial one.
+    slack the lower bound degrades to the trivial one. Nothing here checks
+    lower <= exact <= upper: that is the cover-sandwich verdict's to judge.
     """
-    eps_mass = Fraction(eps_mass)
     if eps_mass == 0:
-        lower = max_separated_lower(sample, Fraction(eps_diam) + Fraction(1, 10**9))
+        lower = max_separated_lower(sample, eps_diam)
     else:
-        lower = 1 if (Fraction(1) - eps_mass) * sample.total_mass() > 0 else 0
-    upper = greedy_cover_upper(sample, eps_diam, eps_mass)
-    exact = exact_cover_number(sample, eps_diam, eps_mass) if len(sample) <= EXACT_COVER_LIMIT else None
-    return CoverEstimate(lower, upper, exact)
+        lower = 1 if (1 - eps_mass) * sample.total_mass() > 0 else 0
+    return lower, exact_cover_number(sample, eps_diam, eps_mass), greedy_cover_upper(sample, eps_diam, eps_mass)
 
 
 # ---------------------------------------------------------------------------

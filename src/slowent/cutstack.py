@@ -84,10 +84,9 @@ class Schedule:
             m = _int_root(s, inv)
             if m is None:
                 raise UsageError(f"s({i}) = {s} is not a perfect {inv}-th power")
+            # with c >= 2 this gives m > 2 r, which unique decomposition needs
             if m <= self.c * self.radii[i - 1]:
                 raise UsageError(f"m({i}) = {m} violates m > c*r = {self.c * self.radii[i - 1]}")
-            if 2 * self.radii[i - 1] >= m:
-                raise UsageError(f"m({i}) = {m} <= 2 r({i}) breaks unique decomposition")
             levels.append((m, s))
         object.__setattr__(self, "_levels", tuple(levels))
         object.__setattr__(self, "_sumsets", tuple(AxisSumset(levels[:i]) for i in range(len(self.radii))))
@@ -321,10 +320,6 @@ class PointHandle:
     def overlay_seed(self) -> int:
         """Seed of the point's overlay bits, derived on first read."""
         return rng.derive_seed(self.seed, "overlay-seed")
-
-    @property
-    def stage(self) -> int:
-        return len(self.levels) + 1
 
     def extend_to(self, stage: int) -> None:
         """Grow the address so the point lives in the stage-`stage` arrangement."""

@@ -505,6 +505,16 @@ def sample_points(sched: Schedule, stage: int, count: int, seed: int) -> list[cu
     return [cutstack.sample_point(sched, stage, rng.derive_seed(seed, "point", i)) for i in range(count)]
 
 
+def recurrence_sample(points: Sequence[cutstack.PointHandle], n: int) -> covernum.MetricSample:
+    """The points under the recurrence metric d_{A,n}, each of mass 1/len."""
+    patterns = [recurrence.recurrence_set(p, n) for p in points]
+    return sample_from_points(
+        list(range(len(points))),
+        [Fraction(1, len(points))] * len(points),
+        lambda i, j: recurrence_metric(patterns[i], patterns[j]),
+    )
+
+
 def run_cover_scan(config: ExperimentConfig) -> Report:
     report = Report(config=_canonical(config))
     sched = config.schedule()
@@ -512,29 +522,13 @@ def run_cover_scan(config: ExperimentConfig) -> Report:
     scales = list(config.scales) if config.scales else default_scales(sched)
     rows = []
     for n in scales:
-        patterns = [recurrence.recurrence_set(p, n) for p in points]
-        smp = sample_from_points(
-            list(range(len(points))),
-            [Fraction(1, len(points))] * len(points),
-            lambda i, j: recurrence_metric(patterns[i], patterns[j]),
-        )
+        smp = recurrence_sample(points, n)
         for eps in config.epsilons():
-            est = covernum.cover_estimate(smp, eps, eps)
-            full = covernum.cover_estimate(smp, eps, Fraction(0))
-            rows.append(
-                {
-                    "n": n,
-                    "epsilon_diam": eps,
-                    "epsilon_mass": eps,
-                    "lower": est.lower,
-                    "upper": est.upper,
-                    "exact": est.exact,
-                }
-            )
-            ok = full.lower <= (full.exact if full.exact is not None else full.upper) <= full.upper
-            report.claim(
-                Claim.COVER_SANDWICH, ok, suffix=f"-n{n}-eps{eps}", n=n, eps=eps, lower=full.lower, exact=full.exact, upper=full.upper
-            )
+            lower, exact, upper = covernum.cover_bracket(smp, eps, eps)
+            rows.append({"n": n, "epsilon_diam": eps, "epsilon_mass": eps, "lower": lower, "upper": upper, "exact": exact})
+            lower, exact, upper = covernum.cover_bracket(smp, eps, Fraction(0))
+            ok = lower <= exact <= upper
+            report.claim(Claim.COVER_SANDWICH, ok, suffix=f"-n{n}-eps{eps}", n=n, eps=eps, lower=lower, exact=exact, upper=upper)
     report.tables["cover"] = rows
     return report
 
@@ -553,7 +547,7 @@ def stage2_recurrence_census(sched: Schedule, n: int) -> dict:
         p = cutstack.point_from_address(sched, [(a, 0)])
         patterns.add(tuple(cutstack.window_axes(p, n)[0]))
         _, mean_x, mean_y = cutstack.core_centroid(p, n)
-        if recurrence.centroid_decode_axes(1, mean_x, 1, mean_y)[0] == a:
+        if recurrence.centroid_decode_axes(mean_x, mean_y)[0] == a:
             decode_hits += 1
     return {
         "positions": len(axis) ** 2,
@@ -900,9 +894,7 @@ def cover_sandwich_suite(seed: int, instances: int, max_points: int) -> dict:
 
         smp = sample_from_points(coords, masses, metric)
         eps = Fraction(1 + rng.uniform_int(seed, "cs-eps", i, lo=0, hi=300), 1000)
-        exact = covernum.exact_cover_number(smp, eps, Fraction(0))
-        upper = covernum.greedy_cover_upper(smp, eps, Fraction(0))
-        lower = covernum.max_separated_lower(smp, eps + Fraction(1, 10**6))
+        lower, exact, upper = covernum.cover_bracket(smp, eps, Fraction(0))
         if not (lower <= exact <= upper):
             violations += 1
         if exact:

@@ -45,11 +45,10 @@ def recurrence_key(point: PointHandle, n: int) -> bytes:
     return h.digest()
 
 
-def centroid_decode_axes(count_x: int, mean_x: Fraction, count_y: int, mean_y: Fraction) -> Site:
+def centroid_decode_axes(mean_x: Fraction, mean_y: Fraction) -> Site:
     """Position encoded by a translate of a zero-sum window X x Y: the negated mean (mean X, mean Y),
-    rounded to the nearest integer with exact .5 ties toward zero so contamination stays visible."""
-    if count_x == 0 or count_y == 0:
-        raise UsageError("cannot decode an empty recurrence pattern")
+    rounded to the nearest integer with exact .5 ties toward zero so contamination stays visible.
+    The means come from `cutstack.core_centroid`, which refuses an empty window."""
     return (_round_half_toward_zero(-mean_x), _round_half_toward_zero(-mean_y))
 
 

@@ -184,6 +184,15 @@ def brute_exact_cover(masses: list[Fraction], dist: list[list[Fraction]], eps_di
     raise AssertionError("uncoverable instance")
 
 
+def brute_strict_first_fit(dist: list[list[Fraction]], eps: Fraction) -> int:
+    """First-fit separated-set size by index, keeping a point when it is at distance > eps from every kept point."""
+    kept: list[int] = []
+    for i in range(len(dist)):
+        if all(dist[i][j] > eps for j in kept):
+            kept.append(i)
+    return len(kept)
+
+
 def brute_separated_words(min_distance: int, words) -> int:
     """First-fit family size by comparing each word against every kept word."""
     kept: list[int] = []
@@ -379,7 +388,7 @@ def brute_stage2_census(sched, n: int) -> dict:
         p = point_from_address(sched, [g])
         keys.add(recurrence_key(p, n))
         _, mean_x, mean_y = core_centroid(p, n)
-        if centroid_decode_axes(1, mean_x, 1, mean_y) == g:
+        if centroid_decode_axes(mean_x, mean_y) == g:
             decode_hits += 1
     return {"positions": len(positions), "distinct_patterns": len(keys), "decode_hits": decode_hits, "window": n}
 

@@ -3,9 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from slowent import rng, toys
+from slowent import covernum, rng, toys
 from slowent.covernum import (
-    CoverEstimate,
     CoverTooLarge,
     MetricSample,
     alpha_fit,
@@ -13,7 +12,7 @@ from slowent.covernum import (
     bowen_bound_log2,
     bowen_first_fit_separated,
     bowen_sep_check,
-    cover_estimate,
+    cover_bracket,
     exact_cover_number,
     greedy_cover_upper,
     growth_fit,
@@ -22,7 +21,7 @@ from slowent.covernum import (
 )
 from slowent.lattice import UsageError
 
-from oracles import bowen_distance, brute_bowen_first_fit, brute_exact_cover
+from oracles import bowen_distance, brute_bowen_first_fit, brute_exact_cover, brute_strict_first_fit
 
 
 def four_point_sample():
@@ -39,7 +38,7 @@ def test_exact_cover_examples():
     # every point's mass 1/4 > 1/5 forces full coverage; {1,2} merges
     assert exact_cover_number(smp, Fraction(1, 5), Fraction(1, 5)) == 3
     single = sample_from_points([0], [Fraction(1)], lambda a, b: Fraction(0))
-    assert exact_cover_number(single, Fraction(1, 2)) == 1
+    assert exact_cover_number(single, Fraction(1, 2), Fraction(0)) == 1
     assert exact_cover_number(single, Fraction(1, 2), Fraction(1)) == 0
     trio = sample_from_points([0, 1, 2], [Fraction(1, 3)] * 3, lambda a, b: Fraction(1))
     assert exact_cover_number(trio, Fraction(1, 2), Fraction(0)) == 3
@@ -49,16 +48,16 @@ def test_exact_cover_refuses_large_instances():
     n = 25
     smp = sample_from_points(list(range(n)), [Fraction(1, n)] * n, lambda a, b: Fraction(1))
     with pytest.raises(CoverTooLarge):
-        exact_cover_number(smp, Fraction(1, 2))
+        exact_cover_number(smp, Fraction(1, 2), Fraction(0))
 
 
 def test_greedy_examples():
     smp = four_point_sample()
     assert greedy_cover_upper(smp, Fraction(1, 5), Fraction(1, 5)) == 3
     trio = sample_from_points([0, 1, 2], [Fraction(1, 3)] * 3, lambda a, b: Fraction(1))
-    assert greedy_cover_upper(trio, Fraction(1, 2)) == 3
+    assert greedy_cover_upper(trio, Fraction(1, 2), Fraction(0)) == 3
     dup = sample_from_points(list(range(7)), [Fraction(1, 7)] * 7, lambda a, b: Fraction(0))
-    assert greedy_cover_upper(dup, Fraction(1, 100)) == 1
+    assert greedy_cover_upper(dup, Fraction(1, 100), Fraction(0)) == 1
 
 
 def test_max_separated_examples():
@@ -67,6 +66,8 @@ def test_max_separated_examples():
     assert max_separated_lower(smp, Fraction(1, 5)) == 3
     trio = sample_from_points([0, 1, 2], [Fraction(1, 3)] * 3, lambda a, b: Fraction(1))
     assert max_separated_lower(trio, Fraction(1, 2)) == 3
+    # separation is strict: points at distance exactly eps share a diameter-eps set
+    assert max_separated_lower(trio, Fraction(1)) == 1
     dup = sample_from_points(list(range(5)), [Fraction(1, 5)] * 5, lambda a, b: Fraction(0))
     assert max_separated_lower(dup, Fraction(1, 100)) == 1
 
@@ -95,12 +96,12 @@ def test_exact_cover_matches_brute_oracle():
 
 
 def test_cover_sandwich_random():
+    # distances are multiples of 1/200 and eps of 1/100, so many pairs sit at exactly eps
     for i in range(60):
         smp = _random_metric_sample(42, i, max_points=12)
         eps = Fraction(1 + rng.uniform_int(42, "eps", i, lo=0, hi=40), 100)
-        exact = exact_cover_number(smp, eps, Fraction(0))
-        lower = max_separated_lower(smp, eps + Fraction(1, 10**6))
-        upper = greedy_cover_upper(smp, eps, Fraction(0))
+        lower, exact, upper = cover_bracket(smp, eps, Fraction(0))
+        assert lower == max_separated_lower(smp, eps) == brute_strict_first_fit([list(r) for r in smp.dist], eps)
         assert lower <= exact <= upper
 
 
@@ -130,15 +131,20 @@ def test_comparable_metrics_bound():
             assert n2 <= n1
 
 
-def test_cover_estimate_invariant():
+def test_cover_bracket_examples():
     smp = four_point_sample()
-    est = cover_estimate(smp, Fraction(1, 5), Fraction(1, 5))
-    assert est.exact == 3
-    assert est.lower <= est.exact <= est.upper
-    with pytest.raises(UsageError):
-        CoverEstimate(3, 2, None)
-    with pytest.raises(UsageError):
-        CoverEstimate(1, 3, 5)
+    # with mass slack the separation count bounds nothing, so the lower bound is the trivial 1
+    assert cover_bracket(smp, Fraction(1, 5), Fraction(1, 5)) == (1, 3, 3)
+    assert cover_bracket(smp, Fraction(1, 5), Fraction(0)) == (3, 3, 3)
+    single = sample_from_points([0], [Fraction(1)], lambda a, b: Fraction(0))
+    assert cover_bracket(single, Fraction(1, 2), Fraction(1)) == (0, 0, 0)
+
+
+def test_cover_bracket_leaves_an_inconsistent_bound_to_the_verdict(monkeypatch):
+    # a greedy bound one too small is returned as it is, for the cover-sandwich verdict to fail
+    greedy = covernum.greedy_cover_upper
+    monkeypatch.setattr(covernum, "greedy_cover_upper", lambda *args: greedy(*args) - 1)
+    assert cover_bracket(four_point_sample(), Fraction(1, 5), Fraction(0)) == (3, 3, 2)
 
 
 def test_metric_sample_validation():
@@ -147,11 +153,14 @@ def test_metric_sample_validation():
     sample_from_points([0, 1], [Fraction(1, 2)] * 2, lambda a, b: Fraction(1, 3))
 
 
-def test_determinism_of_estimates():
-    smp = four_point_sample()
-    a = cover_estimate(smp, Fraction(1, 5), Fraction(1, 5))
-    b = cover_estimate(smp, Fraction(1, 5), Fraction(1, 5))
-    assert a == b
+def test_cover_bracket_is_its_three_bounds():
+    for i in range(20):
+        smp = _random_metric_sample(45, i, max_points=8)
+        eps = Fraction(1 + rng.uniform_int(45, "eps", i, lo=0, hi=40), 100)
+        exact, upper = exact_cover_number(smp, eps, eps), greedy_cover_upper(smp, eps, eps)
+        assert cover_bracket(smp, eps, eps) == (1, exact, upper)
+        exact, upper = exact_cover_number(smp, eps, Fraction(0)), greedy_cover_upper(smp, eps, Fraction(0))
+        assert cover_bracket(smp, eps, Fraction(0)) == (max_separated_lower(smp, eps), exact, upper)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import slowent
-from slowent import cli, cutstack, expcli, lattice, recurrence, symbolic
+from slowent import cli, covernum, cutstack, expcli, lattice, recurrence, symbolic
 from slowent.lattice import UsageError, pattern_distance
 
 from oracles import (
@@ -464,8 +464,8 @@ def test_planted_decoder_shift_fails_stage2_census(monkeypatch, tmp_path, capsys
     # verify's variants and recur read it through the same claim
     decode = recurrence.centroid_decode_axes
 
-    def shifted(*args):
-        x, y = decode(*args)
+    def shifted(mean_x, mean_y):
+        x, y = decode(mean_x, mean_y)
         return x + 1, y
 
     monkeypatch.setattr(recurrence, "centroid_decode_axes", shifted)
@@ -477,6 +477,19 @@ def test_planted_decoder_shift_fails_stage2_census(monkeypatch, tmp_path, capsys
     assert cli.main(["recur", "--c", "5", "--out", str(tmp_path)]) == 1
     verdicts = json.loads((tmp_path / "report.json").read_text())["verdicts"]
     assert [(v["name"], v["status"]) for v in verdicts] == [("stage2-census", "fail"), ("rho-alpha-bound", "pass")]
+
+
+def test_planted_greedy_undercount_fails_cover_sandwich(monkeypatch, tmp_path):
+    # a greedy cover bound one too small: cover exits 1 with failing verdicts
+    # (not 2 with a usage error), and verify's global suite reads it too
+    greedy = covernum.greedy_cover_upper
+    monkeypatch.setattr(covernum, "greedy_cover_upper", lambda *args: greedy(*args) - 1)
+    assert cli.main(["cover", "--out", str(tmp_path)]) == 1
+    verdicts = json.loads((tmp_path / "report.json").read_text())["verdicts"]
+    assert len(verdicts) == 8
+    assert all(v["name"].startswith("cover-sandwich-n") and v["status"] == "fail" for v in verdicts)
+    sandwich = _global_verdict("global/cover-sandwich")
+    assert sandwich.status == "fail" and sandwich.details["violations"] == 29
 
 
 def test_overlay_refuses_samples_too_small_to_reach_the_target():
@@ -643,6 +656,7 @@ PLANTED = {
     "erasure-identity": test_planted_erasure_defect_fails_erasure_identity,
     "ratio-ergodic": test_planted_unthickened_provenance_fails_ratio_ergodic,
     "stage2-census": test_planted_decoder_shift_fails_stage2_census,
+    "cover-sandwich": test_planted_greedy_undercount_fails_cover_sandwich,
 }
 
 # asserted claims that no planted defect turns to fail yet
@@ -652,7 +666,6 @@ UNPLANTED = {
     "alpha-vs-theta",
     "gamma-exponent-vs-theta",
     "rho-alpha-bound",
-    "cover-sandwich",
     "gv-exhaustive",
     "gv-sampled",
     "bowen-isometry",

@@ -264,3 +264,63 @@ def test_each_claim_is_written_once_in_the_package():
     ]
     assert calls
     assert not [ast.unparse(call) for call in calls if any(isinstance(arg, (ast.Constant, ast.JoinedStr)) for arg in call.args[1:2])]
+
+
+# ---------------------------------------------------------------------------
+# No new knobs: the settable defaults of the package, counted by the rule in
+# CHANGES.md, may only go down, so a new one has to show up in a diff.
+
+SETTABLE_DEFAULTS_CAP = 22
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Whether the class is decorated with `@dataclass` or `@dataclass(...)`."""
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass" for d in node.decorator_list)
+
+
+def _init_false(value: ast.expr) -> bool:
+    """Whether a field's value is `field(..., init=False, ...)`."""
+    return (
+        isinstance(value, ast.Call)
+        and getattr(value.func, "id", None) == "field"
+        and any(kw.arg == "init" and isinstance(kw.value, ast.Constant) and kw.value.value is False for kw in value.keywords)
+    )
+
+
+def settable_defaults(source: str) -> list[str]:
+    """Every parameter default of a `def` or `lambda`, and every field of a
+    `@dataclass` body that has a default and is settable at construction."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            name = getattr(node, "name", "<lambda>")
+            out += [f"{name}:{ast.unparse(d)}" for d in (*node.args.defaults, *node.args.kw_defaults) if d is not None]
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            out += [
+                f"{node.name}.{stmt.target.id}"
+                for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and stmt.value is not None and not _init_false(stmt.value)
+            ]
+    return out
+
+
+def test_settable_defaults_counts_by_the_rule():
+    source = """
+from dataclasses import dataclass, field
+def f(a, b=1, *, c=2, d):
+    return lambda x=3: x
+@dataclass(frozen=True)
+class D:
+    a: int
+    b: int = 0
+    c: list = field(default_factory=list)
+    d: int = field(init=False, repr=False)
+class Plain:
+    e: int = 5
+"""
+    assert sorted(settable_defaults(source)) == ["<lambda>:3", "D.b", "D.c", "f:1", "f:2"]
+
+
+def test_settable_defaults_do_not_grow():
+    found = [f"{p.name}:{d}" for p in sorted(PACKAGE.glob("*.py")) for d in settable_defaults(p.read_text())]
+    assert len(found) <= SETTABLE_DEFAULTS_CAP, found
