@@ -9,6 +9,7 @@ are asserted on the c = 5 variant and reported on the default, while bound-
 shaped claims are asserted everywhere.
 """
 
+import hashlib
 import math
 import time
 from fractions import Fraction
@@ -23,6 +24,11 @@ from slowent.lattice import Box, Pattern, box_site_count, pattern_distance
 from oracles import brute_gamma, gamma_axis, refine_by_offsets, restricted
 
 SEED = 20240801
+
+#: sha256 of verify's canonical report bytes at SEED. A change that declares
+#: a new report updates this constant in the same change; any other change
+#: must leave the bytes as they are.
+VERIFY_REPORT_SHA256 = "b9de2dbef1ef4feb773f3d65ebfe4b7768390f053e1465345bd2a864ca7b718b"
 
 
 def _report(name: str, started: float, budget: float, **facts):
@@ -383,6 +389,7 @@ def test_criterion_12_determinism():
     second = expcli.verify_all(config)
     b1, b2 = expcli.report_to_json(first), expcli.report_to_json(second)
     assert b1 == b2
+    assert hashlib.sha256(b1).hexdigest() == VERIFY_REPORT_SHA256
     assert not first.failed(), [v.name for v in first.failed()]
     _report(
         "criterion-12 determinism",

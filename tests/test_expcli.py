@@ -15,6 +15,7 @@ from slowent import cli, covernum, cutstack, expcli, lattice, recurrence, symbol
 from slowent.lattice import UsageError, pattern_distance
 
 from oracles import (
+    axis_peel,
     brute_stage2_census,
     census_triple,
     census_violations_by_triple,
@@ -380,8 +381,9 @@ def test_cli_fit_writes_csv(tmp_path):
 
 @pytest.mark.parametrize("spec", expcli.DEFAULT_VARIANTS)
 def test_planted_top_level_peel_defect_fails_roundtrip(monkeypatch, spec):
-    # a peel that loses the top level's q = -k copy; a uniform draw of the
-    # top quotient hits -k once in 2k + 1 draws, and k > 10^30 here
+    # a peel that loses the top level's q = -k copy, which one per-axis
+    # extreme in five holds (k > 10^30 here, so a uniform quotient draw
+    # would almost never meet it)
     sched = expcli.schedule_from_spec(spec)
     top = sched.stages - 1
     lost = -(sched.s(top) // sched.m(top)) * sched.m(top)
@@ -397,6 +399,28 @@ def test_planted_top_level_peel_defect_fails_roundtrip(monkeypatch, spec):
     expcli.variant_suite(report, sched, "v")
     (roundtrip,) = [v for v in report.verdicts if v.name == "v/decompose-roundtrip"]
     assert roundtrip.status == "fail" and roundtrip.details["failures"] > 0
+
+
+@pytest.mark.parametrize("spec", expcli.DEFAULT_VARIANTS)
+def test_planted_short_slack_fails_roundtrip(monkeypatch, spec):
+    # decompose_axis with the slack r(j) - r(1) - 1 at one level j: the
+    # extremes whose finer quotients are all +k or all -k reach that level's
+    # margin, 2 * 5^(top - j + 1) of the 5^top (all of them at j = 1, where
+    # the slack is -1), so the verdict fails at every level
+    sched = expcli.schedule_from_spec(spec)
+    top = sched.stages - 1
+    for level in range(1, top + 1):
+
+        def planted(a, stage, sched, level=level):
+            peeled, rest = axis_peel(a, stage, sched, lambda j: sched.r(j) - sched.r(1) - (j == level))
+            return tuple(reversed(peeled)) if len(peeled) == stage - 1 and rest == 0 else None
+
+        monkeypatch.setattr(cutstack, "decompose_axis", planted)
+        report = expcli.Report(config={})
+        expcli.variant_suite(report, sched, "v")
+        (roundtrip,) = [v for v in report.verdicts if v.name == "v/decompose-roundtrip"]
+        expected = 5**top if level == 1 else 2 * 5 ** (top - level + 1)
+        assert roundtrip.status == "fail" and roundtrip.details["failures"] == expected, level
 
 
 @pytest.mark.parametrize("spec", expcli.DEFAULT_VARIANTS)
@@ -490,6 +514,30 @@ def test_planted_greedy_undercount_fails_cover_sandwich(monkeypatch, tmp_path):
     assert all(v["name"].startswith("cover-sandwich-n") and v["status"] == "fail" for v in verdicts)
     sandwich = _global_verdict("global/cover-sandwich")
     assert sandwich.status == "fail" and sandwich.details["violations"] == 29
+
+
+def test_planted_wide_ball_fails_gv_exhaustive(monkeypatch):
+    # blocking a ball one too wide keeps the family separated at distance
+    # 3 instead of 2, and it falls below the sphere-covering bound
+    ball = symbolic._ball_masks
+    monkeypatch.setattr(symbolic, "_ball_masks", lambda length, radius: ball(length, radius + 1))
+    report = expcli.run_overlay(expcli.ExperimentConfig(kind="overlay", seed=2024, sample_size=256))
+    (gv,) = [v for v in report.verdicts if v.name == "gv-exhaustive"]
+    assert gv.status == "fail" and (gv.details["family"], gv.details["gv_bound"]) == (2048, 3855)
+
+
+def test_planted_lagging_stage_area_fails_mass_increasing(monkeypatch):
+    # stage i >= 3 laid out over Q_{r(i-1)}: the stage-3 mass is the stage-2
+    # area at a thinner width, so the masses fall where the gapped variants
+    # assert that they rise
+    radius = cutstack.Schedule.arrangement_radius
+    monkeypatch.setattr(cutstack.Schedule, "arrangement_radius", lambda self, i: radius(self, i - (i >= 3)))
+    for spec in [spec for spec in expcli.DEFAULT_VARIANTS if spec["c"] == "5"]:
+        report = expcli.Report(config={})
+        expcli.variant_suite(report, expcli.schedule_from_spec(spec), "v")
+        (mass,) = [v for v in report.verdicts if v.name == "v/mass-increasing"]
+        masses = [Fraction(m) for m in mass.details["masses"]]
+        assert mass.status == "fail" and masses[2] < masses[1]
 
 
 def test_overlay_refuses_samples_too_small_to_reach_the_target():
@@ -657,16 +705,16 @@ PLANTED = {
     "ratio-ergodic": test_planted_unthickened_provenance_fails_ratio_ergodic,
     "stage2-census": test_planted_decoder_shift_fails_stage2_census,
     "cover-sandwich": test_planted_greedy_undercount_fails_cover_sandwich,
+    "gv-exhaustive": test_planted_wide_ball_fails_gv_exhaustive,
+    "mass-increasing": test_planted_lagging_stage_area_fails_mass_increasing,
 }
 
 # asserted claims that no planted defect turns to fail yet
 UNPLANTED = {
     "core-mass",
-    "mass-increasing",
     "alpha-vs-theta",
     "gamma-exponent-vs-theta",
     "rho-alpha-bound",
-    "gv-exhaustive",
     "gv-sampled",
     "bowen-isometry",
     "lipschitz-orbit-bound",
