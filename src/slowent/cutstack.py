@@ -278,21 +278,6 @@ def decompose(v: Site, stage: int, sched: Schedule) -> Address | None:
     return Address(tuple(reversed(peeled)), stage)
 
 
-def decompose_axis(a: int, stage: int, sched: Schedule) -> tuple[int, ...] | None:
-    """One coordinate's offsets (g_1, ..., g_{stage-1}) over sched.sumset(stage), or None.
-
-    The per-coordinate half of decompose, under the same slack r(j) - r(1):
-    None unless every level peels and the remainder is 0. decompose(v) is
-    None exactly when decompose_axis is None on either coordinate, and
-    otherwise its levels are the two results zipped.
-    """
-    radii = sched.radii
-    offsets, rest = sched.sumset(stage).peel(a, [r - radii[0] for r in radii[: stage - 1]])
-    if rest or len(offsets) < stage - 1:
-        return None
-    return tuple(reversed(offsets))
-
-
 def compose(levels: Sequence[Site], sched: Schedule) -> Site:
     """The site g_1 + ... + g_{stage-1} of an address.
 

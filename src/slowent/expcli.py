@@ -750,11 +750,10 @@ def axis_extremes(sched: Schedule, stage: int) -> list[tuple[int, ...]]:
     """Per-axis offsets (g_1, ..., g_{stage-1}) with every level quotient in {-k, -k+1, 0, k-1, k}.
 
     k = s(j)/m(j) at level j, and the 5^(stage-1) combinations come in
-    itertools.product order. decompose peels each coordinate on its own
-    (cutstack.decompose_axis), and a level-l peel can only go wrong where
-    the finer remainder reaches the slack r(l) - r(1), which only
-    all-(+-k) finer quotients do; so these offsets test every margin a
-    peel has.
+    itertools.product order. decompose peels each coordinate on its own,
+    and a level-l peel can only go wrong where the finer remainder reaches
+    the slack r(l) - r(1), which only all-(+-k) finer quotients do; so
+    these offsets test every margin a peel has.
     """
     choices = []
     for j in range(1, stage):
@@ -777,11 +776,17 @@ def variant_suite(report: Report, sched: Schedule, label: str) -> None:
     gstar = cutstack.gamma_star_size(k, sched)
     reach = sched.r(k) - sched.r(1)
     report.claim(Claim.GAMMA_STAR_PRODUCT, gstar == sched.sumset(k).count_sum(-reach, reach)[0] ** 2, label=label, value=gstar)
-    # decompose round trip over the per-axis extremes: decompose is the pair
-    # of its per-coordinate peels, so each extreme is peeled back once
+    # decompose round trip over the per-axis extremes: decompose peels each
+    # coordinate on its own, so each extreme is taken once, on x with y = 0,
+    # and its site is the sum of its offsets
     top_stage = sched.stages
     axis = axis_extremes(sched, top_stage)
-    bad = sum(cutstack.decompose_axis(sum(xs), top_stage, sched) != xs for xs in axis)
+    zeros = (0,) * (top_stage - 1)
+    bad = 0
+    for xs in axis:
+        got = cutstack.decompose((sum(xs), 0), top_stage, sched)
+        if got is None or got.levels != tuple(zip(xs, zeros)):
+            bad += 1
     report.claim(
         Claim.DECOMPOSE_ROUNDTRIP, bad == 0, label=label, trials=len(axis), failures=bad, coverage="per-axis extremes"
     )

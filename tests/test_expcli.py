@@ -15,7 +15,6 @@ from slowent import cli, covernum, cutstack, expcli, lattice, recurrence, symbol
 from slowent.lattice import UsageError, pattern_distance
 
 from oracles import (
-    axis_peel,
     brute_stage2_census,
     census_triple,
     census_violations_by_triple,
@@ -403,19 +402,19 @@ def test_planted_top_level_peel_defect_fails_roundtrip(monkeypatch, spec):
 
 @pytest.mark.parametrize("spec", expcli.DEFAULT_VARIANTS)
 def test_planted_short_slack_fails_roundtrip(monkeypatch, spec):
-    # decompose_axis with the slack r(j) - r(1) - 1 at one level j: the
+    # decompose peeling under the slack r(j) - r(1) - 1 at one level j: the
     # extremes whose finer quotients are all +k or all -k reach that level's
     # margin, 2 * 5^(top - j + 1) of the 5^top (all of them at j = 1, where
     # the slack is -1), so the verdict fails at every level
     sched = expcli.schedule_from_spec(spec)
     top = sched.stages - 1
+    peel = cutstack._peel
     for level in range(1, top + 1):
 
-        def planted(a, stage, sched, level=level):
-            peeled, rest = axis_peel(a, stage, sched, lambda j: sched.r(j) - sched.r(1) - (j == level))
-            return tuple(reversed(peeled)) if len(peeled) == stage - 1 and rest == 0 else None
+        def planted(w, stage, sched, slack, level=level):
+            return peel(w, stage, sched, lambda j: slack(j) - (j == level))
 
-        monkeypatch.setattr(cutstack, "decompose_axis", planted)
+        monkeypatch.setattr(cutstack, "_peel", planted)
         report = expcli.Report(config={})
         expcli.variant_suite(report, sched, "v")
         (roundtrip,) = [v for v in report.verdicts if v.name == "v/decompose-roundtrip"]
