@@ -304,7 +304,7 @@ def growth_fit(samples: Sequence[tuple[int, float]], scale: str) -> GrowthFit:
     )
 
 
-def alpha_fit(recurrence_counts: Sequence[tuple[int, int]]) -> GrowthFit:
+def alpha_fit(counts: Sequence[tuple[int, int]]) -> GrowthFit:
     """Recurrence-dimension surrogate from |R_n| counts.
 
     Pointwise values log|R_n| / log|Q_n| stand in for the limsup (their max
@@ -312,7 +312,7 @@ def alpha_fit(recurrence_counts: Sequence[tuple[int, int]]) -> GrowthFit:
     against log|Q_n| is the fitted exponent. The samples keep the counts as
     exact ints, and every log is taken from them, so no scale leaves float range.
     """
-    pts = list(recurrence_counts)
+    pts = list(counts)
     if any(c < 1 for _, c in pts):
         raise UsageError("recurrence counts must be >= 1")
     if any(pts[i][0] >= pts[i + 1][0] for i in range(len(pts) - 1)):

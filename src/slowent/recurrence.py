@@ -10,10 +10,8 @@ from __future__ import annotations
 import math
 # not hashlib, which would load OpenSSL for nothing (see rng)
 from _blake2 import blake2b
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
 
 from . import cutstack
 from .cutstack import PointHandle
@@ -24,11 +22,6 @@ def recurrence_set(point: PointHandle, n: int) -> frozenset[Site]:
     """Return sites of the point within Q_n; exactly the 1-cells of its name."""
     xs, ys = cutstack.capped_window_axes(point, n)
     return frozenset(product(xs, ys))
-
-
-def recurrence_count(point: PointHandle, n: int) -> int:
-    """|R_n(A, x)| via interval counting, no site materialization."""
-    return cutstack.core_count(point, n)
 
 
 def recurrence_key(point: PointHandle, n: int) -> bytes:
@@ -62,19 +55,8 @@ def _round_half_toward_zero(q: Fraction) -> int:
     return floor + 1 if q < 0 else floor
 
 
-@dataclass(frozen=True)
-class InequalityCell:
-    n: int
-    cover_count: int
-    ok: bool
-
-
-def rho_alpha_inequality_check(
-    cover_values: Sequence[tuple[int, int]],
-    alpha_hat: float,
-    eps: Fraction | float,
-) -> list[InequalityCell]:
-    """Check N <= 2^(2 |Q_n|^(alpha_hat + eps) log2 |Q_n|) for each (n, N).
+def rho_alpha_bound_holds(n: int, count: int, alpha_hat: float, eps: Fraction | float) -> bool:
+    """Whether N = count obeys N <= 2^(2 |Q_n|^(alpha_hat + eps) log2 |Q_n|).
 
     This is the binomial subset-count bound: patterns of at most
     |Q_n|^(alpha+eps) return sites cannot outnumber the subset count. It is
@@ -83,13 +65,9 @@ def rho_alpha_inequality_check(
     leaves float range. N = 1 is always within the bound, and at n = 0 the
     bound is 2^0 = 1.
     """
-    out = []
-    for n, count in cover_values:
-        if count < 1:
-            raise UsageError("cover counts must be >= 1")
-        q = box_site_count(n)
-        ok = count == 1 or q > 1 and math.log2(math.log2(count)) <= (
-            1 + (alpha_hat + float(eps)) * math.log2(q) + math.log2(math.log2(q))
-        )
-        out.append(InequalityCell(n, count, ok))
-    return out
+    if count < 1:
+        raise UsageError("cover counts must be >= 1")
+    q = box_site_count(n)
+    return count == 1 or q > 1 and math.log2(math.log2(count)) <= (
+        1 + (alpha_hat + float(eps)) * math.log2(q) + math.log2(math.log2(q))
+    )

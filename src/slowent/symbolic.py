@@ -1,5 +1,6 @@
-"""Full-shift machinery: sliding block codes, the fair two-letter overlay on
-core sites, the erasure factor map, and Hamming-ball covering lower bounds.
+"""Full-shift machinery: radius-0 codes as symbol tables, the fair two-letter
+overlay on core sites, the erasure factor map, and Hamming-ball covering
+lower bounds.
 
 Symbol ids follow `lattice.SYMBOL_NAMES`: 0 and 1 for the base colors, 2
 and 3 for the overlay letters a and b.
@@ -8,76 +9,40 @@ and 3 for the overlay letters a and b.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cutstack, rng
 from .cutstack import PointHandle
-from .lattice import Pattern, Site, UsageError
+from .lattice import Pattern, UsageError
 
 A_SYMBOL = 2
 B_SYMBOL = 3
 
 
-@dataclass
-class SlidingBlockCode:
-    """Shift-equivariant code of window radius 0: a symbol-to-symbol table."""
-
-    table: dict[int, int]
-    input_default: int
+#: The erasure factor map a, b -> 1 and 0 -> 0: a radius-0 code is its symbol table.
+ERASURE = {0: 0, 1: 1, A_SYMBOL: 1, B_SYMBOL: 1}
 
 
-def apply_code(code: SlidingBlockCode, input_pattern: Pattern) -> Pattern:
-    """Map the symbol at every site through the code's table, on the same box.
+def apply_code(table: dict[int, int], pattern: Pattern) -> Pattern:
+    """Map the symbol at every site, the default included, through a radius-0
+    code's symbol table, on the same box.
 
-    Default sites map to the image of the input default, so the sparse
-    result costs O(support), not O(box). The result keeps only the input's
-    sites and only symbols other than its default, so it needs no cell check.
+    Default sites map to the image of the default, so the sparse result
+    costs O(support), not O(box). The result keeps only the input's sites
+    and only symbols other than its default, so it needs no cell check.
     """
-    if input_pattern.default_symbol != code.input_default:
-        raise UsageError("input default symbol does not match the code")
-    default_out = code.table[code.input_default]
-    cells: dict[Site, int] = {}
-    for u, sym in input_pattern.cells.items():
-        try:
-            sym_out = code.table[sym]
-        except KeyError:
-            raise UsageError(f"symbol {sym} is not mapped by the code") from None
-        if sym_out != default_out:
-            cells[u] = sym_out
-    return Pattern.unchecked(input_pattern.box, default_out, cells)
+    try:
+        default_out = table[pattern.default_symbol]
+        cells = {u: out for u, sym in pattern.cells.items() if (out := table[sym]) != default_out}
+    except KeyError as exc:
+        raise UsageError(f"symbol {exc.args[0]} is not mapped by the code") from None
+    return Pattern.unchecked(pattern.box, default_out, cells)
 
 
-def erasure_code() -> SlidingBlockCode:
-    """Symbol-wise factor map a, b -> 1 and 0 -> 0."""
-    return SlidingBlockCode({0: 0, 1: 1, A_SYMBOL: 1, B_SYMBOL: 1}, input_default=0)
-
-
-# ---------------------------------------------------------------------------
-# Overlay names
-
-
-@dataclass
-class OverlayName:
-    """A 0/1 base pattern with a fair letter attached to every 1-cell."""
-
-    base: Pattern
-    bits: dict[Site, int]
-
-    def __post_init__(self) -> None:
-        if self.bits.keys() != self.base.cells.keys():
-            raise UsageError("overlay bits must be defined exactly on the base 1-cells")
-        if not set(self.bits.values()) <= {0, 1}:
-            raise UsageError("overlay bits must be 0 (a) or 1 (b)")
-
-    def flatten(self) -> Pattern:
-        """Pattern over {0, a, b} with default 0, on the base's checked sites."""
-        cells = {u: (A_SYMBOL if b == 0 else B_SYMBOL) for u, b in self.bits.items()}
-        return Pattern.unchecked(self.base.box, 0, cells)
-
-
-def overlay_name(point: PointHandle, n: int) -> OverlayName:
-    """Sample the overlay name of radius n, conditioned on the point's base name.
+def overlay_name(point: PointHandle, n: int) -> Pattern:
+    """Sample the overlay name of radius n, conditioned on the point's base name:
+    the pattern over {0, a, b} that puts a fair letter on every 1-cell of
+    `cutstack.name01` and keeps its checked sites.
 
     Bits are derived from (overlay seed, absolute window site), so one
     point's names are restriction-consistent across radii while distinct
@@ -86,7 +51,8 @@ def overlay_name(point: PointHandle, n: int) -> OverlayName:
     base = cutstack.name01(point, n)
     # key bits by the absolute window offset relative to the point, which is
     # the same site in every nested window
-    return OverlayName(base, dict(zip(base.cells, rng.fair_bits(point.overlay_seed, "overlay-bit", base.cells))))
+    bits = rng.fair_bits(point.overlay_seed, "overlay-bit", base.cells)
+    return Pattern.unchecked(base.box, 0, {u: A_SYMBOL + bit for u, bit in zip(base.cells, bits)})
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from slowent import cutstack as cs
 from slowent import expcli, rng
 from slowent.lattice import AxisSumset, Box, Pattern, UsageError
-from slowent.symbolic import overlay_name
+from slowent.symbolic import A_SYMBOL, overlay_name
 
 from oracles import (
     axis_decompose,
@@ -755,4 +755,5 @@ def test_point_setup_draws_only_its_offsets(monkeypatch):
             overlay_name(p, 27)
             assert calls["stream_u64"] == 1
             assert p.overlay_seed == rng.derive_seed(seed, "overlay-seed")
-            assert name.bits == dict(zip(name.base.cells, rng.fair_bits(p.overlay_seed, "overlay-bit", name.base.cells)))
+            bits = {u: sym - A_SYMBOL for u, sym in name.cells.items()}
+            assert bits == dict(zip(name.cells, rng.fair_bits(p.overlay_seed, "overlay-bit", name.cells)))

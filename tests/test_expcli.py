@@ -352,7 +352,9 @@ def verify_report():
         {"stages": 4, "theta": "1/3", "c": "2", "r1": 1},
         {"radii": [1, 28, 185222], "theta": "1/3", "c": 2},
     )
-    return expcli.verify_all(cfg, variants=variants)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(expcli, "DEFAULT_VARIANTS", variants)
+        return expcli.verify_all(cfg)
 
 
 def test_verify_all_structure(verify_report):
@@ -446,9 +448,34 @@ def test_planted_level_size_defect_fails_gamma_star_product(monkeypatch, spec):
     assert product.status == "fail" and product.details == {"value": 49}
 
 
-def _global_verdict(name):
+@pytest.mark.parametrize("spec", expcli.DEFAULT_VARIANTS)
+def test_planted_whole_window_count_fails_alpha_vs_theta(monkeypatch, spec):
+    # a core count that counts every site of Q_n measures alpha = 1, which
+    # no theta in the variants brings within 0.1 of 1 - theta
+    sched = expcli.schedule_from_spec(spec)
+    monkeypatch.setattr(cutstack, "core_count", lambda p, n: (2 * n + 1) ** 2)
+    report = expcli.Report(config={})
+    expcli.variant_suite(report, sched, "v")
+    (alpha,) = [v for v in report.verdicts if v.name == "v/alpha-vs-theta"]
+    assert alpha.status == "fail" and alpha.details["measured"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("spec", expcli.DEFAULT_VARIANTS)
+def test_planted_box_level_size_fails_gamma_exponent_vs_theta(monkeypatch, spec):
+    # |Gamma_i| read as |Q_{s(i)}|: the level sizes then grow like r(i+1)^2,
+    # not like r(i+1)^(2 (1 - theta))
+    sched = expcli.schedule_from_spec(spec)
+    monkeypatch.setattr(cutstack, "gamma_size", lambda sched, i: (2 * sched.s(i) + 1) ** 2)
+    report = expcli.Report(config={})
+    expcli.variant_suite(report, sched, "v")
+    (gamma,) = [v for v in report.verdicts if v.name == "v/gamma-exponent-vs-theta"]
+    assert gamma.status == "fail" and gamma.details["measured"] > gamma.details["target"] + 0.1
+
+
+def _global_verdict(monkeypatch, name):
     """The named global verdict of a verify_all run over no schedule variants."""
-    report = expcli.verify_all(expcli.ExperimentConfig(kind="verify", seed=2024), variants=())
+    monkeypatch.setattr(expcli, "DEFAULT_VARIANTS", ())
+    report = expcli.verify_all(expcli.ExperimentConfig(kind="verify", seed=2024))
     (verdict,) = [v for v in report.verdicts if v.name == name]
     return verdict
 
@@ -461,15 +488,14 @@ def test_planted_symbol_blind_metric_fails_metric_axioms(monkeypatch):
         return Fraction(len(a.cells.keys() ^ b.cells.keys()), len(union)) if union else Fraction(0)
 
     monkeypatch.setattr(lattice, "pattern_distance", jaccard)
-    axioms = _global_verdict("global/metric-axioms")
+    axioms = _global_verdict(monkeypatch, "global/metric-axioms")
     assert axioms.status == "fail" and axioms.details["identity_violations"] == 465
 
 
 def test_planted_erasure_defect_fails_erasure_identity(monkeypatch):
     # an erasure code that maps the letter b to 0 loses every b-cell of the base name
-    table = {0: 0, 1: 1, symbolic.A_SYMBOL: 1, symbolic.B_SYMBOL: 0}
-    monkeypatch.setattr(symbolic, "erasure_code", lambda: symbolic.SlidingBlockCode(table, input_default=0))
-    erasure = _global_verdict("global/erasure-identity")
+    monkeypatch.setattr(symbolic, "ERASURE", {0: 0, 1: 1, symbolic.A_SYMBOL: 1, symbolic.B_SYMBOL: 0})
+    erasure = _global_verdict(monkeypatch, "global/erasure-identity")
     assert erasure.status == "fail" and erasure.details == {"cases": 1000, "failures": 955}
 
 
@@ -511,7 +537,7 @@ def test_planted_greedy_undercount_fails_cover_sandwich(monkeypatch, tmp_path):
     verdicts = json.loads((tmp_path / "report.json").read_text())["verdicts"]
     assert len(verdicts) == 8
     assert all(v["name"].startswith("cover-sandwich-n") and v["status"] == "fail" for v in verdicts)
-    sandwich = _global_verdict("global/cover-sandwich")
+    sandwich = _global_verdict(monkeypatch, "global/cover-sandwich")
     assert sandwich.status == "fail" and sandwich.details["violations"] == 29
 
 
@@ -706,13 +732,13 @@ PLANTED = {
     "cover-sandwich": test_planted_greedy_undercount_fails_cover_sandwich,
     "gv-exhaustive": test_planted_wide_ball_fails_gv_exhaustive,
     "mass-increasing": test_planted_lagging_stage_area_fails_mass_increasing,
+    "alpha-vs-theta": test_planted_whole_window_count_fails_alpha_vs_theta,
+    "gamma-exponent-vs-theta": test_planted_box_level_size_fails_gamma_exponent_vs_theta,
 }
 
 # asserted claims that no planted defect turns to fail yet
 UNPLANTED = {
     "core-mass",
-    "alpha-vs-theta",
-    "gamma-exponent-vs-theta",
     "rho-alpha-bound",
     "gv-sampled",
     "bowen-isometry",

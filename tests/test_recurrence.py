@@ -9,10 +9,9 @@ from slowent.lattice import UsageError, pattern_distance
 from slowent.partitions import recurrence_metric
 from slowent.recurrence import (
     centroid_decode_axes,
-    recurrence_count,
     recurrence_key,
     recurrence_set,
-    rho_alpha_inequality_check,
+    rho_alpha_bound_holds,
 )
 
 from oracles import brute_gamma, centroid_decode
@@ -31,12 +30,12 @@ def test_recurrence_set_is_name_support(sched_default):
     for i in range(4):
         p = cs.sample_point(sched_default, 3, seed=rng.derive_seed(3, "rs", i))
         assert recurrence_set(p, 9) == set(cs.name01(p, 9).cells)
-        assert recurrence_count(p, 9) == len(cs.name01(p, 9).cells)
+        assert cs.core_count(p, 9) == len(cs.name01(p, 9).cells)
 
 
 def test_recurrence_size_monotone(sched_default):
     p = cs.sample_point(sched_default, 3, seed=12)
-    counts = [recurrence_count(p, n) for n in (0, 1, 3, 9, 27, 56)]
+    counts = [cs.core_count(p, n) for n in (0, 1, 3, 9, 27, 56)]
     assert counts == sorted(counts)
 
 
@@ -100,15 +99,13 @@ def test_recurrence_key_separates(sched_c5):
 
 
 def test_rho_alpha_inequality_check():
-    cells = rho_alpha_inequality_check([(4, 1), (8, 1)], 0.0, Fraction(1, 20))
-    assert all(c.ok for c in cells)
+    assert all(rho_alpha_bound_holds(n, 1, 0.0, Fraction(1, 20)) for n in (4, 8))
     # synthetic violation: N = 2^|Q_n| with alpha 0 must be flagged
     n = 20
     q = (2 * n + 1) ** 2
-    bad = rho_alpha_inequality_check([(n, 2**q)], 0.0, Fraction(1, 20))
-    assert not bad[0].ok
+    assert not rho_alpha_bound_holds(n, 2**q, 0.0, Fraction(1, 20))
     with pytest.raises(UsageError):
-        rho_alpha_inequality_check([(4, 0)], 0.0, Fraction(1, 20))
+        rho_alpha_bound_holds(4, 0, 0.0, Fraction(1, 20))
 
 
 def test_rho_alpha_log_space_matches_the_float_bound():
@@ -123,13 +120,12 @@ def test_rho_alpha_log_space_matches_the_float_bound():
                 continue
             k = math.floor(log2_bound)
             for count in {1, 2, 3, 2**k, 2**k + 1, 2 ** (k + 1)}:
-                (cell,) = rho_alpha_inequality_check([(n, count)], alpha, eps)
-                assert cell.ok == (math.log2(count) <= log2_bound), (n, alpha, count)
+                assert rho_alpha_bound_holds(n, count, alpha, eps) == (math.log2(count) <= log2_bound), (n, alpha, count)
                 checked += 1
     assert checked > 100
     # far past float range the check still answers
-    assert rho_alpha_inequality_check([(10**200, 10**400)], 0.5, eps)[0].ok
-    assert not rho_alpha_inequality_check([(2, 2**100)], 0.5, eps)[0].ok
+    assert rho_alpha_bound_holds(10**200, 10**400, 0.5, eps)
+    assert not rho_alpha_bound_holds(2, 2**100, 0.5, eps)
 
 
 def test_construction_counts_pass_inequality(sched_default):
@@ -137,9 +133,8 @@ def test_construction_counts_pass_inequality(sched_default):
     pts = [cs.point_from_address(sched_default, [g]) for g in positions[:50]]
     n = 2 * sched_default.r(2)
     count = len({recurrence_key(p, n) for p in pts})
-    alpha_hat = math.log(recurrence_count(pts[0], n)) / math.log((2 * n + 1) ** 2)
-    cells = rho_alpha_inequality_check([(n, count)], alpha_hat, Fraction(1, 20))
-    assert all(c.ok for c in cells)
+    alpha_hat = math.log(cs.core_count(pts[0], n)) / math.log((2 * n + 1) ** 2)
+    assert rho_alpha_bound_holds(n, count, alpha_hat, Fraction(1, 20))
 
 
 def test_distinct_patterns_sampled_stage3(sched_default):

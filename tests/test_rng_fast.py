@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from slowent import cutstack as cs
 from slowent import rng
-from slowent.symbolic import overlay_name
+from slowent.symbolic import A_SYMBOL, overlay_name
 from oracles import brute_uniform_int
 
 INT64 = st.integers(-(2**63), 2**63 - 1)
@@ -50,4 +50,5 @@ def test_fair_bits_match_fair_bit_site_by_site(seed, tag, sites):
 def test_overlay_name_bits_are_fair_bits_of_the_sites(sched_default):
     p = cs.sample_point(sched_default, 3, seed=77)
     name = overlay_name(p, 27)
-    assert name.bits == {v: rng.stream_u64(p.overlay_seed, "overlay-bit", *v) & 1 for v in name.base.cells}
+    bits = {u: sym - A_SYMBOL for u, sym in name.cells.items()}
+    assert bits == {v: rng.stream_u64(p.overlay_seed, "overlay-bit", *v) & 1 for v in cs.name01(p, 27).cells}

@@ -11,11 +11,9 @@ from slowent.lattice import SYMBOL_NAMES, Box, Pattern, UsageError, pattern_dist
 from slowent.symbolic import (
     A_SYMBOL,
     B_SYMBOL,
-    OverlayName,
-    SlidingBlockCode,
+    ERASURE,
     apply_code,
     binary_entropy,
-    erasure_code,
     gv_rate_deficit,
     hamming_ball_volume,
     hamming_cover_lower,
@@ -34,34 +32,38 @@ def translate_pattern(p, offset, radius):
 
 
 def overlay_from_word(base, word):
-    """Overlay with bits read off an integer word over the sorted 1-cells."""
-    return OverlayName(base, {u: (word >> i) & 1 for i, u in enumerate(sorted(base.cells))})
+    """Overlay name over {0, a, b} with letters read off an integer word over the sorted 1-cells."""
+    return Pattern(base.box, 0, {u: A_SYMBOL + ((word >> i) & 1) for i, u in enumerate(sorted(base.cells))})
+
+
+def bits(name):
+    """The fair bit of each letter cell of an overlay name: 0 for a, 1 for b."""
+    return {u: sym - A_SYMBOL for u, sym in name.cells.items()}
 
 
 def test_identity_code_restricts():
     p = Pattern(Box(3), 0, {(0, 0): 1, (2, -1): 1})
-    identity = SlidingBlockCode({sym: sym for sym in SYMBOL_NAMES}, input_default=0)
+    identity = {sym: sym for sym in SYMBOL_NAMES}
     assert apply_code(identity, p) == p
 
 
-def test_apply_code_radius_check():
-    code = erasure_code()
-    with pytest.raises(UsageError):
-        apply_code(
-            code,
-            Pattern(Box(0), 1, {}),
-        )
+def test_apply_code_refuses_unmapped_symbols():
+    # as the default and in a cell
+    with pytest.raises(UsageError, match="symbol 4"):
+        apply_code(ERASURE, Pattern(Box(0), 4, {}))
+    with pytest.raises(UsageError, match="symbol 4"):
+        apply_code(ERASURE, Pattern(Box(1), 0, {(1, 0): A_SYMBOL, (0, 1): 4}))
+    # every symbol of the table maps, the default included
+    assert apply_code(ERASURE, Pattern(Box(0), 1, {})) == Pattern(Box(0), 1, {})
 
 
 def test_erasure_code_on_overlay(sched_default):
     p = cs.point_from_address(sched_default, [(0, 0)], seed=5)
-    ov = overlay_name(p, 5)
-    flat = ov.flatten()
-    assert apply_code(erasure_code(), flat) == cs.name01(p, 5)
+    assert apply_code(ERASURE, overlay_name(p, 5)) == cs.name01(p, 5)
 
 
 def test_apply_code_shift_equivariance():
-    code = erasure_code()
+    code = ERASURE
     for i in range(100):
         cells = {}
         for k in range(rng.uniform_int(31, "n", i, lo=0, hi=6)):
@@ -103,7 +105,7 @@ def test_box_pattern_and_code_match_definitions(data):
     assert (p == q) == (canonical(p) == canonical(q))
 
     # erasure: a, b -> 1 and 0 -> 0, site by site over the whole box
-    erased = apply_code(erasure_code(), p)
+    erased = apply_code(ERASURE, p)
     assert erased.box == p.box
     expected = {v: 0 if symbol_at(p, v) == 0 else 1 for v in p.box.sites()}
     assert {v: symbol_at(erased, v) for v in p.box.sites()} == expected
@@ -113,11 +115,11 @@ def test_overlay_name_consistency(sched_default):
     p = cs.point_from_address(sched_default, [(0, 0)], seed=9)
     small = overlay_name(p, 3)
     big = overlay_name(p, 27)
-    assert small.base == cs.name01(p, 3)
-    for v, bit in small.bits.items():
-        assert big.bits[v] == bit
+    assert apply_code(ERASURE, small) == cs.name01(p, 3)
+    for v, bit in bits(small).items():
+        assert bits(big)[v] == bit
     again = overlay_name(p, 3)
-    assert again.bits == small.bits
+    assert bits(again) == bits(small)
 
 
 def test_overlay_independent_across_points(sched_default):
@@ -135,32 +137,35 @@ def test_overlay_fairness(sched_default):
     for i in range(300):
         q = cs.sample_point(sched_default, 3, seed=rng.derive_seed(50, "fair", i))
         ov = overlay_name(q, 9)
-        for b in ov.bits.values():
+        for b in bits(ov).values():
             draws += 1
             ones += b
     sigma = math.sqrt(draws * 0.25)
     assert abs(ones - draws / 2) <= 5 * sigma
 
 
-def test_overlay_validation():
-    base = Pattern(Box(1), 0, {(0, 0): 1})
-    with pytest.raises(UsageError):
-        OverlayName(base, {})
-    with pytest.raises(UsageError):
-        OverlayName(base, {(0, 0): 7})
+def test_overlay_validation(sched_default):
+    # an overlay name carries a letter exactly on the base 1-cells, and only a or b
+    for i in range(20):
+        p = cs.sample_point(sched_default, 3, seed=rng.derive_seed(40, "ov", i))
+        name = overlay_name(p, 9)
+        assert name.default_symbol == 0
+        assert name.cells.keys() == cs.name01(p, 9).cells.keys()
+        assert set(name.cells.values()) <= {A_SYMBOL, B_SYMBOL}
 
 
 @settings(derandomize=True, deadline=None, max_examples=50)
 @given(data=st.data())
-def test_unchecked_outputs_pass_the_cell_check(data):
-    # flatten and apply_code build their results without Pattern's cell
+def test_unchecked_outputs_pass_the_cell_check(sched_default, data):
+    # overlay_name and apply_code build their results without Pattern's cell
     # check; the checked constructor accepts them and builds equal patterns
     box = Box(2)
     ones = data.draw(st.sets(st.sampled_from(list(box.sites())), max_size=12))
-    base = Pattern(box, 0, dict.fromkeys(ones, 1))
-    flat = OverlayName(base, {u: data.draw(st.integers(0, 1)) for u in ones}).flatten()
-    recolor = SlidingBlockCode({0: B_SYMBOL, 1: 1, A_SYMBOL: B_SYMBOL, B_SYMBOL: 0}, input_default=0)
-    for q in (flat, apply_code(erasure_code(), flat), apply_code(recolor, flat)):
+    flat = Pattern(box, 0, {u: A_SYMBOL + data.draw(st.integers(0, 1)) for u in ones})
+    p = cs.sample_point(sched_default, 3, seed=data.draw(st.integers(0, 2**64 - 1)))
+    name = overlay_name(p, data.draw(st.integers(0, 12)))
+    recolor = {0: B_SYMBOL, 1: 1, A_SYMBOL: B_SYMBOL, B_SYMBOL: 0}
+    for q in (name, apply_code(ERASURE, name), apply_code(ERASURE, flat), apply_code(recolor, flat)):
         assert Pattern(q.box, q.default_symbol, dict(q.cells)) == q
 
 
@@ -168,19 +173,19 @@ def test_overlay_distance_examples():
     # the name metric of the partition {0 | a, b} is the pattern metric on flattened overlay names
     base = Pattern(Box(2), 0, {(x, y): 1 for x in (-2, 0, 2) for y in (0, 1)})
     same = overlay_from_word(base, 0b101010)
-    assert pattern_distance(same.flatten(), same.flatten()) == 0
+    assert pattern_distance(same, same) == 0
     other = overlay_from_word(base, 0b101011)
-    assert pattern_distance(same.flatten(), other.flatten()) == Fraction(1, 6)
+    assert pattern_distance(same, other) == Fraction(1, 6)
     # shared base of c cells, bits differing on j cells -> j/c
     third = overlay_from_word(base, 0b010101)
-    assert pattern_distance(same.flatten(), third.flatten()) == 1
+    assert pattern_distance(same, third) == 1
 
 
 def test_overlay_distance_disjoint_bases(sched_default):
     p = cs.point_from_address(sched_default, [(0, 0)])
     base1 = cs.name01(p, 3)
     base2 = Pattern(Box(3), 0, {(x + 1, y): 1 for (x, y) in base1.cells if abs(x + 1) <= 3})
-    d = pattern_distance(overlay_from_word(base1, 0).flatten(), overlay_from_word(base2, 0).flatten())
+    d = pattern_distance(overlay_from_word(base1, 0), overlay_from_word(base2, 0))
     assert d == 1
 
 
@@ -191,8 +196,8 @@ def test_overlay_distance_dominates_base_metric(sched_default):
         x = cs.sample_point(sched_default, 3, seed=rng.derive_seed(60, "a", i))
         y = cs.sample_point(sched_default, 3, seed=rng.derive_seed(60, "b", i))
         ox, oy = overlay_name(x, 6), overlay_name(y, 6)
-        base = recurrence_metric(set(ox.base.cells), set(oy.base.cells))
-        assert pattern_distance(ox.flatten(), oy.flatten()) >= base
+        base = recurrence_metric(set(ox.cells), set(oy.cells))
+        assert pattern_distance(ox, oy) >= base
 
 
 def test_hamming_cover_lower_values():
@@ -267,7 +272,7 @@ def test_overlay_serializes_with_letter_symbols(sched_default):
     from slowent.lattice import pattern_to_text
 
     p = cs.point_from_address(sched_default, [(0, 0)], seed=3)
-    flat = overlay_name(p, 3).flatten()
+    flat = overlay_name(p, 3)
     text = pattern_to_text(flat)
     assert " a" in text or " b" in text
     assert pattern_from_text(text) == flat
