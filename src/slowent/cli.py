@@ -8,12 +8,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 from pathlib import Path
 
 from . import covernum, cutstack, expcli
 from .lattice import UsageError, pattern_to_text
+from .partitions import recurrence_metric
+from .recurrence import recurrence_set
 
 
 class _Parser(argparse.ArgumentParser):
@@ -169,10 +172,13 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
     if args.command == "distmat":
         sched = _schedule_from_args(args)
-        smp = expcli.recurrence_sample(expcli.sample_points(sched, 3, args.sample_size, args.seed), args.n)
+        sets = [recurrence_set(p, args.n) for p in expcli.sample_points(sched, 3, args.sample_size, args.seed)]
         args.out.mkdir(parents=True, exist_ok=True)
-        rows = [{"i": i, "j": j, "distance": smp.dist[i][j]} for i in range(len(smp)) for j in range(i + 1, len(smp))]
-        expcli.write_csv(rows, args.out / "distmat.csv")
+        # one row at a time: memory grows with the sample, not with its pairs
+        with (args.out / "distmat.csv").open("w") as out:
+            out.write("i,j,distance\n" if len(sets) > 1 else "")
+            for i, j in itertools.combinations(range(len(sets)), 2):
+                out.write(f"{i},{j},{expcli._canonical(recurrence_metric(sets[i], sets[j]))}\n")
         print(args.out / "distmat.csv")
         return 0
     if args.command == "fit":

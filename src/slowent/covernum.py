@@ -4,8 +4,11 @@ The exact oracle searches point-subset covers only: over a finite weighted
 sample, arbitrary measurable cover sets can be replaced by their traces on
 the sample, so point subsets are fully general. Feasible sets are subsets
 of maximal cliques of the diameter graph, which keeps branch-and-bound
-small. Everything combinatorial is exact rational; only the growth fits
-use floats.
+small. Point sets are Python-int bitmasks. Everything combinatorial is
+exact: distances are rational, and the cover searches compare masses and
+their coverage target as integers over one common denominator. Only the
+growth fits and the Bowen checks use floats, and the Bowen float work
+(orbits, closeness masks) lives in `toys`; this module imports no numpy.
 """
 
 from __future__ import annotations
@@ -13,9 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import Callable, Mapping, Sequence
 
 from .lattice import UsageError, box_site_count
 
@@ -73,9 +74,22 @@ def _within(sample: MetricSample, radius: Fraction) -> list[int]:
     return [sum(1 << j for j, d in enumerate(row) if d <= radius) for row in sample.dist]
 
 
-def _mask_mass(masses: Sequence[Fraction], mask: int) -> Fraction:
+def _mass_units(sample: MetricSample, eps_mass: Fraction) -> tuple[list[int], int]:
+    """The masses and the coverage target (1 - eps_mass) * total, as integers.
+
+    Both are scaled by the least common denominator of the masses and the
+    target, so every sum and comparison of the cover searches is exact
+    integer arithmetic with the same outcome as on the fractions.
+    """
+    target = (1 - Fraction(eps_mass)) * sample.total_mass()
+    unit = math.lcm(target.denominator, *(m.denominator for m in sample.masses))
+    masses = [m.numerator * (unit // m.denominator) for m in sample.masses]
+    return masses, target.numerator * (unit // target.denominator)
+
+
+def _mask_mass(masses: Sequence[int], mask: int) -> int:
     """Total mass of the points in a bitmask."""
-    out = Fraction(0)
+    out = 0
     while mask:
         v = (mask & -mask).bit_length() - 1
         out += masses[v]
@@ -121,17 +135,16 @@ def exact_cover_number(sample: MetricSample, eps_diam: Fraction, eps_mass: Fract
     n = len(sample)
     if n > EXACT_COVER_LIMIT:
         raise CoverTooLarge(f"{n} points exceeds exact limit {EXACT_COVER_LIMIT}; use the greedy/separation bounds")
-    total = sample.total_mass()
-    target = (Fraction(1) - Fraction(eps_mass)) * total
+    masses, target = _mass_units(sample, eps_mass)
     if target <= 0:
         return 0
     adj = [mask & ~(1 << i) for i, mask in enumerate(_within(sample, eps_diam))]
     cliques = _maximal_cliques(adj, n)
-    clique_mass = [(_mask_mass(sample.masses, c), c) for c in cliques]
+    clique_mass = [(_mask_mass(masses, c), c) for c in cliques]
     clique_mass.sort(key=lambda t: (-t[0], t[1]))
-    best_single = clique_mass[0][0] if clique_mass else Fraction(0)
+    best_single = clique_mass[0][0] if clique_mass else 0
 
-    def feasible(depth_left: int, covered: int, covered_mass: Fraction, seen: dict[int, int]) -> bool:
+    def feasible(depth_left: int, covered: int, covered_mass: int, seen: dict[int, int]) -> bool:
         if covered_mass >= target:
             return True
         if depth_left == 0:
@@ -148,12 +161,12 @@ def exact_cover_number(sample: MetricSample, eps_diam: Fraction, eps_mass: Fract
                 continue
             if covered_mass + depth_left * cmass < target:
                 break
-            if feasible(depth_left - 1, covered | c, covered_mass + _mask_mass(sample.masses, gain), seen):
+            if feasible(depth_left - 1, covered | c, covered_mass + _mask_mass(masses, gain), seen):
                 return True
         return False
 
     for count in range(0, n + 1):
-        if feasible(count, 0, Fraction(0), {}):
+        if feasible(count, 0, 0, {}):
             return count
     raise AssertionError("cover search failed to terminate")
 
@@ -165,18 +178,15 @@ def greedy_cover_upper(sample: MetricSample, eps_diam: Fraction, eps_mass: Fract
     smallest center index); the result is a valid cover, hence an upper
     bound on the exact count.
     """
-    total = sample.total_mass()
-    target = (Fraction(1) - Fraction(eps_mass)) * total
+    masses, target = _mass_units(sample, eps_mass)
     if target <= 0:
         return 0
     balls = _within(sample, Fraction(eps_diam) / 2)
-    covered = 0
-    covered_mass = Fraction(0)
-    count = 0
+    covered = covered_mass = count = 0
     while covered_mass < target:
-        best_i, best_gain = -1, Fraction(-1)
+        best_i, best_gain = -1, -1
         for i, ball in enumerate(balls):
-            gain = _mask_mass(sample.masses, ball & ~covered)
+            gain = _mask_mass(masses, ball & ~covered)
             if gain > best_gain:
                 best_i, best_gain = i, gain
         if best_gain <= 0:
@@ -193,14 +203,10 @@ def max_separated_lower(sample: MetricSample, eps: Fraction) -> int:
     Any cover by sets of diameter <= eps contains at most one selected point
     per set, so the size lower-bounds full-coverage covers. Points of zero
     mass still get selected but need not be covered, so the lower-bound
-    reading requires strictly positive masses. Distance > eps is distance
-    >= the smallest sample distance above eps, the threshold the first fit
-    takes.
+    reading requires strictly positive masses. The `_within` masks are
+    exact, so no chosen point inside one is still separated.
     """
-    threshold = min((d for row in sample.dist for d in row if d > eps), default=None)
-    if threshold is None:
-        return min(len(sample), 1)
-    return bowen_first_fit_separated(lambda i, js, cap: [sample.dist[i][j] for j in js], len(sample), threshold)
+    return bowen_first_fit_separated(_within(sample, eps), lambda i, j: False)
 
 
 def cover_bracket(sample: MetricSample, eps_diam: Fraction, eps_mass: Fraction) -> tuple[int, int, int]:
@@ -351,22 +357,27 @@ def alpha_pointwise(r_count: int, n: int) -> float:
 # Bowen metric checks for Lipschitz toy actions (floats by design)
 
 
-def bowen_first_fit_separated(dist_fn, count: int, eps: float) -> int:
-    """First-fit separated-set size under a batched distance callback, scanning by index.
+def bowen_first_fit_separated(close: Sequence[int], separated: Callable[[int, int], bool]) -> int:
+    """First-fit separated-set size over bitmasks, scanning by index.
 
-    Shared by `max_separated_lower` (exact sample distances) and the Bowen
-    checks (orbit distances).
+    Shared by `max_separated_lower` (exact sample masks) and the Bowen
+    checks (u = 0 masks, refined by orbit distances).
 
-    dist_fn(i, chosen, cap) gets candidate i and the index array of the
-    points chosen so far, once per candidate, and returns one distance per
-    chosen point. It may stop early: every returned value must be >= cap
-    exactly when every true distance is.
+    close[i] is the bitmask of the points that may lie too near point i: it
+    must hold every point that is. Candidate i joins unless some chosen
+    point j in close[i] fails separated(i, j). The chosen j are tried in
+    ascending order, and the first failure rejects the candidate.
     """
-    chosen = np.empty(count, dtype=np.intp)
-    size = 0
-    for i in range(count):
-        if np.all(np.asarray(dist_fn(i, chosen[:size], eps)) >= eps):
-            chosen[size] = i
+    chosen = size = 0
+    for i, near in enumerate(close):
+        near &= chosen
+        while near:
+            low = near & -near
+            if not separated(i, low.bit_length() - 1):
+                break
+            near ^= low
+        else:
+            chosen |= 1 << i
             size += 1
     return size
 
@@ -395,7 +406,7 @@ def bowen_bound_log2(n: int, eps: float, lip_generator: float, sep_prefactor: fl
 
 def bowen_sep_check(
     pair_bowen_dist,
-    sample_size: int,
+    close: Mapping[float, Sequence[int]],
     n_list: Sequence[int],
     eps_list: Sequence[float],
     lip_generator: float,
@@ -403,15 +414,16 @@ def bowen_sep_check(
 ) -> list[BowenCell]:
     """Check sep(sample, d_n, eps) <= C^n / eps^C in log space per (n, eps) cell.
 
-    pair_bowen_dist(n) must return a batched callable (i, js, cap) -> Bowen
-    distances at radius n from sample point i to the points js, as taken by
-    `bowen_first_fit_separated`.
+    pair_bowen_dist(n) must return the Bowen distance (i, j) -> d_n between
+    sample points i and j, and close[eps] the sample's masks of pairs at
+    d_0 < eps. Since d_n >= d_0, the pairs outside a mask are eps-separated
+    at every n, so only the pairs inside it need d_n.
     """
     cells = []
     for n in n_list:
         dn = pair_bowen_dist(n)
         for eps in eps_list:
-            sep = bowen_first_fit_separated(dn, sample_size, eps)
+            sep = bowen_first_fit_separated(close[eps], lambda i, j: dn(i, j) >= eps)
             log2_bound = bowen_bound_log2(n, eps, lip_generator, sep_prefactor)
             cells.append(BowenCell(n, eps, sep, log2_bound, math.log2(max(sep, 1)) <= log2_bound))
     return cells

@@ -1,12 +1,11 @@
 """Toy Lipschitz actions on the 2-torus used by the Bowen-metric checks.
 
 Floats by design: these are geometric sanity checks, not part of the exact
-combinatorial pipeline. Pair distance callbacks take one point against one
-point or against an index array of points, plus an optional cap. Against
-an array they evaluate the u = 0 orbit term for every pair in one
-broadcast, scan the rest of the orbit only for the pairs still below the
-cap, and stop at the first pair that stays below it. The orbit maximum does
-not depend on scan order, so no >= cap decision changes.
+combinatorial pipeline. The separation first fit (`covernum`) runs on
+Python-int bitmasks: `close_masks` marks the pairs below eps at u = 0, and
+a pair distance callback d_n(i, j) gives the orbit maximum for the pairs
+inside a mask only. T^0 is the identity for both actions and d_n >= d_0,
+so a pair outside the mask is eps-separated at every n.
 """
 
 from __future__ import annotations
@@ -17,10 +16,6 @@ import numpy as np
 
 from . import rng
 from .lattice import UsageError
-
-def torus_dist(x: np.ndarray, y: np.ndarray) -> float:
-    """Sup metric on the 2-torus."""
-    return float(torus_dist_rows(x, y))
 
 
 def torus_dist_rows(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -37,27 +32,18 @@ def sample_torus_points(count: int, seed: int) -> np.ndarray:
     return pts
 
 
-def _bowen_dn(at0: np.ndarray, orbit_max):
-    """The pair distance callback d_n(i, j, cap=None) of a toy action.
+def close_masks(points: np.ndarray, eps: float) -> list[int]:
+    """Per point, the bitmask of the points at torus distance < eps from it, itself included.
 
-    at0 holds every point at u = 0 and orbit_max(i, j) is the maximum of the
-    base distance over the whole orbit box. For one point j the result is
-    that maximum. For an index array j it is an array: the u = 0 terms,
-    then the full maximum for the pairs below cap, in order, until one stays
-    below cap. So no entry exceeds its true distance, and every entry is
-    >= cap exactly when every true distance is.
+    One all-pairs pass in row blocks of about 2^14 pairs, so each float
+    temporary stays near 256 KiB however large the sample is.
     """
-
-    def dn(i: int, j, cap: float | None = None):
-        js = np.atleast_1d(j)
-        out = torus_dist_rows(at0[i], at0[js])
-        for k in range(len(js)) if cap is None else np.flatnonzero(out < cap):
-            out[k] = orbit_max(i, js[k])
-            if cap is not None and out[k] < cap:
-                break
-        return float(out[0]) if np.ndim(j) == 0 else out
-
-    return dn
+    rows = max(1, (1 << 14) // max(len(points), 1))
+    out: list[int] = []
+    for lo in range(0, len(points), rows):
+        near = torus_dist_rows(points[lo : lo + rows, None, :], points) < eps
+        out += [int.from_bytes(row.tobytes(), "little") for row in np.packbits(near, axis=1, bitorder="little")]
+    return out
 
 
 @dataclass(frozen=True)
@@ -73,13 +59,14 @@ class TranslationAction:
         return a.reshape(-1, 1) * np.array(self.V1) + b.reshape(-1, 1) * np.array(self.V2)
 
     def pair_bowen(self, points: np.ndarray, n: int):
-        """d_n(i, j, cap=None) over the full orbit box, u = 0 first (see `_bowen_dn`)."""
+        """d_n(i, j): the maximum of the sup metric over the orbit box, for two indices or two index arrays."""
         offs = self.orbit_offsets(n)
 
-        def orbit_max(i: int, j: int) -> float:
-            return float(torus_dist_rows((points[i] + offs) % 1.0, (points[j] + offs) % 1.0).max())
+        def dn(i, j):
+            xs, ys = (points[i, ..., None, :] + offs) % 1.0, (points[j, ..., None, :] + offs) % 1.0
+            return torus_dist_rows(xs, ys).max(axis=-1)
 
-        return _bowen_dn((points + offs[len(offs) // 2]) % 1.0, orbit_max)
+        return dn
 
 
 @dataclass(frozen=True)
@@ -123,7 +110,7 @@ class ToralEndoAction:
         ks = sorted({a + 2 * b for a in range(-n, n + 1) for b in range(-n, n + 1)})
         orbits = np.stack([(points @ self.matrix_power(k).T) % 1.0 for k in ks], axis=1)
 
-        def orbit_max(i: int, j: int) -> float:
-            return float(torus_dist_rows(orbits[i], orbits[j]).max())
+        def dn(i, j):
+            return torus_dist_rows(orbits[i], orbits[j]).max(axis=-1)
 
-        return _bowen_dn(orbits[:, ks.index(0)], orbit_max)
+        return dn

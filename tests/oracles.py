@@ -184,6 +184,29 @@ def brute_exact_cover(masses: list[Fraction], dist: list[list[Fraction]], eps_di
     raise AssertionError("uncoverable instance")
 
 
+def fraction_greedy_cover(
+    masses: list[Fraction], dist: list[list[Fraction]], eps_diam: Fraction, eps_mass: Fraction
+) -> int:
+    """Greedy ball cover on Fraction masses.
+
+    Balls of radius eps_diam/2, the one with the most uncovered mass first,
+    ties to the smaller center, until the covered mass reaches the target.
+    """
+    n = len(masses)
+    target = (Fraction(1) - eps_mass) * sum(masses, Fraction(0))
+    balls = [{j for j in range(n) if dist[i][j] <= eps_diam / 2} for i in range(n)]
+    covered: set[int] = set()
+    count = 0
+    while sum((masses[j] for j in covered), Fraction(0)) < target:
+        gains = [sum((masses[j] for j in ball - covered), Fraction(0)) for ball in balls]
+        best = max(range(n), key=lambda i: (gains[i], -i))
+        if gains[best] <= 0:
+            break
+        covered |= balls[best]
+        count += 1
+    return count
+
+
 def brute_strict_first_fit(dist: list[list[Fraction]], eps: Fraction) -> int:
     """First-fit separated-set size by index, keeping a point when it is at distance > eps from every kept point."""
     kept: list[int] = []
@@ -403,6 +426,11 @@ def act(action, u: tuple[int, int], x: np.ndarray) -> np.ndarray:
         return (x + (np.array(action.V1) * u[0] + np.array(action.V2) * u[1])) % 1.0
     assert isinstance(action, toys.ToralEndoAction)
     return (x @ action.matrix_power(u[0] + 2 * u[1]).T) % 1.0
+
+
+def torus_dist(x: np.ndarray, y: np.ndarray) -> float:
+    """Sup metric on the 2-torus between two points."""
+    return float(toys.torus_dist_rows(x, y))
 
 
 def bowen_distance(action, base_metric, n: int, x, y) -> float:

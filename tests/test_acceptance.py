@@ -348,23 +348,20 @@ def test_criterion_11_bowen_lipschitz():
     pts = toys.sample_torus_points(1000, SEED)
     translation = toys.TranslationAction()
     eps_list = (0.1, 0.05)
-    base = {
-        eps: covernum.bowen_first_fit_separated(
-            lambda i, js, cap: toys.torus_dist_rows(pts[i], pts[js]), len(pts), eps
-        )
-        for eps in eps_list
-    }
+    close = {eps: toys.close_masks(pts, eps) for eps in eps_list}
+    base = {eps: covernum.bowen_first_fit_separated(close[eps], lambda i, j: False) for eps in eps_list}
     n_grid = (0, 1, 2, 4, 8, 16, 32, 64)
     for n in n_grid:
         dn = translation.pair_bowen(pts, n)
         for eps in eps_list:
-            sep = covernum.bowen_first_fit_separated(dn, len(pts), eps)
+            sep = covernum.bowen_first_fit_separated(close[eps], lambda i, j: dn(i, j) >= eps)
             assert sep == base[eps], (n, eps, sep, base[eps])
 
     endo = toys.ToralEndoAction()
     sub = pts[:200]
+    sub_close = {eps: toys.close_masks(sub, eps) for eps in eps_list}
     cells = covernum.bowen_sep_check(
-        lambda n: endo.pair_bowen(sub, n), len(sub), (0, 1, 2, 4, 6), eps_list, endo.generator_lipschitz, 4.0
+        lambda n: endo.pair_bowen(sub, n), sub_close, (0, 1, 2, 4, 6), eps_list, endo.generator_lipschitz, 4.0
     )
     assert all(c.ok for c in cells)
     _report(

@@ -1,7 +1,11 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slowent import covernum, rng, toys
 from slowent.covernum import (
@@ -21,7 +25,14 @@ from slowent.covernum import (
 )
 from slowent.lattice import UsageError
 
-from oracles import bowen_distance, brute_bowen_first_fit, brute_exact_cover, brute_strict_first_fit
+from oracles import (
+    bowen_distance,
+    brute_bowen_first_fit,
+    brute_exact_cover,
+    brute_strict_first_fit,
+    fraction_greedy_cover,
+    torus_dist,
+)
 
 
 def four_point_sample():
@@ -103,6 +114,26 @@ def test_cover_sandwich_random():
         lower, exact, upper = cover_bracket(smp, eps, Fraction(0))
         assert lower == max_separated_lower(smp, eps) == brute_strict_first_fit([list(r) for r in smp.dist], eps)
         assert lower <= exact <= upper
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_integer_mass_units_match_fraction_oracles(data):
+    # pairwise-coprime mass denominators and an eps_mass over yet another
+    # prime, so the common denominator is their full product
+    count = data.draw(st.integers(1, 6))
+    dens = data.draw(st.permutations(PRIMES))
+    masses = [Fraction(data.draw(st.integers(1, 3 * d)), d) for d in dens[:count]]
+    eps_mass = Fraction(data.draw(st.integers(0, dens[count] - 1)), dens[count])
+    coords = [(data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))) for _ in range(count)]
+    smp = sample_from_points(coords, masses, lambda a, b: Fraction(abs(a[0] - b[0]) + abs(a[1] - b[1]), 6))
+    eps = Fraction(data.draw(st.integers(0, 12)), 6)
+    dist = [list(r) for r in smp.dist]
+    assert exact_cover_number(smp, eps, eps_mass) == brute_exact_cover(masses, dist, eps, eps_mass)
+    assert greedy_cover_upper(smp, eps, eps_mass) == fraction_greedy_cover(masses, dist, eps, eps_mass)
 
 
 def test_cover_monotone_in_eps():
@@ -263,16 +294,16 @@ def test_alpha_fit_rejects_zero_counts():
 def test_bowen_distance_n0_is_base():
     tr = toys.TranslationAction()
     pts = toys.sample_torus_points(4, 1)
-    d = bowen_distance(tr, toys.torus_dist, 0, pts[0], pts[1])
-    assert abs(d - toys.torus_dist(pts[0], pts[1])) < 1e-12
+    d = bowen_distance(tr, torus_dist, 0, pts[0], pts[1])
+    assert abs(d - torus_dist(pts[0], pts[1])) < 1e-12
 
 
 def test_bowen_translation_isometry():
     tr = toys.TranslationAction()
     pts = toys.sample_torus_points(6, 2)
     for i in range(3):
-        d0 = toys.torus_dist(pts[i], pts[i + 3])
-        dn = bowen_distance(tr, toys.torus_dist, 3, pts[i], pts[i + 3])
+        d0 = torus_dist(pts[i], pts[i + 3])
+        dn = bowen_distance(tr, torus_dist, 3, pts[i], pts[i + 3])
         assert abs(dn - d0) < 1e-9
 
 
@@ -283,14 +314,23 @@ def test_bowen_endo_lipschitz_bound():
     n = 3
     dn = endo.pair_bowen(pts, n)
     for i in range(0, 38, 2):
-        d0 = toys.torus_dist(pts[i], pts[i + 1])
+        d0 = torus_dist(pts[i], pts[i + 1])
         assert dn(i, i + 1) <= (lip**n) * d0 + 1e-9
+
+
+def bowen_separation(points, dn, eps):
+    """The Bowen first fit as the runners call it: u = 0 masks, then d_n inside them."""
+    return bowen_first_fit_separated(toys.close_masks(points, eps), lambda i, j: dn(i, j) >= eps)
 
 
 def test_bowen_sep_check_cells():
     pts = toys.sample_torus_points(60, 4)
     endo = toys.ToralEndoAction()
-    cells = bowen_sep_check(lambda n: endo.pair_bowen(pts, n), 60, [0, 1, 2], [0.1, 0.05], endo.generator_lipschitz, 4.0)
+    eps_list = [0.1, 0.05]
+    close = {eps: toys.close_masks(pts, eps) for eps in eps_list}
+    cells = bowen_sep_check(
+        lambda n: endo.pair_bowen(pts, n), close, [0, 1, 2], eps_list, endo.generator_lipschitz, 4.0
+    )
     assert all(c.ok for c in cells)
     # eps halved: separation count non-decreasing
     by_n = {}
@@ -304,8 +344,7 @@ def test_bowen_single_point_sample():
     pts = toys.sample_torus_points(1, 5)
     tr = toys.TranslationAction()
     for n in (0, 2):
-        dn = tr.pair_bowen(pts, n)
-        assert bowen_first_fit_separated(dn, 1, 0.1) == 1
+        assert bowen_separation(pts, tr.pair_bowen(pts, n), 0.1) == 1
 
 
 @pytest.mark.parametrize("action", [toys.TranslationAction(), toys.ToralEndoAction()], ids=["translation", "endo"])
@@ -320,8 +359,8 @@ def test_bowen_first_fit_matches_per_pair_oracle(action, n):
     eps_list = (0.15, 0.45, 0.49)
     for size in (0, 1, len(pts)):
         dn = action.pair_bowen(pts[:size], n)
-        got = [bowen_first_fit_separated(dn, size, eps) for eps in eps_list]
-        assert got == brute_bowen_first_fit(action, toys.torus_dist, n, pts[:size], eps_list), size
+        got = [bowen_separation(pts[:size], dn, eps) for eps in eps_list]
+        assert got == brute_bowen_first_fit(action, torus_dist, n, pts[:size], eps_list), size
 
 
 def test_endo_orbit_box_stops_before_float_precision_runs_out():
@@ -341,25 +380,58 @@ def test_bowen_pair_distance_takes_one_point_or_an_array():
         dn = action.pair_bowen(pts, 2)
         full = [dn(0, j) for j in range(1, 8)]
         assert all(isinstance(d, float) for d in full)
-        assert list(dn(0, range(1, 8))) == full
-        # with a cap, no value exceeds the true one, and every value is >= cap
-        # exactly when every true value is
+        assert full == [bowen_distance(action, torus_dist, 2, pts[0], pts[j]) for j in range(1, 8)]
+        assert list(dn(np.zeros(7, dtype=int), np.arange(1, 8))) == full
+        # the u = 0 masks miss no pair below the cap: a pair outside them is
+        # at d_n >= cap, so skipping it decides no candidate differently
         for cap in (min(full), max(full), max(full) + 0.01):
-            capped = dn(0, list(range(1, 8)), cap)
-            assert all(c <= d for c, d in zip(capped, full))
-            assert (min(capped) >= cap) == (min(full) >= cap)
+            mask = toys.close_masks(pts, cap)[0]
+            assert all(mask >> j & 1 for j, d in enumerate(full, start=1) if d < cap)
+
+
+def test_close_masks_are_the_pairs_below_eps():
+    pts = toys.sample_torus_points(40, 9)
+    for eps in (0.05, 0.2, 0.5):
+        masks = toys.close_masks(pts, eps)
+        assert masks == [sum(1 << j for j in range(40) if torus_dist(pts[i], pts[j]) < eps) for i in range(40)]
+
+
+def test_close_masks_run_in_row_blocks():
+    # a one-shot broadcast over 2,000 points holds several 64 MiB float
+    # temporaries (about 183 MiB at peak); row blocks hold 256 KiB ones
+    pts = toys.sample_torus_points(2000, 10)
+    tracemalloc.start()
+    try:
+        masks = toys.close_masks(pts, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(masks) == 2000 and all(m >> i & 1 for i, m in enumerate(masks))
+    assert peak <= 4 * 2**20
 
 
 def test_bowen_first_fit_propagates_metric_type_error():
-    # every call passes the cap, so a TypeError raised inside the metric is
-    # a real fault and must not be mistaken for a signature without cap
-    def dn(i, j, cap=None):
-        if cap is not None:
-            raise TypeError("fault inside the metric")
-        return 1.0
+    # a TypeError raised inside the pair distance is a real fault and must
+    # reach the caller
+    def dn(i, j):
+        raise TypeError("fault inside the metric")
 
     with pytest.raises(TypeError, match="fault inside the metric"):
-        bowen_first_fit_separated(dn, 3, 0.1)
+        bowen_first_fit_separated([0b111] * 3, lambda i, j: dn(i, j) >= 0.1)
+
+
+def test_bowen_first_fit_asks_only_close_pairs_in_chosen_order():
+    # candidate 3 is close to the chosen 1 and 2, not to 0: it asks about 1
+    # first, and 1 is not separated from it, so 2 is never asked about
+    asked = []
+
+    def separated(i, j):
+        asked.append((i, j))
+        return j != 1
+
+    close = [0b0001, 0b0011, 0b0101, 0b1110]
+    assert bowen_first_fit_separated(close, separated) == 3
+    assert asked == [(1, 0), (2, 0), (3, 1)]
 
 
 def test_bowen_bound_log2_monotone():
@@ -376,7 +448,7 @@ def test_bowen_endo_lipschitz_bound_large_sample():
     dn = endo.pair_bowen(pts, n)
     bound_factor = lip**n
     for i in range(0, 2000, 2):
-        d0 = toys.torus_dist(pts[i], pts[i + 1])
+        d0 = torus_dist(pts[i], pts[i + 1])
         assert dn(i, i + 1) <= bound_factor * d0 + 1e-9
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import slowent
-from slowent import cli, covernum, cutstack, expcli, lattice, recurrence, symbolic
+from slowent import cli, covernum, cutstack, expcli, lattice, recurrence, symbolic, toys
 from slowent.lattice import UsageError, pattern_distance
 
 from oracles import (
@@ -565,6 +565,33 @@ def test_planted_lagging_stage_area_fails_mass_increasing(monkeypatch):
         assert mass.status == "fail" and masses[2] < masses[1]
 
 
+def test_planted_endomorphism_orbits_fail_bowen_isometry(monkeypatch):
+    # the toral endomorphism in place of the translations: it stretches
+    # orbits, so its separation counts exceed the u = 0 counts at every n >= 1
+    endo = toys.ToralEndoAction()
+    monkeypatch.setattr(toys.TranslationAction, "pair_bowen", lambda self, points, n: endo.pair_bowen(points, n))
+    report = expcli.run_bowen(expcli.ExperimentConfig(kind="bowen", seed=2024, sample_size=200), n_list=(0, 1, 2, 4))
+    (isometry,) = [v for v in report.verdicts if v.name == "bowen-isometry"]
+    assert isometry.status == "fail"
+    rows = [row for row in report.tables["bowen"] if row["action"] == "translation"]
+    assert all((row["sep"] == row["sep_base"]) == (row["n"] == 0) for row in rows)
+
+
+def test_distmat_memory_grows_with_the_sample_not_its_pairs(tmp_path, capsys):
+    # at n = 3 each point's return-site set is small, so the 44,850 pairs of
+    # 300 points would dominate: held as Fractions in a MetricSample plus one
+    # dict per row they took 15 MiB; written one row at a time, under 1 MiB
+    tracemalloc.start()
+    try:
+        assert cli.main(["distmat", "--sample-size", "300", "--n", "3", "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lines = (tmp_path / "distmat.csv").read_text().splitlines()
+    assert lines[0] == "i,j,distance" and len(lines) == 1 + 300 * 299 // 2
+    assert peak <= 2**20
+
+
 def test_overlay_refuses_samples_too_small_to_reach_the_target():
     with pytest.raises(UsageError, match="256"):
         expcli.run_overlay(expcli.ExperimentConfig(kind="overlay", sample_size=255))
@@ -734,6 +761,7 @@ PLANTED = {
     "mass-increasing": test_planted_lagging_stage_area_fails_mass_increasing,
     "alpha-vs-theta": test_planted_whole_window_count_fails_alpha_vs_theta,
     "gamma-exponent-vs-theta": test_planted_box_level_size_fails_gamma_exponent_vs_theta,
+    "bowen-isometry": test_planted_endomorphism_orbits_fail_bowen_isometry,
 }
 
 # asserted claims that no planted defect turns to fail yet
@@ -741,7 +769,6 @@ UNPLANTED = {
     "core-mass",
     "rho-alpha-bound",
     "gv-sampled",
-    "bowen-isometry",
     "lipschitz-orbit-bound",
     "bowen-lipschitz-growth",
 }
