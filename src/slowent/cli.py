@@ -175,7 +175,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         sets = [recurrence_set(p, args.n) for p in expcli.sample_points(sched, 3, args.sample_size, args.seed)]
         args.out.mkdir(parents=True, exist_ok=True)
         # one row at a time: memory grows with the sample, not with its pairs
-        with (args.out / "distmat.csv").open("w") as out:
+        with expcli.fresh(args.out / "distmat.csv").open("w") as out:
             out.write("i,j,distance\n" if len(sets) > 1 else "")
             for i, j in itertools.combinations(range(len(sets)), 2):
                 out.write(f"{i},{j},{expcli._canonical(recurrence_metric(sets[i], sets[j]))}\n")

@@ -265,12 +265,19 @@ def report_to_json(report: Report) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() + b"\n"
 
 
+def fresh(path: Path) -> Path:
+    """The path, any file there removed: ext4 flushes a truncated and
+    rewritten file on close (tens of ms for a report), but not a new one."""
+    path.unlink(missing_ok=True)
+    return path
+
+
 def write_report(report: Report, out_dir: Path, fmt: str = "json") -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "report.json"
-    path.write_bytes(report_to_json(report))
+    fresh(path).write_bytes(report_to_json(report))
     if report.runtime_seconds is not None:
-        (out_dir / "timing.json").write_text(json.dumps({"runtime_seconds": report.runtime_seconds}) + "\n")
+        fresh(out_dir / "timing.json").write_text(json.dumps({"runtime_seconds": report.runtime_seconds}) + "\n")
     if fmt == "csv":
         for name, rows in report.tables.items():
             write_csv(rows, out_dir / f"{name}.csv")
@@ -278,6 +285,7 @@ def write_report(report: Report, out_dir: Path, fmt: str = "json") -> Path:
 
 
 def write_csv(rows: list[dict], path: Path) -> None:
+    fresh(path)
     if not rows:
         path.write_text("")
         return
@@ -622,7 +630,8 @@ def run_overlay(config: ExperimentConfig) -> Report:
     for i in range(cases):
         p = cutstack.sample_point(sched, 3, rng.derive_seed(config.seed, "ov-point", i))
         n = rng.uniform_int(config.seed, "ov-radius", i, lo=0, hi=27)
-        if symbolic.apply_code(symbolic.ERASURE, symbolic.overlay_name(p, n)) != cutstack.name01(p, n):
+        base, overlay = symbolic.overlay_name(p, n)
+        if symbolic.apply_code(symbolic.ERASURE, overlay) != base:
             bad += 1
     report.claim(Claim.ERASURE_IDENTITY, bad == 0, cases=cases, failures=bad)
     report.exponents["gv_rate_deficit"] = symbolic.gv_rate_deficit(core_size, eps)

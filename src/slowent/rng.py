@@ -10,7 +10,8 @@ of the tag followed by its indices packed as little-endian int64, and a
 wide draw appends (counter, word) to the indices of each of its words. The
 module computes them from one keyed state per draw, copied and extended
 for each word; BLAKE2b hashes a buffer the same whether it arrives in one
-update or in several, so the values are the word-by-word ones.
+update or in several, so the values are the word-by-word ones. Fair bits
+over a product X x Y use one keyed state per row x, copied for each y.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import struct
 # hashlib.blake2b is this same type; importing hashlib would also load
 # OpenSSL (about 3.4 MiB resident), which no hash here uses
 from _blake2 import blake2b
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 
 class _Packers(dict):
@@ -80,15 +81,24 @@ def uniform_float(seed: int, tag: str, *indices: int) -> float:
     return (stream_u64(seed, tag, *indices) >> 11) / float(1 << 53)
 
 
-def fair_bits(seed: int, tag: str, sites: Iterable[Sequence[int]]) -> list[int]:
-    """The low bit of stream_u64(seed, tag, *site) for each site, keying (seed, tag) once."""
+def fair_bits(seed: int, tag: str, xs: Sequence[int], ys: Sequence[int]) -> list[int]:
+    """The low bit of stream_u64(seed, tag, x, y) for each (x, y) in xs x ys, x-major.
+
+    Each row extends a copy of the (seed, tag) state by its packed x, and
+    each site a copy of its row's state by its packed y.
+    """
+    pack = _PACKERS[1].pack
+    tails = [pack(y) for y in ys]
     copy = _keyed(seed, tag, ()).copy
-    packers = _PACKERS
     bits = []
-    for site in sites:
-        h = copy()
-        h.update(packers[len(site)].pack(*site))
-        bits.append(h.digest()[0] & 1)
+    for x in xs:
+        row = copy()
+        row.update(pack(x))
+        row_copy = row.copy
+        for tail in tails:
+            h = row_copy()
+            h.update(tail)
+            bits.append(h.digest()[0] & 1)
     return bits
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import cutstack, rng
 from .cutstack import PointHandle
-from .lattice import Pattern, UsageError
+from .lattice import Box, Pattern, UsageError
 
 A_SYMBOL = 2
 B_SYMBOL = 3
@@ -39,20 +39,24 @@ def apply_code(table: dict[int, int], pattern: Pattern) -> Pattern:
     return Pattern.unchecked(pattern.box, default_out, cells)
 
 
-def overlay_name(point: PointHandle, n: int) -> Pattern:
-    """Sample the overlay name of radius n, conditioned on the point's base name:
-    the pattern over {0, a, b} that puts a fair letter on every 1-cell of
-    `cutstack.name01` and keeps its checked sites.
+def overlay_name(point: PointHandle, n: int) -> tuple[Pattern, Pattern]:
+    """The point's base name of radius n and the overlay name sampled on it.
+
+    The base is `cutstack.name01(point, n)`, the product X x Y of the
+    window's axes; the overlay is the pattern over {0, a, b} that puts a
+    fair letter on every 1-cell of the base, its cells in the base's order.
+    The window is resolved once, for both.
 
     Bits are derived from (overlay seed, absolute window site), so one
     point's names are restriction-consistent across radii while distinct
     points carry independent letter streams.
     """
-    base = cutstack.name01(point, n)
+    xs, ys = cutstack.capped_window_axes(point, n)
+    base = Pattern.product(Box(n), xs, ys)
     # key bits by the absolute window offset relative to the point, which is
     # the same site in every nested window
-    bits = rng.fair_bits(point.overlay_seed, "overlay-bit", base.cells)
-    return Pattern.unchecked(base.box, 0, {u: A_SYMBOL + bit for u, bit in zip(base.cells, bits)})
+    bits = rng.fair_bits(point.overlay_seed, "overlay-bit", xs, ys)
+    return base, Pattern.unchecked(base.box, 0, {u: A_SYMBOL + bit for u, bit in zip(base.cells, bits)})
 
 
 # ---------------------------------------------------------------------------

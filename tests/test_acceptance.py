@@ -300,7 +300,8 @@ def test_criterion_9_overlay_lower_bound(sched_default):
     for i in range(1000):
         p = cs.sample_point(sched_default, 3, seed=rng.derive_seed(SEED, "c9pt", i))
         n = rng.uniform_int(SEED, "c9n", i, lo=0, hi=27)
-        if sym.apply_code(sym.ERASURE, sym.overlay_name(p, n)) != cs.name01(p, n):
+        _, overlay = sym.overlay_name(p, n)
+        if sym.apply_code(sym.ERASURE, overlay) != cs.name01(p, n):
             failures += 1
     assert failures == 0
     _report(

@@ -750,10 +750,10 @@ def test_point_setup_draws_only_its_offsets(monkeypatch):
             p = cs.sample_point(sched, 3, seed)
             cs.core_count(p, 0)
             assert calls == {"uniform_int": 4, "stream_u64": 0}
-            name = overlay_name(p, 27)
+            _, name = overlay_name(p, 27)
             assert calls == {"uniform_int": 4, "stream_u64": 1}
             overlay_name(p, 27)
             assert calls["stream_u64"] == 1
             assert p.overlay_seed == rng.derive_seed(seed, "overlay-seed")
             bits = {u: sym - A_SYMBOL for u, sym in name.cells.items()}
-            assert bits == dict(zip(name.cells, rng.fair_bits(p.overlay_seed, "overlay-bit", name.cells)))
+            assert bits == {u: rng.fair_bits(p.overlay_seed, "overlay-bit", [u[0]], [u[1]])[0] for u in name.cells}

@@ -592,6 +592,31 @@ def test_distmat_memory_grows_with_the_sample_not_its_pairs(tmp_path, capsys):
     assert peak <= 2**20
 
 
+def test_overlay_resolves_each_erasure_window_once(monkeypatch):
+    # each erasure case builds its base name and overlay from one window
+    calls = dict.fromkeys(("capped_window_axes", "name01"), 0)
+    for name in calls:
+        real = getattr(cutstack, name)
+
+        def spy(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(cutstack, name, spy)
+    report = expcli.run_overlay(expcli.ExperimentConfig(kind="overlay", sample_size=300))
+    erasure = next(v for v in report.verdicts if v.name == "erasure-identity")
+    assert erasure.status == "pass" and erasure.details == {"cases": 300, "failures": 0}
+    assert calls == {"capped_window_axes": 300, "name01": 0}
+
+
+def test_rerun_into_the_same_directory_writes_the_same_report(tmp_path, capsys):
+    assert cli.main(["verify", "--out", str(tmp_path)]) == 0
+    first = (tmp_path / "report.json").read_bytes()
+    assert cli.main(["verify", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "report.json").read_bytes() == first
+    assert json.loads((tmp_path / "timing.json").read_text())["runtime_seconds"] > 0
+
+
 def test_overlay_refuses_samples_too_small_to_reach_the_target():
     with pytest.raises(UsageError, match="256"):
         expcli.run_overlay(expcli.ExperimentConfig(kind="overlay", sample_size=255))

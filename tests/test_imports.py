@@ -36,13 +36,25 @@ def test_every_module_import_is_used():
     assert unused == {}
 
 
-def test_covernum_imports_no_numpy():
-    # the cover and separation searches run on ints, Fractions and bitmasks;
-    # the Bowen checks' float arrays stay in toys
-    tree = ast.parse((PACKAGE / "covernum.py").read_text())
-    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
-    modules += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module]
-    assert modules and not [name for name in modules if name.split(".")[0] == "numpy"]
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the absolute modules a source imports, at any depth."""
+    tree = ast.parse(source)
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    names |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module and not node.level}
+    return {name.split(".")[0] for name in names}
+
+
+def test_imported_modules_reads_nested_and_relative_imports():
+    source = "import os.path\nfrom . import rng\nfrom .lattice import Box\ndef f():\n    from numpy import zeros\n"
+    assert imported_modules(source) == {"os", "numpy"}
+
+
+def test_only_toys_and_expcli_import_numpy():
+    # the exact layers (lattice, cutstack, rng, symbolic, covernum, ...) run on
+    # ints, Fractions and bitmasks; the Bowen checks' float arrays stay in toys
+    # and the suites' arrays in expcli
+    users = {p.stem for p in PACKAGE.glob("*.py") if "numpy" in imported_modules(p.read_text())}
+    assert users == {"toys", "expcli"}
 
 
 # ---------------------------------------------------------------------------

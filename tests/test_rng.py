@@ -34,7 +34,7 @@ def test_uniform_float_pinned():
 
 
 def test_fair_bit_pinned():
-    bits = rng.fair_bits(9, "overlay-bit", [(x, y) for x in (-2, -1, 0, 1) for y in (-1, 0, 3)])
+    bits = rng.fair_bits(9, "overlay-bit", (-2, -1, 0, 1), (-1, 0, 3))
     assert bits == [1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0]
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slowent import cutstack as cs
+from slowent import expcli
 from slowent import rng
 from slowent.lattice import SYMBOL_NAMES, Box, Pattern, UsageError, pattern_distance, sup_norm
 from slowent.symbolic import (
@@ -59,7 +60,8 @@ def test_apply_code_refuses_unmapped_symbols():
 
 def test_erasure_code_on_overlay(sched_default):
     p = cs.point_from_address(sched_default, [(0, 0)], seed=5)
-    assert apply_code(ERASURE, overlay_name(p, 5)) == cs.name01(p, 5)
+    _, overlay = overlay_name(p, 5)
+    assert apply_code(ERASURE, overlay) == cs.name01(p, 5)
 
 
 def test_apply_code_shift_equivariance():
@@ -113,13 +115,27 @@ def test_box_pattern_and_code_match_definitions(data):
 
 def test_overlay_name_consistency(sched_default):
     p = cs.point_from_address(sched_default, [(0, 0)], seed=9)
-    small = overlay_name(p, 3)
-    big = overlay_name(p, 27)
+    _, small = overlay_name(p, 3)
+    _, big = overlay_name(p, 27)
     assert apply_code(ERASURE, small) == cs.name01(p, 3)
     for v, bit in bits(small).items():
         assert bits(big)[v] == bit
-    again = overlay_name(p, 3)
+    _, again = overlay_name(p, 3)
     assert bits(again) == bits(small)
+
+
+@pytest.mark.parametrize("spec", expcli.DEFAULT_VARIANTS)
+def test_overlay_base_is_name01_in_cell_order(spec):
+    # one window serves both names: the base is name01's pattern and the
+    # overlay's letters sit on its cells in the same order
+    sched = expcli.schedule_from_spec(spec)
+    for i in range(3):
+        p = cs.sample_point(sched, 3, seed=rng.derive_seed(70, "base", i))
+        for n in (0, 1, 27):
+            base, overlay = overlay_name(p, n)
+            name = cs.name01(p, n)
+            assert base == name and list(base.cells) == list(name.cells)
+            assert list(overlay.cells) == list(name.cells)
 
 
 def test_overlay_independent_across_points(sched_default):
@@ -130,13 +146,13 @@ def test_overlay_independent_across_points(sched_default):
 
 def test_overlay_fairness(sched_default):
     p = cs.point_from_address(sched_default, [(0, 0)], seed=13)
-    name = overlay_name(p, 27)
+    _, name = overlay_name(p, 27)
     draws = 0
     ones = 0
     # extend the sample with bits from more points to reach a solid count
     for i in range(300):
         q = cs.sample_point(sched_default, 3, seed=rng.derive_seed(50, "fair", i))
-        ov = overlay_name(q, 9)
+        _, ov = overlay_name(q, 9)
         for b in bits(ov).values():
             draws += 1
             ones += b
@@ -148,7 +164,7 @@ def test_overlay_validation(sched_default):
     # an overlay name carries a letter exactly on the base 1-cells, and only a or b
     for i in range(20):
         p = cs.sample_point(sched_default, 3, seed=rng.derive_seed(40, "ov", i))
-        name = overlay_name(p, 9)
+        _, name = overlay_name(p, 9)
         assert name.default_symbol == 0
         assert name.cells.keys() == cs.name01(p, 9).cells.keys()
         assert set(name.cells.values()) <= {A_SYMBOL, B_SYMBOL}
@@ -163,9 +179,9 @@ def test_unchecked_outputs_pass_the_cell_check(sched_default, data):
     ones = data.draw(st.sets(st.sampled_from(list(box.sites())), max_size=12))
     flat = Pattern(box, 0, {u: A_SYMBOL + data.draw(st.integers(0, 1)) for u in ones})
     p = cs.sample_point(sched_default, 3, seed=data.draw(st.integers(0, 2**64 - 1)))
-    name = overlay_name(p, data.draw(st.integers(0, 12)))
+    base, name = overlay_name(p, data.draw(st.integers(0, 12)))
     recolor = {0: B_SYMBOL, 1: 1, A_SYMBOL: B_SYMBOL, B_SYMBOL: 0}
-    for q in (name, apply_code(ERASURE, name), apply_code(ERASURE, flat), apply_code(recolor, flat)):
+    for q in (base, name, apply_code(ERASURE, name), apply_code(ERASURE, flat), apply_code(recolor, flat)):
         assert Pattern(q.box, q.default_symbol, dict(q.cells)) == q
 
 
@@ -195,7 +211,7 @@ def test_overlay_distance_dominates_base_metric(sched_default):
     for i in range(50):
         x = cs.sample_point(sched_default, 3, seed=rng.derive_seed(60, "a", i))
         y = cs.sample_point(sched_default, 3, seed=rng.derive_seed(60, "b", i))
-        ox, oy = overlay_name(x, 6), overlay_name(y, 6)
+        (_, ox), (_, oy) = overlay_name(x, 6), overlay_name(y, 6)
         base = recurrence_metric(set(ox.cells), set(oy.cells))
         assert pattern_distance(ox, oy) >= base
 
@@ -272,7 +288,7 @@ def test_overlay_serializes_with_letter_symbols(sched_default):
     from slowent.lattice import pattern_to_text
 
     p = cs.point_from_address(sched_default, [(0, 0)], seed=3)
-    flat = overlay_name(p, 3)
+    _, flat = overlay_name(p, 3)
     text = pattern_to_text(flat)
     assert " a" in text or " b" in text
     assert pattern_from_text(text) == flat
