@@ -10,8 +10,13 @@ of the tag followed by its indices packed as little-endian int64, and a
 wide draw appends (counter, word) to the indices of each of its words. The
 module computes them from one keyed state per draw, copied and extended
 for each word; BLAKE2b hashes a buffer the same whether it arrives in one
-update or in several, so the values are the word-by-word ones. Fair bits
-over a product X x Y use one keyed state per row x, copied for each y.
+update or in several, so the values are the word-by-word ones.
+
+Fair bits are read 64 sites per hash: the bit at (x, y) is the low bit of
+byte (y + 32) mod 64 of the 64-byte keyed BLAKE2b digest of the tag followed
+by x and (y + 32) div 64, packed as little-endian int64. Over a product
+X x Y each row finalizes one digest per column block of 64 it meets, and
+every column range inside [-32, 31] is one block.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import struct
 # OpenSSL (about 3.4 MiB resident), which no hash here uses
 from _blake2 import blake2b
 from collections.abc import Sequence
+from operator import itemgetter
 
 
 class _Packers(dict):
@@ -35,11 +41,20 @@ _PACKERS = _Packers()
 _COUNTER_WORD = _PACKERS[2]
 
 
+#: Sites per fair-bit digest: the longest BLAKE2b digest is 64 bytes.
+_BLOCK = 64
+_LOW_BIT = bytes(i & 1 for i in range(256))
+
+
+def _key(seed: int) -> bytes:
+    """The hash key of a seed: its low 64 bits, little-endian."""
+    return (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+
+
 def _keyed(seed: int, tag: str, indices: Sequence[int]) -> blake2b:
     """The keyed hash state over (tag, indices), not yet finalized."""
     data = tag.encode("utf-8") + _PACKERS[len(indices)].pack(*indices)
-    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-    return blake2b(data, digest_size=8, key=key)
+    return blake2b(data, digest_size=8, key=_key(seed))
 
 
 def stream_u64(seed: int, tag: str, *indices: int) -> int:
@@ -81,25 +96,33 @@ def uniform_float(seed: int, tag: str, *indices: int) -> float:
     return (stream_u64(seed, tag, *indices) >> 11) / float(1 << 53)
 
 
-def fair_bits(seed: int, tag: str, xs: Sequence[int], ys: Sequence[int]) -> list[int]:
-    """The low bit of stream_u64(seed, tag, x, y) for each (x, y) in xs x ys, x-major.
+def fair_bits(seed: int, tag: str, xs: Sequence[int], ys: Sequence[int]) -> bytes:
+    """The fair bit of each (x, y) in xs x ys, x-major, one byte (0 or 1) a site.
 
-    Each row extends a copy of the (seed, tag) state by its packed x, and
-    each site a copy of its row's state by its packed y.
+    The bit at (x, y) is the low bit of byte (y + 32) mod 64 of the 64-byte
+    keyed digest of (tag, x, (y + 32) div 64). Each row finalizes one
+    digest per column block that ys meets and picks its sites' bytes in the
+    order of ys, repeats kept; no site costs a hash.
     """
-    pack = _PACKERS[1].pack
-    tails = [pack(y) for y in ys]
-    copy = _keyed(seed, tag, ()).copy
-    bits = []
+    if not ys:
+        return b""
+    blocks = sorted({(y + 32) // _BLOCK for y in ys})
+    start = {block: _BLOCK * i for i, block in enumerate(blocks)}
+    # offsets into the row's block digests, joined in block order
+    offsets = [start[(y + 32) // _BLOCK] + (y + 32) % _BLOCK for y in ys]
+    # a single index makes itemgetter return a scalar, not a 1-tuple
+    pick = itemgetter(*offsets) if len(offsets) > 1 else lambda row: (row[offsets[0]],)
+    pack = _PACKERS[2].pack
+    copy = blake2b(tag.encode("utf-8"), digest_size=_BLOCK, key=_key(seed)).copy
+    picked = []
     for x in xs:
-        row = copy()
-        row.update(pack(x))
-        row_copy = row.copy
-        for tail in tails:
-            h = row_copy()
-            h.update(tail)
-            bits.append(h.digest()[0] & 1)
-    return bits
+        digests = []
+        for block in blocks:
+            h = copy()
+            h.update(pack(x, block))
+            digests.append(h.digest())
+        picked += pick(b"".join(digests))
+    return bytes(picked).translate(_LOW_BIT)
 
 
 def derive_seed(seed: int, tag: str, *indices: int) -> int:

@@ -19,6 +19,9 @@ A_SYMBOL = 2
 B_SYMBOL = 3
 
 
+#: Fair bit to overlay letter, as a bytes.translate table: 0 -> a, 1 -> b.
+LETTERS = bytes([A_SYMBOL, B_SYMBOL, *range(2, 256)])
+
 #: The erasure factor map a, b -> 1 and 0 -> 0: a radius-0 code is its symbol table.
 ERASURE = {0: 0, 1: 1, A_SYMBOL: 1, B_SYMBOL: 1}
 
@@ -47,16 +50,15 @@ def overlay_name(point: PointHandle, n: int) -> tuple[Pattern, Pattern]:
     fair letter on every 1-cell of the base, its cells in the base's order.
     The window is resolved once, for both.
 
-    Bits are derived from (overlay seed, absolute window site), so one
-    point's names are restriction-consistent across radii while distinct
-    points carry independent letter streams.
+    A letter is keyed by the overlay seed and the site's offset from the
+    point, which is the same site in every nested window, so one point's
+    names are restriction-consistent across radii while distinct points
+    carry independent letter streams.
     """
     xs, ys = cutstack.capped_window_axes(point, n)
     base = Pattern.product(Box(n), xs, ys)
-    # key bits by the absolute window offset relative to the point, which is
-    # the same site in every nested window
     bits = rng.fair_bits(point.overlay_seed, "overlay-bit", xs, ys)
-    return base, Pattern.unchecked(base.box, 0, {u: A_SYMBOL + bit for u, bit in zip(base.cells, bits)})
+    return base, Pattern.unchecked(base.box, 0, dict(zip(base.cells, bits.translate(LETTERS))))
 
 
 # ---------------------------------------------------------------------------

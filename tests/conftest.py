@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from slowent import cutstack
+from slowent import cutstack, rng
 
 
 @pytest.fixture(scope="session")
@@ -21,3 +21,30 @@ def sched_c5():
 def sched_theta4():
     """theta = 1/4, c = 2: r = (1, 82, ...)."""
     return cutstack.build_schedule(4, Fraction(1, 4), 2, 1)
+
+
+class _CountedHash:
+    """A hash state that counts its finalized 64-byte digests, and those of its copies."""
+
+    def __init__(self, state, counts: dict):
+        self._state, self._counts = state, counts
+
+    def copy(self):
+        return _CountedHash(self._state.copy(), self._counts)
+
+    def update(self, data) -> None:
+        self._state.update(data)
+
+    def digest(self) -> bytes:
+        if self._state.digest_size == 64:
+            self._counts["digests"] += 1
+        return self._state.digest()
+
+
+@pytest.fixture
+def letter_digests(monkeypatch):
+    """Counts of the 64-byte digests (the fair-bit blocks) finalized through rng."""
+    counts = {"digests": 0}
+    real = rng.blake2b
+    monkeypatch.setattr(rng, "blake2b", lambda *args, **kwargs: _CountedHash(real(*args, **kwargs), counts))
+    return counts

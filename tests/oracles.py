@@ -4,7 +4,9 @@ Everything here enumerates sites or subsets directly and stays deliberately
 separate from the library's counting and search paths.
 """
 
+import hashlib
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -478,6 +480,15 @@ def brute_uniform_int(seed: int, tag: str, *indices: int, lo: int, hi: int) -> i
         if u < limit:
             return lo + (u % span)
         counter += 1
+
+
+def fair_bit(seed: int, tag: str, x: int, y: int) -> int:
+    """rng.fair_bits at one site, from a fresh keyed 64-byte digest of its own:
+    the low bit of byte (y + 32) mod 64 of the digest of (tag, x, (y + 32) div 64)."""
+    block, byte = divmod(y + 32, 64)
+    key = (seed % 2**64).to_bytes(8, "little")
+    digest = hashlib.blake2b(tag.encode("utf-8") + struct.pack("<qq", x, block), digest_size=64, key=key).digest()
+    return digest[byte] & 1
 
 
 def random_pattern(seed: int, tag: str, index: int, box_radius: int = 2, max_cells: int = 4) -> Pattern:

@@ -496,7 +496,8 @@ def test_planted_erasure_defect_fails_erasure_identity(monkeypatch):
     # an erasure code that maps the letter b to 0 loses every b-cell of the base name
     monkeypatch.setattr(symbolic, "ERASURE", {0: 0, 1: 1, symbolic.A_SYMBOL: 1, symbolic.B_SYMBOL: 0})
     erasure = _global_verdict(monkeypatch, "global/erasure-identity")
-    assert erasure.status == "fail" and erasure.details == {"cases": 1000, "failures": 955}
+    # 938 of the 1,000 cases carry a b letter (counted with oracles.fair_bit)
+    assert erasure.status == "fail" and erasure.details == {"cases": 1000, "failures": 938}
 
 
 def test_planted_unthickened_provenance_fails_ratio_ergodic(monkeypatch):
@@ -607,6 +608,15 @@ def test_overlay_resolves_each_erasure_window_once(monkeypatch):
     erasure = next(v for v in report.verdicts if v.name == "erasure-identity")
     assert erasure.status == "pass" and erasure.details == {"cases": 300, "failures": 0}
     assert calls == {"capped_window_axes": 300, "name01": 0}
+
+
+def test_overlay_reads_one_letter_digest_per_row(letter_digests):
+    # the 1,000 erasure cases at seed 2024 hold 115,184 sites in 9,278 rows,
+    # and no window of radius <= 27 reaches past one 64-column block
+    report = expcli.run_overlay(expcli.ExperimentConfig(kind="overlay", seed=2024, sample_size=1000))
+    erasure = next(v for v in report.verdicts if v.name == "erasure-identity")
+    assert erasure.status == "pass" and erasure.details == {"cases": 1000, "failures": 0}
+    assert letter_digests["digests"] == 9278
 
 
 def test_rerun_into_the_same_directory_writes_the_same_report(tmp_path, capsys):

@@ -57,6 +57,13 @@ def test_only_toys_and_expcli_import_numpy():
     assert users == {"toys", "expcli"}
 
 
+def test_no_module_imports_hashlib():
+    # rng and recurrence take BLAKE2b from _blake2: hashlib would also load
+    # OpenSSL (about 3.4 MiB resident), which no hash here uses
+    users = {p.stem for p in PACKAGE.glob("*.py") if "hashlib" in imported_modules(p.read_text())}
+    assert users == set()
+
+
 # ---------------------------------------------------------------------------
 # Reachability: every module-level definition in the package is reached from
 # the CLI entry point, an experiment runner, or a benchmark workload.

@@ -35,7 +35,7 @@ def test_uniform_float_pinned():
 
 def test_fair_bit_pinned():
     bits = rng.fair_bits(9, "overlay-bit", (-2, -1, 0, 1), (-1, 0, 3))
-    assert bits == [1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0]
+    assert bits == bytes([1, 0, 1, 0, 0, 0, 1, 1, 0, 0, 1, 1])
 
 
 def test_derive_seed_pinned():
