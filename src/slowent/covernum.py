@@ -7,8 +7,9 @@ of maximal cliques of the diameter graph, which keeps branch-and-bound
 small. Point sets are Python-int bitmasks. Everything combinatorial is
 exact: distances are rational, and the cover searches compare masses and
 their coverage target as integers over one common denominator. Only the
-growth fits and the Bowen checks use floats, and the Bowen float work
-(orbits, closeness masks) lives in `toys`; this module imports no numpy.
+growth fits and the Bowen bound's logarithms use floats. The Bowen orbits
+and closeness masks live in `toys`, in exact uint64 units of 2^-64; this
+module imports no numpy.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .lattice import UsageError, box_site_count
 
@@ -354,7 +355,7 @@ def alpha_pointwise(r_count: int, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Bowen metric checks for Lipschitz toy actions (floats by design)
+# Separation first fit and the Bowen bound for Lipschitz toy actions
 
 
 def bowen_first_fit_separated(close: Sequence[int], separated: Callable[[int, int], bool]) -> int:
@@ -382,15 +383,6 @@ def bowen_first_fit_separated(close: Sequence[int], separated: Callable[[int, in
     return size
 
 
-@dataclass(frozen=True)
-class BowenCell:
-    n: int
-    eps: float
-    separation: int
-    log2_bound: float
-    ok: bool
-
-
 def bowen_bound_log2(n: int, eps: float, lip_generator: float, sep_prefactor: float) -> float:
     """log2 of the exponential separation bound C^n / eps^C for Lipschitz actions.
 
@@ -402,28 +394,3 @@ def bowen_bound_log2(n: int, eps: float, lip_generator: float, sep_prefactor: fl
     c1, c2 = lip_generator, sep_prefactor
     c = max(c2, c1 ** (2 * c2), 2.0)
     return n * math.log2(c) + c * math.log2(1.0 / eps)
-
-
-def bowen_sep_check(
-    pair_bowen_dist,
-    close: Mapping[float, Sequence[int]],
-    n_list: Sequence[int],
-    eps_list: Sequence[float],
-    lip_generator: float,
-    sep_prefactor: float,
-) -> list[BowenCell]:
-    """Check sep(sample, d_n, eps) <= C^n / eps^C in log space per (n, eps) cell.
-
-    pair_bowen_dist(n) must return the Bowen distance (i, j) -> d_n between
-    sample points i and j, and close[eps] the sample's masks of pairs at
-    d_0 < eps. Since d_n >= d_0, the pairs outside a mask are eps-separated
-    at every n, so only the pairs inside it need d_n.
-    """
-    cells = []
-    for n in n_list:
-        dn = pair_bowen_dist(n)
-        for eps in eps_list:
-            sep = bowen_first_fit_separated(close[eps], lambda i, j: dn(i, j) >= eps)
-            log2_bound = bowen_bound_log2(n, eps, lip_generator, sep_prefactor)
-            cells.append(BowenCell(n, eps, sep, log2_bound, math.log2(max(sep, 1)) <= log2_bound))
-    return cells

@@ -91,11 +91,6 @@ def uniform_int(seed: int, tag: str, *indices: int, lo: int, hi: int) -> int:
         counter += 1
 
 
-def uniform_float(seed: int, tag: str, *indices: int) -> float:
-    """Uniform float in [0, 1) with 53 random bits."""
-    return (stream_u64(seed, tag, *indices) >> 11) / float(1 << 53)
-
-
 def fair_bits(seed: int, tag: str, xs: Sequence[int], ys: Sequence[int]) -> bytes:
     """The fair bit of each (x, y) in xs x ys, x-major, one byte (0 or 1) a site.
 

@@ -9,6 +9,7 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 
 import numpy as np
@@ -419,39 +420,85 @@ def brute_stage2_census(sched, n: int) -> dict:
 
 
 def act(action, u: tuple[int, int], x: np.ndarray) -> np.ndarray:
-    """T^u x for a toy torus action, from its definition.
+    """T^u x for the float toy, from its definition: x is a point of [0, 1)^2 as floats.
 
     TranslationAction moves by u_1 V1 + u_2 V2; ToralEndoAction applies
-    M^(u_1 + 2 u_2). Both are taken mod 1, point by point.
+    M^(u_1 + 2 u_2). Both are taken mod 1. The float toy is a sound
+    reference while every M^k entry stays below 2^26 (n <= 6), so that
+    x M^k keeps 26 fractional bits.
     """
     if isinstance(action, toys.TranslationAction):
         return (x + (np.array(action.V1) * u[0] + np.array(action.V2) * u[1])) % 1.0
     assert isinstance(action, toys.ToralEndoAction)
-    return (x @ action.matrix_power(u[0] + 2 * u[1]).T) % 1.0
+    return (x @ np.array(action.matrix_power(u[0] + 2 * u[1]), dtype=float).T) % 1.0
 
 
 def torus_dist(x: np.ndarray, y: np.ndarray) -> float:
-    """Sup metric on the 2-torus between two points."""
-    return float(toys.torus_dist_rows(x, y))
+    """Sup metric on the 2-torus between two float points."""
+    d = np.abs(x - y) % 1.0
+    return float(np.minimum(d, 1.0 - d).max())
 
 
-def bowen_distance(action, base_metric, n: int, x, y) -> float:
-    """sup over ||u||_inf <= n of base_metric(T^u x, T^u y), one orbit site at a time."""
-    best = 0.0
-    for ux in range(-n, n + 1):
-        for uy in range(-n, n + 1):
-            d = base_metric(act(action, (ux, uy), x), act(action, (ux, uy), y))
-            if d > best:
-                best = d
-    return best
+def float_points(points: np.ndarray) -> np.ndarray:
+    """Sample points in uint64 units of 2^-64 as floats in [0, 1): exact, since each has 53 bits."""
+    return points.astype(float) / 2.0**64
 
 
-def brute_bowen_first_fit(action, base_metric, n: int, points, eps_list) -> list[int]:
+TORUS = 2**64
+
+
+@cache
+def endo_power(k: int) -> tuple[tuple[int, int], ...]:
+    """M^k in Python ints by repeated multiplication, M = [[2, 1], [1, 1]] and M^-1 = [[1, -1], [-1, 2]]."""
+    step = ((2, 1), (1, 1)) if k >= 0 else ((1, -1), (-1, 2))
+    out = ((1, 0), (0, 1))
+    for _ in range(abs(k)):
+        out = tuple(tuple(sum(out[r][t] * step[t][c] for t in range(2)) for c in range(2)) for r in range(2))
+    return out
+
+
+@cache
+def dyadic_units(x: float) -> int:
+    """A float64 as an exact count of 2^-64 units; it must be a multiple of 2^-64."""
+    q = Fraction(x) * TORUS
+    assert q.denominator == 1, x
+    return q.numerator
+
+
+def exact_act(action, u: tuple[int, int], x: tuple[int, int]) -> tuple[int, int]:
+    """T^u x in Python ints, x a point in units of 2^-64, reduced mod 2^64 by `%`.
+
+    Translations add u_1 V1 + u_2 V2 with V1 and V2 read as exact dyadics;
+    the endomorphism applies M^(u_1 + 2 u_2).
+    """
+    if isinstance(action, toys.TranslationAction):
+        return tuple(
+            (c + u[0] * dyadic_units(v1) + u[1] * dyadic_units(v2)) % TORUS for c, v1, v2 in zip(x, action.V1, action.V2)
+        )
+    assert isinstance(action, toys.ToralEndoAction)
+    m = endo_power(u[0] + 2 * u[1])
+    return tuple(sum(m[r][c] * x[c] for c in range(2)) % TORUS for r in range(2))
+
+
+def exact_torus_dist(x: tuple[int, int], y: tuple[int, int]) -> int:
+    """Sup metric on the 2-torus in units of 2^-64: per coordinate the shorter way round."""
+    return max(min((a - b) % TORUS, (b - a) % TORUS) for a, b in zip(x, y))
+
+
+def bowen_distance(move, base_metric, n: int, x, y):
+    """sup over ||u||_inf <= n of base_metric(move(u, x), move(u, y)), one orbit site at a time.
+
+    move is `act` (the float toy) or `exact_act` (units), bound to an action.
+    """
+    return max(base_metric(move(u, x), move(u, y)) for u in product(range(-n, n + 1), repeat=2))
+
+
+def brute_bowen_first_fit(move, base_metric, n: int, points, eps_list) -> list[int]:
     """First-fit separated-set size per eps, each candidate against each kept point over its whole orbit.
 
-    Same sup as `bowen_distance`, with T^u applied once per site to all points.
+    Same sup as `bowen_distance`, with T^u applied once per site to each point.
     """
-    moved = [act(action, (ux, uy), points) for ux in range(-n, n + 1) for uy in range(-n, n + 1)]
+    moved = [[move(u, p) for p in points] for u in product(range(-n, n + 1), repeat=2)]
     dist: dict[tuple[int, int], float] = {}
     sizes = []
     for eps in eps_list:

@@ -352,19 +352,17 @@ def test_criterion_11_bowen_lipschitz():
     close = {eps: toys.close_masks(pts, eps) for eps in eps_list}
     base = {eps: covernum.bowen_first_fit_separated(close[eps], lambda i, j: False) for eps in eps_list}
     n_grid = (0, 1, 2, 4, 8, 16, 32, 64)
-    for n in n_grid:
-        dn = translation.pair_bowen(pts, n)
-        for eps in eps_list:
-            sep = covernum.bowen_first_fit_separated(close[eps], lambda i, j: dn(i, j) >= eps)
-            assert sep == base[eps], (n, eps, sep, base[eps])
+    for n, eps, sep in toys.bowen_separations(translation, pts, close, n_grid):
+        assert sep == base[eps], (n, eps, sep, base[eps])
 
     endo = toys.ToralEndoAction()
     sub = pts[:200]
     sub_close = {eps: toys.close_masks(sub, eps) for eps in eps_list}
-    cells = covernum.bowen_sep_check(
-        lambda n: endo.pair_bowen(sub, n), sub_close, (0, 1, 2, 4, 6), eps_list, endo.generator_lipschitz, 4.0
-    )
-    assert all(c.ok for c in cells)
+    cells = [
+        (n, eps, sep, covernum.bowen_bound_log2(n, eps, endo.generator_lipschitz, 4.0))
+        for n, eps, sep in toys.bowen_separations(endo, sub, sub_close, (0, 1, 2, 4, 6, 8, 16, 32))
+    ]
+    assert all(math.log2(max(sep, 1)) <= bound for _, _, sep, bound in cells), cells
     _report(
         "criterion-11 Bowen/Lipschitz sanity",
         started,

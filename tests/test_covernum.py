@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from slowent.covernum import (
     alpha_pointwise,
     bowen_bound_log2,
     bowen_first_fit_separated,
-    bowen_sep_check,
     cover_bracket,
     exact_cover_number,
     greedy_cover_upper,
@@ -26,10 +26,14 @@ from slowent.covernum import (
 from slowent.lattice import UsageError
 
 from oracles import (
+    act,
     bowen_distance,
     brute_bowen_first_fit,
     brute_exact_cover,
     brute_strict_first_fit,
+    exact_act,
+    exact_torus_dist,
+    float_points,
     fraction_greedy_cover,
     torus_dist,
 )
@@ -291,36 +295,83 @@ def test_alpha_fit_rejects_zero_counts():
 # Bowen checks
 
 
+def unit_points(points):
+    """Sample points as tuples of Python ints, for the exact oracle."""
+    return [tuple(p) for p in points.tolist()]
+
+
+def exact_bowen(action, n, x, y):
+    return bowen_distance(partial(exact_act, action), exact_torus_dist, n, x, y)
+
+
+def test_torus_points_pinned():
+    # each coordinate is a 53-bit dyadic: its float64 value times 2^64
+    (point,) = toys.sample_torus_points(1, 2024).tolist()
+    assert point[0] == Fraction(0.18362555317817453) * 2**64
+    last = toys.sample_torus_points(8, 2024)[7].tolist()
+    assert last == [Fraction(0.34652107397894427) * 2**64, Fraction(0.8201141670670827) * 2**64]
+
+
 def test_bowen_distance_n0_is_base():
     tr = toys.TranslationAction()
-    pts = toys.sample_torus_points(4, 1)
-    d = bowen_distance(tr, torus_dist, 0, pts[0], pts[1])
-    assert abs(d - torus_dist(pts[0], pts[1])) < 1e-12
+    pts = unit_points(toys.sample_torus_points(4, 1))
+    assert exact_bowen(tr, 0, pts[0], pts[1]) == exact_torus_dist(pts[0], pts[1])
 
 
 def test_bowen_translation_isometry():
     tr = toys.TranslationAction()
-    pts = toys.sample_torus_points(6, 2)
+    pts = unit_points(toys.sample_torus_points(6, 2))
     for i in range(3):
-        d0 = torus_dist(pts[i], pts[i + 3])
-        dn = bowen_distance(tr, torus_dist, 3, pts[i], pts[i + 3])
-        assert abs(dn - d0) < 1e-9
+        d0 = exact_torus_dist(pts[i], pts[i + 3])
+        assert exact_bowen(tr, 3, pts[i], pts[i + 3]) == d0
 
 
 def test_bowen_endo_lipschitz_bound():
     endo = toys.ToralEndoAction()
     pts = toys.sample_torus_points(40, 3)
+    exact = unit_points(pts)
     lip = endo.lipschitz
     n = 3
     dn = endo.pair_bowen(pts, n)
     for i in range(0, 38, 2):
-        d0 = torus_dist(pts[i], pts[i + 1])
-        assert dn(i, i + 1) <= (lip**n) * d0 + 1e-9
+        d0 = exact_torus_dist(exact[i], exact[i + 1])
+        assert int(dn(i, i + 1)) <= lip**n * d0
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 4, 16, 32])
+def test_pair_bowen_equals_the_exact_oracle(n):
+    # per site in Python ints, so no step relies on numpy's uint64 wrap
+    pts = toys.sample_torus_points(5, 11)
+    exact = unit_points(pts)
+    for action in (toys.TranslationAction(), toys.ToralEndoAction()):
+        dn = action.pair_bowen(pts, n)
+        assert [int(dn(0, j)) for j in range(1, 5)] == [exact_bowen(action, n, exact[0], exact[j]) for j in range(1, 5)]
+
+
+def test_toys_keep_uint64_units_and_wrap():
+    # numpy promotes int64 + uint64 to float64, which would round a unit count
+    pts = toys.sample_torus_points(6, 12)
+    assert pts.dtype == np.uint64
+    assert toys.torus_dist_rows(pts[:3], pts[3:]).dtype == np.uint64
+    # units 1 and 2^64 - 1 lie 2 units apart, the short way round through 0
+    across = np.array([[1, 0], [2**64 - 1, 0]], dtype=np.uint64)
+    assert toys.torus_dist_rows(across[0], across[1]) == toys.torus_dist_rows(across[1], across[0]) == 2
+    for action in (toys.TranslationAction(), toys.ToralEndoAction()):
+        dn = action.pair_bowen(pts, 2)
+        assert dn(0, 1).dtype == np.uint64 and dn([0, 1], [2, 3]).dtype == np.uint64
+    # the translation offsets of a, b < 0 reduce mod 2^64: d_n stays d_0
+    assert toys.TranslationAction().pair_bowen(across, 3)(0, 1) == 2
+    # M^-3 = [[5, -8], [-8, 13]] reduces mod 2^64 too: from the pair (0, 1),
+    # (0, 0) its column (-8, 13) sets d_1 = 13 units, where M^3's gives 8
+    unit = np.array([[0, 1], [0, 0]], dtype=np.uint64)
+    assert toys.ToralEndoAction().matrix_power(-3) == ((5, -8), (-8, 13))
+    assert toys.ToralEndoAction().pair_bowen(unit, 1)(0, 1) == 13
+    assert toys.ToralEndoAction().pair_bowen(across, 1)(0, 1) == 2 * 13
 
 
 def bowen_separation(points, dn, eps):
     """The Bowen first fit as the runners call it: u = 0 masks, then d_n inside them."""
-    return bowen_first_fit_separated(toys.close_masks(points, eps), lambda i, j: dn(i, j) >= eps)
+    return bowen_first_fit_separated(toys.close_masks(points, eps), lambda i, j: dn(i, j) >= toys.units(eps))
 
 
 def test_bowen_sep_check_cells():
@@ -328,14 +379,13 @@ def test_bowen_sep_check_cells():
     endo = toys.ToralEndoAction()
     eps_list = [0.1, 0.05]
     close = {eps: toys.close_masks(pts, eps) for eps in eps_list}
-    cells = bowen_sep_check(
-        lambda n: endo.pair_bowen(pts, n), close, [0, 1, 2], eps_list, endo.generator_lipschitz, 4.0
-    )
-    assert all(c.ok for c in cells)
+    cells = list(toys.bowen_separations(endo, pts, close, [0, 1, 2]))
+    assert [(n, eps) for n, eps, _ in cells] == [(n, eps) for n in (0, 1, 2) for eps in eps_list]
+    assert all(math.log2(max(sep, 1)) <= bowen_bound_log2(n, eps, endo.generator_lipschitz, 4.0) for n, eps, sep in cells)
     # eps halved: separation count non-decreasing
     by_n = {}
-    for c in cells:
-        by_n.setdefault(c.n, {})[c.eps] = c.separation
+    for n, eps, sep in cells:
+        by_n.setdefault(n, {})[eps] = sep
     for n, row in by_n.items():
         assert row[0.05] >= row[0.1]
 
@@ -350,54 +400,51 @@ def test_bowen_single_point_sample():
 @pytest.mark.parametrize("action", [toys.TranslationAction(), toys.ToralEndoAction()], ids=["translation", "endo"])
 @pytest.mark.parametrize("n", [0, 1, 2, 4, 16])
 def test_bowen_first_fit_matches_per_pair_oracle(action, n):
-    # n = 16 is a box of 1089 offsets; the endomorphism's orbit reaches M^48 there
+    # n = 16 is a box of 1089 offsets; the endomorphism's orbit reaches M^48
+    # there, past the float toy's reach, so the exact oracle decides it
     pts = toys.sample_torus_points(16, 6)
-    if n == 16 and isinstance(action, toys.ToralEndoAction):
-        with pytest.raises(UsageError):
-            action.pair_bowen(pts, n)
-        return
     eps_list = (0.15, 0.45, 0.49)
     for size in (0, 1, len(pts)):
         dn = action.pair_bowen(pts[:size], n)
         got = [bowen_separation(pts[:size], dn, eps) for eps in eps_list]
-        assert got == brute_bowen_first_fit(action, torus_dist, n, pts[:size], eps_list), size
-
-
-def test_endo_orbit_box_stops_before_float_precision_runs_out():
-    # n = 6 reaches M^18 (entries up to 24,157,817 < 2^26), n = 7 reaches M^21
-    pts = toys.sample_torus_points(2, 3)
-    endo = toys.ToralEndoAction()
-    assert endo.pair_bowen(pts, 6)(0, 1) > 0
-    with pytest.raises(UsageError):
-        endo.pair_bowen(pts, 7)
-    with pytest.raises(UsageError):
-        endo.matrix_power(-20)
+        if n <= 6:
+            want = brute_bowen_first_fit(partial(act, action), torus_dist, n, float_points(pts[:size]), eps_list)
+        else:
+            cuts = [Fraction(eps) * 2**64 for eps in eps_list]
+            want = brute_bowen_first_fit(partial(exact_act, action), exact_torus_dist, n, unit_points(pts[:size]), cuts)
+        assert got == want, size
 
 
 def test_bowen_pair_distance_takes_one_point_or_an_array():
     pts = toys.sample_torus_points(8, 7)
+    exact = unit_points(pts)
     for action in (toys.TranslationAction(), toys.ToralEndoAction()):
         dn = action.pair_bowen(pts, 2)
         full = [dn(0, j) for j in range(1, 8)]
-        assert all(isinstance(d, float) for d in full)
-        assert full == [bowen_distance(action, torus_dist, 2, pts[0], pts[j]) for j in range(1, 8)]
+        assert all(isinstance(d, np.uint64) for d in full)
+        assert full == [exact_bowen(action, 2, exact[0], exact[j]) for j in range(1, 8)]
         assert list(dn(np.zeros(7, dtype=int), np.arange(1, 8))) == full
         # the u = 0 masks miss no pair below the cap: a pair outside them is
         # at d_n >= cap, so skipping it decides no candidate differently
-        for cap in (min(full), max(full), max(full) + 0.01):
-            mask = toys.close_masks(pts, cap)[0]
+        for cap in (min(full), max(full), max(full) + 2**58):
+            mask = toys.close_masks(pts, Fraction(int(cap), 2**64))[0]
             assert all(mask >> j & 1 for j, d in enumerate(full, start=1) if d < cap)
 
 
 def test_close_masks_are_the_pairs_below_eps():
     pts = toys.sample_torus_points(40, 9)
+    exact = unit_points(pts)
     for eps in (0.05, 0.2, 0.5):
         masks = toys.close_masks(pts, eps)
-        assert masks == [sum(1 << j for j in range(40) if torus_dist(pts[i], pts[j]) < eps) for i in range(40)]
+        below = [[Fraction(exact_torus_dist(p, q), 2**64) < Fraction(eps) for q in exact] for p in exact]
+        assert masks == [sum(1 << j for j in range(40) if below[i][j]) for i in range(40)]
+        # the float toy draws the same masks
+        fpts = float_points(pts)
+        assert masks == [sum(1 << j for j in range(40) if torus_dist(fpts[i], fpts[j]) < eps) for i in range(40)]
 
 
 def test_close_masks_run_in_row_blocks():
-    # a one-shot broadcast over 2,000 points holds several 64 MiB float
+    # a one-shot broadcast over 2,000 points holds several 64 MiB uint64
     # temporaries (about 183 MiB at peak); row blocks hold 256 KiB ones
     pts = toys.sample_torus_points(2000, 10)
     tracemalloc.start()
@@ -439,17 +486,18 @@ def test_bowen_bound_log2_monotone():
 
 
 def test_bowen_endo_lipschitz_bound_large_sample():
-    # d_n <= C^n d on 10^3 random pairs at n = 6, the largest box whose
-    # orbit keeps 26 fractional bits (n = 10 reached M^30)
+    # d_n <= C^n d on 10^3 random pairs at n = 6, compared as integers in
+    # units of 2^-64
     endo = toys.ToralEndoAction()
     pts = toys.sample_torus_points(2000, 8)
+    exact = unit_points(pts)
     lip = endo.lipschitz
     n = 6
     dn = endo.pair_bowen(pts, n)
     bound_factor = lip**n
     for i in range(0, 2000, 2):
-        d0 = torus_dist(pts[i], pts[i + 1])
-        assert dn(i, i + 1) <= bound_factor * d0 + 1e-9
+        d0 = exact_torus_dist(exact[i], exact[i + 1])
+        assert int(dn(i, i + 1)) <= bound_factor * d0
 
 
 def test_sandwich_needs_positive_masses():

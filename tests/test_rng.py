@@ -28,11 +28,6 @@ def test_uniform_int_pinned():
     assert rng.uniform_int(2**64 + 1, "c", lo=5, hi=5) == 5
 
 
-def test_uniform_float_pinned():
-    assert rng.uniform_float(2024, "torus-x", 0) == 0.18362555317817453
-    assert rng.uniform_float(2024, "torus-y", -2) == 0.3018816146702743
-
-
 def test_fair_bit_pinned():
     bits = rng.fair_bits(9, "overlay-bit", (-2, -1, 0, 1), (-1, 0, 3))
     assert bits == bytes([1, 0, 1, 0, 0, 0, 1, 1, 0, 0, 1, 1])
