@@ -7,7 +7,6 @@ failed, 2 on usage errors. All randomness flows from --seed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import sys
@@ -43,7 +42,7 @@ def _add_common(parser: argparse.ArgumentParser, flags: tuple[str, ...], seed_he
     if "--config" in flags:
         parser.add_argument("--config", type=Path, help="JSON experiment config")
     if "--seed" in flags:
-        parser.add_argument("--seed", type=int, default=2024, help=seed_help)
+        parser.add_argument("--seed", type=int, default=expcli.DEFAULT_SEED, help=seed_help)
     if "--out" in flags:
         parser.add_argument("--out", type=Path, default=Path("out"))
     if "--format" in flags:
@@ -60,9 +59,10 @@ def _schedule_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _schedule_spec(args: argparse.Namespace) -> dict:
-    if args.schedule_file:
-        return {"file": str(args.schedule_file)}
     given = {key: getattr(args, key) for key in expcli.DEFAULT_SCHEDULE_SPEC if getattr(args, key) is not None}
+    if args.schedule_file:
+        # schedule_from_spec refuses a file given with any other field
+        return {"file": str(args.schedule_file), **given}
     return {**expcli.DEFAULT_SCHEDULE_SPEC, **given}
 
 
@@ -71,24 +71,20 @@ def _schedule_from_args(args: argparse.Namespace) -> cutstack.Schedule:
 
 
 def _load_config(args: argparse.Namespace) -> expcli.ExperimentConfig:
-    """The config file, or a config of the command's schedule flags; then the given --seed and --sample-size."""
-    reads_schedule = expcli.COMMANDS[args.command].reads_schedule
+    """The config file, or a config of the command's schedule flags, with the given --seed and --sample-size."""
     if args.config:
         if any(getattr(args, key, None) is not None for key in (*expcli.DEFAULT_SCHEDULE_SPEC, "schedule_file")):
             raise UsageError("schedule flags cannot be combined with --config: give the schedule in the config")
         doc = json.loads(args.config.read_text())
-        if not isinstance(doc, dict):
-            raise UsageError("config must be a JSON object")
-        if "schedule" in doc and not reads_schedule:
-            raise UsageError(f"{args.command} reads no schedule, so its config cannot have a 'schedule' field")
-        doc.setdefault("kind", args.command)
     else:
-        doc = {"kind": args.command, **({"schedule": _schedule_spec(args)} if reads_schedule else {})}
+        doc = {"schedule": _schedule_spec(args)} if expcli.COMMANDS[args.command].reads_schedule else {}
+    if isinstance(doc, dict):  # config_from_json refuses any other JSON value
+        given = {"seed": args.seed, "sample_size": args.sample_size}
+        doc = {"kind": args.command, **doc, **{key: value for key, value in given.items() if value is not None}}
     config = expcli.config_from_json(doc)
     if config.kind != args.command:
         raise UsageError(f"config kind {config.kind!r} does not match subcommand {args.command!r}")
-    given = {"seed": args.seed, "sample_size": args.sample_size}
-    return dataclasses.replace(config, **{key: value for key, value in given.items() if value is not None})
+    return config
 
 
 def _emit(report: expcli.Report, args: argparse.Namespace) -> int:
@@ -140,7 +136,7 @@ def main(argv: list[str] | None = None) -> int:
         _add_common(p, _COMMON_FLAGS, None if command.reads_seed else _UNUSED)
         if command.reads_schedule:
             _schedule_args(p)
-        # unset, the seed comes from the config (2024 by default)
+        # unset, the seed comes from the config (expcli.DEFAULT_SEED by default)
         p.set_defaults(seed=None)
         p.add_argument(
             "--sample-size",

@@ -150,7 +150,7 @@ def _int_root(value: int, k: int) -> int | None:
     return x if x**k == value else None
 
 
-def build_schedule(stages: int, theta: Fraction = Fraction(1, 3), c: Fraction | int = 2, r1: int = 1) -> Schedule:
+def build_schedule(stages: int, theta: Fraction, c: Fraction | int, r1: int) -> Schedule:
     """Greedy minimal schedule: m(i) is the smallest integer > c * r(i)."""
     if stages < 1:
         raise UsageError(f"stage count must be >= 1, got {stages}")
@@ -223,11 +223,6 @@ class Address:
     """Per-level offsets (gamma_1, ..., gamma_{stage-1}) identifying a core column."""
 
     levels: tuple[Site, ...]
-    stage: int
-
-    def __post_init__(self) -> None:
-        if len(self.levels) != self.stage - 1:
-            raise UsageError(f"address with {len(self.levels)} levels cannot be stage {self.stage}")
 
 
 def _check_levels(levels: Sequence[Site], sched: Schedule) -> None:
@@ -275,7 +270,7 @@ def decompose(v: Site, stage: int, sched: Schedule) -> Address | None:
     peeled, rest = _peel(tuple(v), stage, sched, lambda j: radii[j - 1] - radii[0])
     if len(peeled) < stage - 1 or any(rest):
         return None
-    return Address(tuple(reversed(peeled)), stage)
+    return Address(tuple(reversed(peeled)))
 
 
 def compose(levels: Sequence[Site], sched: Schedule) -> Site:

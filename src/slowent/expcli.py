@@ -54,18 +54,23 @@ COMMANDS = {
 }
 
 
+#: The master seed of a config or command that names none.
+DEFAULT_SEED = 2024
+
 #: The schedule a config runs when it names none, and the CLI's schedule flag defaults.
 DEFAULT_SCHEDULE_SPEC = {"stages": 4, "theta": "1/3", "c": "2", "r1": 1}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """An experiment's parameters; config_from_json fills and checks them."""
+
     kind: str
-    seed: int = 2024
-    schedule_spec: dict = field(default_factory=lambda: dict(DEFAULT_SCHEDULE_SPEC))
-    sample_size: int = 50
-    scales: tuple[int, ...] | None = None
-    eps_list: tuple[str, ...] = ("1/4", "1/8")
+    seed: int
+    schedule_spec: dict
+    sample_size: int
+    scales: tuple[int, ...] | None
+    eps_list: tuple[str, ...]
 
     def schedule(self) -> Schedule:
         return schedule_from_spec(self.schedule_spec)
@@ -75,27 +80,30 @@ class ExperimentConfig:
 
 
 def schedule_from_spec(spec: dict) -> Schedule:
-    if "file" in spec and "radii" not in spec:
+    """The schedule of a spec: a {"file": path}, explicit "radii", or one
+    generated from "stages" and "r1"; the last two take "theta" and "c" too.
+    A field left out comes from DEFAULT_SCHEDULE_SPEC, and a field the
+    spec's form does not read is refused."""
+    unknown = sorted(set(spec) - {"file", "radii", *DEFAULT_SCHEDULE_SPEC})
+    if unknown:
+        raise UsageError(f"unknown schedule field {', '.join(map(repr, unknown))}")
+    if "file" in spec:
+        if len(spec) > 1:
+            raise UsageError(f"schedule field 'file' takes no other field, got {spec!r}")
         return cutstack.schedule_from_text(Path(spec["file"]).read_text())
-    if "radii" in spec:
-        ints = isinstance(spec["radii"], list) and all(_json_int(r) for r in spec["radii"])
-    else:
-        ints = _json_int(spec.get("stages", 4)) and _json_int(spec.get("r1", 1))
-    if not ints:
+    if "radii" in spec and ("stages" in spec or "r1" in spec):
+        raise UsageError(f"schedule field 'radii' takes no 'stages' or 'r1', got {spec!r}")
+    full = {**DEFAULT_SCHEDULE_SPEC, **spec}
+    counts = spec["radii"] if "radii" in spec else [full["stages"], full["r1"]]
+    if not isinstance(counts, list) or not all(_json_int(n) for n in counts):
         raise UsageError(f"schedule fields 'stages' and 'r1' take integers and 'radii' a list of them, got {spec!r}")
     try:
-        c = Fraction(str(spec.get("c", 2)))
-        if "radii" in spec:
-            radii, theta = tuple(spec["radii"]), Fraction(spec["theta"])
-        else:
-            stages, theta, r1 = spec.get("stages", 4), Fraction(spec.get("theta", "1/3")), spec.get("r1", 1)
-    except KeyError as exc:
-        raise UsageError(f"schedule spec missing field {exc}") from None
+        theta, c = Fraction(full["theta"]), Fraction(str(full["c"]))
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad schedule spec: {exc}") from None
     if "radii" in spec:
-        return Schedule(radii, theta, c)
-    return cutstack.build_schedule(stages, theta, c, r1)
+        return Schedule(tuple(spec["radii"]), theta, c)
+    return cutstack.build_schedule(full["stages"], theta, c, full["r1"])
 
 
 def _json_int(value: Any) -> bool:
@@ -108,6 +116,8 @@ CONFIG_FIELDS = frozenset({"kind", "seed", "sample_size", "scales", "epsilons", 
 
 
 def config_from_json(doc: dict) -> ExperimentConfig:
+    """The one place a config is filled: each field left out takes its
+    default here, and each field is checked before any experiment runs."""
     if not isinstance(doc, dict):
         raise UsageError("config must be a JSON object")
     kind = doc.get("kind")
@@ -116,7 +126,7 @@ def config_from_json(doc: dict) -> ExperimentConfig:
     unknown = sorted(set(doc) - CONFIG_FIELDS)
     if unknown:
         raise UsageError(f"unknown config field {', '.join(map(repr, unknown))}; known: {', '.join(sorted(CONFIG_FIELDS))}")
-    seed = doc.get("seed", 2024)
+    seed = doc.get("seed", DEFAULT_SEED)
     if not _json_int(seed):
         raise UsageError("config field 'seed' must be an integer")
     sample_size = doc.get("sample_size", COMMANDS[kind].sample_size)
@@ -136,6 +146,8 @@ def config_from_json(doc: dict) -> ExperimentConfig:
             Fraction(e)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"config field 'epsilons' must be fractions, got {list(eps_list)!r}") from None
+    if "schedule" in doc and not COMMANDS[kind].reads_schedule:
+        raise UsageError(f"{kind} reads no schedule, so its config cannot have a 'schedule' field")
     schedule = doc.get("schedule", dict(DEFAULT_SCHEDULE_SPEC))
     if not isinstance(schedule, dict):
         raise UsageError("config field 'schedule' must be a JSON object")
@@ -234,24 +246,18 @@ class Report:
 
 
 def _canonical(obj: Any) -> Any:
+    """The JSON value of a report value; a type no report carries raises TypeError."""
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, float):
+    if isinstance(obj, (str, int, float)) or obj is None:
         return obj
-    if isinstance(obj, (str, int, bool)) or obj is None:
-        return obj
-    if isinstance(obj, bytes):
-        return obj.hex()
     if isinstance(obj, dict):
         return {str(k): _canonical(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        items = list(obj)
-        if isinstance(obj, (set, frozenset)):
-            items = sorted(items, key=repr)
-        return [_canonical(v) for v in items]
+    if isinstance(obj, (list, tuple)):
+        return [_canonical(v) for v in obj]
     if hasattr(obj, "__dataclass_fields__"):
         return {k: _canonical(getattr(obj, k)) for k in obj.__dataclass_fields__}
-    return repr(obj)
+    raise TypeError(f"a report cannot carry a {type(obj).__name__}")
 
 
 def report_to_json(report: Report) -> bytes:
@@ -272,7 +278,7 @@ def fresh(path: Path) -> Path:
     return path
 
 
-def write_report(report: Report, out_dir: Path, fmt: str = "json") -> Path:
+def write_report(report: Report, out_dir: Path, fmt: str) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "report.json"
     fresh(path).write_bytes(report_to_json(report))
@@ -845,9 +851,9 @@ def verify_all(config: ExperimentConfig) -> Report:
     sandwich = cover_sandwich_suite(config.seed, instances=60, max_points=10)
     report.claim(Claim.COVER_SANDWICH, sandwich["violations"] == 0, label="global", **sandwich)
     for sub in (
-        run_overlay(ExperimentConfig(kind="overlay", seed=config.seed, sample_size=2000)),
-        run_ratio_et(ExperimentConfig(kind="ratio-et", seed=config.seed, sample_size=40)),
-        run_bowen(ExperimentConfig(kind="bowen", seed=config.seed, sample_size=200), n_list=(0, 1, 2, 4, 8)),
+        run_overlay(config_from_json({"kind": "overlay", "seed": config.seed, "sample_size": 2000})),
+        run_ratio_et(config_from_json({"kind": "ratio-et", "seed": config.seed, "sample_size": 40})),
+        run_bowen(config_from_json({"kind": "bowen", "seed": config.seed, "sample_size": 200}), n_list=(0, 1, 2, 4, 8)),
     ):
         report.verdicts.extend(Verdict(f"global/{v.name}", v.invariant, v.status, v.details) for v in sub.verdicts)
     return report

@@ -321,11 +321,13 @@ def test_criterion_9_overlay_lower_bound(sched_default):
 
 def test_criterion_10_ratio_ergodic(sched_default):
     started = time.monotonic()
-    config = expcli.ExperimentConfig(
-        kind="ratio-et",
-        seed=SEED,
-        schedule_spec={"stages": 4, "theta": "1/3", "c": "2", "r1": 1},
-        sample_size=100,
+    config = expcli.config_from_json(
+        {
+            "kind": "ratio-et",
+            "seed": SEED,
+            "schedule": {"stages": 4, "theta": "1/3", "c": "2", "r1": 1},
+            "sample_size": 100,
+        }
     )
     report = expcli.run_ratio_et(config)
     verdict = report.verdicts[0]
@@ -380,7 +382,7 @@ def test_criterion_11_bowen_lipschitz():
 
 def test_criterion_12_determinism():
     started = time.monotonic()
-    config = expcli.ExperimentConfig(kind="verify", seed=SEED)
+    config = expcli.config_from_json({"kind": "verify", "seed": SEED})
     first = expcli.verify_all(config)
     second = expcli.verify_all(config)
     b1, b2 = expcli.report_to_json(first), expcli.report_to_json(second)

@@ -68,10 +68,10 @@ def test_schedule_text_round_trip(sched_default):
 @pytest.mark.parametrize("theta, c, stages", [("1/3", 2, 9), ("1/4", 2, 7), ("1/3", 5, 8), ("1/4", 5, 7)])
 def test_largest_schedules_round_trip_through_text(theta, c, stages):
     # one more stage would pass the radius digit bound
-    sched = cs.build_schedule(stages, Fraction(theta), c)
+    sched = cs.build_schedule(stages, Fraction(theta), c, 1)
     assert cs.schedule_from_text(cs.schedule_to_text(sched)) == sched
     with pytest.raises(UsageError):
-        cs.build_schedule(stages + 1, Fraction(theta), c)
+        cs.build_schedule(stages + 1, Fraction(theta), c, 1)
 
 
 def test_schedule_refuses_radii_past_the_digit_bound():
@@ -79,7 +79,7 @@ def test_schedule_refuses_radii_past_the_digit_bound():
         cs.Schedule((1, 10**cs.MAX_RADIUS_DIGITS), Fraction(1, 3), Fraction(2))
     # a tiny theta makes m**(1/theta) astronomically large: refused before the power or root is formed
     with pytest.raises(UsageError):
-        cs.build_schedule(2, Fraction(1, 10**9), 2)
+        cs.build_schedule(2, Fraction(1, 10**9), 2, 1)
     with pytest.raises(UsageError):
         cs.Schedule((1, 3), Fraction(1, 10**9), Fraction(2))
 

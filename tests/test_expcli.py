@@ -44,6 +44,13 @@ def test_config_from_json_validation():
         expcli.config_from_json({"kind": "ratio-et", "sampel_size": 3})
 
 
+def test_canonical_refuses_types_reports_do_not_carry():
+    assert expcli._canonical({"a": (Fraction(1, 4), [True, None, 2.5])}) == {"a": ["1/4", [True, None, 2.5]]}
+    for value in (b"\x01", {1}, frozenset({1}), [object()], {"k": complex(1, 2)}):
+        with pytest.raises(TypeError):
+            expcli._canonical(value)
+
+
 def test_schedule_from_spec_variants(tmp_path):
     s1 = expcli.schedule_from_spec({"stages": 3, "theta": "1/3", "c": "2", "r1": 1})
     assert s1.radii == (1, 28, 185221)
@@ -58,7 +65,7 @@ def test_schedule_from_spec_variants(tmp_path):
 
 
 def test_report_roundtrip_and_determinism(tmp_path):
-    cfg = expcli.ExperimentConfig(kind="metric-props", seed=3, sample_size=500)
+    cfg = expcli.config_from_json({"kind": "metric-props", "seed": 3, "sample_size": 500})
     r1 = expcli.run_experiment(cfg)
     r2 = expcli.run_experiment(cfg)
     assert expcli.report_to_json(r1) == expcli.report_to_json(r2)
@@ -70,7 +77,7 @@ def test_report_roundtrip_and_determinism(tmp_path):
 
 
 def test_csv_rows_derive_from_report(tmp_path):
-    cfg = expcli.ExperimentConfig(kind="recur", seed=3)
+    cfg = expcli.config_from_json({"kind": "recur", "seed": 3})
     report = expcli.run_experiment(cfg)
     expcli.write_report(report, tmp_path, fmt="csv")
     csv_lines = (tmp_path / "recurrence.csv").read_text().strip().splitlines()
@@ -168,6 +175,27 @@ def _run_cli(*args: str, cwd: Path):
         ({"v.csv": "n,value\n4,10\n8,1e400\n"}, ("fit", "v.csv", "--out", "fo")),
         ({"v.csv": f"n,value\n4,10\n{10**400},20\n"}, ("fit", "v.csv", "--scale", "exp", "--out", "fo")),
         ({"v.csv": f"n,value\n4,10\n{10**200},20\n"}, ("fit", "v.csv", "--scale", "exp", "--out", "fo")),
+        (
+            {"c.json": '{"kind": "recur", "schedule": {"stage": 6, "thetaa": "1/4"}}'},
+            ("recur", "--config", "c.json", "--out", "o"),
+        ),
+        (
+            {"c.json": '{"kind": "cover", "schedule": {"file": "s.txt", "stages": 3}}', "s.txt": "theta 1/3\nc 2\nr 1 1\nr 2 28\nr 3 185221\n"},
+            ("cover", "--config", "c.json", "--out", "o"),
+        ),
+        (
+            {"c.json": '{"kind": "cover", "schedule": {"radii": [1, 28, 185221], "theta": "1/3", "stages": 3}}'},
+            ("cover", "--config", "c.json", "--out", "o"),
+        ),
+        (
+            {"c.json": '{"kind": "cover", "schedule": {"radii": [1, 28, 185221], "theta": "1/3", "r1": 1}}'},
+            ("cover", "--config", "c.json", "--out", "o"),
+        ),
+        (
+            {"s.txt": "theta 1/3\nc 2\nr 1 1\nr 2 28\nr 3 185221\n"},
+            ("recur", "--schedule-file", "s.txt", "--stages", "6", "--out", "o"),
+        ),
+        ({"s.txt": "theta 1/3\nc 2\nr 1 1\nr 2 28\nr 3 185221\n"}, ("sample", "--schedule-file", "s.txt", "--theta", "1/4")),
     ],
     ids=[
         "fit-row",
@@ -213,6 +241,12 @@ def _run_cli(*args: str, cwd: Path):
         "fit-value-past-float-range",
         "fit-exp-n-past-float-range",
         "fit-exp-n-squared-past-float-range",
+        "config-schedule-unknown-field",
+        "config-schedule-file-with-field",
+        "config-schedule-radii-with-stages",
+        "config-schedule-radii-with-r1",
+        "schedule-file-with-flag",
+        "sample-schedule-file-with-flag",
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, files, args):
@@ -347,7 +381,7 @@ def test_cli_names_round_trips(tmp_path):
 @pytest.fixture(scope="session")
 def verify_report():
     """One verify_all run over a valid variant and a broken one, shared by the structure tests."""
-    cfg = expcli.ExperimentConfig(kind="verify", seed=1)
+    cfg = expcli.config_from_json({"kind": "verify", "seed": 1})
     variants = (
         {"stages": 4, "theta": "1/3", "c": "2", "r1": 1},
         {"radii": [1, 28, 185222], "theta": "1/3", "c": 2},
@@ -475,7 +509,7 @@ def test_planted_box_level_size_fails_gamma_exponent_vs_theta(monkeypatch, spec)
 def _global_verdict(monkeypatch, name):
     """The named global verdict of a verify_all run over no schedule variants."""
     monkeypatch.setattr(expcli, "DEFAULT_VARIANTS", ())
-    report = expcli.verify_all(expcli.ExperimentConfig(kind="verify", seed=2024))
+    report = expcli.verify_all(expcli.config_from_json({"kind": "verify", "seed": 2024}))
     (verdict,) = [v for v in report.verdicts if v.name == name]
     return verdict
 
@@ -504,7 +538,7 @@ def test_planted_unthickened_provenance_fails_ratio_ergodic(monkeypatch):
     # provenance counts that drop the thickening count only the centres of
     # the stage-p copies, so "stage <= 2" reads fewer sites than "stage <= 1"
     monkeypatch.setattr(cutstack, "count_provenance_leq", lambda p, n, prov_stage: merged_provenance_count(p, n, prov_stage, 0))
-    report = expcli.run_ratio_et(expcli.ExperimentConfig(kind="ratio-et", seed=2024, sample_size=40))
+    report = expcli.run_ratio_et(expcli.config_from_json({"kind": "ratio-et", "seed": 2024, "sample_size": 40}))
     (ratio,) = report.verdicts
     assert ratio.name == "ratio-ergodic" and ratio.status == "fail" and ratio.details["median_ratio"] < 0
 
@@ -547,7 +581,7 @@ def test_planted_wide_ball_fails_gv_exhaustive(monkeypatch):
     # 3 instead of 2, and it falls below the sphere-covering bound
     ball = symbolic._ball_masks
     monkeypatch.setattr(symbolic, "_ball_masks", lambda length, radius: ball(length, radius + 1))
-    report = expcli.run_overlay(expcli.ExperimentConfig(kind="overlay", seed=2024, sample_size=256))
+    report = expcli.run_overlay(expcli.config_from_json({"kind": "overlay", "seed": 2024, "sample_size": 256}))
     (gv,) = [v for v in report.verdicts if v.name == "gv-exhaustive"]
     assert gv.status == "fail" and (gv.details["family"], gv.details["gv_bound"]) == (2048, 3855)
 
@@ -571,7 +605,7 @@ def test_planted_endomorphism_orbits_fail_bowen_isometry(monkeypatch):
     # orbits, so its separation counts exceed the u = 0 counts at every n >= 1
     endo = toys.ToralEndoAction()
     monkeypatch.setattr(toys.TranslationAction, "pair_bowen", lambda self, points, n: endo.pair_bowen(points, n))
-    report = expcli.run_bowen(expcli.ExperimentConfig(kind="bowen", seed=2024, sample_size=200), n_list=(0, 1, 2, 4))
+    report = expcli.run_bowen(expcli.config_from_json({"kind": "bowen", "seed": 2024, "sample_size": 200}), n_list=(0, 1, 2, 4))
     (isometry,) = [v for v in report.verdicts if v.name == "bowen-isometry"]
     assert isometry.status == "fail"
     rows = [row for row in report.tables["bowen"] if row["action"] == "translation"]
@@ -604,7 +638,7 @@ def test_overlay_resolves_each_erasure_window_once(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(cutstack, name, spy)
-    report = expcli.run_overlay(expcli.ExperimentConfig(kind="overlay", sample_size=300))
+    report = expcli.run_overlay(expcli.config_from_json({"kind": "overlay", "sample_size": 300}))
     erasure = next(v for v in report.verdicts if v.name == "erasure-identity")
     assert erasure.status == "pass" and erasure.details == {"cases": 300, "failures": 0}
     assert calls == {"capped_window_axes": 300, "name01": 0}
@@ -613,7 +647,7 @@ def test_overlay_resolves_each_erasure_window_once(monkeypatch):
 def test_overlay_reads_one_letter_digest_per_row(letter_digests):
     # the 1,000 erasure cases at seed 2024 hold 115,184 sites in 9,278 rows,
     # and no window of radius <= 27 reaches past one 64-column block
-    report = expcli.run_overlay(expcli.ExperimentConfig(kind="overlay", seed=2024, sample_size=1000))
+    report = expcli.run_overlay(expcli.config_from_json({"kind": "overlay", "seed": 2024, "sample_size": 1000}))
     erasure = next(v for v in report.verdicts if v.name == "erasure-identity")
     assert erasure.status == "pass" and erasure.details == {"cases": 1000, "failures": 0}
     assert letter_digests["digests"] == 9278
@@ -629,7 +663,7 @@ def test_rerun_into_the_same_directory_writes_the_same_report(tmp_path, capsys):
 
 def test_overlay_refuses_samples_too_small_to_reach_the_target():
     with pytest.raises(UsageError, match="256"):
-        expcli.run_overlay(expcli.ExperimentConfig(kind="overlay", sample_size=255))
+        expcli.run_overlay(expcli.config_from_json({"kind": "overlay", "sample_size": 255}))
 
 
 @pytest.mark.parametrize("variant", range(3))
@@ -644,7 +678,16 @@ def test_stage2_census_matches_2d_oracle(variant):
 
 def test_run_experiment_rejects_unknown_kind():
     with pytest.raises(UsageError):
-        expcli.run_experiment(expcli.ExperimentConfig(kind="nonsense"))
+        expcli.run_experiment(
+            expcli.ExperimentConfig(
+                kind="nonsense",
+                seed=2024,
+                schedule_spec=dict(expcli.DEFAULT_SCHEDULE_SPEC),
+                sample_size=50,
+                scales=None,
+                eps_list=("1/4", "1/8"),
+            )
+        )
 
 
 def test_bench_layers_resolve():
@@ -777,7 +820,7 @@ def test_metric_axiom_pass_condition_counts_every_violation(monkeypatch):
     for key in ("symmetry_violations", "identity_violations", "triangle_violations", "exhaustive_triangle_violations"):
         assert not expcli.metric_axioms_hold({**stats, key: 1})
     monkeypatch.setattr(expcli, "metric_axiom_suite", lambda: {**stats, "identity_violations": 1})
-    report = expcli.run_metric_props(expcli.ExperimentConfig(kind="metric-props"))
+    report = expcli.run_metric_props(expcli.config_from_json({"kind": "metric-props"}))
     assert [v.name for v in report.failed()] == ["metric-axioms"]
 
 

@@ -322,7 +322,7 @@ def test_each_claim_is_written_once_in_the_package():
 # No new knobs: the settable defaults of the package, counted by the rule in
 # CHANGES.md, may only go down, so a new one has to show up in a diff.
 
-SETTABLE_DEFAULTS_CAP = 20
+SETTABLE_DEFAULTS_CAP = 11
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -376,3 +376,45 @@ class Plain:
 def test_settable_defaults_do_not_grow():
     found = [f"{p.name}:{d}" for p in sorted(PACKAGE.glob("*.py")) for d in settable_defaults(p.read_text())]
     assert len(found) <= SETTABLE_DEFAULTS_CAP, found
+
+
+# ---------------------------------------------------------------------------
+# One config builder: only `expcli.config_from_json` constructs an
+# `ExperimentConfig`, so every run's defaults and checks come from one place.
+
+
+def config_builders(source: str) -> set[str]:
+    """The functions whose own bodies call `ExperimentConfig(...)`, directly or
+    as a module attribute; "<module>" for a call outside any function."""
+    out = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and ast.unparse(child.func).rpartition(".")[2] == "ExperimentConfig":
+                out.add(owner)
+            visit(child, child.name if _is_function(child) else owner)
+
+    visit(ast.parse(source), "<module>")
+    return out
+
+
+def test_config_builders_finds_each_calling_function():
+    source = """
+from . import expcli
+from .expcli import ExperimentConfig
+DEFAULT = ExperimentConfig(kind="a")
+def build(doc):
+    return ExperimentConfig(**doc)
+def run():
+    def inner():
+        return expcli.ExperimentConfig(kind="b")
+    return inner()
+def reads(config: ExperimentConfig):
+    return config.kind
+"""
+    assert config_builders(source) == {"<module>", "build", "inner"}
+
+
+def test_only_config_from_json_builds_a_config():
+    builders = {p.stem: found for p in sorted(PACKAGE.glob("*.py")) if (found := config_builders(p.read_text()))}
+    assert builders == {"expcli": {"config_from_json"}}
