@@ -50,7 +50,7 @@ def _add_common(parser: argparse.ArgumentParser, flags: tuple[str, ...], seed_he
 
 
 def _schedule_args(parser: argparse.ArgumentParser) -> None:
-    # unset flags stay None, so a command sees which were given; _schedule_spec fills in defaults
+    # unset flags stay None, so a command sees which were given; expcli.filled_schedule_spec fills in the rest
     parser.add_argument("--stages", type=int)
     parser.add_argument("--theta", type=str)
     parser.add_argument("--c", type=str)
@@ -62,8 +62,8 @@ def _schedule_spec(args: argparse.Namespace) -> dict:
     given = {key: getattr(args, key) for key in expcli.DEFAULT_SCHEDULE_SPEC if getattr(args, key) is not None}
     if args.schedule_file:
         # schedule_from_spec refuses a file given with any other field
-        return {"file": str(args.schedule_file), **given}
-    return {**expcli.DEFAULT_SCHEDULE_SPEC, **given}
+        given = {"file": str(args.schedule_file), **given}
+    return expcli.filled_schedule_spec(given)
 
 
 def _schedule_from_args(args: argparse.Namespace) -> cutstack.Schedule:

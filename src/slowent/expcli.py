@@ -79,10 +79,21 @@ class ExperimentConfig:
         return [Fraction(e) for e in self.eps_list]
 
 
+def filled_schedule_spec(spec: dict) -> dict:
+    """The spec with each field its form reads and leaves out taken from
+    DEFAULT_SCHEDULE_SPEC: "theta" and "c" for explicit "radii", all four
+    for a generated schedule; a {"file": path} spec is kept as given."""
+    if "file" in spec:
+        return dict(spec)
+    if "radii" in spec:
+        return {"theta": DEFAULT_SCHEDULE_SPEC["theta"], "c": DEFAULT_SCHEDULE_SPEC["c"], **spec}
+    return {**DEFAULT_SCHEDULE_SPEC, **spec}
+
+
 def schedule_from_spec(spec: dict) -> Schedule:
     """The schedule of a spec: a {"file": path}, explicit "radii", or one
     generated from "stages" and "r1"; the last two take "theta" and "c" too.
-    A field left out comes from DEFAULT_SCHEDULE_SPEC, and a field the
+    A field left out is filled by filled_schedule_spec, and a field the
     spec's form does not read is refused."""
     unknown = sorted(set(spec) - {"file", "radii", *DEFAULT_SCHEDULE_SPEC})
     if unknown:
@@ -93,7 +104,7 @@ def schedule_from_spec(spec: dict) -> Schedule:
         return cutstack.schedule_from_text(Path(spec["file"]).read_text())
     if "radii" in spec and ("stages" in spec or "r1" in spec):
         raise UsageError(f"schedule field 'radii' takes no 'stages' or 'r1', got {spec!r}")
-    full = {**DEFAULT_SCHEDULE_SPEC, **spec}
+    full = filled_schedule_spec(spec)
     counts = spec["radii"] if "radii" in spec else [full["stages"], full["r1"]]
     if not isinstance(counts, list) or not all(_json_int(n) for n in counts):
         raise UsageError(f"schedule fields 'stages' and 'r1' take integers and 'radii' a list of them, got {spec!r}")
@@ -148,13 +159,13 @@ def config_from_json(doc: dict) -> ExperimentConfig:
         raise UsageError(f"config field 'epsilons' must be fractions, got {list(eps_list)!r}") from None
     if "schedule" in doc and not COMMANDS[kind].reads_schedule:
         raise UsageError(f"{kind} reads no schedule, so its config cannot have a 'schedule' field")
-    schedule = doc.get("schedule", dict(DEFAULT_SCHEDULE_SPEC))
+    schedule = doc.get("schedule", DEFAULT_SCHEDULE_SPEC)
     if not isinstance(schedule, dict):
         raise UsageError("config field 'schedule' must be a JSON object")
     return ExperimentConfig(
         kind=kind,
         seed=seed,
-        schedule_spec=schedule,
+        schedule_spec=filled_schedule_spec(schedule),
         sample_size=sample_size,
         scales=scales,
         eps_list=eps_list,
@@ -312,86 +323,97 @@ def write_csv(rows: list[dict], path: Path) -> None:
 # how many sites have each type.
 SITE_TYPES = tuple(t for t in itertools.product((0, 1, 2), repeat=3) if next((x for x in t if x), 2) == 1)
 
+# The joint symbols (p(u), q(u)) of two patterns at a site in at least one
+# support, with no 1 <-> 2 swap. A pair type key packs how many sites carry
+# each, 4 bits per type in this order; two pairs with the same key differ by a
+# site permutation, so they have the same distances and the same equality.
+PAIR_TYPES = tuple(t for t in itertools.product((0, 1, 2), repeat=2) if t != (0, 0))
+
+
+def _pair_type_bit(x: int, y: int) -> int:
+    """What one site with symbols (x, y) adds to a pair type key."""
+    return 1 << 4 * PAIR_TYPES.index((x, y)) if x or y else 0
+
 
 def site_type_counts(max_cells: int):
-    """Every count vector over SITE_TYPES that gives each pattern at most max_cells cells.
+    """Every count vector over SITE_TYPES that gives each pattern at most max_cells
+    cells, with the pair type keys of its pairs (a, b), (a, c) and (b, c).
 
-    Yields them lazily in lexicographic order: each step adds one site to the
-    last type that still fits, clearing the types after it.
+    Yields (counts, key_ab, key_ac, key_bc) lazily, the counts in
+    lexicographic order: each step adds one site to the last type that still
+    fits, clearing the types after it, and moves the loads and keys with it.
     """
-    adds = [tuple(int(x != 0) for x in t) for t in SITE_TYPES]  # cells one site of each type adds to each pattern
+    # per type: the cells one site adds to each pattern, and to each pair key
+    adds = [
+        (int(x != 0), int(y != 0), int(z != 0), _pair_type_bit(x, y), _pair_type_bit(x, z), _pair_type_bit(y, z))
+        for x, y, z in SITE_TYPES
+    ]
     counts = [0] * len(SITE_TYPES)
-    la = lb = lc = 0  # cells of each pattern so far
+    la = lb = lc = kab = kac = kbc = 0  # cells of each pattern and pair keys so far
     while True:
-        yield tuple(counts)
+        yield tuple(counts), kab, kac, kbc
         k = len(counts) - 1
         while True:
-            wa, wb, wc = adds[k]
+            wa, wb, wc, iab, iac, ibc = adds[k]
             if la + wa <= max_cells and lb + wb <= max_cells and lc + wc <= max_cells:
                 counts[k] += 1
                 la, lb, lc = la + wa, lb + wb, lc + wc
+                kab, kac, kbc = kab + iab, kac + iac, kbc + ibc
                 break
             c, counts[k] = counts[k], 0
             la, lb, lc = la - c * wa, lb - c * wb, lc - c * wc
+            kab, kac, kbc = kab - c * iab, kac - c * iac, kbc - c * ibc
             if k == 0:
                 return
             k -= 1
 
 
-# the census box Q_2 and its sites in box order; a census triple uses at most 12
+# the census box Q_2 and its sites in box order; a census pair uses at most 8
 CENSUS_BOX = Box(2)
 CENSUS_SITES = tuple(CENSUS_BOX.sites())
-# the symbols (a(u), b(u), c(u)) of one site of each type, as a 3-byte segment
-_TYPE_SEGMENTS = tuple(bytes(t) for t in SITE_TYPES)
 
 
-def census_rows(counts: Sequence[int]) -> tuple[bytes, bytes, bytes]:
-    """The symbol rows over CENSUS_SITES of a count vector's three patterns.
-
-    The sites are laid out in box order, one run per site type, and each
-    row drops its trailing default symbols: two count vectors give the same
-    row exactly when they give the same pattern.
-    """
-    row = b"".join([seg * count for seg, count in zip(_TYPE_SEGMENTS, counts) if count])
-    return row[0::3].rstrip(b"\0"), row[1::3].rstrip(b"\0"), row[2::3].rstrip(b"\0")
-
-
-def census_pattern(row: bytes) -> Pattern:
-    """The pattern with symbol row[i] at CENSUS_SITES[i], through the checked constructor."""
-    return Pattern(CENSUS_BOX, 0, {CENSUS_SITES[i]: s for i, s in enumerate(row) if s})
+def census_pair(key: int) -> tuple[Pattern, Pattern]:
+    """The two patterns of a pair type key on CENSUS_BOX, through the checked
+    constructor: its sites laid out in box order, one run per pair type."""
+    p: dict = {}
+    q: dict = {}
+    sites = iter(CENSUS_SITES)
+    for j, (x, y) in enumerate(PAIR_TYPES):
+        for u in itertools.islice(sites, key >> 4 * j & 15):
+            if x:
+                p[u] = x
+            if y:
+                q[u] = y
+    return Pattern(CENSUS_BOX, 0, p), Pattern(CENSUS_BOX, 0, q)
 
 
 def _census_violations(pattern_distance: Callable[[Pattern, Pattern], Fraction]) -> dict:
     """Symmetry, identity and triangle violations over the site-type census on Q_2.
 
-    Each distinct row becomes one checked Pattern. The pairs (a, b), (b, a)
-    and (a, c) repeat across the census (3,075 distinct among 32,526), so
-    their distances are kept by row; (b, c) rarely repeats and is measured
-    directly. Only the distinct patterns and pairs are held, never the
-    census itself.
+    The pairs (a, b), (a, c) and (b, c) of the 10,842 census triples fall
+    into 1,102 pair types. Each type is laid out and measured once, in both
+    orders, the first time its key appears; a triple then reads its three
+    pairs by key. Only the measured types are held, never the census itself.
     """
-    patterns: dict[bytes, Pattern] = {}
-    memo: dict[tuple[bytes, bytes], Fraction] = {}
+    measured: dict[int, tuple[int, int, bool, bool]] = {}
 
-    def distance(x: bytes, y: bytes) -> Fraction:
-        d = memo.get((x, y))
-        if d is None:
-            d = memo[x, y] = pattern_distance(patterns[x], patterns[y])
-        return d
+    def measure(key: int) -> tuple[int, int, bool, bool]:
+        p, q = census_pair(key)
+        d = pattern_distance(p, q)
+        m = measured[key] = (d.numerator, d.denominator, d == pattern_distance(q, p), (d == 0) == (p == q))
+        return m
 
     sym_viol = ident_viol = tri_viol = triples = 0
-    for counts in site_type_counts(4):
-        ka, kb, kc = rows = census_rows(counts)
-        a, b, c = [patterns.get(k) or patterns.setdefault(k, census_pattern(k)) for k in rows]
-        d_ab, d_ac, d_bc = distance(ka, kb), distance(ka, kc), pattern_distance(b, c)
+    for _, kab, kac, kbc in site_type_counts(4):
+        n_ab, u_ab, symmetric, identity = measured.get(kab) or measure(kab)
+        n_ac, u_ac, _, _ = measured.get(kac) or measure(kac)
+        n_bc, u_bc, _, _ = measured.get(kbc) or measure(kbc)
         triples += 1
-        if d_ab != distance(kb, ka):
-            sym_viol += 1
-        if (d_ab == 0) != (a == b):
-            ident_viol += 1
+        sym_viol += not symmetric
+        ident_viol += not identity
         # d_ac > d_ab + d_bc, in exact integers
-        u_ab, u_bc = d_ab.denominator, d_bc.denominator
-        if d_ac.numerator * u_ab * u_bc > (d_ab.numerator * u_bc + d_bc.numerator * u_ab) * d_ac.denominator:
+        if n_ac * u_ab * u_bc > (n_ab * u_bc + n_bc * u_ab) * u_ac:
             tri_viol += 1
     return {
         "census_triples": triples,
@@ -406,8 +428,9 @@ def metric_axiom_suite() -> dict:
 
     Symmetry, identity and the triangle inequality over every triple of
     patterns on Q_2 with symbols {1, 2} and at most 4 cells each, one triple
-    per site-type count vector (the metric does not change under site
-    permutations or per-site symbol swaps), plus every triple of one-symbol
+    per site-type count vector and one measured pair per pair type (the
+    metric does not change under site permutations or per-site symbol
+    swaps), plus every triple of one-symbol
     patterns on Q_1 with at most 3 cells.
     """
     from .lattice import pattern_distance

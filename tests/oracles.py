@@ -604,6 +604,16 @@ def census_triple(counts) -> tuple[Pattern, Pattern, Pattern]:
     return Pattern(CENSUS_BOX, 0, cells[0]), Pattern(CENSUS_BOX, 0, cells[1]), Pattern(CENSUS_BOX, 0, cells[2])
 
 
+def pair_type_key(p: Pattern, q: Pattern) -> int:
+    """The pair type key of two patterns, counted site by site over the union of their supports."""
+    from slowent.expcli import PAIR_TYPES
+
+    key = 0
+    for u in p.cells.keys() | q.cells.keys():
+        key += 1 << 4 * PAIR_TYPES.index((p.cells.get(u, 0), q.cells.get(u, 0)))
+    return key
+
+
 def census_violations_by_triple() -> dict:
     """The census half of metric_axiom_suite, one fresh triple and four distances per count vector.
 

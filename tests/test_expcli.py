@@ -19,6 +19,7 @@ from oracles import (
     census_triple,
     census_violations_by_triple,
     merged_provenance_count,
+    pair_type_key,
     pattern_from_text,
     random_axiom_violations,
     random_pattern,
@@ -290,6 +291,29 @@ def test_cli_config_without_sample_size_runs_the_command_default(tmp_path):
     report = (tmp_path / "config" / "report.json").read_bytes()
     assert report == (tmp_path / "plain" / "report.json").read_bytes()
     assert json.loads(report)["config"]["sample_size"] == expcli.COMMANDS["cover"].sample_size
+
+
+def test_cli_config_with_a_partial_schedule_records_the_filled_spec(tmp_path):
+    (tmp_path / "c.json").write_text('{"kind": "cover", "schedule": {"stages": 5}}')
+    res = _run_cli("cover", "--config", "c.json", "--out", "config", cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    res = _run_cli("cover", "--stages", "5", "--out", "plain", cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    report = (tmp_path / "config" / "report.json").read_bytes()
+    assert report == (tmp_path / "plain" / "report.json").read_bytes()
+    assert json.loads(report)["config"]["schedule_spec"] == {**expcli.DEFAULT_SCHEDULE_SPEC, "stages": 5}
+
+
+def test_filled_schedule_spec_fills_only_the_fields_a_form_reads():
+    fill = expcli.filled_schedule_spec
+    assert fill({}) == expcli.DEFAULT_SCHEDULE_SPEC
+    assert fill({"radii": [1, 4], "c": "3"}) == {"radii": [1, 4], "theta": "1/3", "c": "3"}
+    assert fill({"file": "s.txt"}) == {"file": "s.txt"}
+    # a field the form does not read is kept, for schedule_from_spec to refuse
+    assert fill({"file": "s.txt", "stages": 5}) == {"file": "s.txt", "stages": 5}
+    for spec in ({"radii": [1, 4], "r1": 1}, {"file": "s.txt", "stages": 5}):
+        with pytest.raises(UsageError):
+            expcli.schedule_from_spec(fill(spec))
 
 
 @pytest.mark.parametrize("exponent", [149, 160, 200])
@@ -711,11 +735,21 @@ def test_metric_axioms_hold_on_random_triples():
 @pytest.mark.parametrize("max_cells", [0, 1, 2, 4])
 def test_site_type_counts_is_lazy_and_matches_recursion(max_cells):
     # a materialized census of 10,842 vectors costs about 5 MiB of peak memory
-    counts = expcli.site_type_counts(max_cells)
-    assert inspect.isgenerator(counts)
+    steps = expcli.site_type_counts(max_cells)
+    assert inspect.isgenerator(steps)
     expected = list(recursive_site_type_counts(expcli.SITE_TYPES, max_cells))
-    assert list(counts) == expected
+    assert [counts for counts, *_ in steps] == expected
     assert len(expected) == {0: 1, 1: 24, 2: 272, 4: 10_842}[max_cells]
+
+
+def test_site_type_counts_keys_the_pairs_of_each_triple():
+    # the keys move with the loads in each odometer step; count them afresh per triple
+    pair_keys = set()
+    for counts, *keys in expcli.site_type_counts(4):
+        a, b, c = census_triple(counts)
+        assert keys == [pair_type_key(a, b), pair_type_key(a, c), pair_type_key(b, c)]
+        pair_keys.update(keys)
+    assert len(pair_keys) == 1_102
 
 
 def test_census_triple_lays_out_sites_in_box_order():
@@ -733,7 +767,7 @@ def test_census_triple_lays_out_sites_in_box_order():
 
 
 def test_site_type_census_covers_random_triples():
-    census = set(expcli.site_type_counts(4))
+    census = {counts for counts, *_ in expcli.site_type_counts(4)}
     assert len(census) == 10_842
     for i in range(500):
         triple = [random_pattern(11, tag, i) for tag in ("a", "b", "c")]
@@ -754,15 +788,25 @@ def test_site_type_census_covers_random_triples():
         assert (x == y) == (a == b)
 
 
-def test_census_rows_key_the_census_triples():
-    # a row names its pattern: equal rows exactly when the triples' patterns are equal
-    by_row = {}
-    for counts in expcli.site_type_counts(4):
-        for row, p in zip(expcli.census_rows(counts), census_triple(counts)):
-            assert expcli.census_pattern(row) == p
-            by_row.setdefault(row, lattice.pattern_to_text(p))
-            assert by_row[row] == lattice.pattern_to_text(p)
-    assert len(by_row) == len(set(by_row.values())) == 832
+def test_census_pair_lays_out_its_pair_type_key():
+    # every key the census reads, laid out in box order, counts back to itself
+    keys = {key for _, *pair_keys in expcli.site_type_counts(4) for key in pair_keys}
+    for key in keys:
+        p, q = expcli.census_pair(key)
+        assert pair_type_key(p, q) == key
+        support = p.cells.keys() | q.cells.keys()
+        assert support == set(expcli.CENSUS_SITES[: len(support)])
+    assert len(keys) == 1_102
+
+
+def test_census_pair_stands_for_every_pair_of_its_key():
+    # pairs placed anywhere on the 25 sites of Q_2; the census measures one
+    # layout per key, so each pair must agree with the layout of its key
+    for i in range(1000):
+        p, q = (random_pattern(28, tag, i) for tag in ("p", "q"))
+        x, y = expcli.census_pair(pair_type_key(p, q))
+        assert (pattern_distance(x, y), pattern_distance(y, x)) == (pattern_distance(p, q), pattern_distance(q, p))
+        assert (x == y) == (p == q)
 
 
 def _halved_when_longer(a, b):
@@ -781,8 +825,8 @@ def test_metric_axiom_suite_census_matches_the_triple_by_triple_census(monkeypat
 
 
 def test_metric_axiom_suite_builds_each_pattern_and_repeated_pair_once(monkeypatch):
-    # 832 distinct census patterns and 130 on Q_1; 3,075 distinct (a, b),
-    # (b, a) and (a, c) pairs, 10,842 (b, c) pairs and 130 * 129 / 2 pairs on Q_1
+    # two census patterns per pair type and 130 on Q_1; each of the 1,102
+    # pair types measured in both orders, and 130 * 129 / 2 pairs on Q_1
     calls = {"patterns": 0, "distances": 0}
     post_init = lattice.Pattern.__post_init__
 
@@ -797,13 +841,13 @@ def test_metric_axiom_suite_builds_each_pattern_and_repeated_pair_once(monkeypat
     monkeypatch.setattr(lattice.Pattern, "__post_init__", counted_post_init)
     monkeypatch.setattr(lattice, "pattern_distance", counted_distance)
     assert expcli.metric_axioms_hold(expcli.metric_axiom_suite())
-    assert calls["patterns"] == 962
-    assert calls["distances"] <= 3_075 + 10_842 + 8_385
+    assert calls["patterns"] == 2 * 1_102 + 130 == 2_334
+    assert calls["distances"] == 2 * 1_102 + 8_385 == 10_589
 
 
 def test_metric_axiom_suite_never_holds_the_census():
-    # the distinct patterns and repeated pairs fit well under the bound;
-    # a memo of every pair, or the census as a list, does not
+    # the measured pair types fit well under the bound; a memo of every
+    # pair, or the census as a list, does not
     tracemalloc.start()
     try:
         expcli.metric_axiom_suite()
