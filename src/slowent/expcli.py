@@ -18,9 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Sequence
-
-import numpy as np
+from typing import Any, NamedTuple, Sequence
 
 from . import covernum, cutstack, recurrence, rng, symbolic, toys
 from .covernum import GrowthFit, alpha_pointwise, sample_from_points
@@ -145,18 +143,19 @@ def config_from_json(doc: dict) -> ExperimentConfig:
         raise UsageError("config field 'sample_size' must be a positive integer")
     scales = doc.get("scales")
     if scales is not None:
-        if not isinstance(scales, list) or not all(_json_int(n) for n in scales):
-            raise UsageError(f"config field 'scales' must be a list of integers, got {scales!r}")
+        if not isinstance(scales, list) or not scales or not all(_json_int(n) for n in scales):
+            raise UsageError(f"config field 'scales' must be a non-empty list of integers, got {scales!r}")
         scales = tuple(scales)
     epsilons = doc.get("epsilons", ["1/4", "1/8"])
-    if not isinstance(epsilons, list):
-        raise UsageError(f"config field 'epsilons' must be a list of fractions, got {epsilons!r}")
+    if not isinstance(epsilons, list) or not epsilons:
+        raise UsageError(f"config field 'epsilons' must be a non-empty list of fractions, got {epsilons!r}")
     eps_list = tuple(str(e) for e in epsilons)
     try:
-        for e in eps_list:
-            Fraction(e)
+        ok = all(Fraction(e) >= 0 for e in eps_list)
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"config field 'epsilons' must be fractions, got {list(eps_list)!r}") from None
+        ok = False
+    if not ok:
+        raise UsageError(f"config field 'epsilons' must be non-negative fractions, got {list(eps_list)!r}")
     if "schedule" in doc and not COMMANDS[kind].reads_schedule:
         raise UsageError(f"{kind} reads no schedule, so its config cannot have a 'schedule' field")
     schedule = doc.get("schedule", DEFAULT_SCHEDULE_SPEC)
@@ -323,6 +322,9 @@ def write_csv(rows: list[dict], path: Path) -> None:
 # how many sites have each type.
 SITE_TYPES = tuple(t for t in itertools.product((0, 1, 2), repeat=3) if next((x for x in t if x), 2) == 1)
 
+# The 7 site types of three one-symbol patterns: SITE_TYPES without symbol 2.
+ONE_SYMBOL_TYPES = tuple(t for t in SITE_TYPES if 2 not in t)
+
 # The joint symbols (p(u), q(u)) of two patterns at a site in at least one
 # support, with no 1 <-> 2 swap. A pair type key packs how many sites carry
 # each, 4 bits per type in this order; two pairs with the same key differ by a
@@ -335,9 +337,9 @@ def _pair_type_bit(x: int, y: int) -> int:
     return 1 << 4 * PAIR_TYPES.index((x, y)) if x or y else 0
 
 
-def site_type_counts(max_cells: int):
-    """Every count vector over SITE_TYPES that gives each pattern at most max_cells
-    cells, with the pair type keys of its pairs (a, b), (a, c) and (b, c).
+def site_type_counts(site_types: Sequence[tuple[int, int, int]], max_cells: int):
+    """Every count vector over site_types that gives each pattern at most
+    max_cells cells, with the pair type keys of its pairs (a, b), (a, c) and (b, c).
 
     Yields (counts, key_ab, key_ac, key_bc) lazily, the counts in
     lexicographic order: each step adds one site to the last type that still
@@ -346,9 +348,9 @@ def site_type_counts(max_cells: int):
     # per type: the cells one site adds to each pattern, and to each pair key
     adds = [
         (int(x != 0), int(y != 0), int(z != 0), _pair_type_bit(x, y), _pair_type_bit(x, z), _pair_type_bit(y, z))
-        for x, y, z in SITE_TYPES
+        for x, y, z in site_types
     ]
-    counts = [0] * len(SITE_TYPES)
+    counts = [0] * len(site_types)
     la = lb = lc = kab = kac = kbc = 0  # cells of each pattern and pair keys so far
     while True:
         yield tuple(counts), kab, kac, kbc
@@ -388,87 +390,68 @@ def census_pair(key: int) -> tuple[Pattern, Pattern]:
     return Pattern(CENSUS_BOX, 0, p), Pattern(CENSUS_BOX, 0, q)
 
 
-def _census_violations(pattern_distance: Callable[[Pattern, Pattern], Fraction]) -> dict:
-    """Symmetry, identity and triangle violations over the site-type census on Q_2.
-
-    The pairs (a, b), (a, c) and (b, c) of the 10,842 census triples fall
-    into 1,102 pair types. Each type is laid out and measured once, in both
-    orders, the first time its key appears; a triple then reads its three
-    pairs by key. Only the measured types are held, never the census itself.
-    """
-    measured: dict[int, tuple[int, int, bool, bool]] = {}
-
-    def measure(key: int) -> tuple[int, int, bool, bool]:
-        p, q = census_pair(key)
-        d = pattern_distance(p, q)
-        m = measured[key] = (d.numerator, d.denominator, d == pattern_distance(q, p), (d == 0) == (p == q))
-        return m
-
-    sym_viol = ident_viol = tri_viol = triples = 0
-    for _, kab, kac, kbc in site_type_counts(4):
-        n_ab, u_ab, symmetric, identity = measured.get(kab) or measure(kab)
-        n_ac, u_ac, _, _ = measured.get(kac) or measure(kac)
-        n_bc, u_bc, _, _ = measured.get(kbc) or measure(kbc)
-        triples += 1
-        sym_viol += not symmetric
-        ident_viol += not identity
-        # d_ac > d_ab + d_bc, in exact integers
-        if n_ac * u_ab * u_bc > (n_ab * u_bc + n_bc * u_ab) * u_ac:
-            tri_viol += 1
-    return {
-        "census_triples": triples,
-        "symmetry_violations": sym_viol,
-        "identity_violations": ident_viol,
-        "triangle_violations": tri_viol,
-    }
+def arrangements(counts: Sequence[int], sites: int) -> int:
+    """The ways to give each of `sites` sites one type of a count vector, or
+    none: 9!/(c_1! ... c_7! (9 - sum c)!) for a vector on the 9 sites of Q_1,
+    which is how many ordered triples of patterns on Q_1 it stands for."""
+    return math.factorial(sites) // math.prod(map(math.factorial, (*counts, sites - sum(counts))))
 
 
 def metric_axiom_suite() -> dict:
-    """Exhaustive checks of the pattern metric axioms.
+    """Exhaustive checks of the pattern metric axioms, one site-type census per box.
 
     Symmetry, identity and the triangle inequality over every triple of
-    patterns on Q_2 with symbols {1, 2} and at most 4 cells each, one triple
-    per site-type count vector and one measured pair per pair type (the
-    metric does not change under site permutations or per-site symbol
-    swaps), plus every triple of one-symbol
-    patterns on Q_1 with at most 3 cells.
+    patterns on Q_2 with symbols {1, 2} and at most 4 cells each: one
+    triple per count vector over SITE_TYPES, since the metric does not
+    change under site permutations or per-site symbol swaps. Then the
+    triangle inequality over every ordered triple of one-symbol patterns on
+    Q_1 with at most 3 cells: one count vector over ONE_SYMBOL_TYPES per
+    class, weighted by its `arrangements` on the 9 sites of Q_1.
+
+    The pairs (a, b), (a, c) and (b, c) of the 10,842 Q_2 triples fall into
+    1,102 pair types. Each type is laid out and measured once, in both
+    orders, the first time its key appears; a triple then reads its three
+    pairs by key. Every one-symbol key is among them, so the Q_1 triples
+    measure nothing new. Only the measured types are held, never a census.
     """
     from .lattice import pattern_distance
 
-    census = _census_violations(pattern_distance)
+    measured: dict[int, tuple[int, int, bool, bool]] = {}
 
-    # exhaustive: one core symbol on Q_1, at most 3 core cells
-    sites = list(Box(1).sites())
-    pats: list[Pattern] = [Pattern(Box(1), 0, {})]
+    def pair(key: int) -> tuple[int, int, bool, bool]:
+        """A pair type's distance as numerator and denominator, whether it is
+        symmetric, and whether it is 0 exactly when the patterns are equal."""
+        if key not in measured:
+            p, q = census_pair(key)
+            d = pattern_distance(p, q)
+            measured[key] = (d.numerator, d.denominator, d == pattern_distance(q, p), (d == 0) == (p == q))
+        return measured[key]
 
-    for k in (1, 2, 3):
-        for combo in itertools.combinations(sites, k):
-            pats.append(Pattern(Box(1), 0, {u: 1 for u in combo}))
-    n = len(pats)
-    num = np.zeros((n, n), dtype=np.int64)
-    den = np.ones((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = pattern_distance(pats[i], pats[j])
-            num[i, j] = num[j, i] = d.numerator
-            den[i, j] = den[j, i] = d.denominator
-    # d(a,c) <= d(a,b) + d(b,c) for all a, b, c, vectorized per a
-    ex_viol = 0
-    for a in range(n):
-        n_ac = num[a][None, :]  # over c
-        d_ac = den[a][None, :]
-        n_ab = num[a][:, None]  # over b
-        d_ab = den[a][:, None]
-        lhs = n_ac * d_ab * den
-        rhs = n_ab * d_ac * den + num * d_ac * d_ab
-        ex_viol += int(np.sum(lhs > rhs))
+    def triangle_fails(kab: int, kac: int, kbc: int) -> bool:
+        """d_ac > d_ab + d_bc, in exact integers."""
+        (n_ab, u_ab, *_), (n_ac, u_ac, *_), (n_bc, u_bc, *_) = pair(kab), pair(kac), pair(kbc)
+        return n_ac * u_ab * u_bc > (n_ab * u_bc + n_bc * u_ab) * u_ac
+
+    sym_viol = ident_viol = tri_viol = triples = 0
+    for _, kab, kac, kbc in site_type_counts(SITE_TYPES, 4):
+        _, _, symmetric, identity = pair(kab)
+        triples += 1
+        sym_viol += not symmetric
+        ident_viol += not identity
+        tri_viol += triangle_fails(kab, kac, kbc)
+    q1_sites = box_site_count(1)
+    ex_viol = sum(
+        arrangements(counts, q1_sites)
+        for counts, kab, kac, kbc in site_type_counts(ONE_SYMBOL_TYPES, 3)
+        if triangle_fails(kab, kac, kbc)
+    )
     return {
-        "census_triples": census["census_triples"],
+        "census_triples": triples,
         "exhaustive": True,
-        "symmetry_violations": census["symmetry_violations"],
-        "identity_violations": census["identity_violations"],
-        "triangle_violations": census["triangle_violations"],
-        "exhaustive_patterns": n,
+        "symmetry_violations": sym_viol,
+        "identity_violations": ident_viol,
+        "triangle_violations": tri_viol,
+        "exhaustive_patterns": sum(math.comb(q1_sites, k) for k in range(4)),
         "exhaustive_triangle_violations": ex_viol,
     }
 

@@ -638,3 +638,47 @@ def census_violations_by_triple() -> dict:
         "identity_violations": ident_viol,
         "triangle_violations": tri_viol,
     }
+
+
+def q1_block() -> list[Pattern]:
+    """The 130 one-symbol patterns on Q_1 with at most 3 cells."""
+    sites = list(box_sites(1))
+    return [Pattern(Box(1), 0, dict.fromkeys(combo, 1)) for k in range(4) for combo in combinations(sites, k)]
+
+
+def q1_triangle_violations_by_block() -> int:
+    """Ordered triples (a, b, c) of the Q_1 block with d(a, c) > d(a, b) + d(b, c).
+
+    The reference for metric_axiom_suite's weighted one-symbol census. It
+    measures all 130 x 130 ordered pairs, so d(b, a) is read and never
+    mirrored from d(a, b), and compares the distances over a common
+    denominator, one row a at a time. Reads slowent.lattice.pattern_distance
+    when it runs, so a metric planted there reaches it.
+    """
+    from slowent import lattice
+
+    pats = q1_block()
+    dist = [[lattice.pattern_distance(p, q) for q in pats] for p in pats]
+    unit = math.lcm(*(d.denominator for row in dist for d in row))
+    m = np.array([[d.numerator * (unit // d.denominator) for d in row] for row in dist], dtype=np.int64)
+    # row a: [b, c] -> d(a, c) > d(a, b) + d(b, c)
+    return int(sum(np.count_nonzero(m[a][None, :] > m[a][:, None] + m) for a in range(len(pats))))
+
+
+def q1_count_vector_weights(site_types) -> dict[tuple[int, ...], int]:
+    """How many ordered triples of the Q_1 block have each count vector over
+    site_types, counted triple by triple on site bitmasks."""
+    sites = list(box_sites(1))
+    full = (1 << len(sites)) - 1
+    masks = np.array([sum(1 << sites.index(u) for u in p.cells) for p in q1_block()], dtype=np.int64)
+    pick = {1: masks, 0: full ^ masks}  # the sites where a pattern has symbol 1, or 0
+    found = np.zeros(4 ** len(site_types), dtype=np.int64)
+    for a in range(len(masks)):
+        code = np.zeros((len(masks), len(masks)), dtype=np.int64)  # [b, c], base 4: each type fits 3 sites at most
+        for t, (x, y, z) in enumerate(site_types):
+            both = pick[x][a] & pick[y][:, None] & pick[z][None, :]
+            code += np.bitwise_count(both).astype(np.int64) << 2 * t
+        found += np.bincount(code.ravel(), minlength=found.size)
+    return {
+        tuple(int(code) >> 2 * t & 3 for t in range(len(site_types))): int(found[code]) for code in np.flatnonzero(found)
+    }

@@ -21,6 +21,8 @@ from oracles import (
     merged_provenance_count,
     pair_type_key,
     pattern_from_text,
+    q1_count_vector_weights,
+    q1_triangle_violations_by_block,
     random_axiom_violations,
     random_pattern,
     recursive_site_type_counts,
@@ -197,6 +199,9 @@ def _run_cli(*args: str, cwd: Path):
             ("recur", "--schedule-file", "s.txt", "--stages", "6", "--out", "o"),
         ),
         ({"s.txt": "theta 1/3\nc 2\nr 1 1\nr 2 28\nr 3 185221\n"}, ("sample", "--schedule-file", "s.txt", "--theta", "1/4")),
+        ({"c.json": '{"kind": "cover", "epsilons": ["-1"], "sample_size": 4}'}, ("cover", "--config", "c.json", "--out", "o")),
+        ({"c.json": '{"kind": "recur", "scales": []}'}, ("recur", "--config", "c.json", "--out", "o")),
+        ({"c.json": '{"kind": "cover", "epsilons": [], "sample_size": 4}'}, ("cover", "--config", "c.json", "--out", "o")),
     ],
     ids=[
         "fit-row",
@@ -248,6 +253,9 @@ def _run_cli(*args: str, cwd: Path):
         "config-schedule-radii-with-r1",
         "schedule-file-with-flag",
         "sample-schedule-file-with-flag",
+        "config-epsilons-negative",
+        "config-scales-empty",
+        "config-epsilons-empty",
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, files, args):
@@ -735,7 +743,7 @@ def test_metric_axioms_hold_on_random_triples():
 @pytest.mark.parametrize("max_cells", [0, 1, 2, 4])
 def test_site_type_counts_is_lazy_and_matches_recursion(max_cells):
     # a materialized census of 10,842 vectors costs about 5 MiB of peak memory
-    steps = expcli.site_type_counts(max_cells)
+    steps = expcli.site_type_counts(expcli.SITE_TYPES, max_cells)
     assert inspect.isgenerator(steps)
     expected = list(recursive_site_type_counts(expcli.SITE_TYPES, max_cells))
     assert [counts for counts, *_ in steps] == expected
@@ -745,7 +753,7 @@ def test_site_type_counts_is_lazy_and_matches_recursion(max_cells):
 def test_site_type_counts_keys_the_pairs_of_each_triple():
     # the keys move with the loads in each odometer step; count them afresh per triple
     pair_keys = set()
-    for counts, *keys in expcli.site_type_counts(4):
+    for counts, *keys in expcli.site_type_counts(expcli.SITE_TYPES, 4):
         a, b, c = census_triple(counts)
         assert keys == [pair_type_key(a, b), pair_type_key(a, c), pair_type_key(b, c)]
         pair_keys.update(keys)
@@ -767,7 +775,7 @@ def test_census_triple_lays_out_sites_in_box_order():
 
 
 def test_site_type_census_covers_random_triples():
-    census = {counts for counts, *_ in expcli.site_type_counts(4)}
+    census = {counts for counts, *_ in expcli.site_type_counts(expcli.SITE_TYPES, 4)}
     assert len(census) == 10_842
     for i in range(500):
         triple = [random_pattern(11, tag, i) for tag in ("a", "b", "c")]
@@ -790,7 +798,7 @@ def test_site_type_census_covers_random_triples():
 
 def test_census_pair_lays_out_its_pair_type_key():
     # every key the census reads, laid out in box order, counts back to itself
-    keys = {key for _, *pair_keys in expcli.site_type_counts(4) for key in pair_keys}
+    keys = {key for _, *pair_keys in expcli.site_type_counts(expcli.SITE_TYPES, 4) for key in pair_keys}
     for key in keys:
         p, q = expcli.census_pair(key)
         assert pair_type_key(p, q) == key
@@ -815,18 +823,33 @@ def _halved_when_longer(a, b):
     return d / 2 if len(a.cells) > len(b.cells) else d
 
 
-@pytest.mark.parametrize("metric", [pattern_distance, _halved_when_longer], ids=["real", "asymmetric"])
-def test_metric_axiom_suite_census_matches_the_triple_by_triple_census(monkeypatch, metric):
+def _squared(a, b):
+    # symmetric, with the right identity, but d(a, c) can pass d(a, b) + d(b, c)
+    return pattern_distance(a, b) ** 2
+
+
+@pytest.mark.parametrize(
+    "metric, q1_violations",
+    [(pattern_distance, 0), (_halved_when_longer, 20_232), (_squared, 97_344)],
+    ids=["real", "asymmetric", "squared"],
+)
+def test_metric_axiom_suite_census_matches_the_triple_by_triple_census(monkeypatch, metric, q1_violations):
     monkeypatch.setattr(lattice, "pattern_distance", metric)
     expected, stats = census_violations_by_triple(), expcli.metric_axiom_suite()
     assert {key: stats[key] for key in expected} == expected
     if metric is _halved_when_longer:
         assert expected["symmetry_violations"] > 0 and expected["triangle_violations"] > 0
+    # the weighted one-symbol census against the ordered 130 x 130 x 130 block
+    assert stats["exhaustive_triangle_violations"] == q1_triangle_violations_by_block() == q1_violations
+    # each one-symbol count vector stands for its arrangements on the 9 sites of Q_1
+    weights = q1_count_vector_weights(expcli.ONE_SYMBOL_TYPES)
+    assert len(weights) == 436 and sum(weights.values()) == 130**3
+    assert weights == {c: expcli.arrangements(c, 9) for c, *_ in expcli.site_type_counts(expcli.ONE_SYMBOL_TYPES, 3)}
 
 
 def test_metric_axiom_suite_builds_each_pattern_and_repeated_pair_once(monkeypatch):
-    # two census patterns per pair type and 130 on Q_1; each of the 1,102
-    # pair types measured in both orders, and 130 * 129 / 2 pairs on Q_1
+    # two patterns per pair type, each of the 1,102 pair types measured in
+    # both orders; the Q_1 triples read only pair types already measured
     calls = {"patterns": 0, "distances": 0}
     post_init = lattice.Pattern.__post_init__
 
@@ -841,8 +864,8 @@ def test_metric_axiom_suite_builds_each_pattern_and_repeated_pair_once(monkeypat
     monkeypatch.setattr(lattice.Pattern, "__post_init__", counted_post_init)
     monkeypatch.setattr(lattice, "pattern_distance", counted_distance)
     assert expcli.metric_axioms_hold(expcli.metric_axiom_suite())
-    assert calls["patterns"] == 2 * 1_102 + 130 == 2_334
-    assert calls["distances"] == 2 * 1_102 + 8_385 == 10_589
+    assert calls["patterns"] == 2 * 1_102 == 2_204
+    assert calls["distances"] == 2 * 1_102 == 2_204
 
 
 def test_metric_axiom_suite_never_holds_the_census():
@@ -854,7 +877,7 @@ def test_metric_axiom_suite_never_holds_the_census():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * 2**20
+    assert peak <= 0.25 * 2**20
 
 
 def test_metric_axiom_pass_condition_counts_every_violation(monkeypatch):

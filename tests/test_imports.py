@@ -49,12 +49,11 @@ def test_imported_modules_reads_nested_and_relative_imports():
     assert imported_modules(source) == {"os", "numpy"}
 
 
-def test_only_toys_and_expcli_import_numpy():
-    # the exact layers (lattice, cutstack, rng, symbolic, covernum, ...) run on
-    # ints, Fractions and bitmasks; the Bowen checks' float arrays stay in toys
-    # and the suites' arrays in expcli
+def test_only_toys_imports_numpy():
+    # the exact layers (lattice, cutstack, rng, symbolic, covernum, expcli, ...)
+    # run on ints, Fractions and bitmasks; the Bowen checks' uint64 arrays stay in toys
     users = {p.stem for p in PACKAGE.glob("*.py") if "numpy" in imported_modules(p.read_text())}
-    assert users == {"toys", "expcli"}
+    assert users == {"toys"}
 
 
 def test_no_module_imports_hashlib():
