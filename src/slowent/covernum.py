@@ -239,7 +239,7 @@ class GrowthFit:
 
     scale: str
     samples: tuple[tuple[int, float], ...]
-    exponent: float
+    exponent: float | None
     residual: float
     window: tuple[int, ...]
     limsup_exponent: float
@@ -316,8 +316,9 @@ def alpha_fit(counts: Sequence[tuple[int, int]]) -> GrowthFit:
 
     Pointwise values log|R_n| / log|Q_n| stand in for the limsup (their max
     is reported as the limsup surrogate); the regression slope of log|R_n|
-    against log|Q_n| is the fitted exponent. The samples keep the counts as
-    exact ints, and every log is taken from them, so no scale leaves float range.
+    against log|Q_n| is the fitted exponent, None from a single sample. The
+    samples keep the counts as exact ints, and every log is taken from them,
+    so no scale leaves float range.
     """
     pts = list(counts)
     if any(c < 1 for _, c in pts):
@@ -326,10 +327,7 @@ def alpha_fit(counts: Sequence[tuple[int, int]]) -> GrowthFit:
         raise UsageError("sample abscissae must be strictly increasing")
     xs = [math.log(box_site_count(n)) for n, _ in pts]
     ys = [math.log(c) for _, c in pts]
-    if len(pts) >= 2:
-        slope, resid = _least_squares(xs, ys)
-    else:
-        slope, resid = float("nan"), 0.0
+    slope, resid = _least_squares(xs, ys) if len(pts) >= 2 else (None, 0.0)
     pointwise = [(n, ys[i] / xs[i]) for i, (n, _) in enumerate(pts) if xs[i] > 0]
     if not pointwise:
         raise UsageError("need at least one n >= 1 sample")

@@ -421,7 +421,7 @@ GENERIC_CELL_CAP = 5_000_000
 
 
 def capped_window_axes(point: PointHandle, n: int) -> tuple[list[int], list[int]]:
-    """window_axes for callers that build the X x Y product.
+    """window_axes for callers whose result stands for the X x Y product (names, recurrence sets).
 
     Raises UsageError, before anything is materialized, when the window
     holds more than GENERIC_CELL_CAP 1-cells. The window's stage and

@@ -239,7 +239,7 @@ class Report:
     config: dict
     verdicts: list[Verdict] = field(init=False, default_factory=list)
     tables: dict[str, list[dict]] = field(init=False, default_factory=dict)
-    exponents: dict[str, float] = field(init=False, default_factory=dict)
+    exponents: dict[str, float | None] = field(init=False, default_factory=dict)
     runtime_seconds: float | None = field(init=False, default=None)
 
     def failed(self) -> list[Verdict]:
@@ -271,14 +271,15 @@ def _canonical(obj: Any) -> Any:
 
 
 def report_to_json(report: Report) -> bytes:
-    """Canonical bytes; excludes wall-clock fields so reruns compare equal."""
+    """Canonical bytes; excludes wall-clock fields so reruns compare equal.
+    Strict JSON: a NaN or infinity raises ValueError instead of being written."""
     doc = {
         "config": _canonical(report.config),
         "verdicts": [_canonical(v) for v in report.verdicts],
         "tables": _canonical(report.tables),
         "exponents": _canonical(report.exponents),
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False).encode() + b"\n"
 
 
 def fresh(path: Path) -> Path:

@@ -1,41 +1,37 @@
 """Recurrence sets R_n(A, x), position decoding, and dimension checks.
 
 For the built construction the recurrence set of a point is always a
-product X x Y of per-coordinate offset lists, so pattern identity, counts,
-and centroids all run on the two axis lists instead of the full site set.
+product X x Y of per-coordinate offset lists, so the set itself, pattern
+identity, counts, centroids and the metric all run on the two axis lists;
+no site set of a window is built.
 """
 
 from __future__ import annotations
 
 import math
-# not hashlib, which would load OpenSSL for nothing (see rng)
-from _blake2 import blake2b
 from fractions import Fraction
-from itertools import product
 
 from . import cutstack
 from .cutstack import PointHandle
 from .lattice import Site, UsageError, box_site_count
 
 
-def recurrence_set(point: PointHandle, n: int) -> frozenset[Site]:
-    """Return sites of the point within Q_n; exactly the 1-cells of its name."""
+def recurrence_set(point: PointHandle, n: int) -> tuple[frozenset[int], frozenset[int]]:
+    """Return sites of the point within Q_n as their axis factors (X, Y): the
+    1-cells of its name are exactly X x Y. Refused, like the name, when the
+    window holds more than GENERIC_CELL_CAP cells."""
     xs, ys = cutstack.capped_window_axes(point, n)
-    return frozenset(product(xs, ys))
+    return frozenset(xs), frozenset(ys)
 
 
-def recurrence_key(point: PointHandle, n: int) -> bytes:
-    """Compact digest identifying the recurrence pattern.
+def recurrence_key(point: PointHandle, n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Exact key (n, X, Y) of the recurrence pattern, the axes in ascending order.
 
-    Distinct digests certify distinct patterns, so a digest count is a
-    lower bound on the number of distinct patterns; it is used where the
-    matching upper bound (patterns are functions of position) makes the
-    count exact.
+    Every window holds the point itself, so X and Y are never empty and two
+    keys of one n are equal exactly when their patterns X x Y are.
     """
     xs, ys = cutstack.window_axes(point, n)
-    h = blake2b(digest_size=16)
-    h.update(repr((n, xs, ys)).encode())
-    return h.digest()
+    return n, tuple(xs), tuple(ys)
 
 
 def centroid_decode_axes(mean_x: Fraction, mean_y: Fraction) -> Site:

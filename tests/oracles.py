@@ -281,6 +281,28 @@ def brute_window_ones(point, n: int) -> set[tuple[int, int]]:
     return {(x, y) for (x, y) in box_sites(n) if color01_at(point, (x, y)) == 1}
 
 
+def recurrence_site_set(point, n: int) -> frozenset[tuple[int, int]]:
+    """The return sites of the point within Q_n as one 2-D site set, the product of its capped axes.
+
+    The reference for recurrence.recurrence_set, which keeps the two factors.
+    """
+    from slowent.cutstack import capped_window_axes
+
+    xs, ys = capped_window_axes(point, n)
+    return frozenset(product(xs, ys))
+
+
+def site_set_metric(rx, ry) -> Fraction:
+    """Symmetric difference over union of two return-site sets, 0/0 = 0, from the sets themselves.
+
+    The reference for partitions.recurrence_metric, which counts on axis factors.
+    """
+    union = len(rx | ry)
+    if not union:
+        return Fraction(0)
+    return Fraction(len(rx ^ ry), union)
+
+
 def position_from_levels(levels, stage: int) -> tuple[int, int]:
     """The point's position in the stage-`stage` arrangement: the sum of its first stage-1 offsets."""
     return (sum(g[0] for g in levels[: stage - 1]), sum(g[1] for g in levels[: stage - 1]))
@@ -401,7 +423,7 @@ def pattern_from_text(text: str) -> Pattern:
 def brute_stage2_census(sched, n: int) -> dict:
     """Stage-2 census over every 2-D position of Gamma_1, one window per position.
 
-    Each position gets its own point, pattern digest and centroid, so nothing
+    Each position gets its own point, pattern key and centroid, so nothing
     here uses the per-axis factorization of expcli.stage2_recurrence_census.
     """
     from slowent.cutstack import core_centroid, point_from_address

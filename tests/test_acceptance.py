@@ -10,6 +10,7 @@ shaped claims are asserted everywhere.
 """
 
 import hashlib
+import json
 import math
 import time
 from fractions import Fraction
@@ -17,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from slowent import covernum, cutstack as cs, expcli, recurrence as rec, rng, symbolic as sym, toys
+from slowent import cli, covernum, cutstack as cs, expcli, recurrence as rec, rng, symbolic as sym, toys
 from slowent.covernum import alpha_fit, alpha_pointwise
 from slowent.lattice import Box, Pattern, box_site_count, pattern_distance
 
@@ -32,6 +33,16 @@ SEED = 20240801
 #: constant in the same change; any other change must leave the bytes as
 #: they are.
 VERIFY_REPORT_SHA256 = "b9de2dbef1ef4feb773f3d65ebfe4b7768390f053e1465345bd2a864ca7b718b"
+
+#: sha256 of `slowent cover`'s report.json and `slowent distmat`'s
+#: distmat.csv at their defaults, and of the report of `cover --config` with
+#: WIDE_COVER_CONFIG (windows of up to 187,489 return sites), measured as
+#: above. All three hold only ints and exact fractions, so they depend on no
+#: libm. The same rule holds: only a change that declares new bytes updates them.
+COVER_REPORT_SHA256 = "4ba3a831d8ac6c1709caad242d57599ee0fd12f78259b667c0cd6f7001de9c5d"
+DISTMAT_CSV_SHA256 = "6ef6f3c1173e99c4890afc9824f09d905dd52f4c71766153e6cb153f14ac84cf"
+WIDE_COVER_CONFIG = {"kind": "cover", "scales": [56, 434, 2000], "schedule": {"stages": 5, "c": "5", "theta": "1/4"}}
+WIDE_COVER_REPORT_SHA256 = "fc99d5ef805c340a581f454705461503369a96c9b34814276c2f7e8851ac2c62"
 
 
 def _report(name: str, started: float, budget: float, **facts):
@@ -396,3 +407,18 @@ def test_criterion_12_determinism():
         bytes=len(b1),
         verdicts=len(first.verdicts),
     )
+
+
+def test_criterion_12_cover_and_distmat_bytes(tmp_path, capsys):
+    started = time.monotonic()
+    assert cli.main(["cover", "--out", str(tmp_path / "cover")]) == 0
+    assert cli.main(["distmat", "--out", str(tmp_path / "distmat")]) == 0
+    (tmp_path / "wide.json").write_text(json.dumps(WIDE_COVER_CONFIG))
+    assert cli.main(["cover", "--config", str(tmp_path / "wide.json"), "--out", str(tmp_path / "wide")]) == 0
+    cover = (tmp_path / "cover" / "report.json").read_bytes()
+    distmat = (tmp_path / "distmat" / "distmat.csv").read_bytes()
+    wide = (tmp_path / "wide" / "report.json").read_bytes()
+    assert hashlib.sha256(cover).hexdigest() == COVER_REPORT_SHA256
+    assert hashlib.sha256(distmat).hexdigest() == DISTMAT_CSV_SHA256
+    assert hashlib.sha256(wide).hexdigest() == WIDE_COVER_REPORT_SHA256
+    _report("criterion-12 cover and distmat bytes", started, 60, cover=len(cover), distmat=len(distmat), wide_cover=len(wide))

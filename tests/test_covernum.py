@@ -272,6 +272,7 @@ def test_alpha_fit_examples():
     ones = alpha_fit([(n, 1) for n in (2, 4, 8)])
     assert ones.limsup_exponent == 0.0
     single = alpha_fit([(27, 361)])
+    assert single.exponent is None
     assert abs(single.limsup_exponent - math.log(361) / math.log(3025)) < 1e-12
     assert abs(alpha_pointwise(361, 27) - 0.734762707033463) < 1e-12
 

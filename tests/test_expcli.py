@@ -659,6 +659,52 @@ def test_distmat_memory_grows_with_the_sample_not_its_pairs(tmp_path, capsys):
     assert peak <= 2**20
 
 
+def test_cover_at_windows_near_the_cell_cap_stays_small(tmp_path, capsys):
+    # at n = 3353 each of the 20 points' windows holds 4,995,225 return sites, just
+    # under GENERIC_CELL_CAP; as 2-D site sets they took about 395 MiB a point
+    (tmp_path / "c.json").write_text(json.dumps({"kind": "cover", "scales": [3353], "sample_size": 20}))
+    tracemalloc.start()
+    try:
+        code = cli.main(["cover", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    verdicts = json.loads((tmp_path / "o" / "report.json").read_text())["verdicts"]
+    assert verdicts and all(v["status"] == "pass" for v in verdicts)
+    assert peak < 64 * 2**20
+
+
+def _strict_json(data: bytes):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(data, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("command", sorted(expcli.COMMANDS))
+def test_default_reports_are_strict_json(tmp_path, capsys, command):
+    assert cli.main([command, "--out", str(tmp_path)]) == 0
+    _strict_json((tmp_path / "report.json").read_bytes())
+
+
+def test_recur_at_one_scale_writes_a_null_slope(tmp_path, capsys):
+    # one sample has a limsup but no regression slope, which was written as a bare NaN
+    (tmp_path / "c.json").write_text('{"kind": "recur", "scales": [5]}')
+    assert cli.main(["recur", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o")]) == 0
+    exponents = _strict_json((tmp_path / "o" / "report.json").read_bytes())["exponents"]
+    assert exponents["alpha_slope"] is None
+    assert exponents["alpha_limsup"] > 0
+
+
+def test_report_to_json_refuses_non_finite_floats():
+    for value in (float("nan"), float("inf")):
+        report = expcli.Report(config={})
+        report.exponents["x"] = value
+        with pytest.raises(ValueError):
+            expcli.report_to_json(report)
+
+
 def test_overlay_resolves_each_erasure_window_once(monkeypatch):
     # each erasure case builds its base name and overlay from one window
     calls = dict.fromkeys(("capped_window_axes", "name01"), 0)

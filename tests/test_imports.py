@@ -57,10 +57,17 @@ def test_only_toys_imports_numpy():
 
 
 def test_no_module_imports_hashlib():
-    # rng and recurrence take BLAKE2b from _blake2: hashlib would also load
-    # OpenSSL (about 3.4 MiB resident), which no hash here uses
+    # rng takes BLAKE2b from _blake2: hashlib would also load OpenSSL
+    # (about 3.4 MiB resident), which no hash here uses
     users = {p.stem for p in PACKAGE.glob("*.py") if "hashlib" in imported_modules(p.read_text())}
     assert users == set()
+
+
+def test_only_rng_imports_blake2():
+    # the seeded streams are the package's only hash; patterns are keyed
+    # exactly by their axes (recurrence.recurrence_key), not by a digest
+    users = {p.stem for p in PACKAGE.glob("*.py") if "_blake2" in imported_modules(p.read_text())}
+    assert users == {"rng"}
 
 
 # ---------------------------------------------------------------------------

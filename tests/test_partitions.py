@@ -5,7 +5,7 @@ from slowent import rng
 from slowent.lattice import Box, Pattern, pattern_distance
 from slowent.partitions import recurrence_metric
 
-from oracles import refine_by_offsets, restricted, symbol_at
+from oracles import refine_by_offsets, restricted, site_set_metric, symbol_at
 
 
 def test_name_metric_examples():
@@ -20,10 +20,28 @@ def test_name_metric_examples():
 
 
 def test_recurrence_metric_examples():
-    assert recurrence_metric({(0, 0)}, {(0, 0)}) == 0
-    assert recurrence_metric({(0, 0), (3, 0)}, {(0, 0)}) == Fraction(1, 2)
-    assert recurrence_metric({(0, 0)}, {(1, 1)}) == 1
-    assert recurrence_metric(set(), set()) == 0
+    # the 2-D reference on site sets
+    assert site_set_metric({(0, 0)}, {(0, 0)}) == 0
+    assert site_set_metric({(0, 0), (3, 0)}, {(0, 0)}) == Fraction(1, 2)
+    assert site_set_metric({(0, 0)}, {(1, 1)}) == 1
+    assert site_set_metric(set(), set()) == 0
+    # the same sets as axis factors X x Y
+    one = (frozenset({0}), frozenset({0}))
+    assert recurrence_metric(one, one) == 0
+    assert recurrence_metric((frozenset({0, 3}), frozenset({0})), one) == Fraction(1, 2)
+    assert recurrence_metric(one, (frozenset({1}), frozenset({1}))) == 1
+    empty = (frozenset(), frozenset())
+    assert recurrence_metric(empty, empty) == 0
+    # an empty factor empties the product, whatever the other factor holds
+    assert recurrence_metric((frozenset(), frozenset({0, 1})), (frozenset({2}), frozenset())) == 0
+    # a shared row or column only: the products meet in |X & X'| |Y & Y'| sites
+    square = (frozenset({0, 1}), frozenset({0, 1}))
+    assert recurrence_metric(square, (frozenset({1, 2}), frozenset({0, 1}))) == Fraction(4, 6)
+
+
+def _draw_axis(tag, i, k):
+    size = rng.uniform_int(13, tag + "n", i, k, lo=0, hi=4)
+    return frozenset(rng.uniform_int(13, tag, i, k, j, lo=-3, hi=3) for j in range(size))
 
 
 def test_recurrence_metric_equals_two_atom_name_metric():
@@ -39,7 +57,13 @@ def test_recurrence_metric_equals_two_atom_name_metric():
         rx, ry = draw("a"), draw("b")
         nx = Pattern(Box(3), 0, {u: 1 for u in rx})
         ny = Pattern(Box(3), 0, {u: 1 for u in ry})
-        assert recurrence_metric(rx, ry) == pattern_distance(nx, ny)
+        assert site_set_metric(rx, ry) == pattern_distance(nx, ny)
+        # factor inputs: the names of two products X x Y and X' x Y'
+        fx = (_draw_axis("ax", i, 0), _draw_axis("ay", i, 0))
+        fy = (_draw_axis("bx", i, 1), _draw_axis("by", i, 1))
+        px = Pattern.product(Box(3), sorted(fx[0]), sorted(fx[1]))
+        py = Pattern.product(Box(3), sorted(fy[0]), sorted(fy[1]))
+        assert recurrence_metric(fx, fy) == pattern_distance(px, py) == site_set_metric(set(px.cells), set(py.cells))
 
 
 def _random_three_atom_name(seed, tag, i, radius=3, max_cells=8):

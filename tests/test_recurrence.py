@@ -1,10 +1,11 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from slowent import cutstack as cs
-from slowent import rng
+from slowent import expcli, rng
 from slowent.lattice import UsageError, pattern_distance
 from slowent.partitions import recurrence_metric
 from slowent.recurrence import (
@@ -14,22 +15,28 @@ from slowent.recurrence import (
     rho_alpha_bound_holds,
 )
 
-from oracles import brute_gamma, centroid_decode
+from oracles import brute_gamma, centroid_decode, recurrence_site_set, site_set_metric
 
 
 def test_recurrence_set_examples(sched_default):
     p = cs.point_from_address(sched_default, [(0, 0)])
-    assert recurrence_set(p, 0) == {(0, 0)}
-    r3 = recurrence_set(p, 3)
+    assert recurrence_site_set(p, 0) == {(0, 0)}
+    assert recurrence_set(p, 0) == ({0}, {0})
+    r3 = recurrence_site_set(p, 3)
     assert r3 == {(x, y) for x in (-3, 0, 3) for y in (-3, 0, 3)}
-    r27 = recurrence_set(p, 27)
+    assert recurrence_set(p, 3) == ({-3, 0, 3}, {-3, 0, 3})
+    r27 = recurrence_site_set(p, 27)
     assert len(r27) == 361
+    xs, ys = recurrence_set(p, 27)
+    assert len(xs) * len(ys) == 361
 
 
 def test_recurrence_set_is_name_support(sched_default):
     for i in range(4):
         p = cs.sample_point(sched_default, 3, seed=rng.derive_seed(3, "rs", i))
-        assert recurrence_set(p, 9) == set(cs.name01(p, 9).cells)
+        assert recurrence_site_set(p, 9) == set(cs.name01(p, 9).cells)
+        xs, ys = recurrence_set(p, 9)
+        assert set(product(xs, ys)) == set(cs.name01(p, 9).cells)
         assert cs.core_count(p, 9) == len(cs.name01(p, 9).cells)
 
 
@@ -43,10 +50,9 @@ def test_recurrence_metric_identity_with_names(sched_default):
     x = cs.sample_point(sched_default, 3, seed=21)
     y = cs.sample_point(sched_default, 3, seed=22)
     for n in (3, 9, 27):
-        rx, ry = recurrence_set(x, n), recurrence_set(y, n)
-        lhs = recurrence_metric(rx, ry)
         rhs = pattern_distance(cs.name01(x, n), cs.name01(y, n))
-        assert lhs == rhs
+        assert site_set_metric(recurrence_site_set(x, n), recurrence_site_set(y, n)) == rhs
+        assert recurrence_metric(recurrence_set(x, n), recurrence_set(y, n)) == rhs
 
 
 def test_centroid_decode_examples():
@@ -70,7 +76,7 @@ def test_centroid_decode_axes_agrees(sched_c5):
     n = 2 * sched_c5.r(2)
     for g in [(0, 0), (6, -12), (216, 216), (-216, 6)]:
         p = cs.point_from_address(sched_c5, [g])
-        full = centroid_decode(recurrence_set(p, n))
+        full = centroid_decode(recurrence_site_set(p, n))
         _, mx, my = cs.core_centroid(p, n)
         fast = centroid_decode_axes(mx, my)
         assert full == fast == g
@@ -144,13 +150,37 @@ def test_distinct_patterns_sampled_stage3(sched_default):
 
 
 def test_recurrence_metric_axioms_direct(sched_default):
-    sets = [recurrence_set(cs.sample_point(sched_default, 3, seed=rng.derive_seed(72, "ax", i)), 6) for i in range(12)]
-    for a in sets:
-        for b in sets:
-            assert recurrence_metric(a, b) == recurrence_metric(b, a)
-            assert (recurrence_metric(a, b) == 0) == (a == b)
-            for c in sets:
-                assert recurrence_metric(a, c) <= recurrence_metric(a, b) + recurrence_metric(b, c)
+    points = [cs.sample_point(sched_default, 3, seed=rng.derive_seed(72, "ax", i)) for i in range(12)]
+    for metric, build in ((site_set_metric, recurrence_site_set), (recurrence_metric, recurrence_set)):
+        sets = [build(p, 6) for p in points]
+        for a in sets:
+            for b in sets:
+                assert metric(a, b) == metric(b, a)
+                assert (metric(a, b) == 0) == (a == b)
+                for c in sets:
+                    assert metric(a, c) <= metric(a, b) + metric(b, c)
+
+
+@pytest.mark.parametrize("spec", expcli.DEFAULT_VARIANTS)
+def test_factor_metric_and_key_match_the_site_set_oracle(spec):
+    # every ordered pair of 10 stage-3 points, at windows of 1 to about 21,000 return sites
+    sched = expcli.schedule_from_spec(spec)
+    points = expcli.sample_points(sched, 3, 10, 7)
+    equal_sets = set()
+    for n in (3, 27, 56, 217):
+        sets = [recurrence_site_set(p, n) for p in points]
+        factors = [recurrence_set(p, n) for p in points]
+        keys = [recurrence_key(p, n) for p in points]
+        for i, (xs, ys) in enumerate(factors):
+            # the point itself returns, so neither factor is empty
+            assert 0 in xs and 0 in ys
+            assert keys[i] == (n, tuple(sorted(xs)), tuple(sorted(ys)))
+            for j in range(len(points)):
+                assert recurrence_metric(factors[i], factors[j]) == site_set_metric(sets[i], sets[j])
+                assert (keys[i] == keys[j]) == (sets[i] == sets[j])
+                equal_sets.add(sets[i] == sets[j])
+    # tight spacing tiles, so its stage-3 points share every window; gapped spacing separates some
+    assert equal_sets == ({True} if spec["c"] == "2" else {True, False})
 
 
 def test_window_cap_refuses_oversized_products(sched_default):

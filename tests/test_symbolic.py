@@ -22,7 +22,7 @@ from slowent.symbolic import (
     separated_words_first_fit,
 )
 
-from oracles import brute_separated_words, in_box, pattern_from_text, symbol_at
+from oracles import brute_separated_words, in_box, pattern_from_text, site_set_metric, symbol_at
 
 
 def translate_pattern(p, offset, radius):
@@ -209,12 +209,14 @@ def test_overlay_distance_disjoint_bases(sched_default):
 
 def test_overlay_distance_dominates_base_metric(sched_default):
     from slowent.partitions import recurrence_metric
+    from slowent.recurrence import recurrence_set
 
     for i in range(50):
         x = cs.sample_point(sched_default, 3, seed=rng.derive_seed(60, "a", i))
         y = cs.sample_point(sched_default, 3, seed=rng.derive_seed(60, "b", i))
         (_, ox), (_, oy) = overlay_name(x, 6), overlay_name(y, 6)
-        base = recurrence_metric(set(ox.cells), set(oy.cells))
+        base = site_set_metric(set(ox.cells), set(oy.cells))
+        assert base == recurrence_metric(recurrence_set(x, 6), recurrence_set(y, 6))
         assert pattern_distance(ox, oy) >= base
 
 
