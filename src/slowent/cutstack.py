@@ -22,7 +22,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import rng
 from .lattice import AxisSumset, Box, Pattern, Site, UsageError, site_add, sup_norm
@@ -62,6 +62,7 @@ class Schedule:
     c: Fraction
     _levels: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     _sumsets: tuple[AxisSumset, ...] = field(init=False, repr=False, compare=False)
+    _arrangement_slacks: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.radii) < 1 or self.radii[0] < 1:
@@ -90,6 +91,10 @@ class Schedule:
             levels.append((m, s))
         object.__setattr__(self, "_levels", tuple(levels))
         object.__setattr__(self, "_sumsets", tuple(AxisSumset(levels[:i]) for i in range(len(self.radii))))
+        # locate_site's peel slacks at each stage, coarsest level first: the
+        # stage-l arrangement radius, which is r(1) plus the finer reach above level 1
+        slacks = tuple(tuple(self.arrangement_radius(l) for l in range(i - 1, 0, -1)) for i in range(1, len(self.radii) + 1))
+        object.__setattr__(self, "_arrangement_slacks", slacks)
 
     @property
     def stages(self) -> int:
@@ -238,20 +243,20 @@ def _check_levels(levels: Sequence[Site], sched: Schedule) -> None:
             raise UsageError(f"level-{j} offset {g} outside Gamma_{j}")
 
 
-def _peel(w: Site, stage: int, sched: Schedule, slack: Callable[[int], int]) -> tuple[list[Site], Site]:
-    """Peel level offsets from w top-down, from level stage-1, while every coordinate peels.
+def _peel(w: Site, axis: AxisSumset, slacks: Sequence[int]) -> tuple[list[Site], Site]:
+    """Peel level offsets from w top-down, from axis's top level, while every coordinate peels.
 
-    Level l's offset is the unique multiple of m(l) within slack(l) of the
-    remainder; m(l) > 2 r(l) >= 2 slack(l) rules out a second candidate.
+    slacks holds one slack per level of axis, coarsest first. Level l's
+    offset is the unique multiple of m(l) within its slack of the
+    remainder; m(l) > 2 r(l) >= 2 slack rules out a second candidate.
     The offsets of one coordinate never depend on the other, so each
     coordinate is peeled through the levels on its own (one
     AxisSumset.peel per coordinate), and the levels both coordinates
     peeled are kept. Returns the peeled offsets (coarsest first) and the
     remainder.
     """
-    axis = sched.sumset(stage)
-    slacks = [slack(j) for j in range(1, stage)]
-    (xs, x), (ys, y) = (axis.peel(a, slacks) for a in w)
+    xs, x = axis.peel(w[0], slacks)
+    ys, y = axis.peel(w[1], slacks)
     depth = min(len(xs), len(ys))
     return list(zip(xs, ys)), (x + sum(xs[depth:]), y + sum(ys[depth:]))
 
@@ -261,13 +266,12 @@ def decompose(v: Site, stage: int, sched: Schedule) -> Address | None:
 
     Works top-down, one coordinate at a time (_peel): at level j the
     remainder must stay within the total reach r(j) - r(1) of the lower
-    levels, and m(j) > 2 r(j) forces at most one candidate multiple per
-    coordinate, so no backtracking is needed.
+    levels, which the stage's AxisSumset stores as its reaches, and
+    m(j) > 2 r(j) forces at most one candidate multiple per coordinate,
+    so no backtracking is needed.
     """
-    if stage < 1 or stage > sched.stages:
-        raise UsageError(f"stage {stage} out of range 1..{sched.stages}")
-    radii = sched.radii
-    peeled, rest = _peel(tuple(v), stage, sched, lambda j: radii[j - 1] - radii[0])
+    axis = sched.sumset(stage)
+    peeled, rest = _peel(v, axis, axis.reaches)
     if len(peeled) < stage - 1 or any(rest):
         return None
     return Address(tuple(reversed(peeled)))
@@ -483,7 +487,8 @@ def locate_site(point: PointHandle, v: Site) -> tuple[int, Site]:
     lie inside the stage-l arrangement (radius r(l), or 0 at stage 1).
     """
     j = point.determining_stage(sup_norm(v))
-    peeled, rest = _peel(site_add(point.position_at(j), v), j, point.schedule, point.schedule.arrangement_radius)
+    sched = point.schedule
+    peeled, rest = _peel(site_add(point.position_at(j), v), sched.sumset(j), sched._arrangement_slacks[j - 1])
     return j - len(peeled), rest
 
 

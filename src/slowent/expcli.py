@@ -537,9 +537,12 @@ def recurrence_sample(points: Sequence[cutstack.PointHandle], n: int) -> covernu
 
 
 def run_cover_scan(config: ExperimentConfig) -> Report:
+    if config.sample_size > covernum.EXACT_COVER_LIMIT:
+        limit = covernum.EXACT_COVER_LIMIT
+        raise UsageError(f"cover runs its exact cover search on at most {limit} points, got a sample size of {config.sample_size}")
     report = Report(config=_canonical(config))
     sched = config.schedule()
-    points = sample_points(sched, 3, min(config.sample_size, covernum.EXACT_COVER_LIMIT), config.seed)
+    points = sample_points(sched, 3, config.sample_size, config.seed)
     scales = list(config.scales) if config.scales else default_scales(sched)
     rows = []
     for n in scales:
@@ -774,16 +777,24 @@ def variant_suite(report: Report, sched: Schedule, label: str) -> None:
     reach = sched.r(k) - sched.r(1)
     report.claim(Claim.GAMMA_STAR_PRODUCT, gstar == sched.sumset(k).count_sum(-reach, reach)[0] ** 2, label=label, value=gstar)
     # decompose round trip over the per-axis extremes: decompose peels each
-    # coordinate on its own, so each extreme is taken once, on x with y = 0,
-    # and its site is the sum of its offsets
+    # coordinate on its own, so one site carries two extremes, extreme i on x
+    # and its mirror -1-i (every quotient negated) on y, and the middle
+    # extreme (every quotient 0) sits alone on x; a site that fails is judged
+    # per coordinate, each of its extremes resent alone, so failures counts
+    # extremes
     top_stage = sched.stages
     axis = axis_extremes(sched, top_stage)
     zeros = (0,) * (top_stage - 1)
-    bad = 0
-    for xs in axis:
-        got = cutstack.decompose((sum(xs), 0), top_stage, sched)
-        if got is None or got.levels != tuple(zip(xs, zeros)):
-            bad += 1
+    half = len(axis) // 2
+
+    def inverts(xs: tuple[int, ...], ys: tuple[int, ...]) -> bool:
+        got = cutstack.decompose((sum(xs), sum(ys)), top_stage, sched)
+        return got is not None and got.levels == tuple(zip(xs, ys))
+
+    bad = 0 if inverts(axis[half], zeros) else 1
+    for xs, ys in zip(axis[:half], axis[:half:-1]):
+        if not inverts(xs, ys):
+            bad += (not inverts(xs, zeros)) + (not inverts(zeros, ys))
     report.claim(
         Claim.DECOMPOSE_ROUNDTRIP, bad == 0, label=label, trials=len(axis), failures=bad, coverage="per-axis extremes"
     )

@@ -148,20 +148,24 @@ class AxisSumset:
             self._levels.append((m, s // m, self._reach[-1]))
             self._reach.append(self._reach[-1] + s)
             self._size.append(self._size[-1] * (2 * (s // m) + 1))
+        # the peel walks the levels coarsest first: (m, m // 2, s // m) per level
+        self._peel_levels = tuple((m, m // 2, k) for m, k, _ in reversed(self._levels))
+        #: each level's reach of the finer levels, coarsest first: the slacks of a unique decomposition
+        self.reaches = tuple(reach for _, _, reach in reversed(self._levels))
 
     def peel(self, a: int, slacks: Sequence[int]) -> tuple[list[int], int]:
         """Peel a top-down through the levels, while each level has an offset.
 
-        slacks[t] is level t's slack (0-based, finest first). Level t's
-        offset g is the multiple of its spacing nearest to the remainder,
-        kept when |remainder - g| <= slacks[t]; it is the only candidate
-        because callers keep slack below half the spacing. One divmod per
-        level gives both the quotient and the signed rest. Returns the
-        offsets peeled (coarsest first) and the remainder.
+        slacks[t] is the slack of the t-th level from the top (coarsest
+        first, as the peel walks, like reaches). Level t's offset g is the
+        multiple of its spacing nearest to the remainder, kept when
+        |remainder - g| <= slacks[t]; it is the only candidate because
+        callers keep slack below half the spacing. One divmod per level
+        gives both the quotient and the signed rest. Returns the offsets
+        peeled (coarsest first) and the remainder.
         """
         offsets: list[int] = []
-        for (m, k, _), room in zip(reversed(self._levels), reversed(slacks)):
-            h = m // 2
+        for (m, h, k), room in zip(self._peel_levels, slacks):
             q, rest = divmod(a + h, m)
             rest -= h
             if not (-k <= q <= k and -room <= rest <= room):
@@ -198,18 +202,8 @@ class AxisSumset:
     def _runs(self, lo: int, hi: int) -> list[tuple[int, int, int]]:
         """The values in [lo, hi] as increasing runs (first, last, step) of the finest level."""
         runs: list[tuple[int, int, int]] = []
-
-        def walk(top: int, base: int, lo: int, hi: int) -> None:
-            m, k, reach = self._levels[top - 1]
-            qa, qb = max(-((reach - lo) // m), -k), min((hi + reach) // m, k)
-            if top > 1:
-                for q in range(qa, qb + 1):
-                    walk(top - 1, base + q * m, lo - q * m, hi - q * m)
-            elif qa <= qb:
-                runs.append((base + qa * m, base + qb * m, m))
-
         if self._levels:
-            walk(len(self._levels), 0, lo, hi)
+            _walk_runs(self._levels, runs, len(self._levels), 0, lo, hi)
         elif lo <= 0 <= hi:
             runs.append((0, 0, 1))
         return runs
@@ -220,6 +214,23 @@ class AxisSumset:
         for first, last, m in self._runs(lo, hi):
             out.extend(range(first - origin, last - origin + 1, m))
         return out
+
+
+def _walk_runs(
+    levels: list[tuple[int, int, int]], runs: list[tuple[int, int, int]], top: int, base: int, lo: int, hi: int
+) -> None:
+    """Append the finest-level runs of base + (levels[:top] sumset) in base + [lo, hi] to runs.
+
+    A module-level function rather than a closure over AxisSumset._runs,
+    so a values call leaves no reference cycle behind.
+    """
+    m, k, reach = levels[top - 1]
+    qa, qb = max(-((reach - lo) // m), -k), min((hi + reach) // m, k)
+    if top > 1:
+        for q in range(qa, qb + 1):
+            _walk_runs(levels, runs, top - 1, base + q * m, lo - q * m, hi - q * m)
+    elif qa <= qb:
+        runs.append((base + qa * m, base + qb * m, m))
 
 
 # ---------------------------------------------------------------------------

@@ -481,12 +481,23 @@ def test_decompose_is_the_pair_of_axis_peels_on_the_extremes(variant):
             assert cs.decompose((x, y - 1), stage, sched) is None
 
 
-#: the two slack rules _peel runs under: decompose's reach of the finer
-#: levels, and locate_site's arrangement radius
+#: the two slack rules _peel runs under, each as the stored slack tuple a
+#: stage's peel reads (coarsest level first) and the oracles' rule per level:
+#: decompose's reach of the finer levels, and locate_site's arrangement radius
 SLACK_RULES = {
-    "decompose": lambda sched: lambda j: sched.r(j) - sched.r(1),
-    "locate_site": lambda sched: sched.arrangement_radius,
+    "decompose": (lambda sched, stage: sched.sumset(stage).reaches, lambda sched: lambda j: sched.r(j) - sched.r(1)),
+    "locate_site": (lambda sched, stage: sched._arrangement_slacks[stage - 1], lambda sched: sched.arrangement_radius),
 }
+
+
+@pytest.mark.parametrize("rule", SLACK_RULES)
+@pytest.mark.parametrize("variant", range(len(VARIANTS)))
+def test_stored_slacks_follow_the_slack_rules(variant, rule):
+    sched = VARIANTS[variant]
+    stored, slack_rule = SLACK_RULES[rule]
+    slack = slack_rule(sched)
+    for stage in range(1, sched.stages + 1):
+        assert stored(sched, stage) == tuple(slack(j) for j in range(stage - 1, 0, -1))
 
 
 @pytest.mark.parametrize("rule", SLACK_RULES)
@@ -495,13 +506,15 @@ def test_peel_per_axis_matches_2d_peel_on_the_extremes(variant, rule):
     # one step off a core site stops that coordinate's peel at some level
     # while the other coordinate peels on, so the kept depths differ
     sched = VARIANTS[variant]
-    slack = SLACK_RULES[rule](sched)
+    stored, slack_rule = SLACK_RULES[rule]
+    slack = slack_rule(sched)
     for stage in range(2, sched.stages + 1):
+        sumset, slacks = sched.sumset(stage), stored(sched, stage)
         axis = expcli.axis_extremes(sched, stage)
         for xs, ys in zip(axis, reversed(axis)):
             x, y = sum(xs), sum(ys)
             for w in ((x, y), (x + 1, y), (x, y - 1), (x - 1, y + 1)):
-                assert cs._peel(w, stage, sched, slack) == peel_2d(w, stage, sched, slack)
+                assert cs._peel(w, sumset, slacks) == peel_2d(w, stage, sched, slack)
 
 
 @pytest.mark.parametrize("rule", SLACK_RULES)
@@ -510,9 +523,10 @@ def test_axis_peel_matches_the_level_by_level_peel_on_the_extremes(variant, rule
     # on the sumset at every extreme address, one step off it either side,
     # and one top spacing away, where a top quotient of +-k becomes +-(k + 1)
     sched = VARIANTS[variant]
-    slack = SLACK_RULES[rule](sched)
+    stored, slack_rule = SLACK_RULES[rule]
+    slack = slack_rule(sched)
     for stage in range(1, sched.stages + 1):
-        axis, slacks = sched.sumset(stage), [slack(j) for j in range(1, stage)]
+        axis, slacks = sched.sumset(stage), stored(sched, stage)
         top = sched.m(stage - 1) if stage > 1 else 0
         for xs in expcli.axis_extremes(sched, stage):
             a = sum(xs)
@@ -529,13 +543,13 @@ def test_axis_peel_matches_the_level_by_level_peel_on_the_extremes(variant, rule
 def test_axis_peel_matches_the_level_by_level_peel_off_the_sumset(variant, rule, data):
     # anywhere in and around the stage arrangement, and at a level's gap midpoint
     sched = VARIANTS[variant]
-    slack = SLACK_RULES[rule](sched)
+    stored, slack_rule = SLACK_RULES[rule]
     stage = data.draw(st.integers(1, sched.stages))
     core = sum(g[0] for g in data.draw(addresses(sched, stage)))
     r = sched.r(stage)
     gaps = [sched.m(j) // 2 for j in range(1, stage)] or [0]
     a = data.draw(st.integers(-r - 2, r + 2) | st.integers(-3, 3).map(lambda d: core + d) | st.sampled_from(gaps).map(lambda h: core + h))
-    assert sched.sumset(stage).peel(a, [slack(j) for j in range(1, stage)]) == axis_peel(a, stage, sched, slack)
+    assert sched.sumset(stage).peel(a, stored(sched, stage)) == axis_peel(a, stage, sched, slack_rule(sched))
 
 
 @pytest.mark.parametrize("rule", SLACK_RULES)
@@ -544,12 +558,12 @@ def test_axis_peel_matches_the_level_by_level_peel_off_the_sumset(variant, rule,
 @given(data=st.data())
 def test_peel_per_axis_matches_2d_peel_at_random_sites(variant, rule, data):
     sched = VARIANTS[variant]
-    slack = SLACK_RULES[rule](sched)
+    stored, slack_rule = SLACK_RULES[rule]
     stage = data.draw(st.integers(1, sched.stages))
     core = cs.compose(data.draw(addresses(sched, stage)), sched)
     jitter = st.integers(-3, 3) | st.integers(-sched.r(stage), sched.r(stage))
     w = (core[0] + data.draw(jitter), core[1] + data.draw(jitter))
-    assert cs._peel(w, stage, sched, slack) == peel_2d(w, stage, sched, slack)
+    assert cs._peel(w, sched.sumset(stage), stored(sched, stage)) == peel_2d(w, stage, sched, slack_rule(sched))
 
 
 @pytest.mark.parametrize("variant", range(len(VARIANTS)))

@@ -202,6 +202,7 @@ def _run_cli(*args: str, cwd: Path):
         ({"c.json": '{"kind": "cover", "epsilons": ["-1"], "sample_size": 4}'}, ("cover", "--config", "c.json", "--out", "o")),
         ({"c.json": '{"kind": "recur", "scales": []}'}, ("recur", "--config", "c.json", "--out", "o")),
         ({"c.json": '{"kind": "cover", "epsilons": [], "sample_size": 4}'}, ("cover", "--config", "c.json", "--out", "o")),
+        ({}, ("cover", "--sample-size", str(covernum.EXACT_COVER_LIMIT + 1), "--out", "o")),
     ],
     ids=[
         "fit-row",
@@ -256,6 +257,7 @@ def _run_cli(*args: str, cwd: Path):
         "config-epsilons-negative",
         "config-scales-empty",
         "config-epsilons-empty",
+        "cover-size-above-exact-limit",
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, files, args):
@@ -465,7 +467,10 @@ def test_planted_top_level_peel_defect_fails_roundtrip(monkeypatch, spec):
     report = expcli.Report(config={})
     expcli.variant_suite(report, sched, "v")
     (roundtrip,) = [v for v in report.verdicts if v.name == "v/decompose-roundtrip"]
-    assert roundtrip.status == "fail" and roundtrip.details["failures"] > 0
+    # exactly the 5^(top - 1) extremes whose top quotient is -k fail; each
+    # shares its site with its mirror (top quotient +k), which still passes,
+    # so a failed site is judged per coordinate
+    assert roundtrip.status == "fail" and roundtrip.details["failures"] == 5 ** (top - 1)
 
 
 @pytest.mark.parametrize("spec", expcli.DEFAULT_VARIANTS)
@@ -479,8 +484,9 @@ def test_planted_short_slack_fails_roundtrip(monkeypatch, spec):
     peel = cutstack._peel
     for level in range(1, top + 1):
 
-        def planted(w, stage, sched, slack, level=level):
-            return peel(w, stage, sched, lambda j: slack(j) - (j == level))
+        def planted(w, axis, slacks, level=level):
+            # slacks run coarsest first, so level j's slack is slacks[len(slacks) - j]
+            return peel(w, axis, tuple(slack - (len(slacks) - t == level) for t, slack in enumerate(slacks)))
 
         monkeypatch.setattr(cutstack, "_peel", planted)
         report = expcli.Report(config={})
@@ -488,6 +494,30 @@ def test_planted_short_slack_fails_roundtrip(monkeypatch, spec):
         (roundtrip,) = [v for v in report.verdicts if v.name == "v/decompose-roundtrip"]
         expected = 5**top if level == 1 else 2 * 5 ** (top - level + 1)
         assert roundtrip.status == "fail" and roundtrip.details["failures"] == expected, level
+
+
+@pytest.mark.parametrize("spec", expcli.DEFAULT_VARIANTS)
+def test_roundtrip_sends_two_extremes_per_site(monkeypatch, spec):
+    # extreme i on x and its mirror -1-i on y, the middle extreme alone:
+    # ceil(5^top / 2) decompose calls carry each of the 5^top extremes once
+    sched = expcli.schedule_from_spec(spec)
+    top = sched.stages - 1
+    sites = []
+    decompose = cutstack.decompose
+
+    def recording(v, stage, sched):
+        sites.append(v)
+        return decompose(v, stage, sched)
+
+    monkeypatch.setattr(cutstack, "decompose", recording)
+    report = expcli.Report(config={})
+    expcli.variant_suite(report, sched, "v")
+    (roundtrip,) = [v for v in report.verdicts if v.name == "v/decompose-roundtrip"]
+    assert roundtrip.status == "pass" and roundtrip.details["trials"] == 5**top
+    assert len(sites) == -(-(5**top) // 2)
+    # every extreme's site on one coordinate, plus the middle site's y = 0
+    extremes = [sum(xs) for xs in expcli.axis_extremes(sched, sched.stages)]
+    assert sorted(c for v in sites for c in v) == sorted([0, *extremes])
 
 
 @pytest.mark.parametrize("spec", expcli.DEFAULT_VARIANTS)
