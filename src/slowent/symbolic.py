@@ -1,6 +1,8 @@
 """Full-shift machinery: radius-0 codes as symbol tables, the fair two-letter
 overlay on core sites, the erasure factor map, and Hamming-ball covering
-lower bounds.
+lower bounds with the first-fit families that realize them: over the whole
+cube by lexicode doubling on a 2^length-bit set, over a word list by a
+scan of a 2^length-byte table.
 
 Symbol ids follow `lattice.SYMBOL_NAMES`: 0 and 1 for the base colors, 2
 and 3 for the overlay letters a and b.
@@ -103,20 +105,23 @@ def gv_rate_deficit(core_size: int, eps: Fraction) -> float:
 def separated_words_first_fit(length: int, min_distance: int, words: list[int] | None = None) -> int:
     """First-fit maximal family of binary words at pairwise Hamming distance >= min_distance.
 
-    Scans `words` in order (the whole cube in numeric order when None),
-    blocking the radius (min_distance - 1) ball around each kept word; over
-    the cube this realizes the sphere-covering bound constructively. The
-    blocked table takes 2^length bytes in either mode.
+    Scans `words` in order, blocking the radius (min_distance - 1) ball
+    around each kept word in a table of 2^length bytes. With `words` None
+    the family is the first fit over the whole cube in numeric order, which
+    realizes the sphere-covering bound constructively. That family is a
+    lexicode, and lexicodes are linear (Conway & Sloane 1986, Brualdi &
+    Pless 1993), so `_lexicode_size` builds it by doubling in a table of
+    2^length bits, with no scan.
     """
     if min_distance < 1:
         raise UsageError(f"min_distance must be >= 1, got {min_distance}")
-    size = 1 << length
+    ball = _ball_masks(length, min_distance - 1)
     if words is None:
-        words = range(size)
-    elif any(not 0 <= w < size for w in words):
+        return _lexicode_size(length, ball)
+    size = 1 << length
+    if any(not 0 <= w < size for w in words):
         raise UsageError(f"words must lie in [0, 2^{length})")
     blocked = bytearray(size)
-    ball = _ball_masks(length, min_distance - 1)
     kept = 0
     for w in words:
         if blocked[w]:
@@ -125,6 +130,45 @@ def separated_words_first_fit(length: int, min_distance: int, words: list[int] |
         for mask in ball:
             blocked[w ^ mask] = 1
     return kept
+
+
+def _lexicode_size(length: int, ball: list[int]) -> int:
+    """Size of the numeric-order first fit over the cube, where `ball` holds
+    the masks of a Hamming ball about 0.
+
+    The fit's family is linear, so once the fit has passed [0, 2^k) it is a
+    code C, and `near`, the words within the ball of C, is one 2^length-bit
+    int. In [2^k, 2^(k+1)) the fit keeps v, the lowest word not in `near`,
+    and then every v ^ c for c in C: C doubles, and `near` gains its
+    translate by v. That translate swaps blocks of 2^b bits for each set
+    bit b of v, one shift-and-mask pair each.
+    """
+    size = 1 << length
+    keeps = []  # keeps[b]: the words whose bit b is clear
+    for b in range(length):
+        half = 1 << b
+        keep, width = (1 << half) - 1, 2 * half
+        while width < size:
+            keep |= keep << width
+            width <<= 1
+        keeps.append(keep)
+    near = 0
+    for mask in ball:
+        near |= 1 << mask
+    dim = 0
+    for k in range(length):
+        lo = 1 << k
+        free = ~near >> lo & ((1 << lo) - 1)
+        if not free:
+            continue
+        v = lo | ((free & -free).bit_length() - 1)
+        moved = near
+        for b in range(k + 1):
+            if v >> b & 1:
+                moved = (moved & keeps[b]) << (1 << b) | moved >> (1 << b) & keeps[b]
+        near |= moved
+        dim += 1
+    return 1 << dim
 
 
 def _ball_masks(length: int, radius: int) -> list[int]:

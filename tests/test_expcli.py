@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import slowent
-from slowent import cli, covernum, cutstack, expcli, lattice, recurrence, symbolic, toys
+from slowent import cli, covernum, cutstack, expcli, lattice, recurrence, rng, symbolic, toys
 from slowent.lattice import UsageError, pattern_distance
 
 from oracles import (
@@ -648,6 +648,23 @@ def test_planted_wide_ball_fails_gv_exhaustive(monkeypatch):
     assert gv.status == "fail" and (gv.details["family"], gv.details["gv_bound"]) == (2048, 3855)
 
 
+def test_planted_low_byte_draws_fail_gv_sampled(monkeypatch):
+    # overlay-word draws cut to their low 8 bits: 2,000 names drawn from
+    # only 2^8 words keep a family below 2^8, while the cube's still holds
+    draw = rng.uniform_int
+
+    def low_byte_words(seed, tag, *indices, **bounds):
+        value = draw(seed, tag, *indices, **bounds)
+        return value & 0xFF if tag == "overlay-word" else value
+
+    monkeypatch.setattr(rng, "uniform_int", low_byte_words)
+    report = expcli.run_overlay(expcli.config_from_json({"kind": "overlay", "seed": 2024, "sample_size": 2000}))
+    gv = {v.name: v for v in report.verdicts if v.name.startswith("gv-")}
+    assert gv["gv-exhaustive"].status == "pass"
+    sampled = gv["gv-sampled"]
+    assert sampled.status == "fail" and (sampled.details["sampled_names"], sampled.details["family"]) == (2000, 65)
+
+
 def test_planted_lagging_stage_area_fails_mass_increasing(monkeypatch):
     # stage i >= 3 laid out over Q_{r(i-1)}: the stage-3 mass is the stage-2
     # area at a thinner width, so the masses fall where the gapped variants
@@ -979,6 +996,7 @@ PLANTED = {
     "stage2-census": test_planted_decoder_shift_fails_stage2_census,
     "cover-sandwich": test_planted_greedy_undercount_fails_cover_sandwich,
     "gv-exhaustive": test_planted_wide_ball_fails_gv_exhaustive,
+    "gv-sampled": test_planted_low_byte_draws_fail_gv_sampled,
     "mass-increasing": test_planted_lagging_stage_area_fails_mass_increasing,
     "alpha-vs-theta": test_planted_whole_window_count_fails_alpha_vs_theta,
     "gamma-exponent-vs-theta": test_planted_box_level_size_fails_gamma_exponent_vs_theta,
@@ -989,7 +1007,6 @@ PLANTED = {
 UNPLANTED = {
     "core-mass",
     "rho-alpha-bound",
-    "gv-sampled",
     "lipschitz-orbit-bound",
     "bowen-lipschitz-growth",
 }

@@ -263,11 +263,17 @@ def test_separated_words_matches_brute(length, min_distance, data):
     assert separated_words_first_fit(length, min_distance, words) == brute_separated_words(min_distance, words)
 
 
-@pytest.mark.parametrize("length", range(1, 9))
+@pytest.mark.parametrize("length", [*range(1, 13), 16])
 def test_separated_words_cube_matches_brute(length):
-    for d in range(1, 5):
-        cube = range(1 << length)
-        assert separated_words_first_fit(length, d) == brute_separated_words(d, cube)
+    # the cube mode doubles a lexicode; the list-mode scan over the whole
+    # cube in numeric order is its oracle, and the pairwise brute force
+    # checks both where it is affordable
+    cube = range(1 << length)
+    for d in range(1, length + 2 if length <= 12 else 6):
+        family = separated_words_first_fit(length, d)
+        assert family == separated_words_first_fit(length, d, cube), d
+        if length <= 8:
+            assert family == brute_separated_words(d, cube), d
 
 
 def test_separated_words_rejects_bad_input():
