@@ -267,9 +267,10 @@ def test_separated_words_matches_brute(length, min_distance, data):
 def test_separated_words_cube_matches_brute(length):
     # the cube mode doubles a lexicode; the list-mode scan over the whole
     # cube in numeric order is its oracle, and the pairwise brute force
-    # checks both where it is affordable
+    # checks both where it is affordable; d runs past length + 1 at the
+    # short lengths, where the ball covers the cube and the family is 1
     cube = range(1 << length)
-    for d in range(1, length + 2 if length <= 12 else 6):
+    for d in range(1, max(5, length + 2) if length <= 12 else 6):
         family = separated_words_first_fit(length, d)
         assert family == separated_words_first_fit(length, d, cube), d
         if length <= 8:
