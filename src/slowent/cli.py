@@ -148,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (UsageError, cutstack.StageCapError, OSError, json.JSONDecodeError) as exc:
+    except (UsageError, cutstack.StageCapError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

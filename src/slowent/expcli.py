@@ -659,18 +659,16 @@ def run_ratio_et(config: ExperimentConfig) -> Report:
     report = Report(config=_canonical(config))
     n = 5000
     sched = config.schedule()
-    ledger = cutstack.mass_ledger(sched, min(3, sched.stages))
+    points = sample_points(sched, 3, config.sample_size, config.seed)  # refuses fewer than 3 stages
+    ledger = cutstack.mass_ledger(sched, 2)
     target = ledger.mu_core(2) / ledger.new_mass(2)
-    points = sample_points(sched, 3, config.sample_size, config.seed)
     rows = []
-    ratios = []
     for i, p in enumerate(points):
         visits_core = cutstack.count_provenance_leq(p, n, 1)
         visits_stage2 = cutstack.count_provenance_leq(p, n, 2) - visits_core
         ratio = visits_core / visits_stage2 if visits_stage2 else float("inf")
-        ratios.append(ratio)
         rows.append({"point_id": i, "n": n, "core_visits": visits_core, "stage2_visits": visits_stage2, "ratio": ratio})
-    med = statistics.median(ratios)
+    med = statistics.median(row["ratio"] for row in rows)
     ok = abs(med - float(target)) <= 0.15 * float(target)
     report.claim(Claim.RATIO_ERGODIC, ok, n=n, median_ratio=med, ledger_ratio=float(target), points=len(points))
     report.tables["ratio_et"] = rows

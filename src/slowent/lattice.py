@@ -131,8 +131,8 @@ class AxisSumset:
 
     Levels are given as (spacing, radius) pairs, finest first. Every spacing
     must exceed twice the reach s_1 + ... + s_{j-1} of the finer levels, so
-    each value has exactly one decomposition into per-level offsets. All
-    traversals visit only the level offsets whose copies meet the window.
+    each value has exactly one decomposition into per-level offsets. count_sum
+    and values both read _copies, and only a window's partial end copies recurse.
     """
 
     def __init__(self, levels: Iterable[tuple[int, int]]) -> None:
@@ -183,30 +183,49 @@ class AxisSumset:
             return self._size[top], 0  # the window covers the whole, symmetric set
         if top == 0:
             return 0, 0
-        m, k, reach = self._levels[top - 1]
-        size = self._size[top - 1]
-        qa, qb = max(-((reach - lo) // m), -k), min((hi + reach) // m, k)
-        # copies q*m + (finer set) that lie wholly inside the window are
-        # counted in closed form; only the partial copies at the ends recurse
-        fa, fb = max(qa, -((-lo - reach) // m)), min(qb, (hi - reach) // m)
-        if fa > fb:
-            fa, fb = qb + 1, qb
-        whole = fb - fa + 1
+        m, qa, qb, fa, fb = self._copies(top, lo, hi)
+        size, whole = self._size[top - 1], fb - fa + 1
         count, total = whole * size, size * m * (fa + fb) * whole // 2
         for q in (*range(qa, fa), *range(fb + 1, qb + 1)):
             c, s = self._count_sum(top - 1, lo - q * m, hi - q * m)
-            count += c
-            total += s + q * m * c
+            count, total = count + c, total + s + q * m * c
         return count, total
+
+    def _copies(self, top: int, lo: int, hi: int) -> tuple[int, int, int, int, int]:
+        """(m, qa, qb, fa, fb): level top's spacing; its copies q*m + (levels[:top - 1] sumset)
+        that meet [lo, hi] are qa..qb, and those inside it fa..fb (qb + 1..qb when none)."""
+        m, k, reach = self._levels[top - 1]
+        qa, qb = max(-((reach - lo) // m), -k), min((hi + reach) // m, k)
+        fa, fb = max(qa, -((-lo - reach) // m)), min(qb, (hi - reach) // m)
+        return (m, qa, qb, fa, fb) if fa <= fb else (m, qa, qb, qb + 1, qb)
 
     def _runs(self, lo: int, hi: int) -> list[tuple[int, int, int]]:
         """The values in [lo, hi] as increasing runs (first, last, step) of the finest level."""
         runs: list[tuple[int, int, int]] = []
         if self._levels:
-            _walk_runs(self._levels, runs, len(self._levels), 0, lo, hi)
+            self._walk_runs(runs, {}, len(self._levels), 0, lo, hi)
         elif lo <= 0 <= hi:
             runs.append((0, 0, 1))
         return runs
+
+    def _walk_runs(self, runs: list, full: dict[int, list], top: int, base: int, lo: int, hi: int) -> None:
+        """Append the finest-level runs of base + (levels[:top] sumset) in base + [lo, hi] to runs.
+
+        full[t] holds the whole levels[:t] sumset's runs, built once a _runs call for its whole copies.
+        """
+        m, qa, qb, fa, fb = self._copies(top, lo, hi)
+        if top == 1:
+            if qa <= qb:
+                runs.append((base + qa * m, base + qb * m, m))
+            return
+        if fa <= fb and top - 1 not in full:
+            self._walk_runs(full.setdefault(top - 1, []), full, top - 1, 0, -self._reach[top - 1], self._reach[top - 1])
+        for q in range(qa, qb + 1):
+            d = base + q * m
+            if fa <= q <= fb:
+                runs.extend([(first + d, last + d, step) for first, last, step in full[top - 1]])
+            else:
+                self._walk_runs(runs, full, top - 1, d, lo - q * m, hi - q * m)
 
     def values(self, lo: int, hi: int, origin: int = 0) -> list[int]:
         """Sorted values in [lo, hi], as offsets from origin."""
@@ -214,23 +233,6 @@ class AxisSumset:
         for first, last, m in self._runs(lo, hi):
             out.extend(range(first - origin, last - origin + 1, m))
         return out
-
-
-def _walk_runs(
-    levels: list[tuple[int, int, int]], runs: list[tuple[int, int, int]], top: int, base: int, lo: int, hi: int
-) -> None:
-    """Append the finest-level runs of base + (levels[:top] sumset) in base + [lo, hi] to runs.
-
-    A module-level function rather than a closure over AxisSumset._runs,
-    so a values call leaves no reference cycle behind.
-    """
-    m, k, reach = levels[top - 1]
-    qa, qb = max(-((reach - lo) // m), -k), min((hi + reach) // m, k)
-    if top > 1:
-        for q in range(qa, qb + 1):
-            _walk_runs(levels, runs, top - 1, base + q * m, lo - q * m, hi - q * m)
-    elif qa <= qb:
-        runs.append((base + qa * m, base + qb * m, m))
 
 
 # ---------------------------------------------------------------------------

@@ -270,6 +270,32 @@ def test_cli_bad_input_exits_2(tmp_path, files, args):
 
 
 @pytest.mark.parametrize(
+    "args",
+    [
+        ("schedule", "check", "s.txt"),
+        ("cover", "--config", "s.txt", "--out", "o"),
+        ("fit", "s.txt", "--out", "fo"),
+        ("recur", "--schedule-file", "s.txt", "--out", "o"),
+        ("cover", "--config", "c.json", "--out", "o"),
+    ],
+    ids=["schedule-check", "config", "fit", "schedule-file", "config-schedule-file"],
+)
+def test_cli_non_utf8_file_exits_2(tmp_path, monkeypatch, capsys, args):
+    # a UTF-16 file starts with the bytes ff fe, which UTF-8 cannot decode
+    (tmp_path / "s.txt").write_bytes("theta 1/3\nc 2\nr 1 1\nr 2 28\n".encode("utf-16"))
+    (tmp_path / "c.json").write_text('{"kind": "cover", "schedule": {"file": "s.txt"}}')
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(list(args)) == 2
+    assert "usage error:" in capsys.readouterr().err
+
+
+def test_cli_ratio_et_on_a_one_stage_schedule_exits_2(tmp_path, capsys):
+    # the ratio samples stage-3 points, so a schedule of fewer stages is a usage error
+    assert cli.main(["ratio-et", "--stages", "1", "--out", str(tmp_path)]) == 2
+    assert "usage error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "command, flag",
     [
         (command, flag)

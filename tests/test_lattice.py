@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slowent import cutstack as cs
-from slowent import rng
+from slowent import expcli, rng
 from slowent.lattice import (
     AxisSumset,
     Box,
@@ -198,6 +198,30 @@ def test_axis_values_leave_no_garbage(sched_default):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_axis_runs_recurse_at_most_three_times_a_level(monkeypatch):
+    # whole copies translate one list of the finer sumset's runs and only the
+    # partial copies at the window's two ends recurse: per level at most the
+    # two ends and one build of the finer sumset, not one call per copy met
+    calls = []
+    walk = AxisSumset._walk_runs
+
+    def counted(self, *args):
+        calls.append(args)
+        return walk(self, *args)
+
+    monkeypatch.setattr(AxisSumset, "_walk_runs", counted)
+    for spec in expcli.DEFAULT_VARIANTS:
+        sched = expcli.schedule_from_spec(spec)
+        for stage in range(2, 7):
+            axis = sched.sumset(stage)
+            for seed in range(4):
+                for u in cs.sample_point(sched, stage, seed).position_at(stage):
+                    for n in (0, 1, 7, 60, 500, 4_000, 50_000):
+                        calls.clear()
+                        axis.values(u - n, u + n)
+                        assert len(calls) <= 3 * (stage - 1) + 1, (spec, stage, u, n)
 
 
 def test_grid_membership(sched_default):
