@@ -211,7 +211,7 @@ class AxisSumset:
     def _walk_runs(self, runs: list, full: dict[int, list], top: int, base: int, lo: int, hi: int) -> None:
         """Append the finest-level runs of base + (levels[:top] sumset) in base + [lo, hi] to runs.
 
-        full[t] holds the whole levels[:t] sumset's runs, built once a _runs call for its whole copies.
+        full[t] holds the runs of the whole levels[:t] sumset, built once per _runs call.
         """
         m, qa, qb, fa, fb = self._copies(top, lo, hi)
         if top == 1:
