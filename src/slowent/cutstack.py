@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import rng
-from .lattice import AxisSumset, Box, Pattern, Site, UsageError, site_add, sup_norm
+from .lattice import AxisSumset, Box, Pattern, Site, UsageError, box_site_count, site_add, sup_norm
 
 
 class StageCapError(RuntimeError):
@@ -428,12 +428,12 @@ def capped_window_axes(point: PointHandle, n: int) -> tuple[list[int], list[int]
     """window_axes for callers whose result stands for the X x Y product (names, recurrence sets).
 
     Raises UsageError, before anything is materialized, when the window
-    holds more than GENERIC_CELL_CAP 1-cells. The window's stage and
+    holds more than GENERIC_CELL_CAP 1-cells. The cells are counted only
+    when the box itself holds more than the cap. The window's stage and
     position are resolved once, for both the count and the axes.
     """
     axis, u = _window(point, n)
-    count = _count(axis, u, n)
-    if count > GENERIC_CELL_CAP:
+    if box_site_count(n) > GENERIC_CELL_CAP and (count := _count(axis, u, n)) > GENERIC_CELL_CAP:
         raise UsageError(f"window Q_{n} holds {count} core cells, above the cap of {GENERIC_CELL_CAP}")
     return _axes(axis, u, n)
 

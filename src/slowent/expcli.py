@@ -640,14 +640,15 @@ def run_overlay(config: ExperimentConfig) -> Report:
     words = [rng.uniform_int(config.seed, "overlay-word", i, lo=0, hi=(1 << core_size) - 1) for i in range(config.sample_size)]
     sampled = symbolic.separated_words_first_fit(core_size, min_dist, words)
     report.claim(Claim.GV_SAMPLED, sampled >= family_target, sampled_names=len(words), family=sampled)
-    # erasure factor identity on random points and radii
+    # erasure factor identity on random points and radii: the overlay's
+    # default 0 and its letters on X x Y must erase to the base name's 0 and 1s
     bad = 0
     cases = min(config.sample_size, 1000)
     for i in range(cases):
         p = cutstack.sample_point(sched, 3, rng.derive_seed(config.seed, "ov-point", i))
         n = rng.uniform_int(config.seed, "ov-radius", i, lo=0, hi=27)
-        base, overlay = symbolic.overlay_name(p, n)
-        if symbolic.apply_code(symbolic.ERASURE, overlay) != base:
+        _, _, letters = symbolic.overlay_name(p, n)
+        if symbolic.apply_code(symbolic.ERASURE, b"\0" + letters) != b"\0" + b"\1" * len(letters):
             bad += 1
     report.claim(Claim.ERASURE_IDENTITY, bad == 0, cases=cases, failures=bad)
     report.exponents["gv_rate_deficit"] = symbolic.gv_rate_deficit(core_size, eps)

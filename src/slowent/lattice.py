@@ -64,9 +64,7 @@ class Pattern:
     The constructor checks each cell in one pass: a site (x, y) inside the
     box on both axes, carrying a symbol other than the default.
     Pattern.product builds the two-color name over a product X x Y and
-    checks the box per axis instead, in |X| + |Y| steps. Pattern.unchecked
-    skips the check, for cells whose sites come from a checked pattern on
-    the same box and whose symbols differ from the default by construction.
+    checks the box per axis instead, in |X| + |Y| steps.
     """
 
     box: Box
@@ -89,13 +87,8 @@ class Pattern:
         for axis in (xs, ys):
             if axis and (min(axis) < -r or max(axis) > r):
                 raise UsageError(f"axis values {min(axis)}..{max(axis)} outside box Q_{r}")
-        return cls.unchecked(box, 0, dict.fromkeys(itertools.product(xs, ys), 1))
-
-    @classmethod
-    def unchecked(cls, box: Box, default_symbol: int, cells: dict[Site, int]) -> Pattern:
-        """The pattern with these fields, built without the constructor's cell check."""
         pattern = cls.__new__(cls)
-        pattern.box, pattern.default_symbol, pattern.cells = box, default_symbol, cells
+        pattern.box, pattern.default_symbol, pattern.cells = box, 0, dict.fromkeys(itertools.product(xs, ys), 1)
         return pattern
 
 

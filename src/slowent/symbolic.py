@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import cutstack, rng
 from .cutstack import PointHandle
-from .lattice import Box, Pattern, UsageError
+from .lattice import UsageError
 
 A_SYMBOL = 2
 B_SYMBOL = 3
@@ -28,29 +28,31 @@ LETTERS = bytes([A_SYMBOL, B_SYMBOL, *range(2, 256)])
 ERASURE = {0: 0, 1: 1, A_SYMBOL: 1, B_SYMBOL: 1}
 
 
-def apply_code(table: dict[int, int], pattern: Pattern) -> Pattern:
-    """Map the symbol at every site, the default included, through a radius-0
-    code's symbol table, on the same box.
+def apply_code(table: dict[int, int], symbols: bytes) -> bytes:
+    """Map each symbol of a byte string through a radius-0 code's symbol table.
 
-    Default sites map to the image of the default, so the sparse result
-    costs O(support), not O(box). The result keeps only the input's sites
-    and only symbols other than its default, so it needs no cell check.
+    One bytes.translate maps the string and deletes every symbol the table
+    lacks, so a shorter result means an unmapped symbol. An image outside
+    0..255 is refused, since no byte can carry it.
     """
-    try:
-        default_out = table[pattern.default_symbol]
-        cells = {u: out for u, sym in pattern.cells.items() if (out := table[sym]) != default_out}
-    except KeyError as exc:
-        raise UsageError(f"symbol {exc.args[0]} is not mapped by the code") from None
-    return Pattern.unchecked(pattern.box, default_out, cells)
+    images = bytearray(256)
+    for sym, out in table.items():
+        if not 0 <= out <= 255:
+            raise UsageError(f"the code maps symbol {sym} to {out}, outside 0..255")
+        images[sym] = out
+    out = symbols.translate(images, bytes(range(256)).translate(None, bytes(table)))
+    if len(out) != len(symbols):
+        raise UsageError(f"symbol {next(sym for sym in symbols if sym not in table)} is not mapped by the code")
+    return out
 
 
-def overlay_name(point: PointHandle, n: int) -> tuple[Pattern, Pattern]:
-    """The point's base name of radius n and the overlay name sampled on it.
+def overlay_name(point: PointHandle, n: int) -> tuple[list[int], list[int], bytes]:
+    """The point's overlay name of radius n as (xs, ys, letters).
 
-    The base is `cutstack.name01(point, n)`, the product X x Y of the
-    window's axes; the overlay is the pattern over {0, a, b} that puts a
-    fair letter on every 1-cell of the base, its cells in the base's order.
-    The window is resolved once, for both.
+    The base name is the product X x Y of the window's axes xs, ys, one
+    window resolution through `cutstack.capped_window_axes`; `letters`
+    holds the fair letter, a or b, of each of its 1-cells, x-major, in
+    `Pattern.product`'s cell order. Every other site of Q_n is 0.
 
     A letter is keyed by the overlay seed and the site's offset from the
     point, which is the same site in every nested window, so one point's
@@ -58,9 +60,7 @@ def overlay_name(point: PointHandle, n: int) -> tuple[Pattern, Pattern]:
     carry independent letter streams.
     """
     xs, ys = cutstack.capped_window_axes(point, n)
-    base = Pattern.product(Box(n), xs, ys)
-    bits = rng.fair_bits(point.overlay_seed, "overlay-bit", xs, ys)
-    return base, Pattern.unchecked(base.box, 0, dict(zip(base.cells, bits.translate(LETTERS))))
+    return xs, ys, rng.fair_bits(point.overlay_seed, "overlay-bit", xs, ys).translate(LETTERS)
 
 
 # ---------------------------------------------------------------------------

@@ -406,6 +406,17 @@ def refine_by_offsets(base: Pattern, offsets) -> Pattern:
     return Pattern(box, 0, cells)
 
 
+def overlay_pattern(xs, ys, letters: bytes, n: int) -> Pattern:
+    """The {0, a, b} pattern on Q_n of a factored overlay name (xs, ys, letters):
+    letters[k] on the k-th site of xs x ys, x-major, and 0 on every other site.
+
+    Built by the checked constructor, so a site outside Q_n or a stored 0 is refused.
+    """
+    sites = list(product(xs, ys))
+    assert len(sites) == len(letters), (len(sites), len(letters))
+    return Pattern(Box(n), 0, dict(zip(sites, letters)))
+
+
 def pattern_from_text(text: str) -> Pattern:
     """Read the text form that lattice.pattern_to_text writes (and `slowent names` prints)."""
     symbol_ids = {name: sym for sym, name in SYMBOL_NAMES.items()}

@@ -22,7 +22,7 @@ from slowent import cli, covernum, cutstack as cs, expcli, recurrence as rec, rn
 from slowent.covernum import alpha_fit, alpha_pointwise
 from slowent.lattice import Box, Pattern, box_site_count, pattern_distance
 
-from oracles import brute_gamma, gamma_axis, refine_by_offsets, restricted
+from oracles import brute_gamma, gamma_axis, overlay_pattern, refine_by_offsets, restricted
 
 SEED = 20240801
 
@@ -307,12 +307,14 @@ def test_criterion_9_overlay_lower_bound(sched_default):
     ]
     sampled = sym.separated_words_first_fit(core_size, min_dist, words)
     assert sampled >= 2**8
+    # erasure keeps the default 0, so it is checked on the letters of X x Y alone
+    assert sym.apply_code(sym.ERASURE, bytes(1)) == bytes(1)
     failures = 0
     for i in range(1000):
         p = cs.sample_point(sched_default, 3, seed=rng.derive_seed(SEED, "c9pt", i))
         n = rng.uniform_int(SEED, "c9n", i, lo=0, hi=27)
-        _, overlay = sym.overlay_name(p, n)
-        if sym.apply_code(sym.ERASURE, overlay) != cs.name01(p, n):
+        xs, ys, letters = sym.overlay_name(p, n)
+        if overlay_pattern(xs, ys, sym.apply_code(sym.ERASURE, letters), n) != cs.name01(p, n):
             failures += 1
     assert failures == 0
     _report(

@@ -22,6 +22,7 @@ from oracles import (
     gamma_axis,
     in_gamma,
     merged_provenance_count,
+    overlay_pattern,
     peel_2d,
     position_from_levels,
     restricted,
@@ -764,7 +765,7 @@ def test_point_setup_draws_only_its_offsets(monkeypatch):
             p = cs.sample_point(sched, 3, seed)
             cs.core_count(p, 0)
             assert calls == {"uniform_int": 4, "stream_u64": 0}
-            _, name = overlay_name(p, 27)
+            name = overlay_pattern(*overlay_name(p, 27), 27)
             assert calls == {"uniform_int": 4, "stream_u64": 1}
             overlay_name(p, 27)
             assert calls["stream_u64"] == 1

@@ -622,6 +622,14 @@ def test_planted_erasure_defect_fails_erasure_identity(monkeypatch):
     assert erasure.status == "fail" and erasure.details == {"cases": 1000, "failures": 938}
 
 
+def test_planted_default_defect_fails_erasure_identity(monkeypatch):
+    # an erasure code that maps the default 0 to 1 paints every site off X x Y,
+    # so no case recovers its base name, whatever its letters
+    monkeypatch.setattr(symbolic, "ERASURE", {0: 1, 1: 1, symbolic.A_SYMBOL: 1, symbolic.B_SYMBOL: 1})
+    erasure = _global_verdict(monkeypatch, "global/erasure-identity")
+    assert erasure.status == "fail" and erasure.details == {"cases": 1000, "failures": 1000}
+
+
 def test_planted_unthickened_provenance_fails_ratio_ergodic(monkeypatch):
     # provenance counts that drop the thickening count only the centres of
     # the stage-p copies, so "stage <= 2" reads fewer sites than "stage <= 1"
@@ -746,6 +754,13 @@ def test_cover_at_windows_near_the_cell_cap_stays_small(tmp_path, capsys):
     verdicts = json.loads((tmp_path / "o" / "report.json").read_text())["verdicts"]
     assert verdicts and all(v["status"] == "pass" for v in verdicts)
     assert peak < 64 * 2**20
+
+
+def test_cover_past_the_cell_cap_still_exits_2(tmp_path, capsys):
+    # the cells of Q_3400 are counted, since its box holds more sites than the cap, and refused
+    (tmp_path / "c.json").write_text(json.dumps({"kind": "cover", "scales": [3400], "sample_size": 20}))
+    assert cli.main(["cover", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o")]) == 2
+    assert "window Q_3400 holds 5139289 core cells" in capsys.readouterr().err
 
 
 def _strict_json(data: bytes):

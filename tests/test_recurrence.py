@@ -6,7 +6,7 @@ import pytest
 
 from slowent import cutstack as cs
 from slowent import expcli, rng
-from slowent.lattice import UsageError, pattern_distance
+from slowent.lattice import UsageError, box_site_count, pattern_distance
 from slowent.partitions import recurrence_metric
 from slowent.recurrence import (
     centroid_decode_axes,
@@ -14,6 +14,8 @@ from slowent.recurrence import (
     recurrence_set,
     rho_alpha_bound_holds,
 )
+
+from slowent.symbolic import overlay_name
 
 from oracles import brute_gamma, centroid_decode, recurrence_site_set, site_set_metric
 
@@ -194,3 +196,29 @@ def test_window_cap_refuses_oversized_products(sched_default):
     # the axes themselves are not capped: they hold only |X| + |Y| values
     xs, ys = cs.window_axes(p, 10_000)
     assert len(xs) * len(ys) == count
+
+
+def test_window_cap_counts_cells_only_past_the_box_bound(monkeypatch):
+    # a window of (2n+1)^2 <= GENERIC_CELL_CAP sites cannot hold more 1-cells
+    # than the cap, so no capped reader counts them; past that bound the
+    # count runs, and it still refuses a window over the cap
+    counted = []
+    real = cs._count
+    monkeypatch.setattr(cs, "_count", lambda axis, u, n: counted.append(n) or real(axis, u, n))
+    largest = (math.isqrt(cs.GENERIC_CELL_CAP) - 1) // 2
+    assert box_site_count(largest) <= cs.GENERIC_CELL_CAP < box_site_count(largest + 1)
+    for i, spec in enumerate(expcli.DEFAULT_VARIANTS):
+        sched = expcli.schedule_from_spec(spec)
+        p = cs.sample_point(sched, 3, seed=rng.derive_seed(80, "box", i))
+        for n in (0, 1, 27, 200):
+            cs.name01(p, n)
+            overlay_name(p, n)
+            recurrence_set(p, n)
+        recurrence_set(p, largest)
+    assert counted == []
+    p = cs.point_from_address(expcli.schedule_from_spec(expcli.DEFAULT_VARIANTS[0]), [(0, 0)])
+    xs, ys = recurrence_set(p, largest + 1)
+    assert counted == [largest + 1] and len(xs) * len(ys) <= cs.GENERIC_CELL_CAP
+    with pytest.raises(UsageError, match="window Q_10000 holds"):
+        overlay_name(p, 10_000)
+    assert counted == [largest + 1, 10_000]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from slowent import cutstack as cs
 from slowent import rng
 from slowent.symbolic import A_SYMBOL, overlay_name
-from oracles import brute_uniform_int, fair_bit
+from oracles import brute_uniform_int, fair_bit, overlay_pattern
 
 INT64 = st.integers(-(2**63), 2**63 - 1)
 SEEDS = st.integers(-(2**80), 2**80)  # seeds >= 2^64 key the hash by their low 64 bits
@@ -69,6 +69,6 @@ def test_fair_bits_finalize_one_digest_per_row_and_block(letter_digests, ys, blo
 
 def test_overlay_name_bits_are_fair_bits_of_the_sites(sched_default):
     p = cs.sample_point(sched_default, 3, seed=77)
-    _, name = overlay_name(p, 27)
+    name = overlay_pattern(*overlay_name(p, 27), 27)
     bits = {u: sym - A_SYMBOL for u, sym in name.cells.items()}
     assert bits == {v: fair_bit(p.overlay_seed, "overlay-bit", *v) for v in cs.name01(p, 27).cells}

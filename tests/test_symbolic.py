@@ -22,7 +22,7 @@ from slowent.symbolic import (
     separated_words_first_fit,
 )
 
-from oracles import brute_separated_words, in_box, pattern_from_text, site_set_metric, symbol_at
+from oracles import brute_separated_words, in_box, overlay_pattern, pattern_from_text, site_set_metric, symbol_at
 
 
 def translate_pattern(p, offset, radius):
@@ -32,9 +32,23 @@ def translate_pattern(p, offset, radius):
     return Pattern(box, p.default_symbol, {v: s for v, s in cells.items() if in_box(v, box)})
 
 
-def overlay_from_word(base, word):
-    """Overlay name over {0, a, b} with letters read off an integer word over the sorted 1-cells."""
-    return Pattern(base.box, 0, {u: A_SYMBOL + ((word >> i) & 1) for i, u in enumerate(sorted(base.cells))})
+def shifted_name(xs, ys, symbols, offset, radius):
+    """A factored name shifted by -offset and restricted to Q_radius: the axes
+    move and keep their values inside the box, the kept sites' symbols stay x-major."""
+    keep_x = [i for i, x in enumerate(xs) if abs(x - offset[0]) <= radius]
+    keep_y = [k for k, y in enumerate(ys) if abs(y - offset[1]) <= radius]
+    kept = bytes(symbols[i * len(ys) + k] for i in keep_x for k in keep_y)
+    return [xs[i] - offset[0] for i in keep_x], [ys[k] - offset[1] for k in keep_y], kept
+
+
+def overlay(point, n):
+    """The point's overlay name of radius n as its {0, a, b} pattern."""
+    return overlay_pattern(*overlay_name(point, n), n)
+
+
+def overlay_from_word(xs, ys, word, n):
+    """Overlay name on Q_n over {0, a, b} with letters read off an integer word over the cells of xs x ys, x-major."""
+    return overlay_pattern(xs, ys, bytes(A_SYMBOL + ((word >> i) & 1) for i in range(len(xs) * len(ys))), n)
 
 
 def bits(name):
@@ -43,39 +57,69 @@ def bits(name):
 
 
 def test_identity_code_restricts():
-    p = Pattern(Box(3), 0, {(0, 0): 1, (2, -1): 1})
+    # the identity table gives back every string over its symbols, the empty one included
     identity = {sym: sym for sym in SYMBOL_NAMES}
-    assert apply_code(identity, p) == p
+    symbols = bytes([0, 1, A_SYMBOL, B_SYMBOL, 1, 0])
+    assert apply_code(identity, symbols) == symbols
+    assert apply_code(identity, b"") == b""
 
 
 def test_apply_code_refuses_unmapped_symbols():
-    # as the default and in a cell
+    # alone, among mapped symbols, and the default 0 of a table that lacks it
     with pytest.raises(UsageError, match="symbol 4"):
-        apply_code(ERASURE, Pattern(Box(0), 4, {}))
+        apply_code(ERASURE, bytes([4]))
     with pytest.raises(UsageError, match="symbol 4"):
-        apply_code(ERASURE, Pattern(Box(1), 0, {(1, 0): A_SYMBOL, (0, 1): 4}))
+        apply_code(ERASURE, bytes([A_SYMBOL, 1, 4, 0]))
+    with pytest.raises(UsageError, match="symbol 0"):
+        apply_code({1: 1, A_SYMBOL: 1, B_SYMBOL: 1}, bytes([A_SYMBOL, 0]))
     # every symbol of the table maps, the default included
-    assert apply_code(ERASURE, Pattern(Box(0), 1, {})) == Pattern(Box(0), 1, {})
+    assert apply_code(ERASURE, bytes([0, 1, A_SYMBOL, B_SYMBOL])) == bytes([0, 1, 1, 1])
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    table=st.dictionaries(st.integers(0, 255), st.integers(0, 255), max_size=12),
+    data=st.data(),
+)
+def test_apply_code_matches_a_lookup_per_symbol(table, data):
+    # a string over the table's symbols maps byte by byte; a symbol it lacks,
+    # or an image no byte can carry, is a usage error and never a bare ValueError
+    symbols = bytes(data.draw(st.lists(st.sampled_from(sorted(table)), max_size=40))) if table else b""
+    assert apply_code(table, symbols) == bytes(table[sym] for sym in symbols)
+    stray = data.draw(st.integers(0, 255).filter(lambda sym: sym not in table))
+    mixed = bytearray(symbols)
+    mixed.insert(data.draw(st.integers(0, len(symbols))), stray)
+    with pytest.raises(UsageError, match=f"symbol {stray} is not mapped"):
+        apply_code(table, bytes(mixed))
+    wide = dict(table)
+    wide[data.draw(st.integers(0, 255))] = data.draw(st.integers(256, 2**70))
+    for refused in (wide, {**table, stray: -1}):
+        try:
+            apply_code(refused, symbols)
+        except UsageError as exc:
+            assert "outside 0..255" in str(exc)
+        else:
+            raise AssertionError(f"{refused} was not refused")
 
 
 def test_erasure_code_on_overlay(sched_default):
     p = cs.point_from_address(sched_default, [(0, 0)], seed=5)
-    _, overlay = overlay_name(p, 5)
-    assert apply_code(ERASURE, overlay) == cs.name01(p, 5)
+    xs, ys, letters = overlay_name(p, 5)
+    assert apply_code(ERASURE, bytes(1)) == bytes(1)
+    assert overlay_pattern(xs, ys, apply_code(ERASURE, letters), 5) == cs.name01(p, 5)
 
 
 def test_apply_code_shift_equivariance():
-    code = ERASURE
+    # a radius-0 code commutes with shifting a factored name and restricting it to a smaller box
     for i in range(100):
-        cells = {}
-        for k in range(rng.uniform_int(31, "n", i, lo=0, hi=6)):
-            x = rng.uniform_int(31, "x", i, k, lo=-4, hi=4)
-            y = rng.uniform_int(31, "y", i, k, lo=-4, hi=4)
-            cells[(x, y)] = A_SYMBOL if rng.stream_u64(31, "s", i, k) & 1 else B_SYMBOL
-        p = Pattern(Box(4), 0, cells)
+        xs = sorted({rng.uniform_int(31, "x", i, k, lo=-4, hi=4) for k in range(rng.uniform_int(31, "nx", i, lo=0, hi=4))})
+        ys = sorted({rng.uniform_int(31, "y", i, k, lo=-4, hi=4) for k in range(rng.uniform_int(31, "ny", i, lo=0, hi=4))})
+        letters = bytes(A_SYMBOL if rng.stream_u64(31, "s", i, k) & 1 else B_SYMBOL for k in range(len(xs) * len(ys)))
         u = (rng.uniform_int(31, "ux", i, lo=-2, hi=2), rng.uniform_int(31, "uy", i, lo=-2, hi=2))
-        lhs = translate_pattern(apply_code(code, p), u, 2)
-        rhs = apply_code(code, translate_pattern(p, u, 2))
+        sx, sy, sl = shifted_name(xs, ys, letters, u, 2)
+        assert overlay_pattern(sx, sy, sl, 2) == translate_pattern(overlay_pattern(xs, ys, letters, 4), u, 2)
+        lhs = translate_pattern(overlay_pattern(xs, ys, apply_code(ERASURE, letters), 4), u, 2)
+        rhs = overlay_pattern(sx, sy, apply_code(ERASURE, sl), 2)
         assert lhs == rhs
 
 
@@ -107,37 +151,38 @@ def test_box_pattern_and_code_match_definitions(data):
     assert (p == q) == (canonical(p) == canonical(q))
 
     # erasure: a, b -> 1 and 0 -> 0, site by site over the whole box
-    erased = apply_code(ERASURE, p)
-    assert erased.box == p.box
-    expected = {v: 0 if symbol_at(p, v) == 0 else 1 for v in p.box.sites()}
-    assert {v: symbol_at(erased, v) for v in p.box.sites()} == expected
+    symbols = bytes(symbol_at(p, v) for v in p.box.sites())
+    erased = apply_code(ERASURE, symbols)
+    assert len(erased) == len(symbols) == len(list(p.box.sites()))
+    assert list(erased) == [0 if sym == 0 else 1 for sym in symbols]
 
 
 def test_overlay_name_consistency(sched_default):
     p = cs.point_from_address(sched_default, [(0, 0)], seed=9)
-    _, small = overlay_name(p, 3)
-    assert apply_code(ERASURE, small) == cs.name01(p, 3)
+    xs, ys, letters = overlay_name(p, 3)
+    small = overlay_pattern(xs, ys, letters, 3)
+    assert overlay_pattern(xs, ys, apply_code(ERASURE, letters), 3) == cs.name01(p, 3)
     # radius 45 reads columns from three blocks of 64, radius 27 from one
     for n in (27, 45):
-        _, big = overlay_name(p, n)
+        big = overlay(p, n)
         for v, bit in bits(small).items():
             assert bits(big)[v] == bit
-    _, again = overlay_name(p, 3)
-    assert bits(again) == bits(small)
+    assert bits(overlay(p, 3)) == bits(small)
 
 
 @pytest.mark.parametrize("spec", expcli.DEFAULT_VARIANTS)
 def test_overlay_base_is_name01_in_cell_order(spec):
-    # one window serves both names: the base is name01's pattern and the
-    # overlay's letters sit on its cells in the same order
+    # one window serves both names: the axes give name01's pattern and the
+    # letters sit on its cells in the same order
     sched = expcli.schedule_from_spec(spec)
     for i in range(3):
         p = cs.sample_point(sched, 3, seed=rng.derive_seed(70, "base", i))
         for n in (0, 1, 27):
-            base, overlay = overlay_name(p, n)
-            name = cs.name01(p, n)
+            xs, ys, letters = overlay_name(p, n)
+            assert (xs, ys) == cs.window_axes(p, n) and len(letters) == len(xs) * len(ys)
+            base, name = Pattern.product(Box(n), xs, ys), cs.name01(p, n)
             assert base == name and list(base.cells) == list(name.cells)
-            assert list(overlay.cells) == list(name.cells)
+            assert list(overlay_pattern(xs, ys, letters, n).cells) == list(name.cells)
 
 
 def test_overlay_independent_across_points(sched_default):
@@ -148,14 +193,13 @@ def test_overlay_independent_across_points(sched_default):
 
 def test_overlay_fairness(sched_default):
     p = cs.point_from_address(sched_default, [(0, 0)], seed=13)
-    _, name = overlay_name(p, 27)
+    name = overlay(p, 27)
     draws = 0
     ones = 0
     # extend the sample with bits from more points to reach a solid count
     for i in range(300):
         q = cs.sample_point(sched_default, 3, seed=rng.derive_seed(50, "fair", i))
-        _, ov = overlay_name(q, 9)
-        for b in bits(ov).values():
+        for b in bits(overlay(q, 9)).values():
             draws += 1
             ones += b
     sigma = math.sqrt(draws * 0.25)
@@ -166,7 +210,7 @@ def test_overlay_validation(sched_default):
     # an overlay name carries a letter exactly on the base 1-cells, and only a or b
     for i in range(20):
         p = cs.sample_point(sched_default, 3, seed=rng.derive_seed(40, "ov", i))
-        _, name = overlay_name(p, 9)
+        name = overlay(p, 9)
         assert name.default_symbol == 0
         assert name.cells.keys() == cs.name01(p, 9).cells.keys()
         assert set(name.cells.values()) <= {A_SYMBOL, B_SYMBOL}
@@ -175,35 +219,34 @@ def test_overlay_validation(sched_default):
 @settings(derandomize=True, deadline=None, max_examples=50)
 @given(data=st.data())
 def test_unchecked_outputs_pass_the_cell_check(sched_default, data):
-    # overlay_name and apply_code build their results without Pattern's cell
-    # check; the checked constructor accepts them and builds equal patterns
-    box = Box(2)
-    ones = data.draw(st.sets(st.sampled_from(list(box.sites())), max_size=12))
-    flat = Pattern(box, 0, {u: A_SYMBOL + data.draw(st.integers(0, 1)) for u in ones})
+    # Pattern.product builds its result without Pattern's cell check; the
+    # checked constructor accepts it and builds an equal pattern, on a
+    # name's axes and on any axes inside the box
+    axis = st.lists(st.integers(-2, 2), unique=True, max_size=5)
     p = cs.sample_point(sched_default, 3, seed=data.draw(st.integers(0, 2**64 - 1)))
-    base, name = overlay_name(p, data.draw(st.integers(0, 12)))
-    recolor = {0: B_SYMBOL, 1: 1, A_SYMBOL: B_SYMBOL, B_SYMBOL: 0}
-    for q in (base, name, apply_code(ERASURE, name), apply_code(ERASURE, flat), apply_code(recolor, flat)):
+    n = data.draw(st.integers(0, 12))
+    xs, ys, _ = overlay_name(p, n)
+    for q in (Pattern.product(Box(n), xs, ys), cs.name01(p, n), Pattern.product(Box(2), data.draw(axis), data.draw(axis))):
         assert Pattern(q.box, q.default_symbol, dict(q.cells)) == q
 
 
 def test_overlay_distance_examples():
     # the name metric of the partition {0 | a, b} is the pattern metric on flattened overlay names
-    base = Pattern(Box(2), 0, {(x, y): 1 for x in (-2, 0, 2) for y in (0, 1)})
-    same = overlay_from_word(base, 0b101010)
+    xs, ys = (-2, 0, 2), (0, 1)
+    same = overlay_from_word(xs, ys, 0b101010, 2)
     assert pattern_distance(same, same) == 0
-    other = overlay_from_word(base, 0b101011)
+    other = overlay_from_word(xs, ys, 0b101011, 2)
     assert pattern_distance(same, other) == Fraction(1, 6)
     # shared base of c cells, bits differing on j cells -> j/c
-    third = overlay_from_word(base, 0b010101)
+    third = overlay_from_word(xs, ys, 0b010101, 2)
     assert pattern_distance(same, third) == 1
 
 
 def test_overlay_distance_disjoint_bases(sched_default):
     p = cs.point_from_address(sched_default, [(0, 0)])
-    base1 = cs.name01(p, 3)
-    base2 = Pattern(Box(3), 0, {(x + 1, y): 1 for (x, y) in base1.cells if abs(x + 1) <= 3})
-    d = pattern_distance(overlay_from_word(base1, 0), overlay_from_word(base2, 0))
+    xs, ys, _ = overlay_name(p, 3)
+    shifted = [x + 1 for x in xs if abs(x + 1) <= 3]
+    d = pattern_distance(overlay_from_word(xs, ys, 0, 3), overlay_from_word(shifted, ys, 0, 3))
     assert d == 1
 
 
@@ -214,7 +257,7 @@ def test_overlay_distance_dominates_base_metric(sched_default):
     for i in range(50):
         x = cs.sample_point(sched_default, 3, seed=rng.derive_seed(60, "a", i))
         y = cs.sample_point(sched_default, 3, seed=rng.derive_seed(60, "b", i))
-        (_, ox), (_, oy) = overlay_name(x, 6), overlay_name(y, 6)
+        ox, oy = overlay(x, 6), overlay(y, 6)
         base = site_set_metric(set(ox.cells), set(oy.cells))
         assert base == recurrence_metric(recurrence_set(x, 6), recurrence_set(y, 6))
         assert pattern_distance(ox, oy) >= base
@@ -299,7 +342,7 @@ def test_overlay_serializes_with_letter_symbols(sched_default):
     from slowent.lattice import pattern_to_text
 
     p = cs.point_from_address(sched_default, [(0, 0)], seed=3)
-    _, flat = overlay_name(p, 3)
+    flat = overlay(p, 3)
     text = pattern_to_text(flat)
     assert " a" in text or " b" in text
     assert pattern_from_text(text) == flat
