@@ -14,7 +14,6 @@ from slowent.recurrence import (
     recurrence_set,
     rho_alpha_bound_holds,
 )
-
 from slowent.symbolic import overlay_name
 
 from oracles import brute_gamma, centroid_decode, recurrence_site_set, site_set_metric
