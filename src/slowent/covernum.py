@@ -33,13 +33,12 @@ EXACT_COVER_LIMIT = 20
 class MetricSample:
     """Finite weighted point set with an exact pairwise distance matrix."""
 
-    ids: tuple
     masses: tuple[Fraction, ...]
     dist: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        n = len(self.ids)
-        if len(self.masses) != n or len(self.dist) != n or any(len(row) != n for row in self.dist):
+        n = len(self.masses)
+        if len(self.dist) != n or any(len(row) != n for row in self.dist):
             raise UsageError("sample shape mismatch")
         if any(m < 0 for m in self.masses):
             raise UsageError("negative mass")
@@ -53,7 +52,7 @@ class MetricSample:
                     raise UsageError(f"negative distance at ({i},{j})")
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.masses)
 
     def total_mass(self) -> Fraction:
         return sum(self.masses, Fraction(0))
@@ -67,7 +66,7 @@ def sample_from_points(ids: Sequence, masses: Sequence[Fraction], metric) -> Met
         for j in range(i + 1, n):
             v = Fraction(metric(ids[i], ids[j]))
             rows[i][j] = rows[j][i] = v
-    return MetricSample(tuple(ids), tuple(Fraction(m) for m in masses), tuple(tuple(r) for r in rows))
+    return MetricSample(tuple(Fraction(m) for m in masses), tuple(tuple(r) for r in rows))
 
 
 def _within(sample: MetricSample, radius: Fraction) -> list[int]:
@@ -230,7 +229,7 @@ def cover_bracket(sample: MetricSample, eps_diam: Fraction, eps_mass: Fraction) 
 
 @dataclass(frozen=True)
 class GrowthFit:
-    """Least-squares exponent over a declared window plus a limsup surrogate.
+    """Least-squares exponent over all the samples plus a limsup surrogate.
 
     The surrogate is the maximum over all suffix windows (of >= 2 samples
     for regression scales, >= 1 for pointwise scales) and is always
@@ -241,7 +240,6 @@ class GrowthFit:
     samples: tuple[tuple[int, float], ...]
     exponent: float | None
     residual: float
-    window: tuple[int, ...]
     limsup_exponent: float
     limsup_window: tuple[int, ...]
 
@@ -305,7 +303,6 @@ def growth_fit(samples: Sequence[tuple[int, float]], scale: str) -> GrowthFit:
         samples=tuple((n, float(v)) for n, v in pts),
         exponent=slope,
         residual=resid,
-        window=tuple(n for n, _ in pts),
         limsup_exponent=best,
         limsup_window=best_win,
     )
@@ -337,7 +334,6 @@ def alpha_fit(counts: Sequence[tuple[int, int]]) -> GrowthFit:
         samples=tuple((n, c) for n, c in pts),
         exponent=slope,
         residual=resid,
-        window=tuple(n for n, _ in pts),
         limsup_exponent=best,
         limsup_window=(best_n,),
     )

@@ -292,7 +292,7 @@ def compose(levels: Sequence[Site], sched: Schedule) -> Site:
 
 @dataclass
 class PointHandle:
-    """A sampled core point, identified by its address and grown lazily.
+    """A core point, identified by its address; a sampled point grows lazily.
 
     Level offsets at already-computed stages never change; extension draws
     come from counter-based streams keyed by (seed, level), so identical
@@ -303,8 +303,7 @@ class PointHandle:
 
     schedule: Schedule
     seed: int
-    levels: list[Site] = field(default_factory=list)
-    zero_fill: bool = False
+    levels: list[Site]
     _positions: list[Site] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -329,14 +328,11 @@ class PointHandle:
             )
         x, y = self._positions[-1]
         for j in range(len(self.levels) + 1, stage):
-            if self.zero_fill:
-                g = (0, 0)
-            else:
-                m, s = self.schedule._levels[j - 1]
-                k = s // m
-                qx = rng.uniform_int(self.seed, "gamma-x", j, lo=-k, hi=k)
-                qy = rng.uniform_int(self.seed, "gamma-y", j, lo=-k, hi=k)
-                g = (qx * m, qy * m)
+            m, s = self.schedule._levels[j - 1]
+            k = s // m
+            qx = rng.uniform_int(self.seed, "gamma-x", j, lo=-k, hi=k)
+            qy = rng.uniform_int(self.seed, "gamma-y", j, lo=-k, hi=k)
+            g = (qx * m, qy * m)
             self.levels.append(g)
             x += g[0]
             y += g[1]
@@ -375,15 +371,16 @@ def sample_point(sched: Schedule, stage: int, seed: int) -> PointHandle:
     """Draw a stage-`stage` point with independent uniform per-level offsets."""
     if stage < 1:
         raise UsageError(f"stage must be >= 1, got {stage}")
-    p = PointHandle(sched, seed)
+    p = PointHandle(sched, seed, [])
     p.extend_to(stage)
     return p
 
 
-def point_from_address(sched: Schedule, levels: Sequence[Site], seed: int = 0) -> PointHandle:
-    """Point with pinned low-level offsets; higher levels zero (canonical embedding)."""
+def point_from_address(sched: Schedule, levels: Sequence[Site]) -> PointHandle:
+    """Point with pinned low-level offsets, stored with zeros up to the top
+    built level (the canonical embedding), so it never draws."""
     _check_levels(levels, sched)
-    return PointHandle(sched, seed, levels=list(levels), zero_fill=True)
+    return PointHandle(sched, 0, list(levels) + [(0, 0)] * (sched.stages - 1 - len(levels)))
 
 
 # ---------------------------------------------------------------------------

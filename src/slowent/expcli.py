@@ -145,6 +145,8 @@ def config_from_json(doc: dict) -> ExperimentConfig:
     if scales is not None:
         if not isinstance(scales, list) or not scales or not all(_json_int(n) for n in scales):
             raise UsageError(f"config field 'scales' must be a non-empty list of integers, got {scales!r}")
+        if any(a >= b for a, b in zip(scales, scales[1:])):
+            raise UsageError(f"config field 'scales' must be strictly increasing, got {scales!r}")
         scales = tuple(scales)
     epsilons = doc.get("epsilons", ["1/4", "1/8"])
     if not isinstance(epsilons, list) or not epsilons:
@@ -156,6 +158,8 @@ def config_from_json(doc: dict) -> ExperimentConfig:
         ok = False
     if not ok:
         raise UsageError(f"config field 'epsilons' must be non-negative fractions, got {list(eps_list)!r}")
+    if len(set(map(Fraction, eps_list))) < len(eps_list):
+        raise UsageError(f"config field 'epsilons' repeats a value, got {list(eps_list)!r}")
     if "schedule" in doc and not COMMANDS[kind].reads_schedule:
         raise UsageError(f"{kind} reads no schedule, so its config cannot have a 'schedule' field")
     schedule = doc.get("schedule", DEFAULT_SCHEDULE_SPEC)
@@ -481,15 +485,7 @@ def fit_rows(fit: GrowthFit) -> list[dict]:
             tx, ty = float(n), math.log2(value)
         else:
             tx, ty = math.log(box_site_count(n)), math.log(value)
-        rows.append(
-            {
-                "n": n,
-                "value": value,
-                "transformed_x": tx,
-                "transformed_y": ty,
-                "in_window": n in fit.window,
-            }
-        )
+        rows.append({"n": n, "value": value, "transformed_x": tx, "transformed_y": ty})
     return rows
 
 

@@ -10,7 +10,7 @@ rationals; floats never enter this module.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -69,7 +69,7 @@ class Pattern:
 
     box: Box
     default_symbol: int
-    cells: dict[Site, int] = field(default_factory=dict)
+    cells: dict[Site, int]
 
     def __post_init__(self) -> None:
         r, default = self.box.radius, self.default_symbol

@@ -326,6 +326,13 @@ def determining_stage_by_loop(point, n: int) -> int:
     raise StageCapError(f"window Q_{n} not determined within {sched.stages} built stages")
 
 
+def pinned_point(sched, levels, seed: int):
+    """The pinned point of `point_from_address(sched, levels)` under a chosen seed (its overlay bits follow the seed)."""
+    from slowent.cutstack import PointHandle, point_from_address
+
+    return PointHandle(sched, seed, point_from_address(sched, levels).levels)
+
+
 def covered(axis: AxisSumset, halfwidth: int, lo: int, hi: int) -> int:
     """|(values + [-halfwidth, halfwidth]) ∩ [lo, hi]|.
 

@@ -159,7 +159,7 @@ def test_comparable_metrics_bound():
             tuple(min(a * smp.dist[x][y] + (delta if x != y else 0), Fraction(1)) for y in range(n))
             for x in range(n)
         )
-        smp2 = MetricSample(smp.ids, smp.masses, d2)
+        smp2 = MetricSample(smp.masses, d2)
         for eps in (Fraction(1, 10), Fraction(1, 4)):
             n1 = exact_cover_number(smp, eps, eps)
             n2 = exact_cover_number(smp2, a * eps + delta, a * eps + delta)
@@ -184,7 +184,7 @@ def test_cover_bracket_leaves_an_inconsistent_bound_to_the_verdict(monkeypatch):
 
 def test_metric_sample_validation():
     with pytest.raises(UsageError):
-        MetricSample((0, 1), (Fraction(1), Fraction(1)), ((Fraction(0), Fraction(1)), (Fraction(2), Fraction(0))))
+        MetricSample((Fraction(1), Fraction(1)), ((Fraction(0), Fraction(1)), (Fraction(2), Fraction(0))))
     sample_from_points([0, 1], [Fraction(1, 2)] * 2, lambda a, b: Fraction(1, 3))
 
 

@@ -24,6 +24,7 @@ from oracles import (
     merged_provenance_count,
     overlay_pattern,
     peel_2d,
+    pinned_point,
     position_from_levels,
     restricted,
 )
@@ -680,10 +681,10 @@ def _outcome(window, n):
 
 def _check_point_against_level_sums(p):
     # the oracle runs on a twin, so it never grows the point under test
-    twin = cs.PointHandle(p.schedule, p.seed, list(p.levels), p.zero_fill)
+    twin = cs.PointHandle(p.schedule, p.seed, list(p.levels))
     sched = p.schedule
     windows = {0, 1} | {r + d for r in sched.radii for d in (-1, 0, 1)}
-    full = cs.PointHandle(sched, p.seed, list(p.levels), p.zero_fill)
+    full = cs.PointHandle(sched, p.seed, list(p.levels))
     full.extend_to(sched.stages)
     for j in range(2, sched.stages + 1):
         # the slack rule's own edges at stage j
@@ -705,7 +706,7 @@ def test_positions_and_determining_stage_match_the_level_sums(variant):
         for seed in range(4):
             _check_point_against_level_sums(cs.sample_point(sched, stage, seed))
             pinned = cs.sample_point(sched, stage, seed + 100).levels
-            _check_point_against_level_sums(cs.point_from_address(sched, pinned, seed))
+            _check_point_against_level_sums(pinned_point(sched, pinned, seed))
         _check_point_against_level_sums(cs.point_from_address(sched, corner[: stage - 1]))
 
 
@@ -715,7 +716,7 @@ def test_stage_one_pins_the_zero_window_in_any_order(variant):
     sched = VARIANTS[variant]
     points = [cs.point_from_address(sched, []), cs.sample_point(sched, 1, 7), cs.sample_point(sched, 3, 7)]
     for p in points:
-        twin = cs.PointHandle(sched, p.seed, list(p.levels), p.zero_fill)
+        twin = cs.PointHandle(sched, p.seed, list(p.levels))
         assert p.determining_stage(0) == determining_stage_by_loop(twin, 0) == 1
         for stage in range(2, sched.stages + 1):
             p.extend_to(stage)
@@ -772,3 +773,34 @@ def test_point_setup_draws_only_its_offsets(monkeypatch):
             assert p.overlay_seed == rng.derive_seed(seed, "overlay-seed")
             bits = {u: sym - A_SYMBOL for u, sym in name.cells.items()}
             assert bits == {u: rng.fair_bits(p.overlay_seed, "overlay-bit", [u[0]], [u[1]])[0] for u in name.cells}
+
+
+@pytest.mark.parametrize("variant", range(len(VARIANTS)))
+def test_pinned_points_never_draw(monkeypatch, variant):
+    # a pinned point stores its given levels and zeros up to the top built
+    # level, so no window query on it reaches the draw loop
+    sched = VARIANTS[variant]
+
+    def draw(*args, **kwargs):
+        raise AssertionError("a pinned point drew a level")
+
+    monkeypatch.setattr(rng, "uniform_int", draw)
+    with pytest.raises(AssertionError, match="drew a level"):
+        cs.sample_point(sched, 2, 0)
+    corner = [(sched.s(j), -sched.s(j)) for j in range(1, sched.stages)]
+    for given in range(sched.stages):
+        p = cs.point_from_address(sched, corner[:given])
+        assert p.levels == corner[:given] + [(0, 0)] * (sched.stages - 1 - given)
+        assert p.determining_stage(0) == 1
+        assert cs.window_axes(p, 0) == ([0], [0]) and cs.core_centroid(p, 0) == (1, 0, 0)
+        # corner levels put the point on the edge of each copy, so Q_1 needs
+        # the first stage past them, and none when every level is a corner
+        if given == sched.stages - 1:
+            with pytest.raises(cs.StageCapError):
+                p.determining_stage(1)
+            continue
+        assert p.determining_stage(1) == given + 2
+        xs, ys = cs.window_axes(p, 1)
+        count, mean_x, mean_y = cs.core_centroid(p, 1)
+        assert count == len(xs) * len(ys)
+        assert (mean_x, mean_y) == (Fraction(sum(xs), len(xs)), Fraction(sum(ys), len(ys)))

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import inspect
 import json
@@ -45,6 +46,10 @@ def test_config_from_json_validation():
     # a misspelt field is refused by name, not dropped
     with pytest.raises(UsageError, match="'sampel_size'"):
         expcli.config_from_json({"kind": "ratio-et", "sampel_size": 3})
+    # a repeated scale or epsilon would repeat a verdict name, so each is refused by field
+    for field, value in (("scales", [2, 2]), ("scales", [4, 2]), ("epsilons", ["1/4", "2/8"]), ("epsilons", [0, "0/3"])):
+        with pytest.raises(UsageError, match=f"'{field}'"):
+            expcli.config_from_json({"kind": "cover", field: value})
 
 
 def test_canonical_refuses_types_reports_do_not_carry():
@@ -203,6 +208,12 @@ def _run_cli(*args: str, cwd: Path):
         ({"c.json": '{"kind": "recur", "scales": []}'}, ("recur", "--config", "c.json", "--out", "o")),
         ({"c.json": '{"kind": "cover", "epsilons": [], "sample_size": 4}'}, ("cover", "--config", "c.json", "--out", "o")),
         ({}, ("cover", "--sample-size", str(covernum.EXACT_COVER_LIMIT + 1), "--out", "o")),
+        ({"c.json": '{"kind": "cover", "scales": [2, 2], "sample_size": 4}'}, ("cover", "--config", "c.json", "--out", "o")),
+        ({"c.json": '{"kind": "cover", "scales": [4, 2], "sample_size": 4}'}, ("cover", "--config", "c.json", "--out", "o")),
+        (
+            {"c.json": '{"kind": "cover", "scales": [2], "epsilons": ["1/4", "2/8"], "sample_size": 4}'},
+            ("cover", "--config", "c.json", "--out", "o"),
+        ),
     ],
     ids=[
         "fit-row",
@@ -258,6 +269,9 @@ def _run_cli(*args: str, cwd: Path):
         "config-scales-empty",
         "config-epsilons-empty",
         "cover-size-above-exact-limit",
+        "config-scales-repeated",
+        "config-scales-unsorted",
+        "config-epsilons-repeated",
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, files, args):
@@ -470,7 +484,7 @@ def test_cli_fit_writes_csv(tmp_path):
     res = _run_cli("fit", "data.csv", "--scale", "exp", "--out", "fo", cwd=tmp_path)
     assert res.returncode == 0, res.stderr
     lines = (tmp_path / "fo" / "fit.csv").read_text().splitlines()
-    assert lines[0] == "n,value,transformed_x,transformed_y,in_window"
+    assert lines[0] == "n,value,transformed_x,transformed_y"
     assert len(lines) == 4
 
 
@@ -774,6 +788,23 @@ def _strict_json(data: bytes):
 def test_default_reports_are_strict_json(tmp_path, capsys, command):
     assert cli.main([command, "--out", str(tmp_path)]) == 0
     _strict_json((tmp_path / "report.json").read_bytes())
+
+
+def _bench_kinds_commands() -> tuple:
+    """The (kind, sample size) pairs of the benchmark's `kinds` workload, read from bench/worker.py."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "bench" / "worker.py").read_text())
+    (value,) = [node.value for node in tree.body if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "KINDS_COMMANDS"]
+    return ast.literal_eval(value)
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify"], *([kind, "--sample-size", str(size)] for kind, size in _bench_kinds_commands())], ids=lambda argv: argv[0]
+)
+def test_reports_never_repeat_a_verdict_name(tmp_path, capsys, argv):
+    # the benchmark's commands at its seed and sample sizes
+    cli.main([*argv, "--seed", "2024", "--out", str(tmp_path)])
+    names = [v["name"] for v in json.loads((tmp_path / "report.json").read_text())["verdicts"]]
+    assert names and len(set(names)) == len(names), sorted(n for n in set(names) if names.count(n) > 1)
 
 
 def test_recur_at_one_scale_writes_a_null_slope(tmp_path, capsys):

@@ -228,7 +228,7 @@ def test_grid_membership(sched_default):
     # Gamma_1 = Q_27 ∩ 3Z^2 on the default schedule, which builds three levels;
     # compose and point_from_address share one membership check
     assert cs.compose([(27, -27)], sched_default) == (27, -27)
-    assert cs.point_from_address(sched_default, [(27, -27)]).levels == [(27, -27)]
+    assert cs.point_from_address(sched_default, [(27, -27)]).levels == [(27, -27), (0, 0), (0, 0)]
     for levels in ([(1, 0)], [(30, 0)], [(0, 0, 0)], [(0, 0)] * sched_default.stages):
         with pytest.raises(UsageError):
             cs.compose(levels, sched_default)

@@ -22,7 +22,7 @@ from slowent.symbolic import (
     separated_words_first_fit,
 )
 
-from oracles import brute_separated_words, in_box, overlay_pattern, pattern_from_text, site_set_metric, symbol_at
+from oracles import brute_separated_words, in_box, overlay_pattern, pattern_from_text, pinned_point, site_set_metric, symbol_at
 
 
 def translate_pattern(p, offset, radius):
@@ -103,7 +103,7 @@ def test_apply_code_matches_a_lookup_per_symbol(table, data):
 
 
 def test_erasure_code_on_overlay(sched_default):
-    p = cs.point_from_address(sched_default, [(0, 0)], seed=5)
+    p = pinned_point(sched_default, [(0, 0)], 5)
     xs, ys, letters = overlay_name(p, 5)
     assert apply_code(ERASURE, bytes(1)) == bytes(1)
     assert overlay_pattern(xs, ys, apply_code(ERASURE, letters), 5) == cs.name01(p, 5)
@@ -158,7 +158,7 @@ def test_box_pattern_and_code_match_definitions(data):
 
 
 def test_overlay_name_consistency(sched_default):
-    p = cs.point_from_address(sched_default, [(0, 0)], seed=9)
+    p = pinned_point(sched_default, [(0, 0)], 9)
     xs, ys, letters = overlay_name(p, 3)
     small = overlay_pattern(xs, ys, letters, 3)
     assert overlay_pattern(xs, ys, apply_code(ERASURE, letters), 3) == cs.name01(p, 3)
@@ -192,7 +192,7 @@ def test_overlay_independent_across_points(sched_default):
 
 
 def test_overlay_fairness(sched_default):
-    p = cs.point_from_address(sched_default, [(0, 0)], seed=13)
+    p = pinned_point(sched_default, [(0, 0)], 13)
     name = overlay(p, 27)
     draws = 0
     ones = 0
@@ -341,7 +341,7 @@ def test_gv_rate_deficit_tends_to_entropy():
 def test_overlay_serializes_with_letter_symbols(sched_default):
     from slowent.lattice import pattern_to_text
 
-    p = cs.point_from_address(sched_default, [(0, 0)], seed=3)
+    p = pinned_point(sched_default, [(0, 0)], 3)
     flat = overlay(p, 3)
     text = pattern_to_text(flat)
     assert " a" in text or " b" in text
