@@ -291,7 +291,7 @@ def growth_fit(samples: Sequence[tuple[int, float]], scale: str) -> GrowthFit:
             raise UsageError("exp scale needs every n within float range") from None
         ys = [math.log2(v) for _, v in pts]
     if len(pts) < 2:
-        raise UsageError("need at least 2 samples in the fit window")
+        raise UsageError("need at least 2 samples to fit")
     slope, resid = _least_squares(xs, ys)
     best, best_win = -math.inf, ()
     for start in range(len(pts) - 1):
