@@ -162,6 +162,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(f"point {i}: levels={p.levels}")
         return 0
     if args.command == "names":
+        if not -(2**63) <= args.point_seed < 2**63:  # rng packs stream indices as int64
+            raise UsageError(f"--point-seed must be in the int64 range [-2**63, 2**63 - 1], got {args.point_seed}")
         sched = _schedule_from_args(args)
         p = cutstack.sample_point(sched, 3, expcli.rng.derive_seed(args.seed, "point", args.point_seed))
         sys.stdout.write(pattern_to_text(cutstack.name01(p, args.n)))

@@ -264,11 +264,9 @@ def _peel(w: Site, axis: AxisSumset, slacks: Sequence[int]) -> tuple[list[Site],
 def decompose(v: Site, stage: int, sched: Schedule) -> Address | None:
     """Unique representation of v over Gamma_{stage-1} + ... + Gamma_1, or None.
 
-    Works top-down, one coordinate at a time (_peel): at level j the
-    remainder must stay within the total reach r(j) - r(1) of the lower
-    levels, which the stage's AxisSumset stores as its reaches, and
-    m(j) > 2 r(j) forces at most one candidate multiple per coordinate,
-    so no backtracking is needed.
+    _peel under the stage's AxisSumset reaches: at level j the remainder
+    stays within the reach r(j) - r(1) of the finer levels, and m(j) > 2 r(j)
+    leaves one candidate per coordinate, so nothing backtracks.
     """
     axis = sched.sumset(stage)
     peeled, rest = _peel(v, axis, axis.reaches)

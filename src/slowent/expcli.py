@@ -191,7 +191,6 @@ class Claim(Enum):
     GAMMA1_COUNT = ("gamma1-count", "|Gamma_1| formula equals exhaustive count", None)
     GAMMA_STAR_PRODUCT = ("gamma-star-product", "|Gamma*_i| equals the product of level sizes", None)
     DECOMPOSE_ROUNDTRIP = ("decompose-roundtrip", "decompose inverts compose exactly", None)
-    CORE_MASS = ("core-mass", "mu(A) = 1 at every stage", None)
     MASS_INCREASING = (
         "mass-increasing",
         "stage masses strictly increase (infinite total mass surrogate)",
@@ -741,20 +740,40 @@ def measured_alpha(sched: Schedule) -> GrowthFit:
 # verify
 
 
-def axis_extremes(sched: Schedule, stage: int) -> list[tuple[int, ...]]:
-    """Per-axis offsets (g_1, ..., g_{stage-1}) with every level quotient in {-k, -k+1, 0, k-1, k}.
+def roundtrip_failures(sched: Schedule, stage: int) -> tuple[int, int]:
+    """(addresses sent, round trips failed) of decompose at the margins of one stage.
 
-    k = s(j)/m(j) at level j, and the 5^(stage-1) combinations come in
-    itertools.product order. decompose peels each coordinate on its own,
-    and a level-l peel can only go wrong where the finer remainder reaches
-    the slack r(l) - r(1), which only all-(+-k) finer quotients do; so
-    these offsets test every margin a peel has.
+    With k = s(j)/m(j), level j's five quotients are -k, -k+1, 0, k-1 and
+    k. The margin addresses put every level at the same one of its five,
+    then each level at each of its five with every finer level at +k (or
+    every one at -k) and every coarser level at 0: 8 L - 1 distinct
+    addresses over L >= 2 levels. Each goes on x and its negation on y, and
+    the site must come back as exactly those offsets.
+
+    Level lemma: the margins decide every address. decompose peels each
+    coordinate on its own, one AxisSumset.peel step a level, top-down. At
+    level l write the remainder a = q m + r, with |q| <= k and r the sum of
+    the finer offsets, so |r| <= R, their reach. The step divmod(a + h, m),
+    h = m // 2, returns (q, r + h) exactly when -h <= r < m - h, whatever q
+    and the coarser levels are, and AxisSumset's constructor refuses m <= 2 R,
+    so that holds for every |r| <= R. The step then keeps q when |q| <= k
+    and |r| is within the level's slack. Each test is an interval in q or
+    in r, so it holds on every address once it holds at r = +-R (every
+    finer level at +-k) with the level at +-k: margin addresses.
     """
-    choices = []
-    for j in range(1, stage):
-        m, k = sched.m(j), sched.s(j) // sched.m(j)
-        choices.append([q * m for q in (-k, -k + 1, 0, k - 1, k)])
-    return list(itertools.product(*choices))
+    levels = sched.levels_1d(stage - 1)  # (m(j), s(j)), finest first
+    ks = [s // m for m, s in levels]
+    fives = [(-k, 1 - k, 0, k - 1, k) for k in ks]
+    rows = list(zip(*fives))
+    for level, quotients in enumerate(fives):
+        for sign in (1, -1):
+            rows += [(*(sign * k for k in ks[:level]), q, *[0] * (len(ks) - level - 1)) for q in quotients]
+    addresses = dict.fromkeys(tuple(q * m for q, (m, _) in zip(row, levels)) for row in rows)
+    failures = 0
+    for xs in addresses:
+        got = cutstack.decompose((sum(xs), -sum(xs)), stage, sched)
+        failures += got is None or got.levels != tuple((g, -g) for g in xs)
+    return len(addresses), failures
 
 
 def variant_suite(report: Report, sched: Schedule, label: str) -> None:
@@ -771,33 +790,13 @@ def variant_suite(report: Report, sched: Schedule, label: str) -> None:
     gstar = cutstack.gamma_star_size(k, sched)
     reach = sched.r(k) - sched.r(1)
     report.claim(Claim.GAMMA_STAR_PRODUCT, gstar == sched.sumset(k).count_sum(-reach, reach)[0] ** 2, label=label, value=gstar)
-    # decompose round trip over the per-axis extremes: decompose peels each
-    # coordinate on its own, so one site carries two extremes, extreme i on x
-    # and its mirror -1-i (every quotient negated) on y, and the middle
-    # extreme (every quotient 0) sits alone on x; a site that fails is judged
-    # per coordinate, each of its extremes resent alone, so failures counts
-    # extremes
-    top_stage = sched.stages
-    axis = axis_extremes(sched, top_stage)
-    zeros = (0,) * (top_stage - 1)
-    half = len(axis) // 2
-
-    def inverts(xs: tuple[int, ...], ys: tuple[int, ...]) -> bool:
-        got = cutstack.decompose((sum(xs), sum(ys)), top_stage, sched)
-        return got is not None and got.levels == tuple(zip(xs, ys))
-
-    bad = 0 if inverts(axis[half], zeros) else 1
-    for xs, ys in zip(axis[:half], axis[:half:-1]):
-        if not inverts(xs, ys):
-            bad += (not inverts(xs, zeros)) + (not inverts(zeros, ys))
-    report.claim(
-        Claim.DECOMPOSE_ROUNDTRIP, bad == 0, label=label, trials=len(axis), failures=bad, coverage="per-axis extremes"
-    )
+    # decompose round trip at the margins of every built stage
+    counts = [roundtrip_failures(sched, stage) for stage in range(2, sched.stages + 1)]
+    sent, failures = sum(n for n, _ in counts), sum(bad for _, bad in counts)
+    coverage = "every address, by the level lemma"
+    report.claim(Claim.DECOMPOSE_ROUNDTRIP, failures == 0, label=label, coverage=coverage, addresses=sent, failures=failures)
     # mass ledger
     ledger = cutstack.mass_ledger(sched, min(4, sched.stages))
-    report.claim(
-        Claim.CORE_MASS, all(c == 1 for c in ledger.core_masses), label=label, core_masses=[str(c) for c in ledger.core_masses]
-    )
     increasing = all(ledger.stage_masses[i] < ledger.stage_masses[i + 1] for i in range(len(ledger.stage_masses) - 1))
     gapped = gapped_spacing(sched)
     report.claim(

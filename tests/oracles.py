@@ -15,6 +15,7 @@ from itertools import combinations, product
 import numpy as np
 
 from slowent import rng, toys
+from slowent.cutstack import Schedule
 from slowent.lattice import (
     SYMBOL_NAMES,
     AxisSumset,
@@ -165,6 +166,22 @@ def peel_2d(w, stage: int, sched, slack) -> tuple[list[tuple[int, int]], tuple[i
         peeled.append(g)
         w = tuple(a - b for a, b in zip(w, g))
     return peeled, w
+
+
+def axis_extremes(sched: Schedule, stage: int) -> list[tuple[int, ...]]:
+    """Per-axis offsets (g_1, ..., g_{stage-1}) with every level quotient in {-k, -k+1, 0, k-1, k}.
+
+    k = s(j)/m(j) at level j, and the 5^(stage-1) combinations come in
+    itertools.product order. decompose peels each coordinate on its own,
+    and a level-l peel can only go wrong where the finer remainder reaches
+    the slack r(l) - r(1), which only all-(+-k) finer quotients do; so
+    these offsets test every margin a peel has.
+    """
+    choices = []
+    for j in range(1, stage):
+        m, k = sched.m(j), sched.s(j) // sched.m(j)
+        choices.append([q * m for q in (-k, -k + 1, 0, k - 1, k)])
+    return list(product(*choices))
 
 
 def brute_exact_cover(masses: list[Fraction], dist: list[list[Fraction]], eps_diam: Fraction, eps_mass: Fraction) -> int:

@@ -32,7 +32,7 @@ SEED = 20240801
 #: in the last digit. A change that declares a new report updates this
 #: constant in the same change; any other change must leave the bytes as
 #: they are.
-VERIFY_REPORT_SHA256 = "b9de2dbef1ef4feb773f3d65ebfe4b7768390f053e1465345bd2a864ca7b718b"
+VERIFY_REPORT_SHA256 = "0769480985c61a733a6fb81fc243e92249883559b84a3764dac6945b804a02c4"
 
 #: sha256 of `slowent cover`'s report.json and `slowent distmat`'s
 #: distmat.csv at their defaults, and of the report of `cover --config` with

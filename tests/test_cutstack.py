@@ -13,6 +13,7 @@ from slowent.symbolic import A_SYMBOL, overlay_name
 
 from oracles import (
     axis_decompose,
+    axis_extremes,
     axis_peel,
     brute_arrangement,
     brute_gamma,
@@ -460,7 +461,7 @@ def test_decompose_compose_round_trip_every_stage(variant, data):
 @pytest.mark.parametrize("variant", range(len(VARIANTS)))
 def test_axis_extremes_hold_each_level_quotient(variant):
     sched = VARIANTS[variant]
-    axis = expcli.axis_extremes(sched, sched.stages)
+    axis = axis_extremes(sched, sched.stages)
     assert len(set(axis)) == len(axis) == 5 ** (sched.stages - 1)
     for j in range(1, sched.stages):
         m, k = sched.m(j), sched.s(j) // sched.m(j)
@@ -473,7 +474,7 @@ def test_decompose_is_the_pair_of_axis_peels_on_the_extremes(variant):
     # core site leaves the core on that axis alone
     sched = VARIANTS[variant]
     for stage in range(2, sched.stages + 1):
-        axis = expcli.axis_extremes(sched, stage)
+        axis = axis_extremes(sched, stage)
         for xs, ys in zip(axis, reversed(axis)):
             x, y = sum(xs), sum(ys)
             assert (axis_decompose(x, stage, sched), axis_decompose(y, stage, sched)) == (xs, ys)
@@ -512,7 +513,7 @@ def test_peel_per_axis_matches_2d_peel_on_the_extremes(variant, rule):
     slack = slack_rule(sched)
     for stage in range(2, sched.stages + 1):
         sumset, slacks = sched.sumset(stage), stored(sched, stage)
-        axis = expcli.axis_extremes(sched, stage)
+        axis = axis_extremes(sched, stage)
         for xs, ys in zip(axis, reversed(axis)):
             x, y = sum(xs), sum(ys)
             for w in ((x, y), (x + 1, y), (x, y - 1), (x - 1, y + 1)):
@@ -530,7 +531,7 @@ def test_axis_peel_matches_the_level_by_level_peel_on_the_extremes(variant, rule
     for stage in range(1, sched.stages + 1):
         axis, slacks = sched.sumset(stage), stored(sched, stage)
         top = sched.m(stage - 1) if stage > 1 else 0
-        for xs in expcli.axis_extremes(sched, stage):
+        for xs in axis_extremes(sched, stage):
             a = sum(xs)
             for d in (-1, 0, 1, -top, top):
                 assert axis.peel(a + d, slacks) == axis_peel(a + d, stage, sched, slack)

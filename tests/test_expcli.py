@@ -16,6 +16,7 @@ from slowent import cli, covernum, cutstack, expcli, lattice, recurrence, rng, s
 from slowent.lattice import UsageError, pattern_distance
 
 from oracles import (
+    axis_extremes,
     brute_stage2_census,
     census_triple,
     census_violations_by_triple,
@@ -309,6 +310,20 @@ def test_cli_ratio_et_on_a_one_stage_schedule_exits_2(tmp_path, capsys):
     assert "usage error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("point_seed", [99999999999999999999, -99999999999999999999, 2**63, -(2**63) - 1])
+def test_cli_names_point_seed_past_int64_exits_2(capsys, point_seed):
+    # the point seed is a stream index, which rng packs as an int64
+    assert cli.main(["names", "--n", "1", "--point-seed", str(point_seed)]) == 2
+    err = capsys.readouterr().err
+    assert "usage error: --point-seed must be in the int64 range" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("point_seed", [2**63 - 1, -(2**63)])
+def test_cli_names_point_seed_at_the_int64_ends_runs(capsys, point_seed):
+    assert cli.main(["names", "--n", "1", "--point-seed", str(point_seed)]) == 0
+    assert capsys.readouterr().out.startswith("box 1 default 0\n")
+
+
 @pytest.mark.parametrize(
     "command, flag",
     [
@@ -488,76 +503,140 @@ def test_cli_fit_writes_csv(tmp_path):
     assert len(lines) == 4
 
 
-@pytest.mark.parametrize("spec", expcli.DEFAULT_VARIANTS)
-def test_planted_top_level_peel_defect_fails_roundtrip(monkeypatch, spec):
-    # a peel that loses the top level's q = -k copy, which one per-axis
-    # extreme in five holds (k > 10^30 here, so a uniform quotient draw
-    # would almost never meet it)
-    sched = expcli.schedule_from_spec(spec)
-    top = sched.stages - 1
-    lost = -(sched.s(top) // sched.m(top)) * sched.m(top)
+def _peel_losing_copy(level, stage, sched):
+    """An AxisSumset.peel that loses level `level`'s q = -k copy on the stage's full sumset."""
+    lost = -(sched.s(level) // sched.m(level)) * sched.m(level)
     peel = lattice.AxisSumset.peel
 
     def planted(self, a, slacks):
-        # the full sumset has one slack per level; its top level stops the peel at the lost copy
+        # the stage's sumset has one slack per level, coarsest first
         offsets, rest = peel(self, a, slacks)
-        return ([], a) if len(slacks) == top and offsets[:1] == [lost] else (offsets, rest)
+        t = len(slacks) - level
+        if len(slacks) == stage - 1 and t < len(offsets) and offsets[t] == lost:
+            return offsets[:t], rest + sum(offsets[t:])
+        return offsets, rest
 
-    monkeypatch.setattr(lattice.AxisSumset, "peel", planted)
+    return planted
+
+
+def _peel_short_at(level):
+    """A cutstack._peel whose slack at level `level` is one short."""
+    peel = cutstack._peel
+
+    def planted(w, axis, slacks):
+        # slacks run coarsest first, so level j's slack is slacks[len(slacks) - j]
+        return peel(w, axis, tuple(slack - (len(slacks) - t == level) for t, slack in enumerate(slacks)))
+
+    return planted
+
+
+def _variant_verdict(sched, name):
+    """The verdict named `name` of variant_suite on the schedule, labelled v."""
     report = expcli.Report(config={})
     expcli.variant_suite(report, sched, "v")
-    (roundtrip,) = [v for v in report.verdicts if v.name == "v/decompose-roundtrip"]
-    # exactly the 5^(top - 1) extremes whose top quotient is -k fail; each
-    # shares its site with its mirror (top quotient +k), which still passes,
-    # so a failed site is judged per coordinate
-    assert roundtrip.status == "fail" and roundtrip.details["failures"] == 5 ** (top - 1)
+    (verdict,) = [v for v in report.verdicts if v.name == name]
+    return verdict
+
+
+@pytest.mark.parametrize("spec", expcli.DEFAULT_VARIANTS)
+def test_planted_top_level_peel_defect_fails_roundtrip(monkeypatch, spec):
+    # a peel that loses the top level's q = -k copy (k > 10^30 here, so a
+    # uniform quotient draw would almost never meet it): at the top stage the
+    # margin addresses with top quotient -k fail on x, and those with +k fail
+    # through their negation on y, each level-top address at +-k with every
+    # finer level at +k or at -k
+    sched = expcli.schedule_from_spec(spec)
+    monkeypatch.setattr(lattice.AxisSumset, "peel", _peel_losing_copy(sched.stages - 1, sched.stages, sched))
+    roundtrip = _variant_verdict(sched, "v/decompose-roundtrip")
+    assert roundtrip.status == "fail" and roundtrip.details["failures"] == 4
 
 
 @pytest.mark.parametrize("spec", expcli.DEFAULT_VARIANTS)
 def test_planted_short_slack_fails_roundtrip(monkeypatch, spec):
-    # decompose peeling under the slack r(j) - r(1) - 1 at one level j: the
-    # extremes whose finer quotients are all +k or all -k reach that level's
-    # margin, 2 * 5^(top - j + 1) of the 5^top (all of them at j = 1, where
-    # the slack is -1), so the verdict fails at every level
+    # decompose peeling under the slack r(j) - r(1) - 1 at one level j: at
+    # level 1 that slack is -1, so every margin address at every stage fails;
+    # at j >= 2 the addresses whose finer levels all sit at +k or all at -k
+    # fail, 8 M + 2 of them at a stage with M levels from j up, so
+    # 4 n^2 + 6 n over the n = top - j + 1 stages that build level j
     sched = expcli.schedule_from_spec(spec)
     top = sched.stages - 1
-    peel = cutstack._peel
     for level in range(1, top + 1):
-
-        def planted(w, axis, slacks, level=level):
-            # slacks run coarsest first, so level j's slack is slacks[len(slacks) - j]
-            return peel(w, axis, tuple(slack - (len(slacks) - t == level) for t, slack in enumerate(slacks)))
-
-        monkeypatch.setattr(cutstack, "_peel", planted)
-        report = expcli.Report(config={})
-        expcli.variant_suite(report, sched, "v")
-        (roundtrip,) = [v for v in report.verdicts if v.name == "v/decompose-roundtrip"]
-        expected = 5**top if level == 1 else 2 * 5 ** (top - level + 1)
+        with monkeypatch.context() as m:
+            m.setattr(cutstack, "_peel", _peel_short_at(level))
+            roundtrip = _variant_verdict(sched, "v/decompose-roundtrip")
+        n = top - level + 1
+        expected = roundtrip.details["addresses"] if level == 1 else 4 * n * n + 6 * n
         assert roundtrip.status == "fail" and roundtrip.details["failures"] == expected, level
 
 
 @pytest.mark.parametrize("spec", expcli.DEFAULT_VARIANTS)
-def test_roundtrip_sends_two_extremes_per_site(monkeypatch, spec):
-    # extreme i on x and its mirror -1-i on y, the middle extreme alone:
-    # ceil(5^top / 2) decompose calls carry each of the 5^top extremes once
+def test_roundtrip_sends_each_margin_address_with_its_negation(monkeypatch, spec):
+    # 5 addresses at one level and 8 L - 1 at L >= 2, at every built stage,
+    # each among the 5^L per-axis extremes and sent on x with its negation on y
     sched = expcli.schedule_from_spec(spec)
-    top = sched.stages - 1
-    sites = []
+    sites = {stage: [] for stage in range(2, sched.stages + 1)}
     decompose = cutstack.decompose
 
     def recording(v, stage, sched):
-        sites.append(v)
+        sites[stage].append(v)
         return decompose(v, stage, sched)
 
     monkeypatch.setattr(cutstack, "decompose", recording)
-    report = expcli.Report(config={})
-    expcli.variant_suite(report, sched, "v")
-    (roundtrip,) = [v for v in report.verdicts if v.name == "v/decompose-roundtrip"]
-    assert roundtrip.status == "pass" and roundtrip.details["trials"] == 5**top
-    assert len(sites) == -(-(5**top) // 2)
-    # every extreme's site on one coordinate, plus the middle site's y = 0
-    extremes = [sum(xs) for xs in expcli.axis_extremes(sched, sched.stages)]
-    assert sorted(c for v in sites for c in v) == sorted([0, *extremes])
+    roundtrip = _variant_verdict(sched, "v/decompose-roundtrip")
+    assert roundtrip.status == "pass"
+    assert roundtrip.details == {"coverage": "every address, by the level lemma", "addresses": 113, "failures": 0}
+    for stage, sent in sites.items():
+        levels = stage - 1
+        assert len(sent) == (5 if levels == 1 else 8 * levels - 1)
+        xs = [x for x, _ in sent]
+        assert all(y == -x for x, y in sent) and len(set(xs)) == len(xs)
+        assert set(xs) == {-x for x in xs}
+        assert set(xs) <= {sum(e) for e in axis_extremes(sched, stage)}
+
+
+def _extremes_round_trip_holds(sched, stage):
+    """Whether decompose inverts every per-axis extreme at the stage, sent on both axes."""
+    for xs in axis_extremes(sched, stage):
+        got = cutstack.decompose((sum(xs), sum(xs)), stage, sched)
+        if got is None or got.levels != tuple(zip(xs, xs)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("spec", expcli.DEFAULT_VARIANTS)
+def test_margin_roundtrip_agrees_with_the_extremes_oracle(monkeypatch, spec):
+    # at stages 2-6, sound and under a one-short slack or a lost q = -k copy
+    # at each level, the margins pass exactly when all 5^(stage-1) extremes do
+    sched = expcli.schedule_from_spec(spec)
+    for stage in range(2, 7):
+        assert expcli.roundtrip_failures(sched, stage)[1] == 0
+        assert _extremes_round_trip_holds(sched, stage)
+        for level in range(1, stage):
+            for target, name, planted in (
+                (cutstack, "_peel", _peel_short_at(level)),
+                (lattice.AxisSumset, "peel", _peel_losing_copy(level, stage, sched)),
+            ):
+                with monkeypatch.context() as m:
+                    m.setattr(target, name, planted)
+                    assert expcli.roundtrip_failures(sched, stage)[1] > 0, (stage, level, name)
+                    assert not _extremes_round_trip_holds(sched, stage), (stage, level, name)
+
+
+def test_roundtrip_calls_stay_linear_in_the_stage_count(monkeypatch):
+    # a 7-stage theta = 1/4, c = 5 schedule, whose radii reach 4,142 digits:
+    # at most 10 (stage - 1) decompose calls at each built stage
+    sched = expcli.schedule_from_spec({"stages": 7, "theta": "1/4", "c": "5", "r1": 1})
+    calls = {}
+    decompose = cutstack.decompose
+
+    def counting(v, stage, sched):
+        calls[stage] = calls.get(stage, 0) + 1
+        return decompose(v, stage, sched)
+
+    monkeypatch.setattr(cutstack, "decompose", counting)
+    assert _variant_verdict(sched, "v/decompose-roundtrip").status == "pass"
+    assert sorted(calls) == list(range(2, 8))
+    assert all(count <= 10 * (stage - 1) for stage, count in calls.items()), calls
 
 
 @pytest.mark.parametrize("spec", expcli.DEFAULT_VARIANTS)
@@ -1077,7 +1156,6 @@ PLANTED = {
 
 # asserted claims that no planted defect turns to fail yet
 UNPLANTED = {
-    "core-mass",
     "rho-alpha-bound",
     "lipschitz-orbit-bound",
     "bowen-lipschitz-growth",

@@ -200,6 +200,19 @@ def test_axis_values_leave_no_garbage(sched_default):
         gc.enable()
 
 
+def _kernel_windows():
+    """(stage, axis, lo, hi): windows of radius 0 to 50,000 around sampled
+    points, at stages 2-6 of every default variant."""
+    for spec in expcli.DEFAULT_VARIANTS:
+        sched = expcli.schedule_from_spec(spec)
+        for stage in range(2, 7):
+            axis = sched.sumset(stage)
+            for seed in range(4):
+                for u in cs.sample_point(sched, stage, seed).position_at(stage):
+                    for n in (0, 1, 7, 60, 500, 4_000, 50_000):
+                        yield stage, axis, u - n, u + n
+
+
 def test_axis_runs_recurse_at_most_three_times_a_level(monkeypatch):
     # whole copies translate one list of the finer sumset's runs and only the
     # partial copies at the window's two ends recurse: per level at most the
@@ -212,16 +225,39 @@ def test_axis_runs_recurse_at_most_three_times_a_level(monkeypatch):
         return walk(self, *args)
 
     monkeypatch.setattr(AxisSumset, "_walk_runs", counted)
-    for spec in expcli.DEFAULT_VARIANTS:
-        sched = expcli.schedule_from_spec(spec)
-        for stage in range(2, 7):
-            axis = sched.sumset(stage)
-            for seed in range(4):
-                for u in cs.sample_point(sched, stage, seed).position_at(stage):
-                    for n in (0, 1, 7, 60, 500, 4_000, 50_000):
-                        calls.clear()
-                        axis.values(u - n, u + n)
-                        assert len(calls) <= 3 * (stage - 1) + 1, (spec, stage, u, n)
+    for stage, axis, lo, hi in _kernel_windows():
+        calls.clear()
+        axis.values(lo, hi)
+        assert len(calls) <= 3 * (stage - 1) + 1, (stage, lo, hi)
+
+
+def test_axis_kernels_recurse_into_no_whole_copy(monkeypatch):
+    # a copy wholly inside its window is counted or translated whole, so
+    # neither kernel recurses into one; _walk_runs' one build of the whole
+    # finer sumset per level is the exception. Walking a whole copy as a
+    # partial one changes no value, only the work done
+    whole = []
+    count_sum, walk = AxisSumset._count_sum, AxisSumset._walk_runs
+
+    def note_whole(self, top, lo, hi):
+        if top < len(self._levels) and lo <= -self._reach[top] and hi >= self._reach[top]:
+            whole.append((top, lo, hi))
+
+    def checked_count_sum(self, top, lo, hi):
+        note_whole(self, top, lo, hi)
+        return count_sum(self, top, lo, hi)
+
+    def checked_walk(self, runs, full, top, base, lo, hi):
+        if runs is not full.get(top):
+            note_whole(self, top, lo, hi)
+        return walk(self, runs, full, top, base, lo, hi)
+
+    monkeypatch.setattr(AxisSumset, "_count_sum", checked_count_sum)
+    monkeypatch.setattr(AxisSumset, "_walk_runs", checked_walk)
+    for _, axis, lo, hi in _kernel_windows():
+        axis.count_sum(lo, hi)
+        axis.values(lo, hi)
+    assert whole == []
 
 
 def test_grid_membership(sched_default):
