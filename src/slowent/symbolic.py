@@ -1,8 +1,8 @@
 """Full-shift machinery: radius-0 codes as symbol tables, the fair two-letter
 overlay on core sites, the erasure factor map, and Hamming-ball covering
 lower bounds with the first-fit families that realize them: over the whole
-cube by lexicode doubling on a 2^length-bit set, over a word list by a
-scan of a 2^length-byte table.
+cube by lexicode doubling on a 2^length-bit set (`cube_first_fit`), over a
+word list by a scan of a 2^length-byte table.
 
 Symbol ids follow `lattice.SYMBOL_NAMES`: 0 and 1 for the base colors, 2
 and 3 for the overlay letters a and b.
@@ -102,22 +102,13 @@ def gv_rate_deficit(core_size: int, eps: Fraction) -> float:
     return 1.0 - math.log2(bound) / core_size
 
 
-def separated_words_first_fit(length: int, min_distance: int, words: list[int] | None = None) -> int:
+def separated_words_first_fit(length: int, min_distance: int, words: list[int]) -> int:
     """First-fit maximal family of binary words at pairwise Hamming distance >= min_distance.
 
     Scans `words` in order, blocking the radius (min_distance - 1) ball
-    around each kept word in a table of 2^length bytes. With `words` None
-    the family is the first fit over the whole cube in numeric order, which
-    realizes the sphere-covering bound constructively. That family is a
-    lexicode, and lexicodes are linear (Conway & Sloane 1986, Brualdi &
-    Pless 1993), so `_lexicode_size` builds it by doubling in a table of
-    2^length bits, with no scan.
+    around each kept word in a table of 2^length bytes.
     """
-    if min_distance < 1:
-        raise UsageError(f"min_distance must be >= 1, got {min_distance}")
     ball = _ball_masks(length, min_distance - 1)
-    if words is None:
-        return _lexicode_size(length, ball)
     size = 1 << length
     if any(not 0 <= w < size for w in words):
         raise UsageError(f"words must lie in [0, 2^{length})")
@@ -132,17 +123,20 @@ def separated_words_first_fit(length: int, min_distance: int, words: list[int] |
     return kept
 
 
-def _lexicode_size(length: int, ball: list[int]) -> int:
-    """Size of the numeric-order first fit over the cube, where `ball` holds
-    the masks of a Hamming ball about 0.
+def cube_first_fit(length: int, min_distance: int) -> int:
+    """Size of `separated_words_first_fit` over the whole cube in numeric
+    order, which realizes the sphere-covering bound constructively.
 
-    The fit's family is linear, so once the fit has passed [0, 2^k) it is a
-    code C, and `near`, the words within the ball of C, is one 2^length-bit
-    int. In [2^k, 2^(k+1)) the fit keeps v, the lowest word not in `near`,
-    and then every v ^ c for c in C: C doubles, and `near` gains its
-    translate by v. That translate swaps blocks of 2^b bits for each set
-    bit b of v, one shift-and-mask pair each.
+    That family is a lexicode, and lexicodes are linear (Conway & Sloane
+    1986, Brualdi & Pless 1993), so it is built by doubling, with no scan.
+    Once the fit has passed [0, 2^k) it is a code C, and `near`, the words
+    within the ball of C, is one 2^length-bit int. In [2^k, 2^(k+1)) the
+    fit keeps v, the lowest word not in `near`, and then every v ^ c for c
+    in C: C doubles, and `near` gains its translate by v. That translate
+    swaps blocks of 2^b bits for each set bit b of v, one shift-and-mask
+    pair each.
     """
+    ball = _ball_masks(length, min_distance - 1)
     size = 1 << length
     keeps = []  # keeps[b]: the words whose bit b is clear
     for b in range(length):
@@ -172,6 +166,9 @@ def _lexicode_size(length: int, ball: list[int]) -> int:
 
 
 def _ball_masks(length: int, radius: int) -> list[int]:
+    """The masks of the Hamming ball of a radius about 0: a family's min_distance less 1."""
+    if radius < 0:
+        raise UsageError(f"min_distance must be >= 1, got {radius + 1}")
     masks = [0]
     frontier = [0]
     for _ in range(radius):

@@ -119,10 +119,9 @@ class ToralEndoAction:
     def generator_lipschitz(self) -> int:
         return max(abs(p) + abs(q) for k in (-2, -1, 1, 2) for p, q in self.matrix_power(k))
 
-    @property
-    def lipschitz(self) -> int:
-        # single-constant form lip T^u <= C^||u||_inf for the Z^2 action
-        return self.generator_lipschitz**2
+    def orbit_lipschitz(self, n: int) -> int:
+        """C = max over |k| <= 3n of ||M^k||, so d_n(x, y) <= C d(x, y) over the orbit box |a|, |b| <= n."""
+        return max(abs(p) + abs(q) for k in range(-3 * n, 3 * n + 1) for p, q in self.matrix_power(k))
 
     def pair_bowen(self, points: np.ndarray, n: int):
         # a + 2b over |a|, |b| <= n is every k in [-3n, 3n]
@@ -133,3 +132,8 @@ class ToralEndoAction:
             return torus_dist_rows(orbits[i], orbits[j]).max(axis=-1)
 
         return dn
+
+    def diagonal_bowen(self, points: np.ndarray, n: int, step: int) -> list[int]:
+        """d_n(x, x + step (1, 1)) for each point x, step and distances in units of 2^-64."""
+        pairs = np.concatenate([points, points + np.uint64(step)])
+        return self.pair_bowen(pairs, n)(range(len(points)), range(len(points), len(pairs))).tolist()

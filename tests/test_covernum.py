@@ -328,15 +328,26 @@ def test_bowen_translation_isometry():
 
 
 def test_bowen_endo_lipschitz_bound():
+    # ||M^k|| is the Fibonacci number F(2k + 2), so the orbit constant is F(6n + 2)
     endo = toys.ToralEndoAction()
+    fib = [0, 1]
+    while len(fib) < 39:
+        fib.append(fib[-1] + fib[-2])
+    assert [endo.orbit_lipschitz(n) for n in range(7)] == [fib[6 * n + 2] for n in range(7)]
+    assert endo.orbit_lipschitz(6) == 39_088_169
     pts = toys.sample_torus_points(40, 3)
     exact = unit_points(pts)
-    lip = endo.lipschitz
     n = 3
+    lip = endo.orbit_lipschitz(n)
     dn = endo.pair_bowen(pts, n)
     for i in range(0, 38, 2):
         d0 = exact_torus_dist(exact[i], exact[i + 1])
-        assert int(dn(i, i + 1)) <= lip**n * d0
+        assert int(dn(i, i + 1)) <= lip * d0
+    # the diagonal pairs meet the bound, by the per-site oracle too
+    step = 1 << 37
+    diagonal = endo.diagonal_bowen(pts[:4], n, step)
+    shifted = [((x + step) % 2**64, (y + step) % 2**64) for x, y in exact[:4]]
+    assert diagonal == [exact_bowen(endo, n, x, y) for x, y in zip(exact, shifted)] == [lip * step] * 4
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 4, 16, 32])
@@ -487,18 +498,17 @@ def test_bowen_bound_log2_monotone():
 
 
 def test_bowen_endo_lipschitz_bound_large_sample():
-    # d_n <= C^n d on 10^3 random pairs at n = 6, compared as integers in
-    # units of 2^-64
+    # d_n <= C d on 10^3 random pairs at n = 6, for C the per-orbit constant,
+    # compared as integers in units of 2^-64
     endo = toys.ToralEndoAction()
     pts = toys.sample_torus_points(2000, 8)
     exact = unit_points(pts)
-    lip = endo.lipschitz
     n = 6
+    lip = endo.orbit_lipschitz(n)
     dn = endo.pair_bowen(pts, n)
-    bound_factor = lip**n
     for i in range(0, 2000, 2):
         d0 = exact_torus_dist(exact[i], exact[i + 1])
-        assert int(dn(i, i + 1)) <= bound_factor * d0
+        assert int(dn(i, i + 1)) <= lip * d0
 
 
 def test_sandwich_needs_positive_masses():

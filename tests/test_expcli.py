@@ -425,6 +425,42 @@ def test_cli_recur_sample_size_is_only_recorded(tmp_path):
     assert docs[0] == docs[1]
 
 
+#: The config fields each experiment reads, beside kind.
+READS = {
+    "cover": {"seed", "sample_size", "schedule", "scales", "epsilons"},
+    "recur": {"schedule", "scales"},
+    "overlay": {"seed", "sample_size", "schedule"},
+    "ratio-et": {"seed", "sample_size", "schedule"},
+    "bowen": {"seed", "sample_size"},
+    "verify": {"seed"},
+    "metric-props": set(),
+}
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_config_refuses_every_field_its_command_does_not_read(tmp_path, capsys, command):
+    assert expcli.Command._fields == ("runner", "sample_size", "reads", "help")
+    assert expcli.COMMANDS[command].reads == READS[command]
+    source = Path(cli.__file__).read_text()
+    assert "args.command" not in source and "args.action" not in source
+    values = {"scales": [2], "epsilons": ["1/4"], "schedule": {"stages": 3}}
+    for field, value in values.items():
+        doc = {"kind": command, field: value}
+        if field in READS[command]:
+            expcli.config_from_json(doc)
+            continue
+        with pytest.raises(UsageError, match=f"{command} does not read config field '{field}'"):
+            expcli.config_from_json(doc)
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        assert cli.main([command, "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o")]) == 2
+        assert f"usage error: {command} does not read config field '{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    # every kind still takes a seed and a sample size, in a config and as flags
+    expcli.config_from_json({"kind": command, "seed": 7, "sample_size": 3})
+    args = cli.build_parser().parse_args([command, "--sample-size", "3", "--seed", "7"])
+    assert (args.run, args.kind, args.seed, args.sample_size) == (cli._experiment, command, 7, 3)
+
+
 @pytest.mark.parametrize("command", ["recur", "metric-props"])
 def test_cli_seed_is_only_recorded(tmp_path, command):
     # both run exhaustive suites; the kinds benchmark still passes them --seed
@@ -818,6 +854,23 @@ def test_planted_endomorphism_orbits_fail_bowen_isometry(monkeypatch):
     assert all((row["sep"] == row["sep_base"]) == (row["n"] == 0) for row in rows)
 
 
+def test_planted_short_orbit_constant_fails_lipschitz_orbit_bound(monkeypatch):
+    # the constant taken one orbit step short, max ||M^k|| over |k| <= 3n - 1:
+    # every diagonal pair x, x + 2^-27 (1, 1) meets the true constant, so all exceed this one
+    def short(self, n):
+        return max(abs(p) + abs(q) for k in range(1 - 3 * n, 3 * n) for p, q in self.matrix_power(k))
+
+    config = expcli.config_from_json({"kind": "bowen", "seed": 2024, "sample_size": 200})
+    (sound,) = [v for v in expcli.run_bowen(config).verdicts if v.name == "lipschitz-orbit-bound"]
+    assert sound.status == "pass" and sound.details == {"checked": 200, "n": 6, "lip": 39_088_169}
+    monkeypatch.setattr(toys.ToralEndoAction, "orbit_lipschitz", short)
+    (bound,) = [v for v in expcli.run_bowen(config).verdicts if v.name == "lipschitz-orbit-bound"]
+    assert bound.status == "fail" and bound.details["lip"] == 14_930_352
+    step = 1 << 37
+    diagonal = toys.ToralEndoAction().diagonal_bowen(toys.sample_torus_points(200, 2024), 6, step)
+    assert diagonal == [39_088_169 * step] * 200
+
+
 def test_distmat_memory_grows_with_the_sample_not_its_pairs(tmp_path, capsys):
     # at n = 3 each point's return-site set is small, so the 44,850 pairs of
     # 300 points would dominate: held as Fractions in a MetricSample plus one
@@ -950,20 +1003,6 @@ def test_stage2_census_matches_2d_oracle(variant):
     census = expcli.stage2_recurrence_census(sched, n)
     assert census["positions"] == (361, 3025, 5329)[variant]
     assert census == brute_stage2_census(sched, n)
-
-
-def test_run_experiment_rejects_unknown_kind():
-    with pytest.raises(UsageError):
-        expcli.run_experiment(
-            expcli.ExperimentConfig(
-                kind="nonsense",
-                seed=2024,
-                schedule_spec=dict(expcli.DEFAULT_SCHEDULE_SPEC),
-                sample_size=50,
-                scales=None,
-                eps_list=("1/4", "1/8"),
-            )
-        )
 
 
 def test_bench_layers_resolve():
@@ -1152,12 +1191,12 @@ PLANTED = {
     "alpha-vs-theta": test_planted_whole_window_count_fails_alpha_vs_theta,
     "gamma-exponent-vs-theta": test_planted_box_level_size_fails_gamma_exponent_vs_theta,
     "bowen-isometry": test_planted_endomorphism_orbits_fail_bowen_isometry,
+    "lipschitz-orbit-bound": test_planted_short_orbit_constant_fails_lipschitz_orbit_bound,
 }
 
 # asserted claims that no planted defect turns to fail yet
 UNPLANTED = {
     "rho-alpha-bound",
-    "lipschitz-orbit-bound",
     "bowen-lipschitz-growth",
 }
 

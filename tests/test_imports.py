@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib
 import runpy
@@ -5,7 +6,7 @@ import sys
 from pathlib import Path
 
 import slowent
-from slowent import expcli
+from slowent import cli, expcli
 
 PACKAGE = Path(slowent.__file__).parent
 
@@ -329,7 +330,7 @@ def test_each_claim_is_written_once_in_the_package():
 # CHANGES.md, must equal the cap, so adding one or removing one has to show
 # up in a diff of the cap.
 
-SETTABLE_DEFAULTS_CAP = 7
+SETTABLE_DEFAULTS_CAP = 6
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -383,6 +384,37 @@ class Plain:
 def test_settable_defaults_do_not_grow():
     found = [f"{p.name}:{d}" for p in sorted(PACKAGE.glob("*.py")) for d in settable_defaults(p.read_text())]
     assert len(found) == SETTABLE_DEFAULTS_CAP, found
+
+
+# The CLI's optional flags, counted on the built parser: every `--option` of
+# each subcommand, `--help` excluded. Pinned like the settable defaults.
+
+CLI_OPTIONAL_FLAGS = 88
+
+
+def optional_flags(parser: argparse.ArgumentParser, prefix: str = "") -> list[str]:
+    """"<subcommand path> --option" for each optional flag of a parser and of its subparsers."""
+    out = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            out += [flag for name, sub in action.choices.items() for flag in optional_flags(sub, f"{prefix}{name} ")]
+        out += [prefix + option for option in action.option_strings if option.startswith("--") and option != "--help"]
+    return out
+
+
+def test_optional_flags_counts_each_subcommand():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--top")
+    sub = parser.add_subparsers()
+    a = sub.add_parser("a")
+    a.add_argument("-x", "--xs")
+    a.add_subparsers().add_parser("b").add_argument("--ys", "--zs")
+    assert optional_flags(parser) == ["--top", "a --xs", "a b --ys", "a b --zs"]
+
+
+def test_cli_optional_flags_do_not_grow():
+    found = optional_flags(cli.build_parser())
+    assert len(found) == len(set(found)) == CLI_OPTIONAL_FLAGS, found
 
 
 # ---------------------------------------------------------------------------

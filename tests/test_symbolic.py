@@ -15,6 +15,7 @@ from slowent.symbolic import (
     ERASURE,
     apply_code,
     binary_entropy,
+    cube_first_fit,
     gv_rate_deficit,
     hamming_ball_volume,
     hamming_cover_lower,
@@ -288,7 +289,7 @@ def test_hamming_cover_lower_validation():
 def test_separated_words_first_fit_realizes_bound():
     for s, eps in ((10, Fraction(1, 5)), (12, Fraction(1, 4))):
         d = math.ceil(eps * s)
-        family = separated_words_first_fit(s, d)
+        family = cube_first_fit(s, d)
         assert family >= hamming_cover_lower(s, eps)
 
 
@@ -308,13 +309,13 @@ def test_separated_words_matches_brute(length, min_distance, data):
 
 @pytest.mark.parametrize("length", [*range(1, 13), 16])
 def test_separated_words_cube_matches_brute(length):
-    # the cube mode doubles a lexicode; the list-mode scan over the whole
+    # cube_first_fit doubles a lexicode; the word-list scan over the whole
     # cube in numeric order is its oracle, and the pairwise brute force
     # checks both where it is affordable; d runs past length + 1 at the
     # short lengths, where the ball covers the cube and the family is 1
     cube = range(1 << length)
     for d in range(1, max(5, length + 2) if length <= 12 else 6):
-        family = separated_words_first_fit(length, d)
+        family = cube_first_fit(length, d)
         assert family == separated_words_first_fit(length, d, cube), d
         if length <= 8:
             assert family == brute_separated_words(d, cube), d
@@ -328,7 +329,7 @@ def test_separated_words_rejects_bad_input():
     with pytest.raises(UsageError):
         separated_words_first_fit(4, 0, [1, 1])
     with pytest.raises(UsageError):
-        separated_words_first_fit(4, 0)
+        cube_first_fit(4, 0)
 
 
 def test_gv_rate_deficit_tends_to_entropy():
