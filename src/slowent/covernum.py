@@ -5,8 +5,12 @@ sample, arbitrary measurable cover sets can be replaced by their traces on
 the sample, so point subsets are fully general. Feasible sets are subsets
 of maximal cliques of the diameter graph, which keeps branch-and-bound
 small. Point sets are Python-int bitmasks. Everything combinatorial is
-exact: distances are rational, and the cover searches compare masses and
-their coverage target as integers over one common denominator. Only the
+exact integer arithmetic. A sample reads each rational distance once, as
+its (numerator, denominator) pair; a threshold p/q is split into its pair
+once per call, and a distance a/b lies within it when a q <= p b. The
+matrix gets no common denominator, whose lcm would grow with the sample.
+The cover searches compare masses and their coverage target as integers
+over one common denominator of the masses. Only the
 growth fits and the Bowen bound's logarithms use floats. The Bowen orbits
 and closeness masks live in `toys`, in exact uint64 units of 2^-64; this
 module imports no numpy.
@@ -15,7 +19,7 @@ module imports no numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -31,24 +35,35 @@ EXACT_COVER_LIMIT = 20
 
 @dataclass
 class MetricSample:
-    """Finite weighted point set with an exact pairwise distance matrix."""
+    """Finite weighted point set with an exact pairwise distance matrix.
+
+    Masses and distances are Fractions or ints. Each distance is read once
+    into `_ratios` as its (numerator, denominator) pair, denominator
+    positive, and the checks compare those integers.
+    """
 
     masses: tuple[Fraction, ...]
     dist: tuple[tuple[Fraction, ...], ...]
+    _ratios: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.masses)
         if len(self.dist) != n or any(len(row) != n for row in self.dist):
             raise UsageError("sample shape mismatch")
-        if any(m < 0 for m in self.masses):
+        try:
+            negative = any(m.numerator < 0 for m in self.masses)
+            ratios = self._ratios = tuple(tuple((d.numerator, d.denominator) for d in row) for row in self.dist)
+        except AttributeError:
+            raise UsageError("masses and distances must be exact rationals (Fraction or int)") from None
+        if negative:
             raise UsageError("negative mass")
         for i in range(n):
-            if self.dist[i][i] != 0:
+            if ratios[i][i][0]:
                 raise UsageError(f"nonzero diagonal at {i}")
             for j in range(i + 1, n):
-                if self.dist[i][j] != self.dist[j][i]:
+                if ratios[i][j] != ratios[j][i]:
                     raise UsageError(f"asymmetric distances at ({i},{j})")
-                if self.dist[i][j] < 0:
+                if ratios[i][j][0] < 0:
                     raise UsageError(f"negative distance at ({i},{j})")
 
     def __len__(self) -> int:
@@ -59,19 +74,25 @@ class MetricSample:
 
 
 def sample_from_points(ids: Sequence, masses: Sequence[Fraction], metric) -> MetricSample:
-    """Assemble a sample by evaluating `metric(id_i, id_j)` on all pairs."""
+    """Assemble a sample by evaluating `metric(id_i, id_j)`, an exact rational, on all pairs."""
     n = len(ids)
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            v = Fraction(metric(ids[i], ids[j]))
-            rows[i][j] = rows[j][i] = v
+            rows[i][j] = rows[j][i] = metric(ids[i], ids[j])
     return MetricSample(tuple(Fraction(m) for m in masses), tuple(tuple(r) for r in rows))
 
 
-def _within(sample: MetricSample, radius: Fraction) -> list[int]:
-    """Per point, the bitmask of the points within `radius` of it (itself included)."""
-    return [sum(1 << j for j, d in enumerate(row) if d <= radius) for row in sample.dist]
+def _within(sample: MetricSample, radius: Fraction, points: Sequence[int]) -> list[int]:
+    """Per point of `points`, the bitmask of the points of `points` within `radius` of it
+    (itself included), bit k standing for points[k]. With radius p/q, a distance a/b is
+    within it when a q <= p b."""
+    p, q = radius.numerator, radius.denominator
+    masks = []
+    for i in points:
+        ratios = map(sample._ratios[i].__getitem__, points)
+        masks.append(sum(1 << k for k, (a, b) in enumerate(ratios) if a * q <= p * b))
+    return masks
 
 
 def _mass_units(sample: MetricSample, eps_mass: Fraction) -> tuple[list[int], int]:
@@ -138,7 +159,7 @@ def exact_cover_number(sample: MetricSample, eps_diam: Fraction, eps_mass: Fract
     masses, target = _mass_units(sample, eps_mass)
     if target <= 0:
         return 0
-    adj = [mask & ~(1 << i) for i, mask in enumerate(_within(sample, eps_diam))]
+    adj = [mask & ~(1 << i) for i, mask in enumerate(_within(sample, eps_diam, range(n)))]
     cliques = _maximal_cliques(adj, n)
     clique_mass = [(_mask_mass(masses, c), c) for c in cliques]
     clique_mass.sort(key=lambda t: (-t[0], t[1]))
@@ -181,7 +202,7 @@ def greedy_cover_upper(sample: MetricSample, eps_diam: Fraction, eps_mass: Fract
     masses, target = _mass_units(sample, eps_mass)
     if target <= 0:
         return 0
-    balls = _within(sample, Fraction(eps_diam) / 2)
+    balls = _within(sample, Fraction(eps_diam) / 2, range(len(sample)))
     covered = covered_mass = count = 0
     while covered_mass < target:
         best_i, best_gain = -1, -1
@@ -198,15 +219,17 @@ def greedy_cover_upper(sample: MetricSample, eps_diam: Fraction, eps_mass: Fract
 
 
 def max_separated_lower(sample: MetricSample, eps: Fraction) -> int:
-    """First-fit maximal subset at pairwise distance > eps, scanning by point index.
+    """First-fit maximal subset of the positive-mass points at pairwise
+    distance > eps, scanning by point index.
 
-    Any cover by sets of diameter <= eps contains at most one selected point
-    per set, so the size lower-bounds full-coverage covers. Points of zero
-    mass still get selected but need not be covered, so the lower-bound
-    reading requires strictly positive masses. The `_within` masks are
-    exact, so no chosen point inside one is still separated.
+    Any full-coverage cover by sets of diameter <= eps must reach every
+    positive-mass point and holds at most one selected point per set, so
+    the size lower-bounds it. A zero-mass point needs no cover and is never
+    selected. The `_within` masks are exact, so no chosen point inside one
+    is still separated.
     """
-    return bowen_first_fit_separated(_within(sample, eps), lambda i, j: False)
+    positive = [i for i, m in enumerate(sample.masses) if m.numerator > 0]
+    return bowen_first_fit_separated(_within(sample, eps, positive), lambda i, j: False)
 
 
 def cover_bracket(sample: MetricSample, eps_diam: Fraction, eps_mass: Fraction) -> tuple[int, int, int]:

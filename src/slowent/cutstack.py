@@ -392,7 +392,7 @@ def color01_at(point: PointHandle, v: Site) -> int:
     return 1 if decompose(w, j, point.schedule) is not None else 0
 
 
-def _window(point: PointHandle, n: int) -> tuple[AxisSumset, Site]:
+def window_sumset(point: PointHandle, n: int) -> tuple[AxisSumset, Site]:
     """The per-coordinate core sumset of the stage that pins Q_n, and the point's position there."""
     j = point.determining_stage(n)
     return point.schedule.sumset(j), point.position_at(j)
@@ -413,7 +413,7 @@ def window_axes(point: PointHandle, n: int) -> tuple[list[int], list[int]]:
     The window's 1-cell set is always a product X x Y because the core
     sumset is a product of identical per-coordinate sumsets.
     """
-    return _axes(*_window(point, n), n)
+    return _axes(*window_sumset(point, n), n)
 
 
 GENERIC_CELL_CAP = 5_000_000
@@ -427,7 +427,7 @@ def capped_window_axes(point: PointHandle, n: int) -> tuple[list[int], list[int]
     when the box itself holds more than the cap. The window's stage and
     position are resolved once, for both the count and the axes.
     """
-    axis, u = _window(point, n)
+    axis, u = window_sumset(point, n)
     if box_site_count(n) > GENERIC_CELL_CAP and (count := _count(axis, u, n)) > GENERIC_CELL_CAP:
         raise UsageError(f"window Q_{n} holds {count} core cells, above the cap of {GENERIC_CELL_CAP}")
     return _axes(axis, u, n)
@@ -441,12 +441,12 @@ def name01(point: PointHandle, n: int) -> Pattern:
 
 def core_count(point: PointHandle, n: int) -> int:
     """|{v in Q_n : color = 1}| without materializing the window."""
-    return _count(*_window(point, n), n)
+    return _count(*window_sumset(point, n), n)
 
 
 def core_centroid(point: PointHandle, n: int) -> tuple[int, Fraction, Fraction]:
     """Count and exact mean offset of the window's 1-cells."""
-    axis, u = _window(point, n)
+    axis, u = window_sumset(point, n)
     cx, sx = axis.count_sum(u[0] - n, u[0] + n)
     cy, sy = axis.count_sum(u[1] - n, u[1] + n)
     if cx == 0 or cy == 0:

@@ -561,15 +561,18 @@ def stage2_recurrence_census(sched: Schedule, n: int) -> dict:
     The positions form Gamma_1 = A x A, and the window at (a, b) is X(a) x X(b)
     with X(a) non-empty (it holds the point itself), so distinct patterns and
     decoder hits over A x A are the squares of the per-axis counts over A.
+    Each X(a) is keyed by its maximal runs and decoded from its integer
+    count and sum; no value list is built. The y window of (a, 0) is
+    [-n, n] on a symmetric set, so its mean is 0.
     """
     axis = sched.sumset(2).values(-sched.s(1), sched.s(1))
     patterns = set()
     decode_hits = 0
     for a in axis:
-        p = cutstack.point_from_address(sched, [(a, 0)])
-        patterns.add(tuple(cutstack.window_axes(p, n)[0]))
-        _, mean_x, mean_y = cutstack.core_centroid(p, n)
-        if recurrence.centroid_decode_axes(mean_x, mean_y)[0] == a:
+        window, (x, _) = cutstack.window_sumset(cutstack.point_from_address(sched, [(a, 0)]), n)
+        patterns.add(window.maximal_runs(x - n, x + n, x))
+        count, total = window.count_sum(x - n, x + n)
+        if recurrence.centroid_decode_axes((total - x * count, count), (0, 1))[0] == a:
             decode_hits += 1
     return {
         "positions": len(axis) ** 2,
@@ -642,11 +645,12 @@ def run_overlay(config: ExperimentConfig) -> Report:
     # default 0 and its letters on X x Y must erase to the base name's 0 and 1s
     bad = 0
     cases = min(config.sample_size, 1000)
+    erasure = symbolic.code_tables(symbolic.ERASURE)
     for i in range(cases):
         p = cutstack.sample_point(sched, 3, rng.derive_seed(config.seed, "ov-point", i))
         n = rng.uniform_int(config.seed, "ov-radius", i, lo=0, hi=27)
         _, _, letters = symbolic.overlay_name(p, n)
-        if symbolic.apply_code(symbolic.ERASURE, b"\0" + letters) != b"\0" + b"\1" * len(letters):
+        if symbolic.apply_code(erasure, b"\0" + letters) != b"\0" + b"\1" * len(letters):
             bad += 1
     report.claim(Claim.ERASURE_IDENTITY, bad == 0, cases=cases, failures=bad)
     report.exponents["gv_rate_deficit"] = symbolic.gv_rate_deficit(core_size, eps)
@@ -871,25 +875,24 @@ def verify_all(config: ExperimentConfig) -> Report:
 
 
 def cover_sandwich_suite(seed: int, instances: int, max_points: int) -> dict:
-    """Random rational metric samples; checks sep <= exact <= greedy."""
+    """Random rational metric samples; checks sep <= exact <= greedy.
+
+    Points have integer coordinates in units of 1/1000 and integer masses
+    (cover numbers do not change when every mass is scaled), so each pair
+    builds one Fraction, its distance.
+    """
     violations = 0
     ratios = []
     for i in range(instances):
         count = rng.uniform_int(seed, "cs-count", i, lo=2, hi=max_points)
-        coords = []
-        for j in range(count):
-            coords.append(
-                (
-                    Fraction(rng.uniform_int(seed, "cs-x", i, j, lo=0, hi=1000), 1000),
-                    Fraction(rng.uniform_int(seed, "cs-y", i, j, lo=0, hi=1000), 1000),
-                )
-            )
-        masses = [Fraction(1 + rng.uniform_int(seed, "cs-m", i, j, lo=0, hi=3), 1) for j in range(count)]
-        total = sum(masses)
-        masses = [m / total for m in masses]
+        coords = [
+            (rng.uniform_int(seed, "cs-x", i, j, lo=0, hi=1000), rng.uniform_int(seed, "cs-y", i, j, lo=0, hi=1000))
+            for j in range(count)
+        ]
+        masses = [1 + rng.uniform_int(seed, "cs-m", i, j, lo=0, hi=3) for j in range(count)]
 
         def metric(a, b):
-            return (abs(a[0] - b[0]) + abs(a[1] - b[1])) / 2
+            return Fraction(abs(a[0] - b[0]) + abs(a[1] - b[1]), 2000)
 
         smp = sample_from_points(coords, masses, metric)
         eps = Fraction(1 + rng.uniform_int(seed, "cs-eps", i, lo=0, hi=300), 1000)

@@ -124,8 +124,9 @@ class AxisSumset:
 
     Levels are given as (spacing, radius) pairs, finest first. Every spacing
     must exceed twice the reach s_1 + ... + s_{j-1} of the finer levels, so
-    each value has exactly one decomposition into per-level offsets. count_sum
-    and values both read _copies, and only a window's partial end copies recurse.
+    each value has exactly one decomposition into per-level offsets. count_sum,
+    values and maximal_runs all read _copies, and only a window's partial end
+    copies recurse.
     """
 
     def __init__(self, levels: Iterable[tuple[int, int]]) -> None:
@@ -219,6 +220,22 @@ class AxisSumset:
                 runs.extend([(first + d, last + d, step) for first, last, step in full[top - 1]])
             else:
                 self._walk_runs(runs, full, top - 1, d, lo - q * m, hi - q * m)
+
+    def maximal_runs(self, lo: int, hi: int, origin: int) -> tuple[tuple[int, int, int], ...]:
+        """The values in [lo, hi] as maximal runs (first, last, step), offsets from origin.
+
+        Adjacent finest-level runs whose gap equals the step are joined, so
+        every run of the result is a maximal chain of values one finest
+        spacing apart: two windows of sumsets with the same finest spacing
+        hold the same values exactly when their maximal runs are equal.
+        """
+        out: list[list[int]] = []
+        for first, last, step in self._runs(lo, hi):
+            if out and first - out[-1][1] == step:
+                out[-1][1] = last
+            else:
+                out.append([first, last, step])
+        return tuple((first - origin, last - origin, step) for first, last, step in out)
 
     def values(self, lo: int, hi: int, origin: int = 0) -> list[int]:
         """Sorted values in [lo, hi], as offsets from origin."""

@@ -34,21 +34,29 @@ def recurrence_key(point: PointHandle, n: int) -> tuple[int, tuple[int, ...], tu
     return n, tuple(xs), tuple(ys)
 
 
-def centroid_decode_axes(mean_x: Fraction, mean_y: Fraction) -> Site:
+def centroid_decode_axes(mean_x: tuple[int, int], mean_y: tuple[int, int]) -> Site:
     """Position encoded by a translate of a zero-sum window X x Y: the negated mean (mean X, mean Y),
     rounded to the nearest integer with exact .5 ties toward zero so contamination stays visible.
-    The means come from `cutstack.core_centroid`, which refuses an empty window."""
-    return (_round_half_toward_zero(-mean_x), _round_half_toward_zero(-mean_y))
+
+    Each mean is given exactly as the integer pair (offset sum, count) of
+    its axis, from `AxisSumset.count_sum`; an empty axis is refused.
+    """
+    return (_round_half_toward_zero(*mean_x), _round_half_toward_zero(*mean_y))
 
 
-def _round_half_toward_zero(q: Fraction) -> int:
-    floor = q.numerator // q.denominator
-    rem = q - floor
-    if rem > Fraction(1, 2):
-        return floor + 1
-    if rem < Fraction(1, 2):
-        return floor
-    return floor + 1 if q < 0 else floor
+def _round_half_toward_zero(total: int, count: int) -> int:
+    """-total / count rounded to the nearest integer, exact .5 ties toward zero.
+
+    One floor division and one comparison of the doubled remainder with the
+    count, all on integers: with q = -total / count = floor + rem / count,
+    0 <= rem < count, the nearest integer is floor + 1 when 2 rem > count,
+    floor when 2 rem < count, and on a tie the one nearer zero.
+    """
+    if count < 1:
+        raise UsageError("empty window core")
+    floor, rem = divmod(-total, count)
+    twice = 2 * rem
+    return floor + 1 if twice > count or twice == count and total > 0 else floor
 
 
 def rho_alpha_bound_holds(n: int, count: int, alpha_hat: float, eps: Fraction | float) -> bool:

@@ -28,21 +28,31 @@ LETTERS = bytes([A_SYMBOL, B_SYMBOL, *range(2, 256)])
 ERASURE = {0: 0, 1: 1, A_SYMBOL: 1, B_SYMBOL: 1}
 
 
-def apply_code(table: dict[int, int], symbols: bytes) -> bytes:
-    """Map each symbol of a byte string through a radius-0 code's symbol table.
+def code_tables(table: dict[int, int]) -> tuple[bytes, bytes]:
+    """A radius-0 code's symbol table as the two arguments of bytes.translate:
+    the 256-byte image table, and the symbols the table lacks, to delete.
 
-    One bytes.translate maps the string and deletes every symbol the table
-    lacks, so a shorter result means an unmapped symbol. An image outside
-    0..255 is refused, since no byte can carry it.
+    An image outside 0..255 is refused, since no byte can carry it. Build
+    the tables once and pass them to every apply_code call of the code.
     """
     images = bytearray(256)
     for sym, out in table.items():
         if not 0 <= out <= 255:
             raise UsageError(f"the code maps symbol {sym} to {out}, outside 0..255")
         images[sym] = out
-    out = symbols.translate(images, bytes(range(256)).translate(None, bytes(table)))
+    return bytes(images), bytes(range(256)).translate(None, bytes(table))
+
+
+def apply_code(tables: tuple[bytes, bytes], symbols: bytes) -> bytes:
+    """Map each symbol of a byte string through a radius-0 code, given by its `code_tables`.
+
+    One bytes.translate maps the string and deletes every symbol the code
+    lacks, so a shorter result means an unmapped symbol.
+    """
+    images, unmapped = tables
+    out = symbols.translate(images, unmapped)
     if len(out) != len(symbols):
-        raise UsageError(f"symbol {next(sym for sym in symbols if sym not in table)} is not mapped by the code")
+        raise UsageError(f"symbol {next(sym for sym in symbols if sym in unmapped)} is not mapped by the code")
     return out
 
 

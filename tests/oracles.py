@@ -89,6 +89,17 @@ def brute_axis_sumset(levels: list[tuple[int, int]]) -> list[int]:
     return values
 
 
+def maximal_chains(values: list[int], step: int) -> tuple[tuple[int, int, int], ...]:
+    """Sorted values split wherever two neighbours are not one step apart, as (first, last, step)."""
+    chains: list[list[int]] = []
+    for v in values:
+        if chains and v - chains[-1][-1] == step:
+            chains[-1].append(v)
+        else:
+            chains.append([v])
+    return tuple((chain[0], chain[-1], step) for chain in chains)
+
+
 def brute_gamma_star_member(v: tuple[int, int], levels: list[tuple[int, int]]) -> bool:
     """Membership of v in Gamma_1 + ... + Gamma_J by local enumeration.
 
@@ -225,6 +236,34 @@ def fraction_greedy_cover(
         covered |= balls[best]
         count += 1
     return count
+
+
+def fraction_within(dist: list[list[Fraction]], radius: Fraction) -> list[int]:
+    """Per point, the bitmask of the points within radius of it, each distance
+    compared with the radius as a Fraction: the reference for covernum._within."""
+    return [sum(1 << j for j, d in enumerate(row) if d <= radius) for row in dist]
+
+
+def fraction_cover_bracket(
+    masses: list[Fraction], dist: list[list[Fraction]], eps_diam: Fraction, eps_mass: Fraction
+) -> tuple[int, int, int]:
+    """covernum.cover_bracket on Fractions, from its definition.
+
+    Without mass slack the lower end is the first fit, by index, over the
+    positive-mass points, on fraction_within masks; with slack it is 1 while
+    any mass must be covered. The exact and upper ends are brute_exact_cover
+    and fraction_greedy_cover.
+    """
+    if eps_mass == 0:
+        close = fraction_within(dist, eps_diam)
+        kept: list[int] = []
+        for i, mass in enumerate(masses):
+            if mass > 0 and not any(close[i] >> j & 1 for j in kept):
+                kept.append(i)
+        lower = len(kept)
+    else:
+        lower = 1 if (1 - eps_mass) * sum(masses, Fraction(0)) > 0 else 0
+    return lower, brute_exact_cover(masses, dist, eps_diam, eps_mass), fraction_greedy_cover(masses, dist, eps_diam, eps_mass)
 
 
 def brute_strict_first_fit(dist: list[list[Fraction]], eps: Fraction) -> int:
@@ -393,6 +432,11 @@ def merged_provenance_count(point, n: int, prov_stage: int, halfwidth: int | Non
     return covered(axis, halfwidth, u[0] - n, u[0] + n) * covered(axis, halfwidth, u[1] - n, u[1] + n)
 
 
+def nearest(q: Fraction) -> int:
+    """The integer nearest to q, exact .5 ties toward zero, by Fraction arithmetic."""
+    return math.trunc(q) if q - math.floor(q) == Fraction(1, 2) else math.floor(q + Fraction(1, 2))
+
+
 def centroid_decode(sites: frozenset[tuple[int, int]]) -> tuple[int, int]:
     """The position encoded by a translate of a zero-sum site set, from the sites themselves.
 
@@ -402,10 +446,6 @@ def centroid_decode(sites: frozenset[tuple[int, int]]) -> tuple[int, int]:
     """
     if not sites:
         raise UsageError("cannot decode an empty recurrence pattern")
-
-    def nearest(q: Fraction) -> int:
-        return math.trunc(q) if q - math.floor(q) == Fraction(1, 2) else math.floor(q + Fraction(1, 2))
-
     return tuple(nearest(Fraction(-sum(u[k] for u in sites), len(sites))) for k in (0, 1))
 
 
@@ -462,7 +502,7 @@ def brute_stage2_census(sched, n: int) -> dict:
     here uses the per-axis factorization of expcli.stage2_recurrence_census.
     """
     from slowent.cutstack import core_centroid, point_from_address
-    from slowent.recurrence import centroid_decode_axes, recurrence_key
+    from slowent.recurrence import recurrence_key
 
     positions = list(product(gamma_axis(sched, 1), repeat=2))
     keys = set()
@@ -471,9 +511,31 @@ def brute_stage2_census(sched, n: int) -> dict:
         p = point_from_address(sched, [g])
         keys.add(recurrence_key(p, n))
         _, mean_x, mean_y = core_centroid(p, n)
-        if centroid_decode_axes(mean_x, mean_y) == g:
+        if (nearest(-mean_x), nearest(-mean_y)) == g:
             decode_hits += 1
     return {"positions": len(positions), "distinct_patterns": len(keys), "decode_hits": decode_hits, "window": n}
+
+
+def value_list_stage2_census(sched, n: int) -> dict:
+    """Stage-2 census over the x-axis of Gamma_1, keyed by each window's list of values.
+
+    The reference for expcli.stage2_recurrence_census, which keys a window
+    by its maximal runs and decodes from integer counts: here each position
+    lists its window's x values (`window_axes`) and decodes its Fraction
+    mean (`core_centroid`) by Fraction rounding.
+    """
+    from slowent.cutstack import core_centroid, point_from_address, window_axes
+
+    axis = gamma_axis(sched, 1)
+    patterns = set()
+    decode_hits = 0
+    for a in axis:
+        p = point_from_address(sched, [(a, 0)])
+        patterns.add(tuple(window_axes(p, n)[0]))
+        _, mean_x, _ = core_centroid(p, n)
+        if nearest(-mean_x) == a:
+            decode_hits += 1
+    return {"positions": len(axis) ** 2, "distinct_patterns": len(patterns) ** 2, "decode_hits": decode_hits**2, "window": n}
 
 
 def act(action, u: tuple[int, int], x: np.ndarray) -> np.ndarray:

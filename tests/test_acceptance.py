@@ -308,13 +308,14 @@ def test_criterion_9_overlay_lower_bound(sched_default):
     sampled = sym.separated_words_first_fit(core_size, min_dist, words)
     assert sampled >= 2**8
     # erasure keeps the default 0, so it is checked on the letters of X x Y alone
-    assert sym.apply_code(sym.ERASURE, bytes(1)) == bytes(1)
+    erasure = sym.code_tables(sym.ERASURE)
+    assert sym.apply_code(erasure, bytes(1)) == bytes(1)
     failures = 0
     for i in range(1000):
         p = cs.sample_point(sched_default, 3, seed=rng.derive_seed(SEED, "c9pt", i))
         n = rng.uniform_int(SEED, "c9n", i, lo=0, hi=27)
         xs, ys, letters = sym.overlay_name(p, n)
-        if overlay_pattern(xs, ys, sym.apply_code(sym.ERASURE, letters), n) != cs.name01(p, n):
+        if overlay_pattern(xs, ys, sym.apply_code(erasure, letters), n) != cs.name01(p, n):
             failures += 1
     assert failures == 0
     _report(

@@ -34,7 +34,9 @@ from oracles import (
     exact_act,
     exact_torus_dist,
     float_points,
+    fraction_cover_bracket,
     fraction_greedy_cover,
+    fraction_within,
     torus_dist,
 )
 
@@ -185,6 +187,10 @@ def test_cover_bracket_leaves_an_inconsistent_bound_to_the_verdict(monkeypatch):
 def test_metric_sample_validation():
     with pytest.raises(UsageError):
         MetricSample((Fraction(1), Fraction(1)), ((Fraction(0), Fraction(1)), (Fraction(2), Fraction(0))))
+    # distances are compared as integer pairs, so a float is refused, not rounded
+    for masses, dist in (((1, 1), ((0, 0.5), (0.5, 0))), ((1.0, 1), ((0, 1), (1, 0)))):
+        with pytest.raises(UsageError, match="exact rationals"):
+            MetricSample(masses, dist)
     sample_from_points([0, 1], [Fraction(1, 2)] * 2, lambda a, b: Fraction(1, 3))
 
 
@@ -512,10 +518,74 @@ def test_bowen_endo_lipschitz_bound_large_sample():
 
 
 def test_sandwich_needs_positive_masses():
-    # a zero-mass point is separated but exempt from coverage, so the
-    # separation count may exceed the exact cover number there
-    smp = sample_from_points(
-        [0, 1], [Fraction(1), Fraction(0)], lambda a, b: Fraction(1)
-    )
-    assert exact_cover_number(smp, Fraction(1, 2), Fraction(0)) == 1
-    assert max_separated_lower(smp, Fraction(3, 4)) == 2
+    # the lower end separates positive-mass points only: a zero-mass point
+    # needs no cover, so the first fit passes it over and the lower end
+    # stays a lower bound
+    pair = sample_from_points([0, 1], [Fraction(1), Fraction(0)], lambda a, b: Fraction(1))
+    assert cover_bracket(pair, Fraction(1, 2), Fraction(0)) == (1, 1, 1)
+    assert max_separated_lower(pair, Fraction(3, 4)) == 1
+    trio = sample_from_points([0, 1, 2], [Fraction(1), Fraction(0), Fraction(0)], lambda a, b: Fraction(1))
+    assert cover_bracket(trio, Fraction(1, 2), Fraction(0)) == (1, 1, 1)
+    # a zero-mass point first in index order, at 0 between 2/5 and -2/5 on a
+    # line, no longer blocks the two positive points it is near
+    line = sample_from_points([Fraction(0), Fraction(2, 5), Fraction(-2, 5)], [0, 1, 1], lambda a, b: abs(a - b))
+    assert cover_bracket(line, Fraction(1, 2), Fraction(0)) == (2, 2, 2)
+    empty = sample_from_points([0, 1], [Fraction(0), Fraction(0)], lambda a, b: Fraction(1))
+    assert cover_bracket(empty, Fraction(1, 2), Fraction(0)) == (0, 0, 0)
+
+
+@st.composite
+def rational_samples(draw):
+    """(masses, dist, eps, eps_mass): up to five points, zero masses included,
+    distances at, a hair off and away from eps and eps/2, on denominators
+    past 10^30."""
+    big = draw(st.integers(10**30, 10**40))
+    ratio = st.builds(Fraction, st.integers(1, 3 * big), st.sampled_from([big, big + 1, 3 * big]))
+    eps = draw(st.one_of(ratio, st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(1)])))
+    hair = Fraction(1, big * draw(st.integers(1, 9)))
+    near = [eps, eps / 2, eps + hair, eps - hair, eps / 2 + hair, eps / 2 - hair]
+    entry = st.one_of(st.sampled_from(near), ratio)
+    n = draw(st.integers(1, 5))
+    dist = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i][j] = dist[j][i] = max(draw(entry), Fraction(0))
+    masses = [Fraction(draw(st.integers(0, 3)), draw(st.sampled_from([1, 7, big]))) for _ in range(n)]
+    eps_mass = draw(st.sampled_from([Fraction(0), Fraction(1, 3), hair]))
+    return masses, dist, eps, eps_mass
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(sample=rational_samples())
+def test_cover_bracket_matches_the_fraction_reference(sample):
+    # integer cross-multiplication against Fraction comparisons, masks and bounds alike
+    masses, dist, eps, eps_mass = sample
+    smp = MetricSample(tuple(masses), tuple(map(tuple, dist)))
+    for radius in (eps, eps / 2):
+        assert covernum._within(smp, radius, range(len(smp))) == fraction_within(dist, radius)
+    assert cover_bracket(smp, eps, eps_mass) == fraction_cover_bracket(masses, dist, eps, eps_mass)
+
+
+def test_cover_bracket_compares_no_fraction_per_entry(monkeypatch):
+    # building a sample and bracketing its cover number compare its
+    # distances as integers: the Fraction comparisons made do not grow with
+    # the matrix, here 9 entries against 144
+    def comparisons(n):
+        coords = [(rng.uniform_int(46, "x", n, j, lo=0, hi=100), rng.uniform_int(46, "y", n, j, lo=0, hi=100)) for j in range(n)]
+        smp = sample_from_points(coords, [Fraction(1, n)] * n, lambda a, b: Fraction(abs(a[0] - b[0]) + abs(a[1] - b[1]), 200))
+        calls = {"__le__": 0, "__lt__": 0, "__eq__": 0}
+        with monkeypatch.context() as patch:
+            for name in calls:
+                original = getattr(Fraction, name)
+
+                def counted(a, b, name=name, original=original):
+                    calls[name] += 1
+                    return original(a, b)
+
+                patch.setattr(Fraction, name, counted)
+            MetricSample(smp.masses, smp.dist)
+            cover_bracket(smp, Fraction(1, 10), Fraction(0))
+        return calls
+
+    few, many = comparisons(3), comparisons(12)
+    assert few == many and sum(many.values()) <= 2, (few, many)

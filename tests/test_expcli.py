@@ -10,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import slowent
 from slowent import cli, covernum, cutstack, expcli, lattice, recurrence, rng, symbolic, toys
@@ -28,6 +30,7 @@ from oracles import (
     random_axiom_violations,
     random_pattern,
     recursive_site_type_counts,
+    value_list_stage2_census,
 )
 
 
@@ -1003,6 +1006,73 @@ def test_stage2_census_matches_2d_oracle(variant):
     census = expcli.stage2_recurrence_census(sched, n)
     assert census["positions"] == (361, 3025, 5329)[variant]
     assert census == brute_stage2_census(sched, n)
+
+
+@pytest.mark.parametrize("variant", range(len(expcli.DEFAULT_VARIANTS)))
+def test_stage2_census_matches_the_value_list_census(variant):
+    # run-keyed and integer-decoded against per-position value lists and
+    # Fraction means, at windows below, at and past the claim scale 2 r(2)
+    sched = expcli.schedule_from_spec(expcli.DEFAULT_VARIANTS[variant])
+    r2 = sched.r(2)
+    for n in (r2, 3 * r2 // 2, 2 * r2, 5 * r2):
+        assert expcli.stage2_recurrence_census(sched, n) == value_list_stage2_census(sched, n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(
+    theta=st.sampled_from([Fraction(1, 2), Fraction(1, 3)]),
+    c=st.sampled_from([Fraction(2), Fraction(5, 2), Fraction(3), Fraction(7, 2)]),
+    r1=st.integers(1, 3),
+    data=st.data(),
+)
+def test_stage2_census_matches_the_value_list_census_on_drawn_schedules(theta, c, r1, data):
+    # c = 2 leaves no gap between level-2 copies (m(2) - 2 s(1) = m(1)), so
+    # there only maximal runs key equal windows alike; most windows up to
+    # 3 r(2) also end inside a level-2 copy, whose runs they cut short
+    sched = cutstack.build_schedule(4, theta, c, r1)
+    n = data.draw(st.integers(1, 3 * sched.r(2)))
+    assert expcli.stage2_recurrence_census(sched, n) == value_list_stage2_census(sched, n)
+
+
+def test_planted_unmerged_runs_split_the_gapless_census(monkeypatch):
+    # on theta = 1/3, c = 2 the level-2 copies sit one finest spacing apart,
+    # m(2) - 2 s(1) = m(1), so every window is one chain of values; keyed by
+    # its unmerged finest-level runs, each of the 19 positions reads apart
+    sched = expcli.schedule_from_spec(expcli.DEFAULT_VARIANTS[0])
+    n = 2 * sched.r(2)
+    assert sched.m(2) - 2 * sched.s(1) == sched.m(1)
+    assert expcli.stage2_recurrence_census(sched, n)["distinct_patterns"] == 1
+    assert value_list_stage2_census(sched, n)["distinct_patterns"] == 1
+
+    def unmerged(self, lo, hi, origin):
+        return tuple((first - origin, last - origin, step) for first, last, step in self._runs(lo, hi))
+
+    monkeypatch.setattr(lattice.AxisSumset, "maximal_runs", unmerged)
+    assert expcli.stage2_recurrence_census(sched, n)["distinct_patterns"] == 19**2
+
+
+def test_stage2_census_lists_only_its_positions(monkeypatch):
+    # one value list per census, Gamma_1's axis itself; every window is read
+    # as runs and integer counts, never as a value list or a Fraction mean
+    calls = dict.fromkeys(("values", "window_axes", "core_centroid"), 0)
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(lattice.AxisSumset, "values")
+    count(cutstack, "window_axes")
+    count(cutstack, "core_centroid")
+    for spec in expcli.DEFAULT_VARIANTS:
+        sched = expcli.schedule_from_spec(spec)
+        calls.update(dict.fromkeys(calls, 0))
+        expcli.stage2_recurrence_census(sched, 2 * sched.r(2))
+        assert calls == {"values": 1, "window_axes": 0, "core_centroid": 0}
 
 
 def test_bench_layers_resolve():

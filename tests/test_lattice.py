@@ -19,7 +19,7 @@ from slowent.lattice import (
     sup_norm,
 )
 
-from oracles import brute_axis_sumset, covered, dense_pattern_distance, pattern_from_text
+from oracles import brute_axis_sumset, covered, dense_pattern_distance, maximal_chains, pattern_from_text
 
 
 def test_box_site_count_examples():
@@ -184,6 +184,9 @@ def test_axis_sumset_matches_brute(levels, data):
             AxisSumset([(1, h), *levels])
     origin = data.draw(st.integers(lo - 8, hi + 8))
     assert axis.values(lo, hi, origin) == [x - origin for x in inside]
+    # the maximal runs are the chains of values one finest spacing apart
+    step = levels[0][0] if levels else 1
+    assert axis.maximal_runs(lo, hi, origin) == maximal_chains([x - origin for x in inside], step)
 
 
 def test_axis_values_leave_no_garbage(sched_default):

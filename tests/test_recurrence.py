@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slowent import cutstack as cs
 from slowent import expcli, rng
@@ -16,7 +18,7 @@ from slowent.recurrence import (
 )
 from slowent.symbolic import overlay_name
 
-from oracles import brute_gamma, centroid_decode, recurrence_site_set, site_set_metric
+from oracles import brute_gamma, centroid_decode, nearest, recurrence_site_set, site_set_metric
 
 
 def test_recurrence_set_examples(sched_default):
@@ -79,8 +81,30 @@ def test_centroid_decode_axes_agrees(sched_c5):
         p = cs.point_from_address(sched_c5, [g])
         full = centroid_decode(recurrence_site_set(p, n))
         _, mx, my = cs.core_centroid(p, n)
-        fast = centroid_decode_axes(mx, my)
+        fast = centroid_decode_axes((mx.numerator, mx.denominator), (my.numerator, my.denominator))
         assert full == fast == g
+
+
+@settings(derandomize=True, deadline=None)
+@given(data=st.data())
+def test_centroid_rounding_matches_fraction_rounding(data):
+    # the integer rounding of -total / count against Fraction rounding, on
+    # exact .5 ties of either sign too, with counts past 10^30
+    count = data.draw(st.one_of(st.integers(1, 12), st.integers(10**30, 10**40)))
+    total = data.draw(
+        st.one_of(
+            st.integers(-(10**41), 10**41),
+            st.integers(-(10**10), 10**10).map(lambda k: k * count + count // 2 if count % 2 == 0 else k * count),
+        )
+    )
+    other = (data.draw(st.integers(-50, 50)), data.draw(st.integers(1, 7)))
+    want = (nearest(Fraction(-total, count)), nearest(Fraction(-other[0], other[1])))
+    assert centroid_decode_axes((total, count), other) == want
+
+
+def test_centroid_decode_axes_refuses_an_empty_axis():
+    with pytest.raises(UsageError, match="empty window core"):
+        centroid_decode_axes((0, 0), (0, 1))
 
 
 def test_distinct_pattern_count_basics(sched_default):

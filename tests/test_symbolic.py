@@ -15,6 +15,7 @@ from slowent.symbolic import (
     ERASURE,
     apply_code,
     binary_entropy,
+    code_tables,
     cube_first_fit,
     gv_rate_deficit,
     hamming_ball_volume,
@@ -61,20 +62,20 @@ def test_identity_code_restricts():
     # the identity table gives back every string over its symbols, the empty one included
     identity = {sym: sym for sym in SYMBOL_NAMES}
     symbols = bytes([0, 1, A_SYMBOL, B_SYMBOL, 1, 0])
-    assert apply_code(identity, symbols) == symbols
-    assert apply_code(identity, b"") == b""
+    assert apply_code(code_tables(identity), symbols) == symbols
+    assert apply_code(code_tables(identity), b"") == b""
 
 
 def test_apply_code_refuses_unmapped_symbols():
     # alone, among mapped symbols, and the default 0 of a table that lacks it
     with pytest.raises(UsageError, match="symbol 4"):
-        apply_code(ERASURE, bytes([4]))
+        apply_code(code_tables(ERASURE), bytes([4]))
     with pytest.raises(UsageError, match="symbol 4"):
-        apply_code(ERASURE, bytes([A_SYMBOL, 1, 4, 0]))
+        apply_code(code_tables(ERASURE), bytes([A_SYMBOL, 1, 4, 0]))
     with pytest.raises(UsageError, match="symbol 0"):
-        apply_code({1: 1, A_SYMBOL: 1, B_SYMBOL: 1}, bytes([A_SYMBOL, 0]))
+        apply_code(code_tables({1: 1, A_SYMBOL: 1, B_SYMBOL: 1}), bytes([A_SYMBOL, 0]))
     # every symbol of the table maps, the default included
-    assert apply_code(ERASURE, bytes([0, 1, A_SYMBOL, B_SYMBOL])) == bytes([0, 1, 1, 1])
+    assert apply_code(code_tables(ERASURE), bytes([0, 1, A_SYMBOL, B_SYMBOL])) == bytes([0, 1, 1, 1])
 
 
 @settings(derandomize=True, deadline=None)
@@ -86,17 +87,17 @@ def test_apply_code_matches_a_lookup_per_symbol(table, data):
     # a string over the table's symbols maps byte by byte; a symbol it lacks,
     # or an image no byte can carry, is a usage error and never a bare ValueError
     symbols = bytes(data.draw(st.lists(st.sampled_from(sorted(table)), max_size=40))) if table else b""
-    assert apply_code(table, symbols) == bytes(table[sym] for sym in symbols)
+    assert apply_code(code_tables(table), symbols) == bytes(table[sym] for sym in symbols)
     stray = data.draw(st.integers(0, 255).filter(lambda sym: sym not in table))
     mixed = bytearray(symbols)
     mixed.insert(data.draw(st.integers(0, len(symbols))), stray)
     with pytest.raises(UsageError, match=f"symbol {stray} is not mapped"):
-        apply_code(table, bytes(mixed))
+        apply_code(code_tables(table), bytes(mixed))
     wide = dict(table)
     wide[data.draw(st.integers(0, 255))] = data.draw(st.integers(256, 2**70))
     for refused in (wide, {**table, stray: -1}):
         try:
-            apply_code(refused, symbols)
+            apply_code(code_tables(refused), symbols)
         except UsageError as exc:
             assert "outside 0..255" in str(exc)
         else:
@@ -106,8 +107,8 @@ def test_apply_code_matches_a_lookup_per_symbol(table, data):
 def test_erasure_code_on_overlay(sched_default):
     p = pinned_point(sched_default, [(0, 0)], 5)
     xs, ys, letters = overlay_name(p, 5)
-    assert apply_code(ERASURE, bytes(1)) == bytes(1)
-    assert overlay_pattern(xs, ys, apply_code(ERASURE, letters), 5) == cs.name01(p, 5)
+    assert apply_code(code_tables(ERASURE), bytes(1)) == bytes(1)
+    assert overlay_pattern(xs, ys, apply_code(code_tables(ERASURE), letters), 5) == cs.name01(p, 5)
 
 
 def test_apply_code_shift_equivariance():
@@ -119,8 +120,8 @@ def test_apply_code_shift_equivariance():
         u = (rng.uniform_int(31, "ux", i, lo=-2, hi=2), rng.uniform_int(31, "uy", i, lo=-2, hi=2))
         sx, sy, sl = shifted_name(xs, ys, letters, u, 2)
         assert overlay_pattern(sx, sy, sl, 2) == translate_pattern(overlay_pattern(xs, ys, letters, 4), u, 2)
-        lhs = translate_pattern(overlay_pattern(xs, ys, apply_code(ERASURE, letters), 4), u, 2)
-        rhs = overlay_pattern(sx, sy, apply_code(ERASURE, sl), 2)
+        lhs = translate_pattern(overlay_pattern(xs, ys, apply_code(code_tables(ERASURE), letters), 4), u, 2)
+        rhs = overlay_pattern(sx, sy, apply_code(code_tables(ERASURE), sl), 2)
         assert lhs == rhs
 
 
@@ -153,7 +154,7 @@ def test_box_pattern_and_code_match_definitions(data):
 
     # erasure: a, b -> 1 and 0 -> 0, site by site over the whole box
     symbols = bytes(symbol_at(p, v) for v in p.box.sites())
-    erased = apply_code(ERASURE, symbols)
+    erased = apply_code(code_tables(ERASURE), symbols)
     assert len(erased) == len(symbols) == len(list(p.box.sites()))
     assert list(erased) == [0 if sym == 0 else 1 for sym in symbols]
 
@@ -162,7 +163,7 @@ def test_overlay_name_consistency(sched_default):
     p = pinned_point(sched_default, [(0, 0)], 9)
     xs, ys, letters = overlay_name(p, 3)
     small = overlay_pattern(xs, ys, letters, 3)
-    assert overlay_pattern(xs, ys, apply_code(ERASURE, letters), 3) == cs.name01(p, 3)
+    assert overlay_pattern(xs, ys, apply_code(code_tables(ERASURE), letters), 3) == cs.name01(p, 3)
     # radius 45 reads columns from three blocks of 64, radius 27 from one
     for n in (27, 45):
         big = overlay(p, n)
