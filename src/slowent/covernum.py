@@ -12,8 +12,7 @@ matrix gets no common denominator, whose lcm would grow with the sample.
 The cover searches compare masses and their coverage target as integers
 over one common denominator of the masses. Only the
 growth fits and the Bowen bound's logarithms use floats. The Bowen orbits
-and closeness masks live in `toys`, in exact uint64 units of 2^-64; this
-module imports no numpy.
+and closeness masks live in `toys`, in exact integer units of 2^-64.
 """
 
 from __future__ import annotations

@@ -565,7 +565,7 @@ def stage2_recurrence_census(sched: Schedule, n: int) -> dict:
     count and sum; no value list is built. The y window of (a, 0) is
     [-n, n] on a symmetric set, so its mean is 0.
     """
-    axis = sched.sumset(2).values(-sched.s(1), sched.s(1))
+    axis = sched.sumset(2).values(-sched.s(1), sched.s(1), 0)
     patterns = set()
     decode_hits = 0
     for a in axis:
@@ -785,7 +785,7 @@ def variant_suite(report: Report, sched: Schedule, label: str) -> None:
     # combinatorics
     formula = cutstack.gamma_size(sched, 1)
     # Gamma_1 = A x A, so traversing the axis A counts every site
-    exhaustive = len(sched.sumset(2).values(-sched.s(1), sched.s(1))) ** 2
+    exhaustive = len(sched.sumset(2).values(-sched.s(1), sched.s(1), 0)) ** 2
     report.claim(Claim.GAMMA1_COUNT, formula == exhaustive, label=label, formula=formula, exhaustive=exhaustive)
     # Gamma*_{k-1} is the axis sumset taken twice, and every axis value lies
     # within the reach r(k) - r(1); the sumset counts them from its own levels

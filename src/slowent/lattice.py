@@ -237,7 +237,7 @@ class AxisSumset:
                 out.append([first, last, step])
         return tuple((first - origin, last - origin, step) for first, last, step in out)
 
-    def values(self, lo: int, hi: int, origin: int = 0) -> list[int]:
+    def values(self, lo: int, hi: int, origin: int) -> list[int]:
         """Sorted values in [lo, hi], as offsets from origin."""
         out: list[int] = []
         for first, last, m in self._runs(lo, hi):

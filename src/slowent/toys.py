@@ -1,71 +1,95 @@
 """Toy Lipschitz actions on the 2-torus used by the Bowen-metric checks.
 
-Exact: a torus coordinate is a uint64 in units of 2^-64, so uint64
-wrap-around is reduction mod 1 and the torus distance of a coordinate
-difference d is min(d, -d). The sample points, the translation vectors and
-the eps thresholds are float64 dyadics, which `units` counts exactly, and
-M^k is computed in Python ints and reduced mod 2^64. The separation first
-fit (`covernum`) runs on Python-int bitmasks: `close_masks` marks the pairs
-below eps at u = 0, and a pair distance callback d_n(i, j) gives the orbit
-maximum for the pairs inside a mask only. T^0 is the identity for both
-actions and d_n >= d_0, so a pair outside the mask is eps-separated at
-every n.
+Exact: a torus coordinate is a Python int in units of 2^-64, reduced mod
+2^64 after every operation, so the torus distance of a coordinate
+difference d is min(d, 2^64 - d). The sample coordinates are 53-bit
+dyadics, the eps thresholds float64 dyadics, which `units` counts exactly,
+and M^k is applied in Python ints. Both actions are group endomorphisms,
+so d_n(x, y) = d_n(x - y, 0): a pair distance is one orbit of one
+difference. The separation first fit (`covernum`) runs on Python-int
+bitmasks: `close_masks` marks the pairs below eps at u = 0, and a pair
+distance callback d_n(i, j) gives the orbit maximum for the pairs inside a
+mask only. T^0 is the identity for both actions and d_n >= d_0, so a pair
+outside the mask is eps-separated at every n.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import covernum, rng
 
 UNIT = 1 << 64
+MASK = UNIT - 1
+HALF = 1 << 63
 
 
 def units(x: float) -> int:
     """x in units of 2^-64, rounded up.
 
-    Exact for a float64 of at least 2^-11, such as V1, V2 or eps; and an
-    integer distance d is below x exactly when it is below units(x).
+    Exact for a float64 of at least 2^-11, such as eps; and an integer
+    distance d is below x exactly when it is below units(x).
     """
     return math.ceil(Fraction(x) * UNIT)
 
 
-def torus_dist_rows(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Sup metric on the 2-torus in units of 2^-64, row by row along the last axis.
+def torus_dist_rows(dx: int, dy: int) -> int:
+    """Sup norm on the 2-torus of one difference (dx, dy), in units of 2^-64.
 
-    Both arguments are uint64, so a coordinate difference d wraps mod 2^64
-    and its distance to 0 is min(d, -d).
+    Each coordinate reduces mod 2^64, and its distance to 0 is the shorter
+    way round.
     """
-    d = xs - ys
-    return np.minimum(d, -d).max(axis=-1)
+    dx, dy = dx & MASK, dy & MASK
+    return max(min(dx, UNIT - dx), min(dy, UNIT - dy))
 
 
-def sample_torus_points(count: int, seed: int) -> np.ndarray:
-    """count points of the torus as uint64 units, each coordinate the top 53 bits of one keyed word."""
-    coords = [rng.stream_u64(seed, tag, i) >> 11 << 11 for i in range(count) for tag in ("torus-x", "torus-y")]
-    return np.array(coords, dtype=np.uint64).reshape(count, 2)
+def sample_torus_points(count: int, seed: int) -> list[tuple[int, int]]:
+    """count points (x, y) of the torus in units of 2^-64, each coordinate the top 53 bits of one keyed word."""
+    return [tuple(rng.stream_u64(seed, tag, i) >> 11 << 11 for tag in ("torus-x", "torus-y")) for i in range(count)]
 
 
-def close_masks(points: np.ndarray, eps: float) -> list[int]:
-    """Per point, the bitmask of the points at torus distance < eps from it, itself included.
+def arc_masks(coords: list[int], cut: int) -> list[int]:
+    """Per coordinate c, the bitmask of the indices whose coordinate lies in
+    the arc [c - cut + 1, c + cut) mod 2^64, that is, at distance < cut.
 
-    One all-pairs pass in row blocks of about 2^14 pairs, so each uint64
-    temporary stays near 256 KiB however large the sample is.
+    The coordinates are sorted once, with prefix OR-masks in that order; an
+    arc is then one or two index ranges, each the XOR of two prefix masks.
     """
-    cut = units(eps)
-    rows = max(1, (1 << 14) // max(len(points), 1))
-    out: list[int] = []
-    for lo in range(0, len(points), rows):
-        near = torus_dist_rows(points[lo : lo + rows, None, :], points) < cut
-        out += [int.from_bytes(row.tobytes(), "little") for row in np.packbits(near, axis=1, bitorder="little")]
+    if 2 * cut > UNIT:
+        return [(1 << len(coords)) - 1] * len(coords)
+    if cut <= 0:
+        return [0] * len(coords)
+    length = 2 * cut - 1
+    order = sorted(range(len(coords)), key=coords.__getitem__)
+    ordered = [coords[i] for i in order]
+    prefix = [0]
+    for i in order:
+        prefix.append(prefix[-1] | 1 << i)
+    out = []
+    for c in coords:
+        lo = (c - cut + 1) & MASK
+        hi = lo + length
+        mask = prefix[bisect_left(ordered, min(hi, UNIT))] ^ prefix[bisect_left(ordered, lo)]
+        if hi > UNIT:
+            mask |= prefix[bisect_left(ordered, hi - UNIT)]
+        out.append(mask)
     return out
 
 
-def bowen_separations(action, points: np.ndarray, close: dict[float, list[int]], n_list):
+def close_masks(points: list[tuple[int, int]], eps: float) -> list[int]:
+    """Per point, the bitmask of the points at torus distance < eps from it, itself included.
+
+    The sup-metric ball is a product of two arcs, so each mask is the AND of
+    the point's two `arc_masks`.
+    """
+    cut = units(eps)
+    return [a & b for a, b in zip(arc_masks([x for x, _ in points], cut), arc_masks([y for _, y in points], cut))]
+
+
+def bowen_separations(action, points: list[tuple[int, int]], close: dict[float, list[int]], n_list):
     """(n, eps, sep(points, d_n, eps)) by first fit, for each n in n_list and each eps of `close`.
 
     close[eps] must be `close_masks(points, eps)`: only the pairs inside it
@@ -80,20 +104,18 @@ def bowen_separations(action, points: np.ndarray, close: dict[float, list[int]],
 
 @dataclass(frozen=True)
 class TranslationAction:
-    """Commuting pair of torus translations; every T^u is an isometry."""
+    """Commuting pair of torus translations; every T^u is an isometry.
 
-    V1 = (0.41421356237309515, 0.7320508075688772)
-    V2 = (0.23606797749978969, 0.6180339887498949)
+    A translation fixes every difference x - y mod 1, so d_n = d_0 whatever
+    the two translation vectors are.
+    """
 
-    def pair_bowen(self, points: np.ndarray, n: int):
-        """d_n(i, j): the maximum of the sup metric over the orbit box, for two indices or two index arrays."""
-        grid = range(-n, n + 1)
-        steps = [(units(x), units(y)) for x, y in zip(self.V1, self.V2)]
-        # a V1 + b V2 mod 1 per site (a, b), a-major
-        offs = np.array([[(a * x + b * y) % UNIT for x, y in steps] for a in grid for b in grid], dtype=np.uint64)
+    def pair_bowen(self, points: list[tuple[int, int]], n: int):
+        """d_n(i, j): the torus norm of x_i - x_j, for every n."""
 
         def dn(i, j):
-            return torus_dist_rows(points[i, ..., None, :] + offs, points[j, ..., None, :] + offs).max(axis=-1)
+            (xi, yi), (xj, yj) = points[i], points[j]
+            return torus_dist_rows(xi - xj, yi - yj)
 
         return dn
 
@@ -123,17 +145,33 @@ class ToralEndoAction:
         """C = max over |k| <= 3n of ||M^k||, so d_n(x, y) <= C d(x, y) over the orbit box |a|, |b| <= n."""
         return max(abs(p) + abs(q) for k in range(-3 * n, 3 * n + 1) for p, q in self.matrix_power(k))
 
-    def pair_bowen(self, points: np.ndarray, n: int):
-        # a + 2b over |a|, |b| <= n is every k in [-3n, 3n]
-        powers = [[[e % UNIT for e in row] for row in self.matrix_power(k)] for k in range(-3 * n, 3 * n + 1)]
-        orbits = np.stack([points @ np.array(mk, dtype=np.uint64).T for mk in powers], axis=1)
+    def pair_bowen(self, points: list[tuple[int, int]], n: int):
+        """d_n(i, j): the largest torus norm of M^k (x_i - x_j) over |k| <= 3n.
+
+        a + 2b over |a|, |b| <= n is every k in [-3n, 3n]. One loop steps M
+        on (x, y) and M^-1 on (u, v), both starting at the difference and
+        reduced mod 2^64 at every step, and folds the norm inline: taking it
+        with min and max calls per step ran about 2x slower.
+        """
 
         def dn(i, j):
-            return torus_dist_rows(orbits[i], orbits[j]).max(axis=-1)
+            (xi, yi), (xj, yj) = points[i], points[j]
+            x, y = u, v = (xi - xj) & MASK, (yi - yj) & MASK
+            best = torus_dist_rows(x, y)
+            for _ in range(3 * n):
+                x, y, u, v = (2 * x + y) & MASK, (x + y) & MASK, (u - v) & MASK, (2 * v - u) & MASK
+                for c in (x, y, u, v):
+                    if c > HALF:
+                        c = UNIT - c
+                    if c > best:
+                        best = c
+            return best
 
         return dn
 
-    def diagonal_bowen(self, points: np.ndarray, n: int, step: int) -> list[int]:
-        """d_n(x, x + step (1, 1)) for each point x, step and distances in units of 2^-64."""
-        pairs = np.concatenate([points, points + np.uint64(step)])
-        return self.pair_bowen(pairs, n)(range(len(points)), range(len(points), len(pairs))).tolist()
+    def diagonal_bowen(self, points: list[tuple[int, int]], n: int, step: int) -> list[int]:
+        """d_n(x, x + step (1, 1)) for each point x, step and distances in units of 2^-64.
+
+        Every such pair has the same difference, so one orbit serves them all.
+        """
+        return [self.pair_bowen([(0, 0), (step, step)], n)(0, 1)] * len(points)

@@ -538,6 +538,13 @@ def value_list_stage2_census(sched, n: int) -> dict:
     return {"positions": len(axis) ** 2, "distinct_patterns": len(patterns) ** 2, "decode_hits": decode_hits**2, "window": n}
 
 
+#: The translation pair of the reference toy, as float64 dyadics. The
+#: library's translation distances do not depend on them: a translation
+#: fixes every difference, so `toys.TranslationAction` never reads them.
+V1 = (0.41421356237309515, 0.7320508075688772)
+V2 = (0.23606797749978969, 0.6180339887498949)
+
+
 def act(action, u: tuple[int, int], x: np.ndarray) -> np.ndarray:
     """T^u x for the float toy, from its definition: x is a point of [0, 1)^2 as floats.
 
@@ -547,7 +554,7 @@ def act(action, u: tuple[int, int], x: np.ndarray) -> np.ndarray:
     x M^k keeps 26 fractional bits.
     """
     if isinstance(action, toys.TranslationAction):
-        return (x + (np.array(action.V1) * u[0] + np.array(action.V2) * u[1])) % 1.0
+        return (x + (np.array(V1) * u[0] + np.array(V2) * u[1])) % 1.0
     assert isinstance(action, toys.ToralEndoAction)
     return (x @ np.array(action.matrix_power(u[0] + 2 * u[1]), dtype=float).T) % 1.0
 
@@ -558,9 +565,9 @@ def torus_dist(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.minimum(d, 1.0 - d).max())
 
 
-def float_points(points: np.ndarray) -> np.ndarray:
-    """Sample points in uint64 units of 2^-64 as floats in [0, 1): exact, since each has 53 bits."""
-    return points.astype(float) / 2.0**64
+def float_points(points: list[tuple[int, int]]) -> np.ndarray:
+    """Sample points in units of 2^-64 as floats in [0, 1): exact, since each has 53 bits."""
+    return np.array(points, dtype=float).reshape(-1, 2) / 2.0**64
 
 
 TORUS = 2**64
@@ -592,7 +599,7 @@ def exact_act(action, u: tuple[int, int], x: tuple[int, int]) -> tuple[int, int]
     """
     if isinstance(action, toys.TranslationAction):
         return tuple(
-            (c + u[0] * dyadic_units(v1) + u[1] * dyadic_units(v2)) % TORUS for c, v1, v2 in zip(x, action.V1, action.V2)
+            (c + u[0] * dyadic_units(v1) + u[1] * dyadic_units(v2)) % TORUS for c, v1, v2 in zip(x, V1, V2)
         )
     assert isinstance(action, toys.ToralEndoAction)
     m = endo_power(u[0] + 2 * u[1])

@@ -12,10 +12,13 @@ shaped claims are asserted everywhere.
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from slowent import cli, covernum, cutstack as cs, expcli, recurrence as rec, rng, symbolic as sym, toys
@@ -27,11 +30,10 @@ from oracles import brute_gamma, gamma_axis, overlay_pattern, refine_by_offsets,
 SEED = 20240801
 
 #: sha256 of verify's canonical report bytes at SEED, measured on Linux
-#: x86-64 with Python 3.11.7 and numpy 2.4.6. The report holds floats from
-#: math.log and numpy reductions, so another libm or numpy build may differ
-#: in the last digit. A change that declares a new report updates this
-#: constant in the same change; any other change must leave the bytes as
-#: they are.
+#: x86-64 with Python 3.11.7. The report's floats come from `math` only
+#: (math.log and its kin), so another libm may differ in the last digit. A
+#: change that declares a new report updates this constant in the same
+#: change; any other change must leave the bytes as they are.
 VERIFY_REPORT_SHA256 = "9fe6cb253d864373e23e66185fae0aff9d48f9b1e4d42631b98617457827cd88"
 
 #: sha256 of `slowent cover`'s report.json and `slowent distmat`'s
@@ -425,3 +427,27 @@ def test_criterion_12_cover_and_distmat_bytes(tmp_path, capsys):
     assert hashlib.sha256(distmat).hexdigest() == DISTMAT_CSV_SHA256
     assert hashlib.sha256(wide).hexdigest() == WIDE_COVER_REPORT_SHA256
     _report("criterion-12 cover and distmat bytes", started, 60, cover=len(cover), distmat=len(distmat), wide_cover=len(wide))
+
+
+def test_criterion_12_bytes_without_numpy(tmp_path):
+    # numpy is a test and benchmark dependency only: with it unimportable,
+    # verify, cover and distmat write the pinned bytes, and importing the CLI
+    # on its own never loads it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+    blocked = 'import sys; sys.modules["numpy"] = None; from slowent.cli import main; sys.exit(main(sys.argv[1:]))'
+    for args in (["verify", "--seed", str(SEED)], ["cover"], ["distmat"]):
+        done = subprocess.run(
+            [sys.executable, "-c", blocked, *args, "--out", str(tmp_path / args[0])],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+    written = {
+        VERIFY_REPORT_SHA256: tmp_path / "verify" / "report.json",
+        COVER_REPORT_SHA256: tmp_path / "cover" / "report.json",
+        DISTMAT_CSV_SHA256: tmp_path / "distmat" / "distmat.csv",
+    }
+    assert {pin: hashlib.sha256(path.read_bytes()).hexdigest() for pin, path in written.items()} == {pin: pin for pin in written}
+    probe = [sys.executable, "-c", "import sys, slowent.cli; print(sorted({'numpy'} & set(sys.modules)))"]
+    done = subprocess.run(probe, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr

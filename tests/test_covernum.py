@@ -2,10 +2,10 @@ import math
 import tracemalloc
 from fractions import Fraction
 from functools import partial
+from itertools import product
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slowent import covernum, rng, toys
@@ -302,32 +302,27 @@ def test_alpha_fit_rejects_zero_counts():
 # Bowen checks
 
 
-def unit_points(points):
-    """Sample points as tuples of Python ints, for the exact oracle."""
-    return [tuple(p) for p in points.tolist()]
-
-
 def exact_bowen(action, n, x, y):
     return bowen_distance(partial(exact_act, action), exact_torus_dist, n, x, y)
 
 
 def test_torus_points_pinned():
     # each coordinate is a 53-bit dyadic: its float64 value times 2^64
-    (point,) = toys.sample_torus_points(1, 2024).tolist()
+    (point,) = toys.sample_torus_points(1, 2024)
     assert point[0] == Fraction(0.18362555317817453) * 2**64
-    last = toys.sample_torus_points(8, 2024)[7].tolist()
-    assert last == [Fraction(0.34652107397894427) * 2**64, Fraction(0.8201141670670827) * 2**64]
+    last = toys.sample_torus_points(8, 2024)[7]
+    assert last == (Fraction(0.34652107397894427) * 2**64, Fraction(0.8201141670670827) * 2**64)
 
 
 def test_bowen_distance_n0_is_base():
     tr = toys.TranslationAction()
-    pts = unit_points(toys.sample_torus_points(4, 1))
+    pts = toys.sample_torus_points(4, 1)
     assert exact_bowen(tr, 0, pts[0], pts[1]) == exact_torus_dist(pts[0], pts[1])
 
 
 def test_bowen_translation_isometry():
     tr = toys.TranslationAction()
-    pts = unit_points(toys.sample_torus_points(6, 2))
+    pts = toys.sample_torus_points(6, 2)
     for i in range(3):
         d0 = exact_torus_dist(pts[i], pts[i + 3])
         assert exact_bowen(tr, 3, pts[i], pts[i + 3]) == d0
@@ -342,46 +337,38 @@ def test_bowen_endo_lipschitz_bound():
     assert [endo.orbit_lipschitz(n) for n in range(7)] == [fib[6 * n + 2] for n in range(7)]
     assert endo.orbit_lipschitz(6) == 39_088_169
     pts = toys.sample_torus_points(40, 3)
-    exact = unit_points(pts)
     n = 3
     lip = endo.orbit_lipschitz(n)
     dn = endo.pair_bowen(pts, n)
     for i in range(0, 38, 2):
-        d0 = exact_torus_dist(exact[i], exact[i + 1])
-        assert int(dn(i, i + 1)) <= lip * d0
+        d0 = exact_torus_dist(pts[i], pts[i + 1])
+        assert dn(i, i + 1) <= lip * d0
     # the diagonal pairs meet the bound, by the per-site oracle too
     step = 1 << 37
     diagonal = endo.diagonal_bowen(pts[:4], n, step)
-    shifted = [((x + step) % 2**64, (y + step) % 2**64) for x, y in exact[:4]]
-    assert diagonal == [exact_bowen(endo, n, x, y) for x, y in zip(exact, shifted)] == [lip * step] * 4
+    shifted = [((x + step) % 2**64, (y + step) % 2**64) for x, y in pts[:4]]
+    assert diagonal == [exact_bowen(endo, n, x, y) for x, y in zip(pts, shifted)] == [lip * step] * 4
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 4, 16, 32])
 def test_pair_bowen_equals_the_exact_oracle(n):
-    # per site in Python ints, so no step relies on numpy's uint64 wrap
+    # the orbit applied site by site to both points, so no step relies on
+    # the difference identity d_n(x, y) = d_n(x - y, 0)
     pts = toys.sample_torus_points(5, 11)
-    exact = unit_points(pts)
     for action in (toys.TranslationAction(), toys.ToralEndoAction()):
         dn = action.pair_bowen(pts, n)
-        assert [int(dn(0, j)) for j in range(1, 5)] == [exact_bowen(action, n, exact[0], exact[j]) for j in range(1, 5)]
+        assert [dn(0, j) for j in range(1, 5)] == [exact_bowen(action, n, pts[0], pts[j]) for j in range(1, 5)]
 
 
-def test_toys_keep_uint64_units_and_wrap():
-    # numpy promotes int64 + uint64 to float64, which would round a unit count
-    pts = toys.sample_torus_points(6, 12)
-    assert pts.dtype == np.uint64
-    assert toys.torus_dist_rows(pts[:3], pts[3:]).dtype == np.uint64
+def test_toys_keep_units_and_wrap():
     # units 1 and 2^64 - 1 lie 2 units apart, the short way round through 0
-    across = np.array([[1, 0], [2**64 - 1, 0]], dtype=np.uint64)
-    assert toys.torus_dist_rows(across[0], across[1]) == toys.torus_dist_rows(across[1], across[0]) == 2
-    for action in (toys.TranslationAction(), toys.ToralEndoAction()):
-        dn = action.pair_bowen(pts, 2)
-        assert dn(0, 1).dtype == np.uint64 and dn([0, 1], [2, 3]).dtype == np.uint64
-    # the translation offsets of a, b < 0 reduce mod 2^64: d_n stays d_0
+    across = [(1, 0), (2**64 - 1, 0)]
+    assert toys.torus_dist_rows(1 - (2**64 - 1), 0) == toys.torus_dist_rows(2**64 - 1 - 1, 0) == 2
+    # the translations fix the difference mod 2^64: d_n stays d_0
     assert toys.TranslationAction().pair_bowen(across, 3)(0, 1) == 2
     # M^-3 = [[5, -8], [-8, 13]] reduces mod 2^64 too: from the pair (0, 1),
     # (0, 0) its column (-8, 13) sets d_1 = 13 units, where M^3's gives 8
-    unit = np.array([[0, 1], [0, 0]], dtype=np.uint64)
+    unit = [(0, 1), (0, 0)]
     assert toys.ToralEndoAction().matrix_power(-3) == ((5, -8), (-8, 13))
     assert toys.ToralEndoAction().pair_bowen(unit, 1)(0, 1) == 13
     assert toys.ToralEndoAction().pair_bowen(across, 1)(0, 1) == 2 * 13
@@ -418,7 +405,7 @@ def test_bowen_single_point_sample():
 @pytest.mark.parametrize("action", [toys.TranslationAction(), toys.ToralEndoAction()], ids=["translation", "endo"])
 @pytest.mark.parametrize("n", [0, 1, 2, 4, 16])
 def test_bowen_first_fit_matches_per_pair_oracle(action, n):
-    # n = 16 is a box of 1089 offsets; the endomorphism's orbit reaches M^48
+    # n = 16 is a box of 1089 sites; the endomorphism's orbit reaches M^48
     # there, past the float toy's reach, so the exact oracle decides it
     pts = toys.sample_torus_points(16, 6)
     eps_list = (0.15, 0.45, 0.49)
@@ -429,41 +416,80 @@ def test_bowen_first_fit_matches_per_pair_oracle(action, n):
             want = brute_bowen_first_fit(partial(act, action), torus_dist, n, float_points(pts[:size]), eps_list)
         else:
             cuts = [Fraction(eps) * 2**64 for eps in eps_list]
-            want = brute_bowen_first_fit(partial(exact_act, action), exact_torus_dist, n, unit_points(pts[:size]), cuts)
+            want = brute_bowen_first_fit(partial(exact_act, action), exact_torus_dist, n, pts[:size], cuts)
         assert got == want, size
 
 
-def test_bowen_pair_distance_takes_one_point_or_an_array():
+def test_bowen_pair_distance_stays_inside_the_masks():
     pts = toys.sample_torus_points(8, 7)
-    exact = unit_points(pts)
     for action in (toys.TranslationAction(), toys.ToralEndoAction()):
         dn = action.pair_bowen(pts, 2)
         full = [dn(0, j) for j in range(1, 8)]
-        assert all(isinstance(d, np.uint64) for d in full)
-        assert full == [exact_bowen(action, 2, exact[0], exact[j]) for j in range(1, 8)]
-        assert list(dn(np.zeros(7, dtype=int), np.arange(1, 8))) == full
+        assert full == [exact_bowen(action, 2, pts[0], pts[j]) for j in range(1, 8)]
         # the u = 0 masks miss no pair below the cap: a pair outside them is
         # at d_n >= cap, so skipping it decides no candidate differently
         for cap in (min(full), max(full), max(full) + 2**58):
-            mask = toys.close_masks(pts, Fraction(int(cap), 2**64))[0]
+            mask = toys.close_masks(pts, Fraction(cap, 2**64))[0]
             assert all(mask >> j & 1 for j, d in enumerate(full, start=1) if d < cap)
 
 
 def test_close_masks_are_the_pairs_below_eps():
     pts = toys.sample_torus_points(40, 9)
-    exact = unit_points(pts)
     for eps in (0.05, 0.2, 0.5):
         masks = toys.close_masks(pts, eps)
-        below = [[Fraction(exact_torus_dist(p, q), 2**64) < Fraction(eps) for q in exact] for p in exact]
+        below = [[Fraction(exact_torus_dist(p, q), 2**64) < Fraction(eps) for q in pts] for p in pts]
         assert masks == [sum(1 << j for j in range(40) if below[i][j]) for i in range(40)]
         # the float toy draws the same masks
         fpts = float_points(pts)
         assert masks == [sum(1 << j for j in range(40) if torus_dist(fpts[i], fpts[j]) < eps) for i in range(40)]
 
 
-def test_close_masks_run_in_row_blocks():
-    # a one-shot broadcast over 2,000 points holds several 64 MiB uint64
-    # temporaries (about 183 MiB at peak); row blocks hold 256 KiB ones
+@st.composite
+def torus_samples(draw):
+    """(points, cut): up to six points whose coordinates sit at, inside and
+    just past cut of 0, of 2^64 - 1 and of a drawn anchor, repeats included,
+    with cut drawn small (0 included: no pair, not even a point with itself)
+    or where 2 cut is just below, at or above 2^64."""
+    half = 2**63
+    cut = draw(st.one_of(st.sampled_from([0, 1, 2, half - 1, half, half + 1]), st.integers(1, 2**64)))
+    anchors = [0, 2**64 - 1, draw(st.integers(0, 2**64 - 1))]
+    offset = st.one_of(st.sampled_from([0, 1, cut - 1, cut, cut + 1]), st.integers(0, cut))
+    near = st.builds(lambda a, o, s: (a + s * o) % 2**64, st.sampled_from(anchors), offset, st.sampled_from([1, -1]))
+    pool = draw(st.lists(st.one_of(near, st.integers(0, 2**64 - 1)), min_size=1, max_size=4))
+    coord = st.sampled_from(pool)
+    return draw(st.lists(st.tuples(coord, coord), max_size=6)), cut
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(sample=torus_samples())
+@example(sample=([], 2**63))
+@example(sample=([(0, 2**64 - 1)], 1))
+@example(sample=([(0, 0), (2**63, 2**63)], 2**63))
+@example(sample=([(0, 0), (2**63, 2**63)], 2**63 + 1))
+@example(sample=([(1, 2**64 - 1), (2**64 - 1, 1)], 3))
+def test_close_masks_match_a_brute_pair_scan_at_the_wrap(sample):
+    points, cut = sample
+    eps = Fraction(cut, 2**64)
+    assert toys.units(eps) == cut
+    want = [sum(1 << j for j, q in enumerate(points) if exact_torus_dist(p, q) < cut) for p in points]
+    assert toys.close_masks(points, eps) == want
+
+
+@pytest.mark.parametrize("n", [0, 1, 6, 32])
+def test_endo_pair_bowen_matches_the_oracle_at_the_wrap(n):
+    # the difference at 0, one unit either side of it and the antipode, then drawn ones
+    endo = toys.ToralEndoAction()
+    special = [0, 1, 2**63, 2**64 - 1]
+    drawn = [(rng.stream_u64(31, "dx", i), rng.stream_u64(31, "dy", i)) for i in range(4)]
+    (base,) = toys.sample_torus_points(1, 13)
+    for dx, dy in [*product(special, repeat=2), *drawn]:
+        pair = [((base[0] + dx) % 2**64, (base[1] + dy) % 2**64), base]
+        assert endo.pair_bowen(pair, n)(0, 1) == exact_bowen(endo, n, *pair), (dx, dy)
+
+
+def test_close_masks_hold_no_pair_table():
+    # an all-pairs table over 2,000 points holds 4 million entries; the arc
+    # masks hold one sorted prefix of 2,000-bit masks per coordinate
     pts = toys.sample_torus_points(2000, 10)
     tracemalloc.start()
     try:
@@ -508,13 +534,12 @@ def test_bowen_endo_lipschitz_bound_large_sample():
     # compared as integers in units of 2^-64
     endo = toys.ToralEndoAction()
     pts = toys.sample_torus_points(2000, 8)
-    exact = unit_points(pts)
     n = 6
     lip = endo.orbit_lipschitz(n)
     dn = endo.pair_bowen(pts, n)
     for i in range(0, 2000, 2):
-        d0 = exact_torus_dist(exact[i], exact[i + 1])
-        assert int(dn(i, i + 1)) <= lip * d0
+        d0 = exact_torus_dist(pts[i], pts[i + 1])
+        assert dn(i, i + 1) <= lip * d0
 
 
 def test_sandwich_needs_positive_masses():

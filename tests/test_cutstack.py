@@ -423,8 +423,8 @@ def test_window_frame_consistency():
                 u = p.position_at(j)
                 if max(abs(u[0]), abs(u[1])) + n <= sched.r(j):
                     axis = AxisSumset(sched.levels_1d(j - 1))
-                    xs = tuple(x - u[0] for x in axis.values(u[0] - n, u[0] + n))
-                    ys = tuple(y - u[1] for y in axis.values(u[1] - n, u[1] + n))
+                    xs = tuple(x - u[0] for x in axis.values(u[0] - n, u[0] + n, 0))
+                    ys = tuple(y - u[1] for y in axis.values(u[1] - n, u[1] + n, 0))
                     frames.append((xs, ys))
             assert len(frames) >= 2
             assert all(f == frames[0] for f in frames[1:])

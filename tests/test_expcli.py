@@ -683,7 +683,7 @@ def test_planted_axis_traversal_defect_fails_gamma1_count(monkeypatch, spec):
     # a traversal that loses the last value of every window
     sched = expcli.schedule_from_spec(spec)
     values = lattice.AxisSumset.values
-    monkeypatch.setattr(lattice.AxisSumset, "values", lambda self, lo, hi, origin=0: values(self, lo, hi, origin)[:-1])
+    monkeypatch.setattr(lattice.AxisSumset, "values", lambda self, lo, hi, origin: values(self, lo, hi, origin)[:-1])
     report = expcli.Report(config={})
     expcli.variant_suite(report, sched, "v")
     (count,) = [v for v in report.verdicts if v.name == "v/gamma1-count"]

@@ -171,7 +171,7 @@ def test_axis_sumset_matches_brute(levels, data):
     hi = data.draw(st.integers(lo - 2, reach + 8))
     h = data.draw(st.integers(0, 8))
     inside = sorted(x for x in full if lo <= x <= hi)
-    assert axis.values(lo, hi) == inside
+    assert axis.values(lo, hi, 0) == inside
     assert axis.count_sum(lo, hi) == (len(inside), sum(inside))
     thickened = {y for x in full for y in range(x - h, x + h + 1) if lo <= y <= hi}
     assert covered(axis, h, lo, hi) == len(thickened)
@@ -197,7 +197,7 @@ def test_axis_values_leave_no_garbage(sched_default):
     gc.disable()
     try:
         gc.collect()
-        assert len(axis.values(-width, width)) == 95
+        assert len(axis.values(-width, width, 0)) == 95
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -230,7 +230,7 @@ def test_axis_runs_recurse_at_most_three_times_a_level(monkeypatch):
     monkeypatch.setattr(AxisSumset, "_walk_runs", counted)
     for stage, axis, lo, hi in _kernel_windows():
         calls.clear()
-        axis.values(lo, hi)
+        axis.values(lo, hi, 0)
         assert len(calls) <= 3 * (stage - 1) + 1, (stage, lo, hi)
 
 
@@ -259,7 +259,7 @@ def test_axis_kernels_recurse_into_no_whole_copy(monkeypatch):
     monkeypatch.setattr(AxisSumset, "_walk_runs", checked_walk)
     for _, axis, lo, hi in _kernel_windows():
         axis.count_sum(lo, hi)
-        axis.values(lo, hi)
+        axis.values(lo, hi, 0)
     assert whole == []
 
 
