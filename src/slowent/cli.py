@@ -33,7 +33,7 @@ def _positive_int(text: str) -> int:
 
 _UNUSED = "unused by this command (kept in the report config)"
 
-_COMMON_FLAGS = ("--config", "--seed", "--out", "--format")
+_COMMON_FLAGS = ("--config", "--seed", "--out")  # --config first: a command that reads no config field takes the rest
 
 
 def _add_common(parser: argparse.ArgumentParser, flags: tuple[str, ...], seed_help: str | None) -> None:
@@ -44,31 +44,29 @@ def _add_common(parser: argparse.ArgumentParser, flags: tuple[str, ...], seed_he
         parser.add_argument("--seed", type=int, default=expcli.DEFAULT_SEED, help=seed_help)
     if "--out" in flags:
         parser.add_argument("--out", type=Path, default=Path("out"))
-    if "--format" in flags:
-        parser.add_argument("--format", choices=("csv", "json"), default="json")
 
 
 def _schedule_args(parser: argparse.ArgumentParser) -> None:
     # unset flags stay None, so a command sees which were given; expcli fills in the rest
-    parser.add_argument("--stages", type=int)
-    parser.add_argument("--theta", type=str)
-    parser.add_argument("--c", type=str)
-    parser.add_argument("--r1", type=int)
-    parser.add_argument("--schedule-file", type=Path)
+    for flag, kind in (("--stages", int), ("--theta", str), ("--c", str), ("--r1", int), ("--schedule-file", Path)):
+        parser.add_argument(flag, type=kind)
 
 
 def _schedule_spec(args: argparse.Namespace) -> dict:
     given = {key: getattr(args, key) for key in expcli.DEFAULT_SCHEDULE_SPEC if getattr(args, key) is not None}
-    # schedule_from_spec refuses a file given with any other field
+    # filled_schedule_spec refuses a file given with any other field
     return {"file": str(args.schedule_file), **given} if args.schedule_file else given
 
 
 def _load_config(args: argparse.Namespace) -> expcli.ExperimentConfig:
     """The config file, or a config of the command's schedule flags, with the given --seed and --sample-size."""
-    if args.config:
+    if getattr(args, "config", None):  # a command that reads no config field has no --config
         if any(getattr(args, key, None) is not None for key in (*expcli.DEFAULT_SCHEDULE_SPEC, "schedule_file")):
             raise UsageError("schedule flags cannot be combined with --config: give the schedule in the config")
-        doc = json.loads(args.config.read_text())
+        try:
+            doc = json.loads(args.config.read_text())
+        except ValueError as exc:  # not UTF-8, not JSON, or an integer of more digits than int() converts
+            raise UsageError(f"config {args.config}: {exc}") from None
     else:
         doc = {"schedule": _schedule_spec(args)} if "schedule" in expcli.COMMANDS[args.kind].reads else {}
     if isinstance(doc, dict):  # config_from_json refuses any other JSON value
@@ -82,7 +80,7 @@ def _load_config(args: argparse.Namespace) -> expcli.ExperimentConfig:
 
 def _experiment(args: argparse.Namespace) -> int:
     report = expcli.run_experiment(_load_config(args))
-    path = expcli.write_report(report, args.out, args.format)
+    path = expcli.write_report(report, args.out)
     for v in report.verdicts:
         print(f"[{v.status.upper():8s}] {v.name}: {v.invariant}")
     print(f"report: {path}")
@@ -195,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, command in expcli.COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
-        _add_common(p, _COMMON_FLAGS, None if "seed" in command.reads else _UNUSED)
+        _add_common(p, _COMMON_FLAGS if command.reads else _COMMON_FLAGS[1:], None if "seed" in command.reads else _UNUSED)
         if "schedule" in command.reads:
             _schedule_args(p)
         # unset, the seed comes from the config (expcli.DEFAULT_SEED by default)
@@ -208,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (UsageError, cutstack.StageCapError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (UsageError, cutstack.StageCapError, OSError, UnicodeDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -42,6 +43,34 @@ _RADIUS_BOUND = 10**MAX_RADIUS_DIGITS
 
 def _radius_too_large(i: int) -> UsageError:
     return UsageError(f"r({i}) has more than {MAX_RADIUS_DIGITS} decimal digits; use fewer stages")
+
+
+# an integer, a/b, or a decimal with an optional exponent
+_NUMBER = re.compile(r"\s*([-+]?)(?:(\d+)/(\d+)|(?=\.?\d)(\d*)(?:\.(\d*))?(?:[eE]([-+]?\d+))?)\s*")
+
+
+def parse_fraction(text: str) -> Fraction:
+    """The exact value of "2", "1/3", "0.125" or "1e-2". One whose numerator
+    or denominator would have more than MAX_RADIUS_DIGITS digits is refused,
+    by its exponent before it is built: Fraction("1e-3000000") builds 10^3000000."""
+    match = _NUMBER.fullmatch(text)
+    try:
+        if match is None:
+            raise ValueError
+        sign, num, den, whole, frac, exp = match.groups(default="")
+        if not den:  # a decimal: the digits of whole and frac times 10^shift
+            num = int(whole + frac)
+            shift = int(exp or 0) - len(frac) if num else 0
+            # int() takes at most MAX_RADIUS_DIGITS digits, so past this shift the value is past the bound
+            if abs(shift) > 2 * MAX_RADIUS_DIGITS:
+                raise ValueError
+            num, den = num * 10 ** max(shift, 0), 10 ** max(-shift, 0)
+        value = Fraction(int(num), int(den))
+        if max(value.numerator, value.denominator) >= _RADIUS_BOUND:
+            raise ValueError
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"bad number {text!r}: want an integer, a/b or a decimal of at most {MAX_RADIUS_DIGITS} digits") from None
+    return -value if sign == "-" else value
 
 
 # ---------------------------------------------------------------------------
@@ -178,35 +207,30 @@ def build_schedule(stages: int, theta: Fraction, c: Fraction | int, r1: int) -> 
 
 def schedule_to_text(sched: Schedule) -> str:
     lines = [f"theta {sched.theta.numerator}/{sched.theta.denominator}", f"c {sched.c}"]
-    for i in range(1, sched.stages + 1):
-        lines.append(f"r {i} {sched.r(i)}")
-    return "\n".join(lines) + "\n"
+    return "\n".join([*lines, *(f"r {i} {r}" for i, r in enumerate(sched.radii, 1)), ""])
 
 
 def schedule_from_text(text: str) -> Schedule:
-    theta: Fraction | None = None
-    c: Fraction | None = None
+    exact: dict[str, Fraction] = {}  # theta and c
     radii: dict[int, int] = {}
     for ln in text.splitlines():
         parts = ln.split()
         if not parts:
             continue
         try:
-            if parts[0] == "theta" and len(parts) == 2:
-                theta = Fraction(parts[1])
-            elif parts[0] == "c" and len(parts) == 2:
-                c = Fraction(parts[1])
+            if parts[0] in ("theta", "c") and len(parts) == 2:
+                exact[parts[0]] = parse_fraction(parts[1])
             elif parts[0] == "r" and len(parts) == 3:
                 radii[int(parts[1])] = int(parts[2])
             else:
                 raise ValueError
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             raise UsageError(f"bad schedule line: {ln!r}") from None
-    if theta is None or c is None or not radii:
+    if len(exact) < 2 or not radii:
         raise UsageError("schedule file needs theta, c, and r lines")
     if sorted(radii) != list(range(1, len(radii) + 1)):
         raise UsageError("schedule r indices must be 1..K without gaps")
-    return Schedule(tuple(radii[i] for i in sorted(radii)), theta, c)
+    return Schedule(tuple(radii[i] for i in sorted(radii)), exact["theta"], exact["c"])
 
 
 # ---------------------------------------------------------------------------

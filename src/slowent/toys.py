@@ -168,10 +168,3 @@ class ToralEndoAction:
             return best
 
         return dn
-
-    def diagonal_bowen(self, points: list[tuple[int, int]], n: int, step: int) -> list[int]:
-        """d_n(x, x + step (1, 1)) for each point x, step and distances in units of 2^-64.
-
-        Every such pair has the same difference, so one orbit serves them all.
-        """
-        return [self.pair_bowen([(0, 0), (step, step)], n)(0, 1)] * len(points)

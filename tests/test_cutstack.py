@@ -87,6 +87,27 @@ def test_schedule_refuses_radii_past_the_digit_bound():
         cs.Schedule((1, 3), Fraction(1, 10**9), Fraction(2))
 
 
+def test_parse_fraction_reads_what_fraction_reads():
+    for text in ("1/3", "2", "0.125", "1e-2", "-1/3", "+.5", "5.", "1E3", "-2.5e-3", " 7/14 ", "0.0"):
+        assert cs.parse_fraction(text) == Fraction(text), text
+    # MAX_RADIUS_DIGITS digits above or below the line pass, one more does not
+    assert cs.parse_fraction("1e4299") == 10**4299
+    assert cs.parse_fraction("2e-4300") == Fraction(1, 5 * 10**4299)
+    assert cs.parse_fraction("9" * 4300 + "/7") == Fraction(int("9" * 4300), 7)
+    # a zero is zero whatever its exponent, and is not built as 0 / 10^99999999
+    assert cs.parse_fraction("0e-99999999") == 0
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1e4300", "1e-4300", "1e-5000", "1e-3000000", "1e3000000", "1e" + "9" * 5000, "9" * 4301, "1/" + "9" * 4301, "1/0", "abc", "", ".", "1_000", "True"],
+    ids=lambda text: text if len(text) < 12 else f"{text[:6]}..{len(text)}",
+)
+def test_parse_fraction_refuses_past_the_digit_bound_and_bad_text(text):
+    with pytest.raises(UsageError, match="bad number"):
+        cs.parse_fraction(text)
+
+
 def test_schedule_text_rejects_gaps():
     with pytest.raises(UsageError):
         cs.schedule_from_text("theta 1/3\nc 2\nr 1 1\nr 3 185221\n")

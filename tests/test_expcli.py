@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -81,22 +82,37 @@ def test_report_roundtrip_and_determinism(tmp_path):
     r1 = expcli.run_experiment(cfg)
     r2 = expcli.run_experiment(cfg)
     assert expcli.report_to_json(r1) == expcli.report_to_json(r2)
-    path = expcli.write_report(r1, tmp_path / "out", fmt="json")
+    path = expcli.write_report(r1, tmp_path / "out")
     doc = json.loads(path.read_text())
     assert doc["verdicts"][0]["status"] == "pass"
     assert "runtime_seconds" not in json.dumps(doc)
     assert (tmp_path / "out" / "timing.json").exists()
 
 
-def test_csv_rows_derive_from_report(tmp_path):
-    cfg = expcli.config_from_json({"kind": "recur", "seed": 3})
-    report = expcli.run_experiment(cfg)
-    expcli.write_report(report, tmp_path, fmt="csv")
-    csv_lines = (tmp_path / "recurrence.csv").read_text().strip().splitlines()
-    assert csv_lines[0] == "n,point_id,R_size,alpha_pointwise"
-    assert len(csv_lines) == 1 + len(report.tables["recurrence"])
-    for row, line in zip(report.tables["recurrence"], csv_lines[1:]):
-        assert str(row["R_size"]) in line
+#: The tables each experiment writes, one CSV apiece beside report.json.
+TABLES = {"cover": ["cover"], "recur": ["alpha_fit", "recurrence"], "ratio-et": ["ratio_et"], "bowen": ["bowen"]}
+
+
+@pytest.mark.parametrize("command", sorted(TABLES))
+def test_csv_rows_derive_from_report(tmp_path, capsys, command):
+    assert cli.main([command, "--sample-size", "4", "--out", str(tmp_path)]) == 0
+    tables = json.loads((tmp_path / "report.json").read_text())["tables"]
+    assert sorted(tables) == TABLES[command]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["report.json", "timing.json", *(f"{t}.csv" for t in tables)])
+    for name, rows in tables.items():
+        header, *lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+        # a key missing from a row (bowen mixes two row shapes) is an empty cell
+        cols = header.split(",")
+        assert set(cols) == {key for row in rows for key in row}
+        assert [line.split(",") for line in lines] == [[str(row[c]) if c in row else "" for c in cols] for row in rows]
+    if command == "recur":
+        assert (tmp_path / "recurrence.csv").read_text().startswith("n,point_id,R_size,alpha_pointwise\n")
+
+
+@pytest.mark.parametrize("command, size", [("verify", "50"), ("overlay", "2000"), ("metric-props", "3")])
+def test_reports_without_tables_write_no_csv(tmp_path, capsys, command, size):
+    assert cli.main([command, "--sample-size", size, "--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "timing.json"]
 
 
 def test_default_scales():
@@ -195,6 +211,7 @@ def _run_cli(*args: str, cwd: Path):
             {"c.json": '{"kind": "cover", "schedule": {"file": "s.txt", "stages": 3}}', "s.txt": "theta 1/3\nc 2\nr 1 1\nr 2 28\nr 3 185221\n"},
             ("cover", "--config", "c.json", "--out", "o"),
         ),
+        ({"c.json": '{"kind": "cover", "schedule": {"file": 5}}'}, ("cover", "--config", "c.json", "--out", "o")),
         (
             {"c.json": '{"kind": "cover", "schedule": {"radii": [1, 28, 185221], "theta": "1/3", "stages": 3}}'},
             ("cover", "--config", "c.json", "--out", "o"),
@@ -265,6 +282,7 @@ def _run_cli(*args: str, cwd: Path):
         "fit-exp-n-squared-past-float-range",
         "config-schedule-unknown-field",
         "config-schedule-file-with-field",
+        "config-schedule-file-not-a-path",
         "config-schedule-radii-with-stages",
         "config-schedule-radii-with-r1",
         "schedule-file-with-flag",
@@ -285,6 +303,61 @@ def test_cli_bad_input_exits_2(tmp_path, files, args):
     assert res.returncode == 2, res.stderr
     assert "usage error:" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "files, args",
+    [
+        ({"c.json": '{"kind": "verify", "seed": ' + "9" * 5000 + "}"}, ("verify", "--config", "c.json", "--out", "o")),
+        ({"c.json": '{"kind": "cover", "epsilons": ["1e-5000"], "sample_size": 4, "scales": [4]}'}, ("cover", "--config", "c.json", "--out", "o")),
+        ({"c.json": '{"kind": "cover", "epsilons": ["1/4", "1e-3000000"]}'}, ("cover", "--config", "c.json", "--out", "o")),
+        ({"c.json": '{"kind": "recur", "schedule": {"theta": "1e-3000000"}}'}, ("recur", "--config", "c.json", "--out", "o")),
+        ({"c.json": '{"kind": "recur", "schedule": {"c": "1e3000000"}}'}, ("recur", "--config", "c.json", "--out", "o")),
+        ({}, ("recur", "--theta", "1e-3000000", "--out", "o")),
+        ({}, ("sample", "--c", "1e5000")),
+        ({"s.txt": "theta 1e-3000000\nc 2\nr 1 1\n"}, ("recur", "--schedule-file", "s.txt", "--out", "o")),
+        ({"s.txt": "theta 1/3\nc 1e3000000\nr 1 1\n"}, ("schedule", "check", "s.txt")),
+    ],
+    ids=[
+        "config-seed-5000-digits",
+        "config-epsilon-1e-5000",
+        "config-epsilon-1e-3000000",
+        "config-theta",
+        "config-c",
+        "arg-theta",
+        "arg-c",
+        "schedule-file-theta",
+        "schedule-check-c",
+    ],
+)
+def test_cli_numbers_past_the_digit_bound_exit_2_at_once(tmp_path, monkeypatch, capsys, files, args):
+    # json.loads refuses an integer of more digits than int() converts, and
+    # parse_fraction refuses a number past MAX_RADIUS_DIGITS by its exponent
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    started = time.monotonic()
+    assert cli.main(list(args)) == 2
+    assert time.monotonic() - started < 1
+    err = capsys.readouterr().err
+    assert "usage error:" in err and "Traceback" not in err
+
+
+def test_schedule_file_is_recorded_as_the_schedule_it_holds(tmp_path, capsys):
+    # the same path holds two schedules in turn; each run records the radii,
+    # theta and c it read, from the flag and from a config alike
+    path, records = tmp_path / "s.txt", []
+    (tmp_path / "c.json").write_text(json.dumps({"kind": "ratio-et", "sample_size": 3, "schedule": {"file": str(path)}}))
+    for c in ("2", "5"):
+        sched = cutstack.build_schedule(3, Fraction(1, 3), Fraction(c), 1)
+        path.write_text(cutstack.schedule_to_text(sched))
+        assert cli.main(["ratio-et", "--schedule-file", str(path), "--sample-size", "3", "--out", str(tmp_path / "flag")]) in (0, 1)
+        assert cli.main(["ratio-et", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "config")]) in (0, 1)
+        flag, config = (json.loads((tmp_path / out / "report.json").read_text())["config"] for out in ("flag", "config"))
+        assert flag == config
+        assert flag["schedule_spec"] == {"radii": list(sched.radii), "theta": "1/3", "c": c}
+        records.append(flag)
+    assert records[0] != records[1]
 
 
 @pytest.mark.parametrize(
@@ -336,6 +409,8 @@ def test_cli_names_point_seed_at_the_int64_ends_runs(capsys, point_seed):
             (("sample",), ("--out", "--config", "--format")),
             (("names",), ("--out", "--config", "--format")),
             (("distmat", "--sample-size", "2"), ("--config", "--format")),
+            (("metric-props",), ("--config", "--format")),
+            *(((name,), ("--format",)) for name in sorted(set(expcli.COMMANDS) - {"metric-props"})),
         )
         for flag in dropped
     ],
@@ -372,16 +447,20 @@ def test_cli_config_with_a_partial_schedule_records_the_filled_spec(tmp_path):
     assert json.loads(report)["config"]["schedule_spec"] == {**expcli.DEFAULT_SCHEDULE_SPEC, "stages": 5}
 
 
-def test_filled_schedule_spec_fills_only_the_fields_a_form_reads():
+def test_filled_schedule_spec_fills_only_the_fields_a_form_reads(tmp_path):
     fill = expcli.filled_schedule_spec
     assert fill({}) == expcli.DEFAULT_SCHEDULE_SPEC
     assert fill({"radii": [1, 4], "c": "3"}) == {"radii": [1, 4], "theta": "1/3", "c": "3"}
-    assert fill({"file": "s.txt"}) == {"file": "s.txt"}
-    # a field the form does not read is kept, for schedule_from_spec to refuse
-    assert fill({"file": "s.txt", "stages": 5}) == {"file": "s.txt", "stages": 5}
-    for spec in ({"radii": [1, 4], "r1": 1}, {"file": "s.txt", "stages": 5}):
+    # a file is read into the explicit form of the schedule it holds
+    (tmp_path / "s.txt").write_text("theta 1/4\nc 5/2\nr 1 1\nr 2 82\n")
+    assert fill({"file": str(tmp_path / "s.txt")}) == {"radii": [1, 82], "theta": "1/4", "c": "5/2"}
+    # a field the form does not read is kept, for schedule_from_spec to refuse; a file takes no other field
+    assert fill({"radii": [1, 4], "r1": 1}) == {"radii": [1, 4], "theta": "1/3", "c": "2", "r1": 1}
+    for spec in ({"radii": [1, 4], "r1": 1}, {"file": str(tmp_path / "s.txt"), "stages": 5}):
         with pytest.raises(UsageError):
-            expcli.schedule_from_spec(fill(spec))
+            expcli.schedule_from_spec(spec)
+    with pytest.raises(UsageError, match="'file' takes a path and no other field"):
+        fill({"file": str(tmp_path / "s.txt"), "stages": 5})
 
 
 @pytest.mark.parametrize("exponent", [149, 160, 200])
@@ -408,7 +487,7 @@ def test_cli_seed_overrides_config(tmp_path):
 
 def test_cli_bowen_csv_has_every_column(tmp_path):
     # the bowen table mixes translation rows (sep_base) and endomorphism rows (log2_bound)
-    res = _run_cli("bowen", "--sample-size", "20", "--format", "csv", "--out", "o", cwd=tmp_path)
+    res = _run_cli("bowen", "--sample-size", "20", "--out", "o", cwd=tmp_path)
     assert res.returncode == 0, res.stderr
     lines = (tmp_path / "o" / "bowen.csv").read_text().splitlines()
     header = lines[0].split(",")
@@ -455,7 +534,13 @@ def test_config_refuses_every_field_its_command_does_not_read(tmp_path, capsys, 
         with pytest.raises(UsageError, match=f"{command} does not read config field '{field}'"):
             expcli.config_from_json(doc)
         (tmp_path / "c.json").write_text(json.dumps(doc))
-        assert cli.main([command, "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o")]) == 2
+        argv = [command, "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o")]
+        if not READS[command]:  # a command that reads no field takes no --config
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2 and "usage error: unrecognized arguments: --config" in capsys.readouterr().err
+            continue
+        assert cli.main(argv) == 2
         assert f"usage error: {command} does not read config field '{field}'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
     # every kind still takes a seed and a sample size, in a config and as flags
@@ -870,8 +955,7 @@ def test_planted_short_orbit_constant_fails_lipschitz_orbit_bound(monkeypatch):
     (bound,) = [v for v in expcli.run_bowen(config).verdicts if v.name == "lipschitz-orbit-bound"]
     assert bound.status == "fail" and bound.details["lip"] == 14_930_352
     step = 1 << 37
-    diagonal = toys.ToralEndoAction().diagonal_bowen(toys.sample_torus_points(200, 2024), 6, step)
-    assert diagonal == [39_088_169 * step] * 200
+    assert toys.ToralEndoAction().pair_bowen([(0, 0), (step, step)], 6)(0, 1) == 39_088_169 * step
 
 
 def test_distmat_memory_grows_with_the_sample_not_its_pairs(tmp_path, capsys):

@@ -389,7 +389,7 @@ def test_settable_defaults_do_not_grow():
 # The CLI's optional flags, counted on the built parser: every `--option` of
 # each subcommand, `--help` excluded. Pinned like the settable defaults.
 
-CLI_OPTIONAL_FLAGS = 88
+CLI_OPTIONAL_FLAGS = 80
 
 
 def optional_flags(parser: argparse.ArgumentParser, prefix: str = "") -> list[str]:
@@ -410,6 +410,16 @@ def test_optional_flags_counts_each_subcommand():
     a.add_argument("-x", "--xs")
     a.add_subparsers().add_parser("b").add_argument("--ys", "--zs")
     assert optional_flags(parser) == ["--top", "a --xs", "a b --ys", "a b --zs"]
+
+
+def test_experiment_flags_derive_from_reads():
+    # --seed, --out and --sample-size always, --config when the command reads
+    # a config field, and the five schedule flags when it reads the schedule
+    found = optional_flags(cli.build_parser())
+    schedule = ["--stages", "--theta", "--c", "--r1", "--schedule-file"]
+    for name, command in expcli.COMMANDS.items():
+        want = ["--seed", "--out", "--sample-size", *(["--config"] if command.reads else []), *(schedule if "schedule" in command.reads else [])]
+        assert sorted(flag.split(" ")[1] for flag in found if flag.split(" ")[0] == name) == sorted(want), name
 
 
 def test_cli_optional_flags_do_not_grow():
